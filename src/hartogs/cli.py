@@ -18,12 +18,11 @@ configuration and seed produce byte-identical output.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
-from . import coeffspace, isometries, kernels, projections, verify
+from . import coeffspace, isometries, kernels, projections, quadrature, verify
 from .coeffspace import LaurentCoeffs, MixedPoly, TorusSeries
 from .geometry import HartogsPoint
 from .specfun import DomainError
@@ -50,16 +49,6 @@ def _parse_complex(text):
         return complex(text)
     except ValueError as exc:
         raise DomainError(f"cannot parse complex number {text!r}") from exc
-
-
-def _default_order():
-    raw = os.environ.get("HARTOGS_QUAD_ORDER")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise DomainError(f"HARTOGS_QUAD_ORDER must be an integer, got {raw!r}") from exc
 
 
 def _read_json(path):
@@ -144,13 +133,9 @@ def _cmd_norm(args):
 
 
 def _cmd_project(args):
-    if not args.nu > -1.0:
-        raise DomainError(f"Bergman projection requires nu > -1, got {args.nu}")
-    order = _default_order()
-    if order is not None:
-        projections.projection_self_test(args.nu, radial_order=order, angular_count=order + 1)
-    else:
-        projections.projection_self_test(args.nu)
+    coeffspace.SpaceParam(args.nu).require("bergman", "the Bergman projection")
+    order = quadrature.radial_order_from_env(32)
+    projections.projection_self_test(args.nu, radial_order=order, angular_count=order + 1)
     f = MixedPoly.from_json(_read_json(args.infile))
     out = projections.project_bergman(args.nu, f)
     _write_json(args.out, out.to_json())

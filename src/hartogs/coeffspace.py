@@ -6,10 +6,11 @@ Holomorphic functions on the Hartogs triangle expand as Laurent series
 
 and membership in every space of the one-parameter family is a weighted
 square-summability condition on the coefficients.  This module holds the
-coefficient containers, the index set I_nu, the exact Gamma/Beta closed
-forms of the space norms, the three-way coefficient split feeding the
-multiplier operator T, and the restriction of a function to the torus grid
-used by the Hardy-side machinery.
+family parameter (SpaceParam, which decides the regime of nu for the
+whole library), the coefficient containers, the index set I_nu, the
+exact Gamma/Beta closed forms of the space norms, the three-way
+coefficient split feeding the multiplier operator T, and the restriction
+of a function to the torus grid used by the Hardy-side machinery.
 
 Out-of-space inputs produce the +inf sentinel rather than an error: the
 divergence of a norm is a mathematical outcome that callers test for.
@@ -42,15 +43,34 @@ __all__ = [
 ]
 
 
+SNAP_TOL = 1e-12
+_RANGES = {"bergman": "nu > -1", "weighted-dirichlet": "-2 < nu < -1"}
+
+
 @dataclass(frozen=True)
 class SpaceParam:
-    """The family parameter nu in [-2, inf) with its regime classification."""
+    """The family parameter nu in [-2, inf), the one place its regime is decided.
+
+    Construction snaps nu within SNAP_TOL = 1e-12 onto -2, -1 and the
+    even integers, so that float inputs such as 2.0000000000001 land in
+    one regime for every module; ``nu`` holds the snapped value.  Every regime branch
+    (``kind``), every shift ceil(nu/2) (``ceil``), the index set I_nu
+    (``member``) and the coefficient weight of the space (``weight``,
+    ``norm_sq``) are read from here.  Raises DomainError for nu below -2
+    or not finite.
+    """
 
     nu: float
 
     def __post_init__(self):
-        if not self.nu >= -2.0:
-            raise DomainError(f"the space family needs nu >= -2, got {self.nu}")
+        nu = self.nu
+        if math.isfinite(nu):
+            for special in (-2.0, -1.0, 2.0 * round(0.5 * nu)):
+                if abs(nu - special) < SNAP_TOL:
+                    object.__setattr__(self, "nu", special)
+                    break
+        if not (math.isfinite(self.nu) and self.nu >= -2.0):
+            raise DomainError(f"the space family needs finite nu >= -2, got {nu}")
 
     @property
     def kind(self):
@@ -61,6 +81,50 @@ class SpaceParam:
         if self.nu > -2.0:
             return "weighted-dirichlet"
         return "dirichlet"
+
+    @property
+    def ceil(self):
+        """ceil(nu/2); every closed form carries the shift 1 + ceil(nu/2)."""
+        return math.ceil(0.5 * self.nu)
+
+    def require(self, kind, who):
+        """Return self, or raise DomainError naming ``who`` if nu is not in
+        the ``kind`` regime."""
+        if self.kind != kind:
+            raise DomainError(f"{who} requires {_RANGES[kind]}, got {self.nu}")
+        return self
+
+    def member(self, j, k):
+        """Membership of (j, k) in I_nu = {j >= 0, j + k + nu/2 + 2 > 0},
+        i.e. j >= 0 and j + k >= -1 - ceil(nu/2)."""
+        return j >= 0 and j + k >= -1 - self.ceil
+
+    def weight(self, j, k):
+        """Coefficient weight of z1^j z2^k in the pairing of the space.
+
+        The Gamma form of ``_gamma_weight`` for nu > -1 and -2 < nu < -1
+        (signed there), 1 at nu = -1 and (j+1)(j+k+1) at nu = -2.
+        Returns +inf outside I_nu.
+        """
+        if not self.member(j, k):
+            return math.inf
+        kind = self.kind
+        if kind == "hardy":
+            return 1.0
+        if kind == "dirichlet":
+            return (j + 1.0) * (j + k + 1.0)
+        return _gamma_weight(self.nu, j, k)
+
+    def norm_sq(self, f):
+        """The weighted sum sum weight(j, k) |a_jk|^2 of a Laurent polynomial;
+        +inf if the support leaks outside I_nu."""
+        total = 0.0
+        for (j, k), a in f.items():
+            w = self.weight(j, k)
+            if math.isinf(w):
+                return math.inf
+            total += w * abs(a) ** 2
+        return total
 
 
 class _CoeffMap:
@@ -152,12 +216,12 @@ class MixedPoly(_CoeffMap):
 
 def index_member(nu, j, k):
     """Membership of (j, k) in I_nu = {j >= 0, j + k + nu/2 + 2 > 0}."""
-    return j >= 0 and j + k + 0.5 * nu + 2.0 > 0.0
+    return SpaceParam(nu).member(j, k)
 
 
 def min_total_degree(nu):
     """Smallest integer value of j + k over I_nu, i.e. -1 - ceil(nu/2)."""
-    return -1 - math.ceil(0.5 * nu)
+    return -1 - SpaceParam(nu).ceil
 
 
 def _gamma_weight(nu, j, k):
@@ -182,11 +246,7 @@ def monomial_norm_sq(nu, j, k):
 
     At nu = 0 this reduces to 2 / ((j+1)(j+k+2)).
     """
-    if not nu > -1.0:
-        raise DomainError(f"monomial_norm_sq requires nu > -1, got {nu}")
-    if not index_member(nu, j, k):
-        return math.inf
-    return _gamma_weight(nu, j, k)
+    return SpaceParam(nu).require("bergman", "monomial_norm_sq").weight(j, k)
 
 
 def weighted_dirichlet_weight(nu, j, k):
@@ -198,43 +258,23 @@ def weighted_dirichlet_weight(nu, j, k):
     indefinite; see the kernel module for the matching signed kernel
     coefficients).  Returns +inf outside I_nu.
     """
-    if not -2.0 < nu < -1.0:
-        raise DomainError(f"weighted_dirichlet_weight requires -2 < nu < -1, got {nu}")
-    if not index_member(nu, j, k):
-        return math.inf
-    return _gamma_weight(nu, j, k)
+    return SpaceParam(nu).require("weighted-dirichlet", "weighted_dirichlet_weight").weight(j, k)
 
 
 def bergman_norm_sq(nu, f):
     """Squared A^2_nu norm of a Laurent polynomial; +inf if the support
     leaks outside I_nu."""
-    total = 0.0
-    for (j, k), a in f.items():
-        w = monomial_norm_sq(nu, j, k)
-        if math.isinf(w):
-            return math.inf
-        total += w * abs(a) ** 2
-    return total
+    return SpaceParam(nu).require("bergman", "bergman_norm_sq").norm_sq(f)
 
 
 def hardy_norm_sq(f):
     """Squared Hardy norm: plain Parseval sum over I_{-1}."""
-    total = 0.0
-    for (j, k), a in f.items():
-        if not (j >= 0 and j + k + 1 >= 0):
-            return math.inf
-        total += abs(a) ** 2
-    return total
+    return SpaceParam(-1.0).norm_sq(f)
 
 
 def dirichlet_norm_sq(f):
     """Squared Dirichlet norm sum (j+1)(j+k+1)|a_{jk}|^2 over {k >= -j}."""
-    total = 0.0
-    for (j, k), a in f.items():
-        if not (j >= 0 and j + k >= 0):
-            return math.inf
-        total += (j + 1.0) * (j + k + 1.0) * abs(a) ** 2
-    return total
+    return SpaceParam(-2.0).norm_sq(f)
 
 
 def weighted_dirichlet_norm_sq(nu, f):
@@ -243,25 +283,7 @@ def weighted_dirichlet_norm_sq(nu, f):
     The value is real but may be negative for supports hitting the
     indefinite indices; +inf if the support leaves I_nu.
     """
-    total = 0.0
-    for (j, k), a in f.items():
-        w = weighted_dirichlet_weight(nu, j, k)
-        if math.isinf(w):
-            return math.inf
-        total += w * abs(a) ** 2
-    return total
-
-
-def space_norm_sq(nu, f):
-    """Dispatch the coefficient norm of the regime that nu selects."""
-    kind = SpaceParam(nu).kind
-    if kind == "bergman":
-        return bergman_norm_sq(nu, f)
-    if kind == "hardy":
-        return hardy_norm_sq(f)
-    if kind == "weighted-dirichlet":
-        return weighted_dirichlet_norm_sq(nu, f)
-    return dirichlet_norm_sq(f)
+    return SpaceParam(nu).require("weighted-dirichlet", "weighted_dirichlet_norm_sq").norm_sq(f)
 
 
 def split_f123(f):
@@ -299,7 +321,7 @@ def _tsplit_prefactor(nu):
     """
     if not nu > -3.0:
         raise DomainError(f"T-split norms need nu > -3, got {nu}")
-    if abs(nu + 2.0) < 1e-12:
+    if abs(nu + 2.0) < SNAP_TOL:
         return 2.0 / (3.0 * math.pi**2)
     ratio = gamma_ratio_signed([1.5 * nu + 3.0], [nu + 2.0, 0.5 * nu + 2.0])
     return (nu + 1.0) ** 2 * ratio / math.pi**2

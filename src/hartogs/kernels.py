@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import coeffspace
+from .coeffspace import SNAP_TOL, SpaceParam
 from .specfun import DomainError, HypergeometricParams, gamma_ratio, gamma_ratio_signed, gauss_2f1
 
 __all__ = [
@@ -61,21 +62,20 @@ def bergman_kernel(z, w):
 
 
 def prefactor_a(nu):
-    """The constant a_nu of the hypergeometric closed form, nu > -1:
+    """The constant a_nu of the hypergeometric closed form:
 
     a_nu = Gamma(nu/2+2) Gamma(3nu/2 - ceil(nu/2) + 2)
            / (Gamma(3nu/2+3) Gamma(nu/2 - ceil(nu/2) + 1)).
+
+    Positive for nu > -1; below that the ratio is evaluated with sign
+    tracking, and its modulus scales the boundary-estimate majorant.
     """
-    c = math.ceil(0.5 * nu)
-    return gamma_ratio(
+    sp = SpaceParam(nu)
+    nu, c = sp.nu, sp.ceil
+    return gamma_ratio_signed(
         [0.5 * nu + 2.0, 1.5 * nu - c + 2.0],
         [1.5 * nu + 3.0, 0.5 * nu - c + 1.0],
     )
-
-
-def _hyp_params(nu):
-    c = math.ceil(0.5 * nu)
-    return HypergeometricParams(1.5 * nu - c + 2.0, 1.0, 0.5 * nu - c + 1.0)
 
 
 def kernel_nu(nu, z, w):
@@ -85,11 +85,10 @@ def kernel_nu(nu, z, w):
     Euler-transformed series used near |y| = 1 terminates and realizes the
     reduction exactly.
     """
-    if not nu > -1.0:
-        raise DomainError(f"kernel_nu requires nu > -1, got {nu}")
+    sp = SpaceParam(nu).require("bergman", "kernel_nu")
+    nu, c = sp.nu, sp.ceil
     x, y = _xy(z, w)
-    c = math.ceil(0.5 * nu)
-    hyp = gauss_2f1(_hyp_params(nu), y)
+    hyp = gauss_2f1(HypergeometricParams(1.5 * nu - c + 2.0, 1.0, 0.5 * nu - c + 1.0), y)
     return prefactor_a(nu) * y ** (-1 - c) * (1.0 - x) ** (-(nu + 2.0)) * hyp
 
 
@@ -104,10 +103,12 @@ def weighted_dirichlet_kernel(nu, z, w):
 
     K = c_nu y^(-1) (1 - x)^(-(nu+2)) F(3nu/2+2, 1; nu/2+1; y) with
     c_nu = (nu/2 + 1)/(3nu/2 + 2), a signed ratio (it changes sign at
-    nu = -4/3, where the pairing degenerates).
+    nu = -4/3, where the pairing degenerates: there, and within SNAP_TOL
+    of it, DomainError is raised).
     """
-    if not -2.0 < nu < -1.0:
-        raise DomainError(f"weighted_dirichlet_kernel requires -2 < nu < -1, got {nu}")
+    nu = SpaceParam(nu).require("weighted-dirichlet", "weighted_dirichlet_kernel").nu
+    if abs(nu + 4.0 / 3.0) < SNAP_TOL:
+        raise DomainError(f"the weighted Dirichlet pairing degenerates at nu = -4/3, got {nu}")
     x, y = _xy(z, w)
     c_nu = (0.5 * nu + 1.0) / (1.5 * nu + 2.0)
     hyp = gauss_2f1(HypergeometricParams(1.5 * nu + 2.0, 1.0, 0.5 * nu + 1.0), y)
@@ -141,47 +142,28 @@ def dirichlet_kernel(z, w):
     return _log1over(x) * _log1over(y)
 
 
-def _snap(nu):
-    """Absorb float noise around the two explicit limit regimes."""
-    for special in (-1.0, -2.0):
-        if abs(nu - special) < 1e-12:
-            return special
-    return nu
-
-
 def kernel(nu, z, w):
     """Dispatch the kernel of the regime selected by nu in [-2, inf)."""
-    nu = _snap(nu)
-    if nu > -1.0:
-        return kernel_nu(nu, z, w)
-    if nu == -1.0:
+    sp = SpaceParam(nu)
+    kind = sp.kind
+    if kind == "bergman":
+        return kernel_nu(sp.nu, z, w)
+    if kind == "hardy":
         return hardy_kernel(z, w)
-    if nu > -2.0:
-        return weighted_dirichlet_kernel(nu, z, w)
-    if nu == -2.0:
-        return dirichlet_kernel(z, w)
-    raise DomainError(f"no kernel regime below nu = -2, got {nu}")
+    if kind == "weighted-dirichlet":
+        return weighted_dirichlet_kernel(sp.nu, z, w)
+    return dirichlet_kernel(z, w)
 
 
 def kernel_coeff(nu, j, k):
     """Laurent coefficient of the kernel: the reciprocal monomial weight.
 
     K(z, w) = sum_{(j,k) in I_nu} kernel_coeff(nu, j, k) (z1 conj(w1))^j
-    (z2 conj(w2))^k; outside I_nu the coefficient is zero.
+    (z2 conj(w2))^k; outside I_nu, where the weight is +inf, the
+    coefficient is zero.
     """
-    nu = _snap(nu)
-    if not coeffspace.index_member(nu, j, k):
-        return 0.0
-    if nu > -1.0:
-        return 1.0 / coeffspace.monomial_norm_sq(nu, j, k)
-    if nu == -1.0:
-        return 1.0
-    if nu > -2.0:
-        w = coeffspace.weighted_dirichlet_weight(nu, j, k)
-        return math.inf if w == 0.0 else 1.0 / w
-    if nu == -2.0:
-        return 1.0 / ((j + 1.0) * (j + k + 1.0))
-    raise DomainError(f"no kernel regime below nu = -2, got {nu}")
+    w = SpaceParam(nu).weight(j, k)
+    return math.inf if w == 0.0 else 1.0 / w
 
 
 def kernel_coeff_closed(nu, j, k):
@@ -193,16 +175,17 @@ def kernel_coeff_closed(nu, j, k):
     :func:`kernel_coeff`; the two agree to rounding and the reproducing
     identity tests pair them deliberately.
     """
-    nu = _snap(nu)
-    if not coeffspace.index_member(nu, j, k):
+    sp = SpaceParam(nu)
+    nu, kind = sp.nu, sp.kind
+    if not sp.member(j, k):
         return 0.0
-    if nu == -2.0:
+    if kind == "dirichlet":
         return 1.0 / ((j + 1.0) * (j + k + 1.0))
-    if nu == -1.0:
+    if kind == "hardy":
         # y^(-1) (1-x)^(-1) (1-y)^(-1): every surviving coefficient is 1
         return 1.0
-    if nu > -1.0:
-        c = math.ceil(0.5 * nu)
+    if kind == "bergman":
+        c = sp.ceil
         alpha = 1.5 * nu - c + 2.0
         gam = 0.5 * nu - c + 1.0
         front = prefactor_a(nu)
@@ -263,6 +246,7 @@ def kernel_series(nu, z, w, tol=1e-12):
     geometric tail bound in q = max(|x|, |y|) with a polynomial-growth
     allowance for the coefficients.
     """
+    nu = SpaceParam(nu).nu
     x, y = _xy(z, w)
     q = max(abs(x), abs(y))
     if q >= 1.0:
@@ -284,12 +268,12 @@ def kernel_nu_series_k(nu, z, w, tol=1e-12):
         K_nu = [Gamma(nu/2+2)/Gamma(3nu/2+3)] y^(-2) (1-x)^(-(nu+2))
                * sum_{k > -nu/2} Gamma(k+3nu/2+1)/Gamma(k+nu/2) y^k.
     """
-    if not nu > -1.0:
-        raise DomainError(f"kernel_nu_series_k requires nu > -1, got {nu}")
+    sp = SpaceParam(nu).require("bergman", "kernel_nu_series_k")
+    nu = sp.nu
     x, y = _xy(z, w)
     q = abs(y)
     n = _series_extent(q, 2.0 * max(nu + 1.0, 0.0) + 0.5, tol)
-    k0 = 1 - math.ceil(0.5 * nu)
+    k0 = 1 - sp.ceil
     kk = np.arange(k0, k0 + n, dtype=float)
     logc = gammaln(kk + 1.5 * nu + 1.0) - gammaln(kk + 0.5 * nu)
     ksum = np.sum(np.exp(logc) * y ** np.arange(k0, k0 + n))
@@ -307,48 +291,40 @@ def kernel_bound_ratio(nu, z, w):
     nu = -2 kernel is logarithmic and has no bound of this shape, so it
     is excluded.
     """
-    if not nu > -2.0:
+    sp = SpaceParam(nu)
+    if sp.kind == "dirichlet":
         raise DomainError(f"the kernel estimate concerns nu > -2, got {nu}")
+    nu, c = sp.nu, sp.ceil
     x, y = _xy(z, w)
-    c = math.ceil(0.5 * nu)
     val = abs(kernel(nu, z, w))
     return val * abs(y) ** (1 + c) * abs(1.0 - x) ** (nu + 2.0) * abs(1.0 - y) ** (nu + 2.0)
 
 
-def _euler_coeffs(nu, n_terms):
+def _euler_coeffs(sp, n_terms):
     """Taylor coefficients of F(-nu-1, b; b+1; y), b = nu/2 - ceil(nu/2).
 
     This is the Euler transform of the kernel's hypergeometric factor;
     its coefficient l^1 norm is finite for nu > -2 and majorizes the
     boundary ratio.
     """
-    b = 0.5 * nu - math.ceil(0.5 * nu)
-    a = -nu - 1.0
+    b = 0.5 * sp.nu - sp.ceil
+    a = -sp.nu - 1.0
     n = np.arange(0, n_terms, dtype=float)
     ratios = np.ones(n_terms)
     ratios[1:] = (a + n[:-1]) * (b + n[:-1]) / ((b + 1.0 + n[:-1]) * (1.0 + n[:-1]))
     return np.cumprod(ratios)
 
 
-def _abs_prefactor(nu):
-    c = math.ceil(0.5 * nu)
-    return abs(
-        gamma_ratio_signed(
-            [0.5 * nu + 2.0, 1.5 * nu - c + 2.0],
-            [1.5 * nu + 3.0, 0.5 * nu - c + 1.0],
-        )
-    )
-
-
 def bound_constant(nu, n_terms=200_000):
     """The majorant C*(nu) = |a_nu| sum_n |c_n| over the Euler coefficients,
     padded with an integral-comparison tail allowance so the returned value
     upper-bounds the full sum (terms decay like n^(-(nu+2)-1))."""
-    if not nu > -2.0:
+    sp = SpaceParam(nu)
+    if sp.kind == "dirichlet":
         raise DomainError(f"bound_constant requires nu > -2, got {nu}")
-    coeffs = np.abs(_euler_coeffs(nu, n_terms))
-    tail = coeffs[-1] * n_terms / (nu + 2.0) * 1.5
-    return _abs_prefactor(nu) * (float(np.sum(coeffs)) + tail)
+    coeffs = np.abs(_euler_coeffs(sp, n_terms))
+    tail = coeffs[-1] * n_terms / (sp.nu + 2.0) * 1.5
+    return abs(prefactor_a(sp.nu)) * (float(np.sum(coeffs)) + tail)
 
 
 def bound_ratio_profile(nu, y, n_terms=6000):
@@ -362,12 +338,13 @@ def bound_ratio_profile(nu, y, n_terms=6000):
     y = np.asarray(y)
     if np.any(np.abs(y) > 0.9985):
         raise DomainError("bound_ratio_profile needs |y| <= 0.9985")
-    coeffs = _euler_coeffs(nu, n_terms)
+    sp = SpaceParam(nu)
+    coeffs = _euler_coeffs(sp, n_terms)
     # Horner evaluation keeps memory at O(len(y))
     acc = np.zeros_like(y)
     for c in coeffs[::-1]:
         acc = acc * y + c
-    return _abs_prefactor(nu) * np.abs(acc)
+    return abs(prefactor_a(sp.nu)) * np.abs(acc)
 
 
 def diagonal_probe(t):

@@ -26,7 +26,7 @@ from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 from . import coeffspace, quadrature
-from .coeffspace import LaurentCoeffs, MixedPoly, TorusSeries
+from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, TorusSeries
 from .geometry import normalization_C
 from .specfun import DomainError, beta_fn
 
@@ -48,19 +48,8 @@ __all__ = [
     "classical_estimate_check",
 ]
 
-_EVEN_TOL = 1e-12
-
-
 class IntegrabilityError(DomainError):
     """A mixed-polynomial term is not integrable for the requested weight."""
-
-
-def _ceil_half(nu):
-    """ceil(nu/2) with a 1e-12 snap onto even integers (CLI floats)."""
-    n = round(0.5 * nu)
-    if abs(nu - 2.0 * n) < _EVEN_TOL:
-        return int(n)
-    return math.ceil(0.5 * nu)
 
 
 def project_bergman(nu, f):
@@ -76,8 +65,8 @@ def project_bergman(nu, f):
     Raises IntegrabilityError, naming the term, when a term is not in
     L^1(dmu_nu) or its surviving Beta moment diverges.
     """
-    if not nu > -1.0:
-        raise DomainError(f"the Bergman projection requires nu > -1, got {nu}")
+    sp = SpaceParam(nu).require("bergman", "the Bergman projection")
+    nu = sp.nu
     if not isinstance(f, MixedPoly):
         raise DomainError("project_bergman expects a MixedPoly input")
     front = normalization_C(nu) * 2.0 ** (0.5 * nu) * math.pi**2
@@ -86,7 +75,7 @@ def project_bergman(nu, f):
         if not 2 * a + 2 * b + c + d + nu + 4.0 > 0.0:
             raise IntegrabilityError(f"term (a={a}, b={b}, c={c}, d={d}) is not in L^1(dmu_{nu})")
         j, k = a - b, c - d
-        if j < 0 or not coeffspace.index_member(nu, j, k):
+        if not sp.member(j, k):
             continue
         second = a + c + 0.5 * nu + 2.0
         if not second > 0.0:
@@ -99,7 +88,7 @@ def project_bergman(nu, f):
             lam = 1.0
         else:
             lam = front * beta_fn(a + 1.0, nu + 1.0) * beta_fn(second, nu + 1.0)
-            lam /= coeffspace.monomial_norm_sq(nu, j, k)
+            lam /= sp.weight(j, k)
         out[(j, k)] = out.get((j, k), 0.0j) + coef * lam
     return LaurentCoeffs(out)
 
@@ -199,12 +188,11 @@ def critical_range(nu):
     (ii)  nu = 2n, n >= 0:   (2 - 2/(3+n), 2 + 2/(1+n));
     (iii) -1 < nu < 0:       (2 - (2+nu)/(3+nu), 4 + nu).
 
-    Even integers are detected with absolute tolerance 1e-12.
+    Even integers are those SpaceParam snaps onto (within 1e-12).
     """
-    if not nu > -1.0:
-        raise DomainError(f"critical_range requires nu > -1, got {nu}")
+    nu = SpaceParam(nu).require("bergman", "critical_range").nu
     n = round(0.5 * nu)
-    if n >= 0 and abs(nu - 2.0 * n) < _EVEN_TOL:
+    if nu == 2.0 * n:
         return CriticalRange(2.0 - 2.0 / (3.0 + n), 2.0 + 2.0 / (1.0 + n))
     if nu > 0.0:
         fl = math.floor(0.5 * nu)
@@ -219,11 +207,10 @@ def critical_range_unified(nu):
 
         ( (A+B)/B, (A+B)/A ) = ( 2 - (B-A)/B, 2 + (B-A)/A ).
     """
-    if not nu > -1.0:
-        raise DomainError(f"critical_range_unified requires nu > -1, got {nu}")
-    c = _ceil_half(nu)
+    sp = SpaceParam(nu).require("bergman", "critical_range_unified")
+    c = sp.ceil
     a = 1.0 + c
-    b = nu - c + 3.0
+    b = sp.nu - c + 3.0
     return CriticalRange(2.0 - (b - a) / b, 2.0 + (b - a) / a)
 
 
@@ -247,14 +234,13 @@ def schur_feasible(nu, p):
 
     which is nonempty exactly when p lies in the unified critical range.
     """
-    if not nu > -1.0:
-        raise DomainError(f"schur_feasible requires nu > -1, got {nu}")
+    sp = SpaceParam(nu).require("bergman", "schur_feasible")
+    nu, c = sp.nu, sp.ceil
     if not p > 1.0:
         raise DomainError(f"schur_feasible requires p > 1, got {p}")
     pp = p / (p - 1.0)
     lo_inv = min(1.0 / p, 1.0 / pp)
     hi_inv = max(1.0 / p, 1.0 / pp)
-    c = _ceil_half(nu)
     gamma_lo = (1.0 + c) * hi_inv
     gamma_hi = (3.0 + nu - c) * lo_inv
     if not gamma_lo < gamma_hi:
@@ -309,12 +295,12 @@ def blowup_scan(nu, p, epsilons):
     log T against log eps is fitted on the last half of the epsilon list
     (the asymptotic regime).
     """
-    if not nu > -1.0:
-        raise DomainError(f"blowup_scan requires nu > -1, got {nu}")
+    sp = SpaceParam(nu).require("bergman", "blowup_scan")
+    nu = sp.nu
     epsilons = tuple(sorted((float(e) for e in epsilons), reverse=True))
     if len(epsilons) < 2 or not 0.0 < epsilons[-1] < epsilons[0] < 1.0:
         raise DomainError("epsilons must be a decreasing list inside (0, 1)")
-    s = nu - (1.0 + _ceil_half(nu)) * p + 3.0
+    s = nu - (1.0 + sp.ceil) * p + 3.0
     values = tuple(_tail_integral(s, nu, e) for e in epsilons)
     half = len(epsilons) // 2
     if len(epsilons) - half < 2:

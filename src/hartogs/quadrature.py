@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .coeffspace import LaurentCoeffs, MixedPoly, evaluate_grid
+from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, evaluate_grid
 from .geometry import normalization_C
 from .specfun import DomainError
 
@@ -42,6 +42,7 @@ __all__ = [
     "mc_integrate_mu",
     "inner_product_quad",
     "as_grid_fn",
+    "radial_order_from_env",
 ]
 
 _MAX_BLOCK = 4_000_000  # complex evaluations per chunk
@@ -83,23 +84,36 @@ def _jacobi01(order, alpha, beta):
     return 0.5 * (x + 1.0), w / 2.0 ** (alpha + beta + 1.0)
 
 
+def radial_order_from_env(default):
+    """The radial order set by HARTOGS_QUAD_ORDER, or ``default`` when unset.
+
+    Raises DomainError when the variable does not hold an integer.
+    """
+    raw = os.environ.get("HARTOGS_QUAD_ORDER")
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise DomainError(f"HARTOGS_QUAD_ORDER must be an integer, got {raw!r}") from exc
+
+
 def build_rule(nu, radial_order=None, angular_count=65):
     """Gauss-Jacobi x trapezoid rule for integrals against mu_nu.
 
     The default radial order is 64, overridable through the
-    HARTOGS_QUAD_ORDER environment variable.
+    HARTOGS_QUAD_ORDER environment variable.  The rule carries the
+    snapped nu of :class:`SpaceParam`.
     """
     if radial_order is None:
-        radial_order = int(os.environ.get("HARTOGS_QUAD_ORDER", 64))
-    if not nu > -1.0:
-        raise DomainError(f"mu_nu rules need nu > -1, got {nu}")
+        radial_order = radial_order_from_env(64)
+    sp = SpaceParam(nu).require("bergman", "build_rule")
+    nu = sp.nu
     if radial_order < 1 or angular_count < 1:
         raise DomainError("rule orders must be positive")
-    shift = 1 + math.ceil(0.5 * nu)
-    frac = 0.5 * nu - math.ceil(0.5 * nu)
     u_nodes, u_weights = _jacobi01(radial_order, nu, 0.0)
-    v_nodes, v_weights = _jacobi01(radial_order, nu, frac)
-    return QuadRule(nu, u_nodes, u_weights, v_nodes, v_weights, shift, angular_count)
+    v_nodes, v_weights = _jacobi01(radial_order, nu, 0.5 * nu - sp.ceil)
+    return QuadRule(nu, u_nodes, u_weights, v_nodes, v_weights, 1 + sp.ceil, angular_count)
 
 
 def as_grid_fn(obj):
@@ -157,6 +171,7 @@ def integrate_mu(nu, integrand, rule=None):
     (built from the pullback grid), so it needs no knowledge of the
     parametrization.
     """
+    nu = SpaceParam(nu).nu
     if rule is None:
         rule = build_rule(nu)
     if rule.nu != nu:
@@ -184,6 +199,7 @@ def integrate_bidisc(nu, integrand, rule=None):
     with c_nu = 2^(nu/2) C_nu.  The integrand gets the product-domain
     coordinates (w1, w2) directly.
     """
+    nu = SpaceParam(nu).nu
     if rule is None:
         rule = build_rule(nu)
     if rule.nu != nu:
@@ -300,8 +316,7 @@ def mc_integrate_mu(nu, integrand, sample_count, seed):
     """
     if sample_count < 1000:
         raise DomainError(f"sample_count must be at least 1000, got {sample_count}")
-    if not nu > -1.0:
-        raise DomainError(f"mc_integrate_mu requires nu > -1, got {nu}")
+    nu = SpaceParam(nu).require("bergman", "mc_integrate_mu").nu
     rng = np.random.default_rng(seed)
     u = rng.beta(1.0, nu + 1.0, size=sample_count)
     v = rng.beta(0.5 * nu + 2.0, nu + 1.0, size=sample_count)

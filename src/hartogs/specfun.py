@@ -1,6 +1,7 @@
 """Real/complex special functions used by every closed form in the library.
 
-Provides log-Gamma, stable Gamma ratios, the Beta function and the Gauss
+Provides log-Gamma (the C library's ``math.lgamma`` behind a domain
+check), stable Gamma ratios, the Beta function and the Gauss
 hypergeometric function 2F1 on the unit disc.  The 2F1 implementation
 switches to the Euler transformation
 
@@ -34,39 +35,15 @@ class SeriesConvergenceError(ArithmeticError):
     """A series truncation failed to reach the requested tolerance."""
 
 
-# Lanczos approximation, g = 7, 9 terms.  This is the standard published
-# coefficient set (used e.g. by Boost and the GNU Scientific Library
-# derivatives); it gives ~1e-15 relative accuracy on the positive real
-# axis and is kept fixed so that test values are bit-stable across
-# platforms.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def log_gamma(x):
-    """ln Gamma(x) for real x > 0, relative error below 1e-13.
+    """ln Gamma(x) for real x > 0, through ``math.lgamma``.
 
-    Raises DomainError for x <= 0.
+    Raises DomainError for x <= 0; signed values on the negative axis
+    come from :func:`log_gamma_signed`.
     """
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def log_gamma_signed(x):

@@ -148,7 +148,7 @@ def suite_kernel_agreement(seed=0, tol=1e-8, nus=_REGIMES, pairs=100, even_tol=1
             worst = max(worst, abs(closed - series) / max(abs(closed), 1e-300))
         res.rows.append((f"nu={nu} worst pair", 0.0, worst, worst, worst))
         res.check(worst <= tol, f"kernel series mismatch at nu={nu}: {worst:.3e}")
-        if nu > -1.0:
+        if coeffspace.SpaceParam(nu).kind == "bergman":
             z = _random_point(_rng(seed, 150))
             w = _random_point(_rng(seed, 151))
             res.row(
@@ -180,17 +180,6 @@ def suite_kernel_agreement(seed=0, tol=1e-8, nus=_REGIMES, pairs=100, even_tol=1
     return res
 
 
-def _space_weight(nu, j, k):
-    """Coefficient weight of the inner product of the regime at nu."""
-    if nu > -1.0:
-        return coeffspace.monomial_norm_sq(nu, j, k)
-    if nu == -1.0:
-        return 1.0
-    if nu > -2.0:
-        return coeffspace.weighted_dirichlet_weight(nu, j, k)
-    return (j + 1.0) * (j + k + 1.0)
-
-
 def suite_reproducing(seed=0, tol=1e-8, nus=_REGIMES, n_funcs=20, n_points=20):
     """<f, K(., w)> = f(w) through the coefficient pairing, all regimes.
 
@@ -202,6 +191,7 @@ def suite_reproducing(seed=0, tol=1e-8, nus=_REGIMES, n_funcs=20, n_points=20):
     res = SuiteResult("reproducing", True)
     for salt, nu in enumerate(nus):
         rng = _rng(seed, 200 + salt)
+        space = coeffspace.SpaceParam(nu)
         worst = 0.0
         for _ in range(n_funcs):
             f = _random_laurent(rng, nu)
@@ -209,7 +199,7 @@ def suite_reproducing(seed=0, tol=1e-8, nus=_REGIMES, n_funcs=20, n_points=20):
                 w = _random_point(rng, r2_range=(0.3, 0.8), ratio_max=0.8)
                 inner = 0.0j
                 for (j, k), a in f.items():
-                    weight = _space_weight(nu, j, k)
+                    weight = space.weight(j, k)
                     # Laurent coefficient of K(., w) at (j, k)
                     kern = kernels.kernel_coeff_closed(nu, j, k) * (w.z1**j * w.z2**k).conjugate()
                     inner += weight * a * kern.conjugate()
@@ -343,7 +333,7 @@ def suite_projection(seed=0, tol=1e-7, nus=(-0.5, 0.0, 0.7, 2.0), pairs=50):
             res.row(f"nu={nu} fixes ({j},{k})", 1.0, out.get((j, k)).real, 1e-12)
             res.check(len(out) == 1, f"unexpected support at nu={nu}")
         # the conj(z2)^(1+ceil(nu/2)) test input and its d_nu
-        m = 1 + math.ceil(0.5 * nu)
+        m = 1 + coeffspace.SpaceParam(nu).ceil
         f = MixedPoly({(0, 0, 0, m): 1.0})
         image = projections.project_bergman(nu, f)
         d_beta = image.get((0, -m))

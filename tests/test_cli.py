@@ -58,6 +58,14 @@ class TestKernelCommand:
         )
         assert code == 2 and "Hartogs" in err
 
+    @pytest.mark.parametrize("nu", ["-1.3333333333333333", "-1.333333333333"])
+    def test_degenerate_four_thirds(self, capsys, nu):
+        code, out, err = run_cli(
+            capsys, "kernel", f"--nu={nu}",
+            "--z1", "0.1,0.2", "--z2", "0.5,0.1", "--w1", "0.05,-0.1", "--w2", "0.6,-0.2",
+        )
+        assert code == 2 and "-4/3" in err and out == ""
+
 
 class TestNormCommand:
     def test_hardy(self, capsys, tmp_path):
@@ -94,6 +102,13 @@ class TestProjectCommand:
         assert code == 0
         out = json.loads(dst.read_text())
         assert out["terms"] == [{"im": 0.0, "j": 0, "k": -1, "re": pytest.approx(0.5, rel=1e-10)}]
+
+    def test_quad_order_must_be_integer(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("HARTOGS_QUAD_ORDER", "abc")
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": []}))
+        code, _, err = run_cli(capsys, "project", "--nu", "0.5", "--in", str(path))
+        assert code == 2 and "HARTOGS_QUAD_ORDER" in err
 
 
 class TestSzegoCommand:

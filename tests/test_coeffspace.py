@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hartogs import quadrature
+from hartogs import kernels, projections, quadrature
 from hartogs.coeffspace import (
     LaurentCoeffs,
     MixedPoly,
@@ -38,6 +38,34 @@ class TestSpaceParam:
         assert SpaceParam(-2.0).kind == "dirichlet"
         with pytest.raises(DomainError):
             SpaceParam(-2.5)
+
+    def test_snap_window(self):
+        assert SpaceParam(2.0 + 1e-13).nu == 2.0 and SpaceParam(2.0 + 1e-13).ceil == 1
+        assert SpaceParam(2.0 + 1e-11).ceil == 2
+        assert SpaceParam(-2.0 - 1e-13).kind == "dirichlet"
+        assert math.isinf(SpaceParam(0.0).weight(0, -2))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                SpaceParam(bad)
+
+    def test_one_regime_decision_near_special_nu(self):
+        """Kernel, oracle, index set, rule, blow-up and critical range all
+        see the same snapped nu and the same ceil(nu/2)."""
+        z = HartogsPoint(0.1 + 0.2j, 0.5 + 0.1j)
+        w = HartogsPoint(0.05 - 0.1j, 0.6 - 0.2j)
+        p = 5.0
+        for special in (-2.0, -1.0, 0.0, 2.0, 4.0):
+            for nu in (special - 1e-13, special + 1e-13):
+                sp = SpaceParam(nu)
+                assert sp.nu == special
+                closed = kernels.kernel(nu, z, w)
+                assert abs(closed - kernels.kernel_series(nu, z, w)) <= 1e-10 * abs(closed)
+                assert min_total_degree(nu) == -1 - sp.ceil
+                if special > -1.0:
+                    assert quadrature.build_rule(nu, 4, 4).v_shift == 1 + sp.ceil
+                    scan = projections.blowup_scan(nu, p, [0.1, 0.01])
+                    assert scan.s == sp.nu - (1.0 + sp.ceil) * p + 3.0
+                    assert projections.critical_range(nu) == projections.critical_range_unified(nu)
 
 
 class TestContainers:

@@ -44,6 +44,13 @@ class TestBuildRule:
         with pytest.raises(DomainError):
             quadrature.build_rule(0.0, radial_order=0)
 
+    def test_order_from_environment(self, monkeypatch):
+        monkeypatch.setenv("HARTOGS_QUAD_ORDER", "12")
+        assert quadrature.build_rule(0.0).u_nodes.size == 12
+        monkeypatch.setenv("HARTOGS_QUAD_ORDER", "abc")
+        with pytest.raises(DomainError, match="HARTOGS_QUAD_ORDER"):
+            quadrature.build_rule(0.0)
+
 
 class TestIntegrateMu:
     def test_normalization(self):
