@@ -319,8 +319,8 @@ def _tsplit_prefactor(nu):
     which is analytic on (-3, inf) except for a removable 0/0 at nu = -2
     (limit 2 / (3 pi^2)) and a genuine pole at nu = -8/3.
     """
-    if not nu > -3.0:
-        raise DomainError(f"T-split norms need nu > -3, got {nu}")
+    if not (math.isfinite(nu) and nu > -3.0):
+        raise DomainError(f"T-split norms need a finite nu > -3, got {nu}")
     if abs(nu + 2.0) < SNAP_TOL:
         return 2.0 / (3.0 * math.pi**2)
     ratio = gamma_ratio_signed([1.5 * nu + 3.0], [nu + 2.0, 0.5 * nu + 2.0])

@@ -212,10 +212,6 @@ def apply_automorphism(psi, q):
     return HartogsPoint(q.z2 * psi.disc_map(ratio), psi.c * q.z2)
 
 
-def identity_automorphism():
-    return HartogsAutomorphism(DiscAutomorphism(0.0j, 1.0 + 0.0j), 1.0 + 0.0j)
-
-
 def random_automorphism(rng, max_center=0.8):
     """Draw an automorphism with |a| <= max_center, uniform rotations."""
     r = max_center * math.sqrt(rng.uniform(0.0, 1.0))

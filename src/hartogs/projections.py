@@ -236,8 +236,8 @@ def schur_feasible(nu, p):
     """
     sp = SpaceParam(nu).require("bergman", "schur_feasible")
     nu, c = sp.nu, sp.ceil
-    if not p > 1.0:
-        raise DomainError(f"schur_feasible requires p > 1, got {p}")
+    if not (math.isfinite(p) and p > 1.0):
+        raise DomainError(f"schur_feasible requires a finite p > 1, got {p}")
     pp = p / (p - 1.0)
     lo_inv = min(1.0 / p, 1.0 / pp)
     hi_inv = max(1.0 / p, 1.0 / pp)
@@ -297,6 +297,8 @@ def blowup_scan(nu, p, epsilons):
     """
     sp = SpaceParam(nu).require("bergman", "blowup_scan")
     nu = sp.nu
+    if not (math.isfinite(p) and p > 1.0):
+        raise DomainError(f"blowup_scan requires a finite p > 1, got {p}")
     epsilons = tuple(sorted((float(e) for e in epsilons), reverse=True))
     if len(epsilons) < 2 or not 0.0 < epsilons[-1] < epsilons[0] < 1.0:
         raise DomainError("epsilons must be a decreasing list inside (0, 1)")

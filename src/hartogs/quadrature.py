@@ -15,8 +15,10 @@ trigonometric polynomials below the grid frequency.
 
 Integrands are numpy-vectorized callables (z1_array, z2_array) -> values;
 coefficient objects from :mod:`hartogs.coeffspace` are adapted
-automatically.  A Monte Carlo importance sampler doubles as a second,
-structurally different oracle.
+automatically.  One core, ``_tensor_sum``, sums every integrand in the
+product coordinates (w1, w2): Phi is applied once, by ``_on_triangle``, and
+an automorphism of H is composed in product coordinates.  A Monte Carlo
+importance sampler doubles as a second, structurally different oracle.
 """
 
 import math
@@ -134,34 +136,46 @@ def as_grid_fn(obj):
     raise DomainError(f"cannot integrate object of type {type(obj)!r}")
 
 
-def _tensor_sum(fn, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, angular, pair_points):
-    """Deterministic weighted sum of fn over the 4D tensor grid.
+def _on_triangle(fn):
+    """Pull an integrand on H back to D x D* through Phi(w1, w2) = (w1 w2, w2)."""
+    return lambda w1, w2: fn(w1 * w2, w2)
 
-    ``pair_points(r1, theta, r2, gamma)`` maps broadcast-ready polar
-    pieces to the (z1, z2) arrays the integrand expects.  Chunks over the
-    first radial axis keep memory bounded; summation order is fixed.
+
+def _tensor_sum(fn, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, angular):
+    """Deterministic weighted sum of fn(w1, w2) over the 4D tensor grid of
+    product coordinates w1 = r1 e^(i theta), w2 = r2 e^(i gamma).
+
+    Values are padded to the full grid, so an integrand that ignores one
+    coordinate still sums over it.  Chunks over the first radial axis
+    keep memory bounded; summation order is fixed.
     """
     m = angular
-    theta = 2.0 * np.pi * np.arange(m) / m
-    gamma = 2.0 * np.pi * np.arange(m) / m
-    e1 = np.exp(1j * theta)
-    e2 = np.exp(1j * gamma)
-    n1 = radial_nodes_1.size
-    n2 = radial_nodes_2.size
-    block = max(1, _MAX_BLOCK // max(1, m * m * n2))
+    e = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+    block = max(1, _MAX_BLOCK // max(1, m * m * radial_nodes_2.size))
+    # axes: (i1, theta, i2, gamma)
+    w2 = radial_nodes_2[None, None, :, None] * e[None, None, None, :]
     total = 0.0j
-    for start in range(0, n1, block):
-        stop = min(start + block, n1)
-        r1 = radial_nodes_1[start:stop]
-        # axes: (i1, theta, i2, gamma)
-        a1 = r1[:, None, None, None] * e1[None, :, None, None]
-        a2 = radial_nodes_2[None, None, :, None] * e2[None, None, None, :]
-        z1, z2 = pair_points(a1, a2)
-        vals = fn(z1, z2)
-        vals = np.asarray(vals) + np.zeros_like(z1)
+    for start in range(0, radial_nodes_1.size, block):
+        rows = slice(start, start + block)
+        w1 = radial_nodes_1[rows, None, None, None] * e[None, :, None, None]
+        vals = np.asarray(fn(w1, w2)) + np.zeros(np.broadcast(w1, w2).shape, dtype=complex)
         inner = np.einsum("k,ijkl->i", radial_w2, vals)
-        total += complex(np.dot(radial_w1[start:stop], inner))
+        total += complex(np.dot(radial_w1[rows], inner))
     return total * (2.0 * np.pi / m) ** 2
+
+
+def _integrate_pullback(nu, fn, rule, v_power_offset):
+    """c_nu/4 times the rule's sum of fn(w1, w2) v^(v_shift + v_power_offset)."""
+    nu = SpaceParam(nu).nu
+    if rule is None:
+        rule = build_rule(nu)
+    if rule.nu != nu:
+        raise DomainError(f"rule was built for nu = {rule.nu}, asked for {nu}")
+    weighted_v = rule.v_weights * rule.v_nodes ** (rule.v_shift + v_power_offset)
+    total = _tensor_sum(
+        fn, np.sqrt(rule.u_nodes), rule.u_weights, np.sqrt(rule.v_nodes), weighted_v, rule.angular
+    )
+    return normalization_C(nu) * 2.0 ** (0.5 * nu) / 4.0 * total
 
 
 def integrate_mu(nu, integrand, rule=None):
@@ -171,24 +185,7 @@ def integrate_mu(nu, integrand, rule=None):
     (built from the pullback grid), so it needs no knowledge of the
     parametrization.
     """
-    nu = SpaceParam(nu).nu
-    if rule is None:
-        rule = build_rule(nu)
-    if rule.nu != nu:
-        raise DomainError(f"rule was built for nu = {rule.nu}, asked for {nu}")
-    fn = as_grid_fn(integrand)
-    sr_u = np.sqrt(rule.u_nodes)
-    sr_v = np.sqrt(rule.v_nodes)
-
-    def pair_points(a1, a2):
-        z2 = a2
-        z1 = a1 * a2
-        return z1, z2
-
-    weighted_v = rule.v_weights * rule.v_nodes**rule.v_shift
-    total = _tensor_sum(fn, sr_u, rule.u_weights, sr_v, weighted_v, rule.angular, pair_points)
-    scale = normalization_C(nu) * 2.0 ** (0.5 * nu) / 4.0
-    return scale * total
+    return _integrate_pullback(nu, _on_triangle(as_grid_fn(integrand)), rule, 0)
 
 
 def integrate_bidisc(nu, integrand, rule=None):
@@ -199,24 +196,9 @@ def integrate_bidisc(nu, integrand, rule=None):
     with c_nu = 2^(nu/2) C_nu.  The integrand gets the product-domain
     coordinates (w1, w2) directly.
     """
-    nu = SpaceParam(nu).nu
-    if rule is None:
-        rule = build_rule(nu)
-    if rule.nu != nu:
-        raise DomainError(f"rule was built for nu = {rule.nu}, asked for {nu}")
-    fn = as_grid_fn(integrand)
-    sr_u = np.sqrt(rule.u_nodes)
-    sr_v = np.sqrt(rule.v_nodes)
-
-    def pair_points(a1, a2):
-        return a1, a2
-
-    # here the leftover integer power is ceil(nu/2): |w2|^nu rho drho
-    # pulls back to v^(nu/2) dv / 2 against the same fractional rule
-    weighted_v = rule.v_weights * rule.v_nodes ** (rule.v_shift - 1)
-    total = _tensor_sum(fn, sr_u, rule.u_weights, sr_v, weighted_v, rule.angular, pair_points)
-    scale = normalization_C(nu) * 2.0 ** (0.5 * nu) / 4.0
-    return scale * total
+    # |w2|^nu rho drho pulls back to v^(nu/2) dv / 2 against the same
+    # fractional rule, so one power of v fewer is left over than for mu_nu
+    return _integrate_pullback(nu, as_grid_fn(integrand), rule, -1)
 
 
 def build_tau_rule(radial_order=48, angular_count=40, shell_eps=0.05, r1_range=None, r2_range=None):
@@ -249,58 +231,44 @@ def integrate_tau(integrand, rule=None, automorphism=None):
     (1-|w1|^2)^(-2) (1-|w2|^2)^(-2) dw; the integrand must vanish near
     the shell edges for the result to mean anything.  When
     ``automorphism`` is given, integrand o automorphism is integrated
-    instead (the composition happens inside the triangle).
+    instead; it acts in product coordinates as (w1, w2) ->
+    (disc_map(w1), c w2), so the composition never divides z1 by z2.
     """
     if rule is None:
         rule = build_tau_rule()
     fn = as_grid_fn(integrand)
-
-    def pair_points(a1, a2):
-        z2 = a2
-        z1 = a1 * a2
-        return z1, z2
-
-    identity = automorphism is None or (
-        automorphism.disc_map.a == 0.0
-        and automorphism.disc_map.lam == 1.0
-        and automorphism.c == 1.0
-    )
-    if identity:
-        composed = fn
+    if automorphism is None:
+        pulled = _on_triangle(fn)
     else:
-        disc_map = automorphism.disc_map
-        c = automorphism.c
+        disc_map, c = automorphism.disc_map, automorphism.c
 
-        def composed(z1, z2):
-            ratio = z1 / z2
-            w = disc_map.lam * (ratio - disc_map.a) / (1.0 - np.conj(disc_map.a) * ratio)
-            return fn(z2 * w, c * z2)
+        def pulled(w1, w2):
+            return fn(w2 * disc_map(w1), c * w2)
 
     r1, r2 = rule.r1_nodes, rule.r2_nodes
     w1_weights = rule.r1_weights * r1 * (1.0 - r1 * r1) ** -2
     w2_weights = rule.r2_weights * r2 * (1.0 - r2 * r2) ** -2
-    _warn_if_support_leaks(composed, r1, r2, rule.angular)
-    return _tensor_sum(composed, r1, w1_weights, r2, w2_weights, rule.angular, pair_points)
+    _warn_if_support_leaks(pulled, r1, r2, rule.angular)
+    return _tensor_sum(pulled, r1, w1_weights, r2, w2_weights, rule.angular)
 
 
 def _warn_if_support_leaks(fn, r1, r2, angular):
-    """Emit a warning when the integrand is non-negligible at the radial
-    edges of the shell (its mass there would be silently dropped)."""
+    """Warn when the product-coordinate integrand is non-negligible at the
+    radial edges of the shell (its mass there would be silently dropped)."""
     ang = np.exp(2j * np.pi * np.arange(angular) / angular)
     mid1 = r1[r1.size // 2]
     mid2 = r2[r2.size // 2]
-    interior = np.max(np.abs(fn(mid1 * ang[:, None] * mid2 * ang[None, :], mid2 * ang[None, :])))
-    scale = max(float(interior), 1e-30)
+
+    def peak(s1, s2):
+        return float(np.max(np.abs(fn(s1 * ang[:, None], s2 * ang[None, :]))))
+
+    scale = max(peak(mid1, mid2), 1e-30)
     for edge1 in (r1[0], r1[-1]):
-        z2 = mid2 * ang[None, :]
-        vals = fn(edge1 * ang[:, None] * z2, z2)
-        if np.max(np.abs(vals)) > 1e-9 * scale:
+        if peak(edge1, mid2) > 1e-9 * scale:
             warnings.warn(f"tau integrand is non-negligible at the |w1| = {edge1:.3f} shell edge")
             break
     for edge2 in (r2[0], r2[-1]):
-        z2 = edge2 * ang[None, :]
-        vals = fn(mid1 * ang[:, None] * z2, z2)
-        if np.max(np.abs(vals)) > 1e-9 * scale:
+        if peak(mid1, edge2) > 1e-9 * scale:
             warnings.warn(f"tau integrand is non-negligible at the |w2| = {edge2:.3f} shell edge")
             break
 
@@ -322,9 +290,10 @@ def mc_integrate_mu(nu, integrand, sample_count, seed):
     v = rng.beta(0.5 * nu + 2.0, nu + 1.0, size=sample_count)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=sample_count)
     gamma = rng.uniform(0.0, 2.0 * np.pi, size=sample_count)
-    z2 = np.sqrt(v) * np.exp(1j * gamma)
-    z1 = np.sqrt(u) * np.exp(1j * theta) * z2
-    vals = np.asarray(as_grid_fn(integrand)(z1, z2)) + np.zeros(sample_count, dtype=complex)
+    w1 = np.sqrt(u) * np.exp(1j * theta)
+    w2 = np.sqrt(v) * np.exp(1j * gamma)
+    vals = _on_triangle(as_grid_fn(integrand))(w1, w2)
+    vals = np.asarray(vals) + np.zeros(sample_count, dtype=complex)
     est = complex(np.mean(vals))
     var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
     return est, math.sqrt(var / sample_count)

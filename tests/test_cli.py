@@ -85,6 +85,12 @@ class TestNormCommand:
         code, _, err = run_cli(capsys, "norm", "--space", "hardy", "--in", "/nonexistent.json")
         assert code == 1
 
+    def test_star_rejects_non_finite_nu(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": 1, "k": 0, "re": 1.0, "im": 0.0}]}))
+        code, out, err = run_cli(capsys, "norm", "--space", "star", "--nu", "inf", "--in", str(path))
+        assert code == 2 and out == "" and "finite nu" in err
+
 
 class TestProjectCommand:
     def test_regime_guard(self, capsys, tmp_path):
@@ -176,6 +182,11 @@ class TestScanBlowupCommand:
         assert lines[0] == "epsilon,integral,fitted_slope"
         assert lines[-1].startswith("# regime=divergent")
         assert float(lines[1].split(",")[1]) == pytest.approx(9.0, rel=1e-9)
+
+    def test_rejects_non_finite_p(self, capsys):
+        for p in ("inf", "nan"):
+            code, out, err = run_cli(capsys, "scan-blowup", "--nu", "0", "--p", p, "--eps", "1e-1,1e-2")
+            assert code == 2 and out == "" and "finite p > 1" in err
 
 
 class TestVerifyCommand:

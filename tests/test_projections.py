@@ -219,6 +219,13 @@ class TestSchur:
         assert schur_feasible(0.0, 4.0) is None
         assert schur_feasible(0.0, 3.999) is not None
 
+    def test_exponent_must_be_finite_and_above_one(self):
+        for p in (math.inf, math.nan, 1.0):
+            with pytest.raises(DomainError, match="finite p > 1"):
+                schur_feasible(0.0, p)
+            with pytest.raises(DomainError, match="finite p > 1"):
+                blowup_scan(0.0, p, [0.1, 0.01])
+
     def test_feasible_iff_in_range(self):
         rng = np.random.default_rng(54)
         for _ in range(500):

@@ -1,5 +1,7 @@
 """The integration oracle itself: exactness, normalization, Monte Carlo."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
@@ -96,6 +98,31 @@ class TestIntegrateMu:
             quadrature.integrate_mu(0.7, lambda z1, z2: z2, rule)
 
 
+class TestIntegrateBidisc:
+    def test_integrand_ignoring_w2_sums_over_w2(self):
+        rule = quadrature.build_rule(0.0, radial_order=16, angular_count=4)
+        cases = ((lambda w1, w2: 1.0, 2.0), (lambda w1, w2: np.abs(w1) ** 2, 1.0))
+        for g, expected in cases:
+
+            def full(w1, w2, g=g):
+                return g(w1, w2) * np.ones(np.broadcast(w1, w2).shape)
+
+            val = quadrature.integrate_bidisc(0.0, g, rule)
+            assert val == quadrature.integrate_bidisc(0.0, full, rule)
+            assert val.real == pytest.approx(expected, rel=1e-12)
+
+    def test_shares_the_mu_core(self):
+        # the bidisc weight is the mu_nu weight divided by |w2|^2 = |z2|^2
+        def g(w1, w2):
+            return np.exp(w1 * np.conj(w2)) * np.cos(np.abs(w1) + np.abs(w2) ** 3) / (2.0 - w2)
+
+        for nu in (-0.5, 0.0, 1.0):
+            rule = quadrature.build_rule(nu, radial_order=24, angular_count=9)
+            bidisc = quadrature.integrate_bidisc(nu, g, rule)
+            mu = quadrature.integrate_mu(nu, lambda z1, z2: g(z1 / z2, z2) / np.abs(z2) ** 2, rule)
+            assert abs(bidisc - mu) <= 1e-13 * abs(bidisc)
+
+
 class TestInnerProduct:
     def test_conjugate_pairing_example(self):
         # <conj(z2), z2^(-1)> integrates the constant 1
@@ -169,3 +196,20 @@ class TestTau:
         rule = quadrature.build_tau_rule(radial_order=16, angular_count=8)
         with pytest.warns(UserWarning, match="shell edge"):
             quadrature.integrate_tau(lambda z1, z2: np.ones(np.broadcast(z1, z2).shape), rule)
+
+    def test_support_leak_warning_names_the_axis(self):
+        rule = quadrature.build_tau_rule(radial_order=16, angular_count=8)
+
+        def window(t):
+            return np.clip((t - 0.3) * (0.6 - t), 0.0, None) ** 4
+
+        cases = (
+            (lambda z1, z2: window(np.abs(z1 / z2)), "|w2|"),
+            (lambda z1, z2: window(np.abs(z2)), "|w1|"),
+        )
+        for integrand, axis in cases:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                quadrature.integrate_tau(integrand, rule)
+            messages = [str(w.message) for w in caught]
+            assert len(messages) == 1 and f"{axis} = " in messages[0], messages
