@@ -17,6 +17,7 @@ configuration and seed produce byte-identical output.
 """
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -200,25 +201,31 @@ def _cmd_isometry(args):
     return EXIT_OK
 
 
+# verify flag -> the suite keyword it sets
+_VERIFY_FLAGS = {"nu": "nus", "jmax": "jmax", "kmax": "kmax", "tolerance": "tol"}
+
+
 def _cmd_verify(args):
-    kwargs = {}
-    if args.suite == "normalization" and args.nu is not None:
-        kwargs["nus"] = (args.nu,)
-    if args.suite == "monomials":
-        if args.nu is not None:
-            kwargs["nus"] = (args.nu,)
-        if args.jmax is not None:
-            kwargs["jmax"] = args.jmax
-        if args.kmax is not None:
-            kwargs["kmax"] = args.kmax
     if args.suite == "all":
-        results = verify.run_all(seed=args.seed, tolerance=args.tolerance)
+        accepted = {"tol"}  # run_all hands it to the suites that have one
+    elif args.suite in verify.SUITES:
+        accepted = inspect.signature(verify.SUITES[args.suite]).parameters
     else:
-        if args.suite not in verify.SUITES:
-            raise DomainError(
-                f"unknown suite {args.suite!r}; choices: all, {', '.join(verify.SUITES)}"
-            )
-        results = [verify.run_suite(args.suite, seed=args.seed, tolerance=args.tolerance, **kwargs)]
+        raise DomainError(
+            f"unknown suite {args.suite!r}; choices: all, {', '.join(verify.SUITES)}"
+        )
+    kwargs = {}
+    for flag, key in _VERIFY_FLAGS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if key not in accepted:
+            raise DomainError(f"verify {args.suite} takes no --{flag}")
+        kwargs[key] = (value,) if flag == "nu" else value
+    if args.suite == "all":
+        results = verify.run_all(seed=args.seed, tolerance=kwargs.get("tol"))
+    else:
+        results = [verify.run_suite(args.suite, seed=args.seed, **kwargs)]
     lines = ["case,closed_form,quadrature,abs_err,rel_err"]
     for res in results:
         for case, closed, quad, abs_err, rel_err in res.rows:

@@ -143,15 +143,9 @@ class DiscAutomorphism:
 
     @classmethod
     def _from_matrix(cls, alpha, beta, gamma, delta):
-        a = -beta / alpha
-        if abs(a) > 0.5:
-            eta0 = 0.0j
-        else:
-            eta0 = 0.75 + 0.0j
-        val = (alpha * eta0 + beta) / (gamma * eta0 + delta)
-        lam = val * (1.0 - a.conjugate() * eta0) / (eta0 - a)
-        lam /= abs(lam)
-        return cls(a, lam)
+        # a composed matrix is proportional to (lam, -lam a, -conj(a), 1)
+        ratio = alpha / delta
+        return cls(-beta / alpha, ratio / abs(ratio))
 
     def compose(self, other):
         """The automorphism self o other."""

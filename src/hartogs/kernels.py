@@ -6,12 +6,17 @@ triangle, and all kernels share the shape
     K(z, w) = (prefactor) * y^(-1-ceil(nu/2)) * (1 - x)^(-(nu+2)) * F(y),
 
 where x = z1 conj(w1) / (z2 conj(w2)), y = z2 conj(w2) and F is a Gauss
-hypergeometric factor.  Five regimes are implemented explicitly:
+hypergeometric factor.  For every -2 < nu != -1 one hypergeometric body
+evaluates it:
 
-    nu > -1        weighted Bergman kernels (nu = 0 in closed form too),
-    nu = 2n        even integers, where F collapses to (1-y)^(-2n-2),
+    nu > -1        weighted Bergman kernels (nu = 0 in closed form too;
+                   at nu = 2n, F collapses to (1-y)^(-2n-2)),
+    -2 < nu < -1   weighted Dirichlet kernels (signed coefficients), the
+                   same form at ceil(nu/2) = 0.
+
+The two remaining regimes have their own closed forms:
+
     nu = -1        the Hardy kernel 1 / ((y - x y)(1 - y)),
-    -2 < nu < -1   weighted Dirichlet kernels (signed coefficients),
     nu = -2        the Dirichlet kernel, a product of logarithms.
 
 Alongside the closed forms the module carries brute-force basis-series
@@ -78,18 +83,20 @@ def prefactor_a(nu):
     )
 
 
-def kernel_nu(nu, z, w):
-    """Weighted Bergman kernel for nu > -1 in hypergeometric closed form.
-
-    For nu = 2n the hypergeometric factor reduces to (1 - y)^(-2n-2); the
-    Euler-transformed series used near |y| = 1 terminates and realizes the
-    reduction exactly.
-    """
-    sp = SpaceParam(nu).require("bergman", "kernel_nu")
+def _hypergeometric_kernel(sp, z, w):
+    """a_nu y^(-1-c) (1-x)^(-(nu+2)) F(3nu/2-c+2, 1; nu/2-c+1; y), c = ceil(nu/2)."""
     nu, c = sp.nu, sp.ceil
     x, y = _xy(z, w)
     hyp = gauss_2f1(HypergeometricParams(1.5 * nu - c + 2.0, 1.0, 0.5 * nu - c + 1.0), y)
     return prefactor_a(nu) * y ** (-1 - c) * (1.0 - x) ** (-(nu + 2.0)) * hyp
+
+
+def kernel_nu(nu, z, w):
+    """Weighted Bergman kernel for nu > -1 in hypergeometric closed form.
+
+    For nu = 2n the hypergeometric factor reduces to (1 - y)^(-2n-2).
+    """
+    return _hypergeometric_kernel(SpaceParam(nu).require("bergman", "kernel_nu"), z, w)
 
 
 def hardy_kernel(z, w):
@@ -101,18 +108,16 @@ def hardy_kernel(z, w):
 def weighted_dirichlet_kernel(nu, z, w):
     """Weighted Dirichlet kernel for -2 < nu < -1.
 
-    K = c_nu y^(-1) (1 - x)^(-(nu+2)) F(3nu/2+2, 1; nu/2+1; y) with
-    c_nu = (nu/2 + 1)/(3nu/2 + 2), a signed ratio (it changes sign at
+    The Bergman closed form at ceil(nu/2) = 0:
+    K = a_nu y^(-1) (1 - x)^(-(nu+2)) F(3nu/2+2, 1; nu/2+1; y), where
+    a_nu = (nu/2 + 1)/(3nu/2 + 2) is a signed ratio (it changes sign at
     nu = -4/3, where the pairing degenerates: there, and within SNAP_TOL
     of it, DomainError is raised).
     """
-    nu = SpaceParam(nu).require("weighted-dirichlet", "weighted_dirichlet_kernel").nu
-    if abs(nu + 4.0 / 3.0) < SNAP_TOL:
-        raise DomainError(f"the weighted Dirichlet pairing degenerates at nu = -4/3, got {nu}")
-    x, y = _xy(z, w)
-    c_nu = (0.5 * nu + 1.0) / (1.5 * nu + 2.0)
-    hyp = gauss_2f1(HypergeometricParams(1.5 * nu + 2.0, 1.0, 0.5 * nu + 1.0), y)
-    return c_nu * (1.0 - x) ** (-(nu + 2.0)) * hyp / y
+    sp = SpaceParam(nu).require("weighted-dirichlet", "weighted_dirichlet_kernel")
+    if abs(sp.nu + 4.0 / 3.0) < SNAP_TOL:
+        raise DomainError(f"the weighted Dirichlet pairing degenerates at nu = -4/3, got {sp.nu}")
+    return _hypergeometric_kernel(sp, z, w)
 
 
 def _log1over(t):
@@ -184,16 +189,10 @@ def kernel_coeff_closed(nu, j, k):
     if kind == "hardy":
         # y^(-1) (1-x)^(-1) (1-y)^(-1): every surviving coefficient is 1
         return 1.0
-    if kind == "bergman":
-        c = sp.ceil
-        alpha = 1.5 * nu - c + 2.0
-        gam = 0.5 * nu - c + 1.0
-        front = prefactor_a(nu)
-    else:
-        c = 0
-        alpha = 1.5 * nu + 2.0
-        gam = 0.5 * nu + 1.0
-        front = (0.5 * nu + 1.0) / (1.5 * nu + 2.0)
+    c = sp.ceil
+    alpha = 1.5 * nu - c + 2.0
+    gam = 0.5 * nu - c + 1.0
+    front = prefactor_a(nu)
     n = j + k + 1 + c
     binom = 1.0
     for i in range(j):

@@ -66,6 +66,15 @@ class TestKernelCommand:
         )
         assert code == 2 and "-4/3" in err and out == ""
 
+    def test_weighted_dirichlet_near_the_boundary(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "kernel", "--nu", "-1.5",
+            "--z1", "0", "--z2", "0.99995", "--w1", "0", "--w2", "0.99995",
+        )
+        assert code == 0
+        re = float(out.strip().split("\n")[1].split(",")[5])
+        assert re == pytest.approx(129.60767, rel=1e-7)
+
 
 class TestNormCommand:
     def test_hardy(self, capsys, tmp_path):
@@ -214,3 +223,18 @@ class TestVerifyCommand:
         _, out1, _ = run_cli(capsys, "verify", "critical-range", "--seed", "42")
         _, out2, _ = run_cli(capsys, "verify", "critical-range", "--seed", "42")
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("critical-range", "--nu", "3"),
+            ("critical-range", "--jmax", "2"),
+            ("normalization", "--kmax", "2"),
+            ("schur-feasibility", "--tolerance", "1e-300"),
+            ("all", "--nu", "0"),
+        ],
+    )
+    def test_flag_the_suite_cannot_take(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert f"takes no {argv[1]}" in err

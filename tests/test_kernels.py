@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,20 @@ def random_point(rng, r2=(0.3, 0.85), ratio=0.8):
     a1, a2 = rng.uniform(0.0, 2 * math.pi, size=2)
     z2 = rho * cmath.exp(1j * a2)
     return HartogsPoint(rat * z2 * cmath.exp(1j * a1), z2)
+
+
+def mp_kernel(nu, z, w):
+    """The hypergeometric closed form of every -2 < nu != -1 kernel at 40 digits:
+    a_nu y^(-1-c) (1-x)^(-(nu+2)) 2F1(3nu/2-c+2, 1; nu/2-c+1; y), c = ceil(nu/2)."""
+    with mpmath.workdps(40):
+        c = math.ceil(nu / 2)
+        nu = mpmath.mpf(nu)
+        y = mpmath.mpc(z.z2) * mpmath.conj(mpmath.mpc(w.z2))
+        x = mpmath.mpc(z.z1) * mpmath.conj(mpmath.mpc(w.z1)) / y
+        g = mpmath.gamma
+        a = g(nu / 2 + 2) * g(1.5 * nu - c + 2) / (g(1.5 * nu + 3) * g(nu / 2 - c + 1))
+        hyp = mpmath.hyp2f1(1.5 * nu - c + 2, 1, nu / 2 - c + 1, y)
+        return complex(a * y ** (-1 - c) * (1 - x) ** (-(nu + 2)) * hyp)
 
 
 class TestBergmanKernel:
@@ -258,3 +273,29 @@ class TestDiagonalProbe:
     def test_midpoint_finite(self):
         kval, delta = kernels.diagonal_probe(0.5)
         assert math.isfinite(kval) and math.isfinite(delta)
+
+
+class TestBoundaryAccuracy:
+    @pytest.mark.parametrize("nu", [8.0, 10.0])
+    def test_large_even_nu_off_the_real_axis(self, nu):
+        # y = 0.8 e^{3i}
+        z = HartogsPoint(0.0j, math.sqrt(0.8) * cmath.exp(1.5j))
+        w = HartogsPoint(0.0j, math.sqrt(0.8) * cmath.exp(-1.5j))
+        ref = mp_kernel(nu, z, w)
+        assert abs(kernels.kernel(nu, z, w) - ref) <= 1e-10 * abs(ref)
+
+    def test_weighted_dirichlet_near_the_boundary(self):
+        q = HartogsPoint(0.0j, 0.99995 + 0.0j)
+        ref = mp_kernel(-1.5, q, q)
+        assert ref.real == pytest.approx(129.60767, rel=1e-7)
+        assert abs(kernels.kernel(-1.5, q, q) - ref) <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize("nu", [-1.9, -1.5, -1.2, -0.5, 0.0, 0.7, 2.0, 3.5, 8.0])
+    def test_mpmath_sweep(self, nu):
+        # 1 - |y| log-uniform on [1e-6, 0.75], random arguments, |x| below 0.95^2
+        rng = np.random.default_rng(40)
+        for _ in range(30):
+            rho = math.sqrt(1.0 - 10 ** rng.uniform(-6.0, math.log10(0.75)))
+            z, w = (random_point(rng, r2=(rho, rho), ratio=0.95) for _ in range(2))
+            ref = mp_kernel(nu, z, w)
+            assert abs(kernels.kernel(nu, z, w) - ref) <= 1e-12 * abs(ref)

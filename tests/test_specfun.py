@@ -131,19 +131,6 @@ class TestGauss2F1:
             rhs = gauss_2f1(HypergeometricParams(b, a, g), z)
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
-    def test_euler_transformation_consistency(self):
-        # direct and transformed series agree where both converge well
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            a = rng.uniform(-1.5, 3.0)
-            b = rng.uniform(0.2, 2.0)
-            g = rng.uniform(0.3, 4.0)
-            z = rng.uniform(0.0, 0.8) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            params = HypergeometricParams(a, b, g)
-            direct = gauss_2f1(params, z, euler_radius=1.0)
-            transformed = gauss_2f1(params, z, euler_radius=0.0)
-            assert abs(direct - transformed) <= 1e-9 * max(abs(direct), 1.0)
-
     def test_against_scipy(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
