@@ -207,7 +207,7 @@ _VERIFY_FLAGS = {"nu": "nus", "jmax": "jmax", "kmax": "kmax", "tolerance": "tol"
 
 def _cmd_verify(args):
     if args.suite == "all":
-        accepted = {"tol"}  # run_all hands it to the suites that have one
+        accepted = ()  # every suite runs at its own documented bounds
     elif args.suite in verify.SUITES:
         accepted = inspect.signature(verify.SUITES[args.suite]).parameters
     else:
@@ -223,7 +223,7 @@ def _cmd_verify(args):
             raise DomainError(f"verify {args.suite} takes no --{flag}")
         kwargs[key] = (value,) if flag == "nu" else value
     if args.suite == "all":
-        results = verify.run_all(seed=args.seed, tolerance=kwargs.get("tol"))
+        results = verify.run_all(seed=args.seed)
     else:
         results = [verify.run_suite(args.suite, seed=args.seed, **kwargs)]
     lines = ["case,closed_form,quadrature,abs_err,rel_err"]

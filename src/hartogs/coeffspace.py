@@ -26,6 +26,8 @@ __all__ = [
     "LaurentCoeffs",
     "MixedPoly",
     "TorusSeries",
+    "as_mixed",
+    "conj_product",
     "index_member",
     "min_total_degree",
     "monomial_norm_sq",
@@ -212,6 +214,29 @@ class MixedPoly(_CoeffMap):
     def _check_key(self, key):
         if len(key) != 4 or key[0] < 0 or key[1] < 0:
             raise DomainError(f"mixed key needs a, b >= 0, got {key}")
+
+
+def as_mixed(f):
+    """A Laurent or mixed polynomial as a MixedPoly: z1^j z2^k is the mixed
+    monomial (j, 0, k, 0)."""
+    if isinstance(f, LaurentCoeffs):
+        return MixedPoly({(j, 0, k, 0): a for (j, k), a in f.items()})
+    return f
+
+
+def conj_product(f, g):
+    """The product f conj(g) of two Laurent or mixed polynomials as one MixedPoly.
+
+    conj(z1^a conj(z1)^b z2^c conj(z2)^d) swaps a with b and c with d, so
+    the pair of terms (a, b, c, d), (a', b', c', d') lands on the key
+    (a + b', b + a', c + d', d + c').
+    """
+    terms = {}
+    for (a, b, c, d), x in as_mixed(f).items():
+        for (a2, b2, c2, d2), y in as_mixed(g).items():
+            key = (a + b2, b + a2, c + d2, d + c2)
+            terms[key] = terms.get(key, 0.0j) + x * y.conjugate()
+    return MixedPoly(terms)
 
 
 def index_member(nu, j, k):

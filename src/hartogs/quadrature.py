@@ -13,11 +13,19 @@ polynomial (the leftover integer power v^(1 + ceil(nu/2)) multiplies the
 integrand).  Angular directions use uniform trapezoid grids, exact for
 trigonometric polynomials below the grid frequency.
 
-Integrands are numpy-vectorized callables (z1_array, z2_array) -> values;
-coefficient objects from :mod:`hartogs.coeffspace` are adapted
-automatically.  One core, ``_tensor_sum``, sums every integrand in the
-product coordinates (w1, w2): Phi is applied once, by ``_on_triangle``, and
-an automorphism of H is composed in product coordinates.  A Monte Carlo
+Integrands are summed one of two ways, chosen by their type.  A
+coefficient object (``LaurentCoeffs`` / ``MixedPoly``) goes to
+``_separable_sum``: on the pullback grid each monomial is a radial power
+times a pure angular frequency, the trapezoid sums are aliasing
+indicators, and the 4D sum is a product of two 1D radial moments per
+term -- the same nodes, weights and aliasing as the point-by-point sum,
+with no closed form in the loop.  ``inner_product_quad`` first pairs two
+coefficient objects into one MixedPoly f conj(g).  Every other integrand
+is a numpy-vectorized callable (z1_array, z2_array) -> values, summed
+point by point by ``_tensor_sum`` in the product coordinates (w1, w2):
+Phi is applied once, by ``_on_triangle``, and an automorphism of H is
+composed in product coordinates.  ``integrate_tau`` and
+``mc_integrate_mu`` take only this black-box route.  A Monte Carlo
 importance sampler doubles as a second, structurally different oracle.
 """
 
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, evaluate_grid
+from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, as_mixed, conj_product, evaluate_grid
 from .geometry import normalization_C
 from .specfun import DomainError
 
@@ -48,6 +56,7 @@ __all__ = [
 ]
 
 _MAX_BLOCK = 4_000_000  # complex evaluations per chunk
+_COEFF_TYPES = (LaurentCoeffs, MixedPoly)  # integrands summed by _separable_sum
 
 
 @dataclass(frozen=True)
@@ -164,28 +173,58 @@ def _tensor_sum(fn, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, angula
     return total * (2.0 * np.pi / m) ** 2
 
 
-def _integrate_pullback(nu, fn, rule, v_power_offset):
-    """c_nu/4 times the rule's sum of fn(w1, w2) v^(v_shift + v_power_offset)."""
+def _separable_sum(poly, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, angular, on_triangle):
+    """The ``_tensor_sum`` of a coefficient object, one monomial at a time.
+
+    In product coordinates the term z1^a conj(z1)^b z2^c conj(z2)^d is
+    r1^p1 r2^p2 e^(i f1 theta) e^(i f2 gamma) with (p1, f1) = (a+b, a-b)
+    and (p2, f2) = (a+b+c+d, a-b+c-d) through Phi (``on_triangle``) or
+    (c+d, c-d) on the bidisc.  Each angular trapezoid sum is 2 pi when
+    ``angular`` divides the frequency and 0 otherwise, so a surviving term
+    contributes coef * (sum_i w1_i r1_i^p1) (sum_k w2_k r2_k^p2) (2 pi)^2.
+    """
+    items = as_mixed(poly).items()
+    keys = np.array([key for key, _ in items], dtype=int).reshape(-1, 4)
+    coefs = np.array([coef for _, coef in items], dtype=complex)
+    a, b, c, d = keys.T
+    p1, f1 = a + b, a - b
+    p2, f2 = (a + b + c + d, a - b + c - d) if on_triangle else (c + d, c - d)
+    alive = (f1 % angular == 0) & (f2 % angular == 0)
+    moment_1 = radial_w1 @ radial_nodes_1[:, None] ** p1[alive]
+    moment_2 = radial_w2 @ radial_nodes_2[:, None] ** p2[alive]
+    return complex(np.sum(coefs[alive] * moment_1 * moment_2)) * (2.0 * np.pi) ** 2
+
+
+def _integrate_pullback(nu, integrand, rule, on_triangle):
+    """c_nu/4 times the rule's sum of the integrand over D x D*, pulled
+    through Phi when ``on_triangle``, against v^v_shift for mu_nu and one
+    power of v fewer for the bidisc weight."""
     nu = SpaceParam(nu).nu
     if rule is None:
         rule = build_rule(nu)
     if rule.nu != nu:
         raise DomainError(f"rule was built for nu = {rule.nu}, asked for {nu}")
-    weighted_v = rule.v_weights * rule.v_nodes ** (rule.v_shift + v_power_offset)
-    total = _tensor_sum(
-        fn, np.sqrt(rule.u_nodes), rule.u_weights, np.sqrt(rule.v_nodes), weighted_v, rule.angular
-    )
+    # |w2|^nu rho drho pulls back to v^(nu/2) dv / 2 against the same
+    # fractional rule, so one power of v fewer is left over than for mu_nu
+    weighted_v = rule.v_weights * rule.v_nodes ** (rule.v_shift - (0 if on_triangle else 1))
+    radial = (np.sqrt(rule.u_nodes), rule.u_weights, np.sqrt(rule.v_nodes), weighted_v)
+    if isinstance(integrand, _COEFF_TYPES):
+        total = _separable_sum(integrand, *radial, rule.angular, on_triangle)
+    else:
+        fn = as_grid_fn(integrand)
+        total = _tensor_sum(_on_triangle(fn) if on_triangle else fn, *radial, rule.angular)
     return normalization_C(nu) * 2.0 ** (0.5 * nu) / 4.0 * total
 
 
 def integrate_mu(nu, integrand, rule=None):
-    """Integral of a black-box function against the probability measure mu_nu.
+    """Integral of a coefficient object or black-box function against the
+    probability measure mu_nu.
 
-    The integrand is evaluated at full complex points of the triangle
-    (built from the pullback grid), so it needs no knowledge of the
-    parametrization.
+    A callable is evaluated at full complex points of the triangle (built
+    from the pullback grid), so it needs no knowledge of the
+    parametrization; a coefficient object is summed separably.
     """
-    return _integrate_pullback(nu, _on_triangle(as_grid_fn(integrand)), rule, 0)
+    return _integrate_pullback(nu, integrand, rule, True)
 
 
 def integrate_bidisc(nu, integrand, rule=None):
@@ -194,11 +233,10 @@ def integrate_bidisc(nu, integrand, rule=None):
         c_nu * int |w2|^nu (1-|w1|^2)^nu (1-|w2|^2)^nu integrand(w1, w2) dw
 
     with c_nu = 2^(nu/2) C_nu.  The integrand gets the product-domain
-    coordinates (w1, w2) directly.
+    coordinates (w1, w2) directly: a coefficient object is a polynomial
+    in w1, w2 and their conjugates.
     """
-    # |w2|^nu rho drho pulls back to v^(nu/2) dv / 2 against the same
-    # fractional rule, so one power of v fewer is left over than for mu_nu
-    return _integrate_pullback(nu, as_grid_fn(integrand), rule, -1)
+    return _integrate_pullback(nu, integrand, rule, False)
 
 
 def build_tau_rule(radial_order=48, angular_count=40, shell_eps=0.05, r1_range=None, r2_range=None):
@@ -300,7 +338,13 @@ def mc_integrate_mu(nu, integrand, sample_count, seed):
 
 
 def inner_product_quad(nu, f, g, rule=None):
-    """L^2_nu pairing <f, g> = int f conj(g) dmu_nu by tensor quadrature."""
+    """L^2_nu pairing <f, g> = int f conj(g) dmu_nu by tensor quadrature.
+
+    Two coefficient objects are paired into one MixedPoly and summed
+    separably; otherwise f conj(g) is a black-box callable.
+    """
+    if isinstance(f, _COEFF_TYPES) and isinstance(g, _COEFF_TYPES):
+        return integrate_mu(nu, conj_product(f, g), rule)
     ff = as_grid_fn(f)
     gg = as_grid_fn(g)
     return integrate_mu(nu, lambda z1, z2: ff(z1, z2) * np.conj(gg(z1, z2)), rule)

@@ -14,9 +14,8 @@ base seed, so repeated runs are byte-identical.
 """
 
 import cmath
-import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -482,13 +481,25 @@ def suite_isometries(seed=0, count=100, quad_tol=1e-8, quad_nus=(-0.5, 0.0, 1.0)
                     all(k >= 0 for (j, k), _ in g.items()),
                     f"pullback support dips below zero at nu={nu}",
                 )
-            gf = quadrature.as_grid_fn(g)
-            quad = quadrature.integrate_bidisc(
-                nu, lambda w1, w2: np.abs(gf(w1, w2)) ** 2, rule
-            ).real
+            quad = quadrature.integrate_bidisc(nu, coeffspace.conj_product(g, g), rule).real
             res.row(f"nu={nu} pullback norm {idx}", coeffspace.bergman_norm_sq(nu, f), quad, quad_tol)
             res.check(isometries.bergman_pullback_inverse(nu, g) == f, "pullback round trip")
     return res
+
+
+def _t_multiplier_rule(rule):
+    """``rule`` with |T|^2 folded into its radial weights.
+
+    T multiplies by |z2| (1 - |z1/z2|^2)(1 - |z2|^2), which pulls back to
+    the radial r2 (1 - u)(1 - v); its square v (1 - u)^2 (1 - v)^2 moves
+    into the u and v weights, so |T f|^2 integrates as |f|^2 against the
+    copy.
+    """
+    return replace(
+        rule,
+        u_weights=rule.u_weights * (1.0 - rule.u_nodes) ** 2,
+        v_weights=rule.v_weights * rule.v_nodes * (1.0 - rule.v_nodes) ** 2,
+    )
 
 
 def suite_tsplit(seed=0, tol=1e-7, nus=(-0.5, 0.0, 1.0), n_funcs=20, ratio_funcs=200, ratio_cap=1e3):
@@ -497,22 +508,14 @@ def suite_tsplit(seed=0, tol=1e-7, nus=(-0.5, 0.0, 1.0), n_funcs=20, ratio_funcs
     res = SuiteResult("t-split", True)
     for nu in nus:
         rng = _rng(seed, 900 + int(10 * nu))
-        rule = quadrature.build_rule(nu, radial_order=32, angular_count=33)
+        rule = _t_multiplier_rule(quadrature.build_rule(nu, radial_order=32, angular_count=33))
         worst = 0.0
         for _ in range(n_funcs):
             f = _random_laurent(rng, nu, n_terms=5)
             parts = coeffspace.split_f123(f)[:3]
             for which, part in enumerate(parts, start=1):
                 closed = coeffspace.t_norm_sq(nu, which, part)
-                fn = quadrature.as_grid_fn(part)
-
-                def t_sq(z1, z2, fn=fn):
-                    ratio2 = np.abs(z1 / z2) ** 2
-                    moda = np.abs(z2)
-                    tfac = moda * (1.0 - ratio2) * (1.0 - moda * moda)
-                    return (tfac * np.abs(fn(z1, z2))) ** 2
-
-                quad = quadrature.integrate_mu(nu, t_sq, rule).real
+                quad = quadrature.integrate_mu(nu, coeffspace.conj_product(part, part), rule).real
                 if abs(closed) < 1e-14 and abs(quad) < 1e-12:
                     continue
                 worst = max(worst, abs(closed - quad) / max(abs(closed), abs(quad)))
@@ -602,19 +605,17 @@ SUITES = {
 }
 
 
-def run_suite(name, seed=0, tolerance=None, **kwargs):
-    fn = SUITES[name]
-    if tolerance is not None and "tol" in inspect.signature(fn).parameters:
-        kwargs["tol"] = tolerance
-    return fn(seed=seed, **kwargs)
+def run_suite(name, seed=0, **kwargs):
+    return SUITES[name](seed=seed, **kwargs)
 
 
-def run_all(seed=0, tolerance=None):
-    """Run every suite; returns the list of results in registry order."""
+def run_all(seed=0):
+    """Run every suite at its own documented bounds; returns the list of
+    results in registry order."""
     results = []
     for name in SUITES:
         try:
-            results.append(run_suite(name, seed=seed, tolerance=tolerance))
+            results.append(run_suite(name, seed=seed))
         except Exception as exc:  # surface the failure, keep going
             results.append(SuiteResult(name, False, [], f"crashed: {exc}"))
     return results

@@ -232,6 +232,7 @@ class TestVerifyCommand:
             ("normalization", "--kmax", "2"),
             ("schur-feasibility", "--tolerance", "1e-300"),
             ("all", "--nu", "0"),
+            ("all", "--tolerance", "1e-9"),
         ],
     )
     def test_flag_the_suite_cannot_take(self, capsys, argv):

@@ -11,7 +11,9 @@ from hartogs.coeffspace import (
     MixedPoly,
     SpaceParam,
     TorusSeries,
+    as_mixed,
     bergman_norm_sq,
+    conj_product,
     dirichlet_norm_sq,
     evaluate,
     hardy_norm_sq,
@@ -28,6 +30,19 @@ from hartogs.coeffspace import (
 )
 from hartogs.geometry import HartogsPoint
 from hartogs.specfun import DomainError
+from hartogs.verify import _random_laurent, _random_mixed, _t_multiplier_rule
+
+
+def _t_sq(f):
+    """The black-box |T f|^2: the T multiplier evaluated point by point."""
+    fn = quadrature.as_grid_fn(f)
+
+    def t_sq(z1, z2):
+        ratio2 = np.abs(z1 / z2) ** 2
+        mod2 = np.abs(z2)
+        return (mod2 * (1 - ratio2) * (1 - mod2**2) * np.abs(fn(z1, z2))) ** 2
+
+    return t_sq
 
 
 class TestSpaceParam:
@@ -87,6 +102,24 @@ class TestContainers:
         assert MixedPoly.from_json(p.to_json()) == p
         t = TorusSeries({(-2, 5): 1.0})
         assert TorusSeries.from_json(t.to_json()) == t
+
+    def test_as_mixed(self):
+        f = LaurentCoeffs({(0, -1): 1.0 + 2.0j, (3, 2): -0.5})
+        assert as_mixed(f) == MixedPoly({(0, 0, -1, 0): 1.0 + 2.0j, (3, 0, 2, 0): -0.5})
+        p = MixedPoly({(1, 0, -2, 3): 1.5j})
+        assert as_mixed(p) is p
+
+    def test_conj_product_pointwise(self):
+        rng = np.random.default_rng(22)
+        z2 = 0.8 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=20))
+        z1 = z2 * 0.7 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=20))
+        f = _random_mixed(rng, 0.0)
+        g = _random_laurent(rng, 0.0)
+        for left, right in ((f, g), (g, f), (f, f), (g, g)):
+            prod = quadrature.as_grid_fn(conj_product(left, right))(z1, z2)
+            lhs = quadrature.as_grid_fn(left)(z1, z2)
+            rhs = quadrature.as_grid_fn(right)(z1, z2)
+            np.testing.assert_allclose(prod, lhs * np.conj(rhs), rtol=1e-12, atol=1e-12)
 
 
 class TestIndexSet:
@@ -221,14 +254,22 @@ class TestSplitAndTNorms:
         closed = t_norm_sq(0.0, 1, f1)
         assert closed == pytest.approx(1.0 / 90.0, rel=1e-12)
         rule = quadrature.build_rule(0.0, radial_order=32, angular_count=9)
-        fn = quadrature.as_grid_fn(f1)
+        val = quadrature.integrate_mu(0.0, _t_sq(f1), rule).real
+        assert val == pytest.approx(closed, rel=1e-10)
 
-        def t_sq(z1, z2):
-            ratio2 = np.abs(z1 / z2) ** 2
-            mod2 = np.abs(z2)
-            return (mod2 * (1 - ratio2) * (1 - mod2**2) * np.abs(fn(z1, z2))) ** 2
-
-        assert quadrature.integrate_mu(0.0, t_sq, rule).real == pytest.approx(closed, rel=1e-10)
+    def test_radial_weight_t_norm_matches_black_box(self):
+        # |T f|^2 folded into the rule's radial weights, as the t-split
+        # suite integrates it, against the black-box multiplier callable
+        rng = np.random.default_rng(23)
+        for nu in (-0.5, 0.0, 1.0):
+            rule = quadrature.build_rule(nu, radial_order=32, angular_count=33)
+            t_rule = _t_multiplier_rule(rule)
+            for _ in range(4):
+                f = _random_laurent(rng, nu, n_terms=5)
+                for part in split_f123(f)[:3]:
+                    black_box = quadrature.integrate_mu(nu, _t_sq(part), rule).real
+                    radial = quadrature.integrate_mu(nu, conj_product(part, part), t_rule).real
+                    assert abs(radial - black_box) <= 1e-12 * max(abs(black_box), 1e-300)
 
     def test_t_norm_accepts_nu_minus_two(self):
         f1 = split_f123(LaurentCoeffs({(1, 1): 1.0}))[0]

@@ -140,6 +140,86 @@ class TestInnerProduct:
         assert quadrature.inner_product_quad(0.0, a, a, rule).real > 0.0
 
 
+def _random_poly(rng, nu, on_triangle, n_terms=8, max_exp=5):
+    """Random MixedPoly whose terms are integrable: negative c and d, and
+    angular frequencies up to 2 max_exp + 3."""
+    terms = {}
+    while len(terms) < n_terms:
+        a, b = (int(x) for x in rng.integers(0, max_exp + 1, size=2))
+        c, d = (int(x) for x in rng.integers(-3, max_exp + 1, size=2))
+        # the radial power of |w2| must keep the w2 integral finite
+        p2 = a + b + c + d if on_triangle else c + d
+        if p2 + nu + (4.0 if on_triangle else 2.0) > 0.0:
+            terms[(a, b, c, d)] = complex(rng.normal(), rng.normal())
+    return MixedPoly(terms)
+
+
+def _modulus_fn(poly, on_triangle):
+    """The black-box integrand sum |coef| |first|^(a+b) |second|^(c+d)."""
+
+    def fn(x1, x2):
+        return sum(
+            abs(coef) * np.abs(x1) ** (a + b) * np.abs(x2) ** (c + d)
+            for (a, b, c, d), coef in poly.items()
+        )
+
+    return fn
+
+
+class TestSeparablePath:
+    """Coefficient objects take the separable sum, callables the point-by-
+    point tensor sum; on one rule the two agree to rounding."""
+
+    INTEGRATORS = ((quadrature.integrate_mu, True), (quadrature.integrate_bidisc, False))
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.7, 2.0, 3.5])
+    @pytest.mark.parametrize("angular", [4, 9])
+    def test_agrees_with_tensor_sum(self, nu, angular):
+        rng = np.random.default_rng([24, angular, int(10 * nu) + 10])
+        rule = quadrature.build_rule(nu, radial_order=12, angular_count=angular)
+        for integrate, on_triangle in self.INTEGRATORS:
+            for _ in range(4):
+                poly = _random_poly(rng, nu, on_triangle)
+                separable = integrate(nu, poly, rule)
+                black_box = integrate(nu, quadrature.as_grid_fn(poly), rule)
+                scale = integrate(nu, _modulus_fn(poly, on_triangle), rule).real
+                assert abs(separable - black_box) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.7, 3.5])
+    def test_aliased_frequencies(self, nu):
+        # with m = 4, the frequencies 4 and -8 alias onto 0 and survive
+        rule = quadrature.build_rule(nu, radial_order=12, angular_count=4)
+        cases = (
+            (quadrature.integrate_mu, MixedPoly({(4, 0, 2, 6): 1.0, (1, 1, 5, -3): 1.0j})),
+            (quadrature.integrate_bidisc, MixedPoly({(5, 1, -2, 2): 1.0, (2, 2, -1, 7): 1.0j})),
+        )
+        for integrate, poly in cases:
+            separable = integrate(nu, poly, rule)
+            black_box = integrate(nu, quadrature.as_grid_fn(poly), rule)
+            assert abs(separable.real) > 1e-3 and abs(separable.imag) > 1e-3
+            assert abs(separable - black_box) <= 1e-13 * (abs(separable.real) + abs(separable.imag))
+
+    def test_laurent_integrand(self):
+        rule = quadrature.build_rule(0.7, radial_order=12, angular_count=4)
+        f = LaurentCoeffs({(1, -2): 1.0, (4, 0): 0.5j, (0, 3): -2.0})
+        for integrate in (quadrature.integrate_mu, quadrature.integrate_bidisc):
+            black_box = integrate(0.7, quadrature.as_grid_fn(f), rule)
+            assert abs(integrate(0.7, f, rule) - black_box) <= 1e-13 * abs(black_box)
+
+    def test_inner_product_pairs_coefficient_objects(self):
+        rng = np.random.default_rng(26)
+        rule = quadrature.build_rule(0.7, radial_order=24, angular_count=9)
+        f = _random_poly(rng, 0.7, True, n_terms=4, max_exp=3)
+        g = LaurentCoeffs({(0, 0): 1.0, (1, -1): 2.0j, (2, 1): -0.5, (0, -1): 1.5})
+        ff, gg = quadrature.as_grid_fn(f), quadrature.as_grid_fn(g)
+        for left, right, lf, rf in ((f, g, ff, gg), (g, f, gg, ff), (g, g, gg, gg)):
+            paired = quadrature.inner_product_quad(0.7, left, right, rule)
+            black_box = quadrature.integrate_mu(
+                0.7, lambda z1, z2: lf(z1, z2) * np.conj(rf(z1, z2)), rule
+            )
+            assert abs(paired - black_box) <= 1e-12 * max(abs(black_box), 1.0)
+
+
 class TestMonteCarlo:
     def test_normalization_within_error(self):
         est, se = quadrature.mc_integrate_mu(0.7, lambda z1, z2: np.ones_like(z2), 20_000, seed=5)
