@@ -1,0 +1,141 @@
+"""Layer microbenchmarks and end-to-end times, written to one JSON file.
+
+Run from the root of a checkout:
+
+    python3 bench/layers.py --out BENCH_6.json
+
+The library is imported from the checkout's ``src/``.  The file holds:
+
+- ``layers_us``: the minimum over repeats of the microseconds per call of
+  the black-box quadrature paths, the Monte Carlo oracle, the one-point
+  kernel and the Szego FFT projection;
+- ``suites_s``: the wall time of each suite in one ``verify.run_all(0)``
+  pass, run in the same process after the layer benchmarks;
+- ``tier1``: the wall time and summary line of the tier-1 test command;
+- ``provenance``: git SHA (``-dirty`` when the tree has uncommitted
+  changes), Python, numpy and scipy versions, nproc and
+  the precision of ``np.longdouble``.
+
+Raw times drift by tens of percent on a shared host, so compare two
+commits only by files written in one session on one machine.
+"""
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def best_us(fn, calls, repeats):
+    """Minimum over ``repeats`` of the mean microseconds per call of fn()."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - start) / calls)
+    return 1e6 * best
+
+
+def layer_times():
+    import numpy as np
+
+    from hartogs import geometry, kernels, projections, quadrature, verify
+    from hartogs.geometry import HartogsPoint
+
+    # the tau-invariance suite's rule and integrand, composed with one of its automorphisms
+    tau_rule = quadrature.build_tau_rule(
+        radial_order=56, angular_count=24, shell_eps=0.05, r1_range=verify._TAU_R1_RANGE, r2_range=verify._TAU_R2_RANGE
+    )
+    psi = geometry.random_automorphism(np.random.default_rng(0), max_center=verify._TAU_CENTER_CAP)
+    mu_rule = quadrature.build_rule(0.7)  # the default 64 x 65 rule
+    gaussian = lambda z1, z2: np.exp(-0.8 * np.abs(z2) ** 2) * np.abs(z1) ** 2
+    z = HartogsPoint(0.2 + 0.1j, 0.5 - 0.3j)
+    w = HartogsPoint(-0.1 + 0.25j, 0.4 + 0.45j)
+    grid = np.random.default_rng(1).normal(size=(133, 133)) + 0j
+    return {
+        "quadrature.integrate_tau.tau_invariance_rule": best_us(
+            lambda: quadrature.integrate_tau(verify._bump, tau_rule, automorphism=psi), 3, 5
+        ),
+        "quadrature.integrate_mu.callable_64x65": best_us(lambda: quadrature.integrate_mu(0.7, gaussian, mu_rule), 2, 5),
+        "quadrature.mc_integrate_mu.1e6_samples": best_us(
+            lambda: quadrature.mc_integrate_mu(0.7, gaussian, 1_000_000, 3), 1, 5
+        ),
+        "kernels.kernel.nu=0.7": best_us(lambda: kernels.kernel(0.7, z, w), 2000, 5),
+        "kernels.kernel.nu=3.5": best_us(lambda: kernels.kernel(3.5, z, w), 2000, 5),
+        "projections.project_szego_grid.N=133": best_us(lambda: projections.project_szego_grid(grid), 200, 5),
+    }
+
+
+def suite_times():
+    from hartogs import verify
+
+    times, passed = {}, {}
+    for name in verify.SUITES:
+        start = time.perf_counter()
+        res = verify.run_suite(name, seed=0)
+        times[name] = time.perf_counter() - start
+        passed[name] = res.passed
+    return times, passed
+
+
+def tier1_time():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("HARTOGS_QUAD_ORDER", None)
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit_code": proc.returncode, "summary": lines[-1] if lines else ""}
+
+
+def provenance():
+    import numpy as np
+    import scipy
+
+    try:
+        # "-dirty" marks a measurement of uncommitted changes on top of that commit
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"], cwd=ROOT, capture_output=True, text=True, check=True
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = None
+    return {
+        "git_sha": sha,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "nproc": len(os.sched_getaffinity(0)),
+        "machine": platform.machine(),
+        "longdouble_eps": float(np.finfo(np.longdouble).eps),
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="path of the JSON file to write")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(SRC))
+    os.environ.pop("HARTOGS_QUAD_ORDER", None)
+    record = {"provenance": provenance(), "layers_us": layer_times()}
+    record["suites_s"], record["suites_passed"] = suite_times()
+    record["run_all_s"] = sum(record["suites_s"].values())
+    record["tier1"] = tier1_time()
+    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    for section in ("layers_us", "suites_s"):
+        for name, value in record[section].items():
+            print(f"{section:10s} {name:48s} {value:12.4g}")
+    print(f"run_all_s  {record['run_all_s']:.3f}   tier1 {record['tier1']['wall_s']:.2f} s: {record['tier1']['summary']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

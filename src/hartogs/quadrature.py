@@ -25,8 +25,10 @@ is a numpy-vectorized callable (z1_array, z2_array) -> values, summed
 point by point by ``_tensor_sum`` in the product coordinates (w1, w2):
 Phi is applied once, by ``_on_triangle``, and an automorphism of H is
 composed in product coordinates.  ``integrate_tau`` and
-``mc_integrate_mu`` take only this black-box route.  A Monte Carlo
-importance sampler doubles as a second, structurally different oracle.
+``mc_integrate_mu`` take only this black-box route.  Both evaluate the
+callable in chunks of about ``_MAX_BLOCK`` points, so temporaries stay
+cache-sized.  A Monte Carlo importance sampler doubles as a second,
+structurally different oracle.
 """
 
 import math
@@ -55,7 +57,7 @@ __all__ = [
     "radial_order_from_env",
 ]
 
-_MAX_BLOCK = 4_000_000  # complex evaluations per chunk
+_MAX_BLOCK = 65_536  # integrand evaluations per chunk
 _COEFF_TYPES = (LaurentCoeffs, MixedPoly)  # integrands summed by _separable_sum
 
 
@@ -154,23 +156,24 @@ def _tensor_sum(fn, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, angula
     """Deterministic weighted sum of fn(w1, w2) over the 4D tensor grid of
     product coordinates w1 = r1 e^(i theta), w2 = r2 e^(i gamma).
 
-    Values are padded to the full grid, so an integrand that ignores one
-    coordinate still sums over it.  Chunks over the first radial axis
-    keep memory bounded; summation order is fixed.
+    Chunks of whole r1 rows, about _MAX_BLOCK points each (at least one
+    row), keep temporaries cache-sized.  Values are broadcast to each
+    chunk's grid, so an integrand that ignores a coordinate still sums
+    over it.  Plain angular sums fill an (n1, n2) table, and the radial
+    weights come last: radial_w1 @ table @ radial_w2.
     """
     m = angular
     e = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
-    block = max(1, _MAX_BLOCK // max(1, m * m * radial_nodes_2.size))
+    n1 = radial_nodes_1.size
+    rows = max(1, _MAX_BLOCK // (m * m * radial_nodes_2.size))
     # axes: (i1, theta, i2, gamma)
     w2 = radial_nodes_2[None, None, :, None] * e[None, None, None, :]
-    total = 0.0j
-    for start in range(0, radial_nodes_1.size, block):
-        rows = slice(start, start + block)
-        w1 = radial_nodes_1[rows, None, None, None] * e[None, :, None, None]
-        vals = np.asarray(fn(w1, w2)) + np.zeros(np.broadcast(w1, w2).shape, dtype=complex)
-        inner = np.einsum("k,ijkl->i", radial_w2, vals)
-        total += complex(np.dot(radial_w1[rows], inner))
-    return total * (2.0 * np.pi / m) ** 2
+    sums = np.empty((n1, radial_nodes_2.size), dtype=complex)
+    for start in range(0, n1, rows):
+        w1 = radial_nodes_1[start : start + rows, None, None, None] * e[None, :, None, None]
+        vals = np.broadcast_to(fn(w1, w2), np.broadcast(w1, w2).shape)
+        sums[start : start + rows] = vals.sum(axis=(1, 3))
+    return complex(radial_w1 @ sums @ radial_w2) * (2.0 * np.pi / m) ** 2
 
 
 def _separable_sum(poly, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, angular, on_triangle):
@@ -328,10 +331,17 @@ def mc_integrate_mu(nu, integrand, sample_count, seed):
     v = rng.beta(0.5 * nu + 2.0, nu + 1.0, size=sample_count)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=sample_count)
     gamma = rng.uniform(0.0, 2.0 * np.pi, size=sample_count)
-    w1 = np.sqrt(u) * np.exp(1j * theta)
-    w2 = np.sqrt(v) * np.exp(1j * gamma)
-    vals = _on_triangle(as_grid_fn(integrand))(w1, w2)
-    vals = np.asarray(vals) + np.zeros(sample_count, dtype=complex)
+    fn = _on_triangle(as_grid_fn(integrand))
+    # near-equal chunks, none a short tail: numpy evaluates large temporaries
+    # in place with swapped operands, which can round a complex product
+    # differently, so only chunks this large match the whole-array values
+    chunks = -(-sample_count // _MAX_BLOCK)
+    bounds = [sample_count * i // chunks for i in range(chunks + 1)]
+    vals = np.empty(sample_count, dtype=complex)
+    for lo, hi in zip(bounds, bounds[1:]):
+        w1 = np.sqrt(u[lo:hi]) * np.exp(1j * theta[lo:hi])
+        w2 = np.sqrt(v[lo:hi]) * np.exp(1j * gamma[lo:hi])
+        vals[lo:hi] = fn(w1, w2)
     est = complex(np.mean(vals))
     var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
     return est, math.sqrt(var / sample_count)

@@ -1,5 +1,6 @@
 """The integration oracle itself: exactness, normalization, Monte Carlo."""
 
+import math
 import warnings
 
 import numpy as np
@@ -220,6 +221,52 @@ class TestSeparablePath:
             assert abs(paired - black_box) <= 1e-12 * max(abs(black_box), 1.0)
 
 
+class TestTensorSum:
+    """The chunked black-box sum against a one-shot full-grid einsum."""
+
+    # (n1, n2, m): 4096 points per r1 row gives 16-row chunks, so 37 rows
+    # leave a short last chunk; 81920 points per row exceed the budget, so
+    # every chunk is one row; 512 points per row fit all 50 rows in one
+    RULES = ((37, 16, 16), (5, 20, 64), (50, 8, 8))
+    INTEGRANDS = {
+        "python scalar": lambda w1, w2: 2.5,
+        "real array": lambda w1, w2: np.abs(w1) ** 2 * np.abs(w2) + 1.0,
+        "ignores w1": lambda w1, w2: np.exp(w2) * (2.0 + np.conj(w2)),
+        "full complex": lambda w1, w2: np.exp(w1) * (2.0 + np.conj(w2)) + 1j * np.abs(w1 * w2),
+    }
+
+    @staticmethod
+    def _full_grid_sum(fn, r1, w1, r2, w2, m):
+        e = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+        g1 = r1[:, None, None, None] * e[None, :, None, None]
+        g2 = r2[None, None, :, None] * e[None, None, None, :]
+        vals = np.asarray(fn(g1, g2)) + np.zeros(np.broadcast(g1, g2).shape, dtype=complex)
+        # exactly rounded sum of the weighted grid, so the reference carries
+        # no accumulation error of its own
+        terms = np.einsum("i,k,ijkl->ijkl", w1, w2, vals).ravel()
+        return complex(math.fsum(terms.real), math.fsum(terms.imag)) * (2.0 * np.pi / m) ** 2
+
+    @pytest.mark.parametrize("shape", RULES)
+    @pytest.mark.parametrize("name", sorted(INTEGRANDS))
+    def test_matches_full_grid_einsum(self, shape, name):
+        n1, n2, m = shape
+        rng = np.random.default_rng([27, n1, n2, m])
+        r1, r2 = np.sort(rng.uniform(0.05, 0.95, size=n1)), np.sort(rng.uniform(0.05, 0.95, size=n2))
+        w1, w2 = rng.uniform(0.1, 1.0, size=n1), rng.uniform(0.1, 1.0, size=n2)
+        fn = self.INTEGRANDS[name]
+        sizes = []
+
+        def recording(a, b):
+            sizes.append(np.broadcast(a, b).size)
+            return fn(a, b)
+
+        chunked = quadrature._tensor_sum(recording, r1, w1, r2, w2, m)
+        reference = self._full_grid_sum(fn, r1, w1, r2, w2, m)
+        assert abs(chunked - reference) <= 1e-14 * abs(reference)
+        assert sum(sizes) == n1 * m * m * n2
+        assert max(sizes) <= max(2**16, m * m * n2)
+
+
 class TestMonteCarlo:
     def test_normalization_within_error(self):
         est, se = quadrature.mc_integrate_mu(0.7, lambda z1, z2: np.ones_like(z2), 20_000, seed=5)
@@ -240,6 +287,25 @@ class TestMonteCarlo:
     def test_sample_count_guard(self):
         with pytest.raises(DomainError):
             quadrature.mc_integrate_mu(0.0, lambda z1, z2: z2, 100, seed=1)
+
+    @pytest.mark.parametrize("count", [200_003, 1_000_000])
+    def test_repr_identical_to_whole_array_formula(self, count):
+        """Chunked evaluation changes no bit of the estimate: the sample
+        stream and the reductions are those of the whole-array formula."""
+        nu, seed = 0.7, 12
+        integrands = (lambda z1, z2: np.abs(z1) ** 2 * np.exp(-np.abs(z2)) + z1 * np.conj(z2), lambda z1, z2: 1.5)
+        for fn in integrands:
+            rng = np.random.default_rng(seed)
+            u = rng.beta(1.0, nu + 1.0, size=count)
+            v = rng.beta(0.5 * nu + 2.0, nu + 1.0, size=count)
+            theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
+            gamma = rng.uniform(0.0, 2.0 * np.pi, size=count)
+            w1 = np.sqrt(u) * np.exp(1j * theta)
+            w2 = np.sqrt(v) * np.exp(1j * gamma)
+            vals = np.asarray(fn(w1 * w2, w2)) + np.zeros(count, dtype=complex)
+            var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
+            expected = (complex(np.mean(vals)), math.sqrt(var / count))
+            assert repr(quadrature.mc_integrate_mu(nu, fn, count, seed)) == repr(expected)
 
 
 class TestTau:
