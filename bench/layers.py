@@ -2,13 +2,16 @@
 
 Run from the root of a checkout:
 
-    python3 bench/layers.py --out BENCH_6.json
+    python3 bench/layers.py --out BENCH_7.json
 
 The library is imported from the checkout's ``src/``.  The file holds:
 
 - ``layers_us``: the minimum over repeats of the microseconds per call of
   the black-box quadrature paths, the Monte Carlo oracle, the one-point
-  kernel and the Szego FFT projection;
+  kernel and the Szego FFT projection, and the microseconds per point of
+  the kernel on a 128-pair batch;
+- ``layers_ms``: the milliseconds of one ``hartogs kernel --in`` call on a
+  128-pair file, run in process through ``cli.main``;
 - ``suites_s``: the wall time of each suite in one ``verify.run_all(0)``
   pass, run in the same process after the layer benchmarks;
 - ``tier1``: the wall time and summary line of the tier-1 test command;
@@ -26,6 +29,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -72,6 +76,44 @@ def layer_times():
         "kernels.kernel.nu=3.5": best_us(lambda: kernels.kernel(3.5, z, w), 2000, 5),
         "projections.project_szego_grid.N=133": best_us(lambda: projections.project_szego_grid(grid), 200, 5),
     }
+
+
+BATCH = 128
+# Dirichlet, weighted Dirichlet, Hardy, Bergman with one 2F1 step, Bergman with four
+BATCH_NUS = (-2.0, -1.5, -1.0, 0.7, 3.5)
+
+
+def random_pairs(count):
+    """count seeded point pairs, |z2|, |w2| in [0.3, 0.95), |z1/z2|, |w1/w2| below 0.9,
+    as an (count, 4) complex array of z1, z2, w1, w2."""
+    import numpy as np
+
+    rng = np.random.default_rng(7)
+    z2, w2 = (rng.uniform(0.3, 0.95, count) * np.exp(2j * np.pi * rng.uniform(size=count)) for _ in range(2))
+    z1, w1 = (v * rng.uniform(0.0, 0.9, count) * np.exp(2j * np.pi * rng.uniform(size=count)) for v in (z2, w2))
+    return np.stack([z1, z2, w1, w2], axis=1)
+
+
+def batch_layers():
+    """The batched kernel in microseconds per point and one ``kernel --in``
+    CLI batch in milliseconds, both on BATCH pairs."""
+    from hartogs import cli, kernels
+    from hartogs.geometry import HartogsPoint
+
+    pts = random_pairs(BATCH)
+    z, w = HartogsPoint(pts[:, 0], pts[:, 1]), HartogsPoint(pts[:, 2], pts[:, 3])
+    per_point = {
+        f"kernels.kernel.batch{BATCH}_per_point.nu={nu:g}": best_us(lambda: kernels.kernel(nu, z, w), 200, 5) / BATCH
+        for nu in BATCH_NUS
+    }
+    point = lambda a, b: {"z1": [a.real, a.imag], "z2": [b.real, b.imag]}
+    records = [{"z": point(z1, z2), "w": point(w1, w2)} for z1, z2, w1, w2 in pts.tolist()]
+    with tempfile.TemporaryDirectory() as tmp:
+        infile, outfile = Path(tmp) / "pairs.json", Path(tmp) / "out.csv"
+        infile.write_text(json.dumps(records))
+        argv = ["kernel", "--nu", "0.7", "--in", str(infile), "--out", str(outfile)]
+        cli_ms = {f"cli.main.kernel_in_batch{BATCH}.nu=0.7": best_us(lambda: cli.main(argv), 50, 5) / 1e3}
+    return per_point, cli_ms
 
 
 def suite_times():
@@ -126,11 +168,13 @@ def main(argv=None):
     sys.path.insert(0, str(SRC))
     os.environ.pop("HARTOGS_QUAD_ORDER", None)
     record = {"provenance": provenance(), "layers_us": layer_times()}
+    per_point, record["layers_ms"] = batch_layers()
+    record["layers_us"].update(per_point)
     record["suites_s"], record["suites_passed"] = suite_times()
     record["run_all_s"] = sum(record["suites_s"].values())
     record["tier1"] = tier1_time()
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
-    for section in ("layers_us", "suites_s"):
+    for section in ("layers_us", "layers_ms", "suites_s"):
         for name, value in record[section].items():
             print(f"{section:10s} {name:48s} {value:12.4g}")
     print(f"run_all_s  {record['run_all_s']:.3f}   tier1 {record['tier1']['wall_s']:.2f} s: {record['tier1']['summary']}")

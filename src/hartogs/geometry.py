@@ -15,6 +15,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .specfun import DomainError, gamma_ratio
 
 __all__ = [
@@ -35,30 +37,28 @@ _UNIT_TOL = 1e-12
 
 
 def contains(z1, z2):
-    """True iff (z1, z2) lies in the open triangle |z1| < |z2| < 1."""
-    return abs(z1) < abs(z2) < 1.0
+    """True iff (z1, z2) lies in the open triangle |z1| < |z2| < 1;
+    elementwise for arrays."""
+    return (abs(z1) < abs(z2)) & (abs(z2) < 1.0)
 
 
 @dataclass(frozen=True)
 class HartogsPoint:
-    """A point of the triangle; construction enforces membership."""
+    """A point of the triangle, or a batch of points as two complex arrays
+    of one shape; construction enforces membership of every entry."""
 
     z1: complex
     z2: complex
 
     def __post_init__(self):
-        if not contains(self.z1, self.z2):
+        inside = np.asarray(contains(self.z1, self.z2))
+        if inside.all():
+            return
+        if inside.ndim == 0:
             raise DomainError(f"({self.z1}, {self.z2}) is not in the Hartogs triangle")
-
-    def to_json(self):
-        return {
-            "z1": [self.z1.real, self.z1.imag],
-            "z2": [self.z2.real, self.z2.imag],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(complex(*obj["z1"]), complex(*obj["z2"]))
+        i = int(np.flatnonzero(~inside)[0])
+        z1, z2 = np.ravel(self.z1)[i], np.ravel(self.z2)[i]
+        raise DomainError(f"entry {i}: ({z1}, {z2}) is not in the Hartogs triangle")
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,13 @@
 Provides log-Gamma (the C library's ``math.lgamma`` behind a domain
 check), stable Gamma ratios, the Beta function and the Gauss
 hypergeometric function 2F1 on the open unit disc (SciPy's complex
-``hyp2f1`` behind a domain check).
+``hyp2f1`` ufunc behind a domain check, for a scalar or an array).
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import hyp2f1
 
 __all__ = [
@@ -114,7 +115,8 @@ class HypergeometricParams:
     """Parameter triple (alpha, beta; gamma) of the Gauss series.
 
     gamma must not be zero or a negative integer, otherwise the defining
-    series is undefined.
+    series is undefined.  alpha may be an array of values; gauss_2f1
+    broadcasts it against z.
     """
 
     alpha: float
@@ -130,11 +132,15 @@ class HypergeometricParams:
 def gauss_2f1(params, z):
     """Gauss hypergeometric function F(alpha, beta; gamma; z) for |z| < 1.
 
-    Evaluated by SciPy's complex ``hyp2f1``, which picks the series or a
-    transformation of it by region; for the kernels' parameter triples
+    Evaluated by SciPy's complex ``hyp2f1`` ufunc, which picks the series
+    or a transformation of it by region; for the kernels' parameter triples
     the value matches mpmath to 1e-12 relative error out to |z| = 1 - 1e-6.
+    An array z is evaluated in one ufunc call and returns an array; a
+    scalar z returns a complex.  An array alpha broadcasts against z as the
+    ufunc's arguments do, so an (m, 1) column of alphas gives m rows.
     """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"gauss_2f1 requires |z| < 1, got |z| = {abs(z)}")
-    return complex(hyp2f1(params.alpha, params.beta, params.gamma, z))
+    z = np.asarray(z, dtype=complex)
+    if not (np.abs(z) < 1.0).all():
+        raise DomainError(f"gauss_2f1 requires |z| < 1, got |z| = {np.max(np.abs(z))}")
+    val = hyp2f1(params.alpha, params.beta, params.gamma, z)
+    return complex(val) if val.ndim == 0 else val

@@ -51,6 +51,55 @@ class TestKernelCommand:
         code, out, _ = run_cli(capsys, "kernel", "--nu", "-1", "--in", str(path))
         assert code == 0 and len(out.strip().split("\n")) == 2
 
+    @staticmethod
+    def _write_pairs(tmp_path, pairs):
+        path = tmp_path / "pairs.json"
+        records = [{"z": {"z1": z1, "z2": z2}, "w": {"z1": w1, "z2": w2}} for z1, z2, w1, w2 in pairs]
+        path.write_text(json.dumps(records))
+        return str(path)
+
+    def test_out_of_triangle_pair_names_its_index(self, capsys, tmp_path):
+        good = ([0.1, 0.0], [0.5, 0.0], [0.0, 0.2], [0.4, -0.1])
+        bad = ([0.5, 0.0], [0.5, 0.0], [0.0, 0.2], [0.4, -0.1])
+        path = self._write_pairs(tmp_path, [good, good, bad, good])
+        code, out, err = run_cli(capsys, "kernel", "--nu", "0.7", "--in", path)
+        assert code == 2 and out == ""
+        assert "entry 2" in err and "Hartogs" in err
+
+    def test_record_missing_z1_is_an_io_error(self, capsys, tmp_path):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps([{"z": {"z2": [0.5, 0.0]}, "w": {"z1": [0.0, 0.0], "z2": [0.4, 0.0]}}]))
+        code, out, err = run_cli(capsys, "kernel", "--nu", "0.7", "--in", str(path))
+        assert code == 1 and out == "" and "z1" in err
+
+    def test_malformed_coordinate_is_a_validation_error(self, capsys, tmp_path):
+        path = self._write_pairs(tmp_path, [([0.1], [0.5, 0.0], [0.0, 0.2], [0.4, -0.1])])
+        code, out, err = run_cli(capsys, "kernel", "--nu", "0.7", "--in", path)
+        assert code == 2 and out == "" and "[re, im]" in err
+
+    @pytest.mark.parametrize("nu", ["-2", "-1.5", "-1", "0.7", "3.5"])
+    def test_flags_and_one_pair_file_give_the_same_row(self, capsys, tmp_path, nu):
+        path = self._write_pairs(tmp_path, [([0.1, 0.05], [0.5, -0.2], [-0.0, 0.2], [0.4, -0.1])])
+        code_in, out_in, _ = run_cli(capsys, "kernel", "--nu", nu, "--in", path)
+        code, out, _ = run_cli(
+            capsys, "kernel", "--nu", nu,
+            "--z1", "0.1,0.05", "--z2", "0.5,-0.2", "--w1=-0.0,0.2", "--w2", "0.4,-0.1",
+        )
+        assert code == code_in == 0 and out == out_in
+        assert out.split("\n")[1].split(",")[3] == "-0+0.2j"
+
+    def test_shared_parser_serves_successive_commands(self, capsys):
+        # the parser is built once per process; each call still gets its own arguments
+        code, out, _ = run_cli(capsys, "critical-range", "--nu", "0")
+        assert code == 0 and out == "1.333333333333 4.000000000000\n"
+        code, out, _ = run_cli(
+            capsys, "kernel", "--nu", "-1",
+            "--z1", "0,0", "--z2", "0.5,0", "--w1", "0,0", "--w2", "0.5,0",
+        )
+        assert code == 0 and out.split("\n")[1].startswith("-1,0+0j,0.5+0j,0+0j,0.5+0j,5.33333333333,")
+        code, out, _ = run_cli(capsys, "critical-range", "--nu", "2")
+        assert code == 0 and out == "1.500000000000 3.000000000000\n"
+
     def test_invalid_point(self, capsys):
         code, _, err = run_cli(
             capsys, "kernel", "--nu", "0",

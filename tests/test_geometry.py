@@ -63,10 +63,6 @@ class TestBiholomorphism:
         with pytest.raises(DomainError):
             ProductPoint(0.2, 0.0)
 
-    def test_json_round_trip(self):
-        q = HartogsPoint(0.1 + 0.2j, 0.5 - 0.1j)
-        assert HartogsPoint.from_json(q.to_json()) == q
-
 
 class TestMeasures:
     def test_normalization_constant_values(self):

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartogs import kernels
 from hartogs.geometry import HartogsPoint
@@ -159,6 +161,14 @@ class TestWeightedDirichletKernel:
         assert kernels.kernel_coeff(-1.5, 0, -1) == pytest.approx(1.0 / w, rel=1e-12)
         assert kernels.kernel_coeff_closed(-1.5, 0, -1) == pytest.approx(1.0 / w, rel=1e-12)
 
+    def test_series_oracle_refuses_four_thirds(self):
+        # the Gamma constant of the series has a pole there; it used to
+        # return nan with only a RuntimeWarning
+        z, w = HartogsPoint(0.1, 0.5), HartogsPoint(0.05j, 0.4)
+        for fn in (kernels.kernel, kernels.kernel_series):
+            with pytest.raises(DomainError, match="-4/3"):
+                fn(-4.0 / 3.0, z, w)
+
     def test_hermitian(self):
         rng = np.random.default_rng(38)
         for _ in range(200):
@@ -276,7 +286,7 @@ class TestDiagonalProbe:
 
 
 class TestBoundaryAccuracy:
-    @pytest.mark.parametrize("nu", [8.0, 10.0])
+    @pytest.mark.parametrize("nu", [8.0, 10.0, 60.0, 100.0])
     def test_large_even_nu_off_the_real_axis(self, nu):
         # y = 0.8 e^{3i}
         z = HartogsPoint(0.0j, math.sqrt(0.8) * cmath.exp(1.5j))
@@ -290,7 +300,9 @@ class TestBoundaryAccuracy:
         assert ref.real == pytest.approx(129.60767, rel=1e-7)
         assert abs(kernels.kernel(-1.5, q, q) - ref) <= 1e-10 * abs(ref)
 
-    @pytest.mark.parametrize("nu", [-1.9, -1.5, -1.2, -0.5, 0.0, 0.7, 2.0, 3.5, 8.0])
+    @pytest.mark.parametrize(
+        "nu", [-1.9, -1.5, -1.2, -0.5, 0.0, 0.7, 2.0, 3.5, 8.0, 25.3, 41.3, 59.9, 60.1, 60.7, 99.1]
+    )
     def test_mpmath_sweep(self, nu):
         # 1 - |y| log-uniform on [1e-6, 0.75], random arguments, |x| below 0.95^2
         rng = np.random.default_rng(40)
@@ -299,3 +311,65 @@ class TestBoundaryAccuracy:
             z, w = (random_point(rng, r2=(rho, rho), ratio=0.95) for _ in range(2))
             ref = mp_kernel(nu, z, w)
             assert abs(kernels.kernel(nu, z, w) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("nu", [9.95, 10.05, 59.98, 100.5])
+    def test_unresolved_nu_ranges_raise(self, nu):
+        # beyond nu = 100, and within 0.1 of an even nu above 8, the 2F1
+        # recursion cannot hold 1e-12: the kernel refuses
+        q = HartogsPoint(0.1j, 0.5)
+        with pytest.raises(DomainError):
+            kernels.kernel(nu, q, q)
+
+    def test_overflow_raises(self):
+        # y^(-51) leaves the double range at |y| = 1e-8
+        q = HartogsPoint(0.0, 1e-4)
+        with pytest.raises(DomainError, match="double range"):
+            kernels.kernel(99.1, q, q)
+
+
+# one strategy per regime of the kernel: Dirichlet, weighted Dirichlet,
+# Hardy, Bergman with one direct 2F1 (alpha <= 2), Bergman by recursion
+_NUS = st.one_of(
+    st.just(-2.0),
+    st.floats(-1.99, -1.01).filter(lambda nu: abs(nu + 4.0 / 3.0) > 1e-6),
+    st.just(-1.0),
+    st.floats(-0.99, 0.66),
+    st.floats(0.67, 99.1),
+)
+# |z1/z2|: the z1 = 0 slice, the |x| < 1e-3 Taylor branch of the Dirichlet
+# kernel, and the bulk
+_RATIOS = st.one_of(st.just(0.0), st.floats(0.0, 0.03), st.floats(0.0, 0.95))
+_POINTS = st.tuples(st.floats(0.2, 0.999), _RATIOS, st.floats(0.0, 6.3), st.floats(0.0, 6.3))
+
+
+def _point(r2, ratio, a1, a2):
+    z2 = r2 * cmath.exp(1j * a2)
+    return z2 * ratio * cmath.exp(1j * a1), z2
+
+
+class TestBatchedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(_NUS, st.lists(st.tuples(_POINTS, _POINTS), min_size=1, max_size=12))
+    def test_batch_equals_loop_of_single_calls(self, nu, pairs):
+        coords = np.array([_point(*p) + _point(*q) for p, q in pairs])
+        singles = []
+        for z1, z2, w1, w2 in coords.tolist():
+            try:
+                singles.append(kernels.kernel(nu, HartogsPoint(z1, z2), HartogsPoint(w1, w2)))
+            except DomainError:  # a refused nu range or a value beyond the double range
+                singles.append(None)
+        z = HartogsPoint(coords[:, 0], coords[:, 1])
+        w = HartogsPoint(coords[:, 2], coords[:, 3])
+        if None in singles:
+            with pytest.raises(DomainError):
+                kernels.kernel(nu, z, w)
+            return
+        batched = kernels.kernel(nu, z, w)
+        for got, single in zip(batched, singles):
+            assert type(single) is complex
+            assert abs(got - single) <= 1e-14 * abs(single)
+
+    def test_dirichlet_taylor_branch_is_taken_elementwise(self):
+        t = np.array([0.0, 1e-5, 9.9e-4, 1.1e-3, 0.1])
+        ref = np.array([1.0] + [-math.log1p(-v) / v for v in t[1:]])
+        assert np.all(np.abs(kernels._log1over(t) - ref) <= 1e-13 * ref)
