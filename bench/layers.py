@@ -2,28 +2,35 @@
 
 Run from the root of a checkout:
 
-    python3 bench/layers.py --out BENCH_7.json
+    python3 bench/layers.py --out BENCH_8.json
 
 The library is imported from the checkout's ``src/``.  The file holds:
 
 - ``layers_us``: the minimum over repeats of the microseconds per call of
   the black-box quadrature paths, the Monte Carlo oracle, the one-point
-  kernel and the Szego FFT projection, and the microseconds per point of
+  kernel, the boundary-ratio profile, the torus sampling of the Szego
+  suite and the Szego FFT projection, and the microseconds per point of
   the kernel on a 128-pair batch;
 - ``layers_ms``: the milliseconds of one ``hartogs kernel --in`` call on a
   128-pair file, run in process through ``cli.main``;
-- ``suites_s``: the wall time of each suite in one ``verify.run_all(0)``
-  pass, run in the same process after the layer benchmarks;
+- ``suites_s``: the wall time of each suite in one pass over the
+  ``verify`` registry at seed 0, run in a fresh interpreter as
+  ``hartogs verify all`` is;
 - ``tier1``: the wall time and summary line of the tier-1 test command;
 - ``provenance``: git SHA (``-dirty`` when the tree has uncommitted
-  changes), Python, numpy and scipy versions, nproc and
-  the precision of ``np.longdouble``.
+  changes), Python, numpy and scipy versions, nproc, the precision of
+  ``np.longdouble``, ``PYTHONDONTWRITEBYTECODE`` and
+  ``OPENBLAS_NUM_THREADS`` as found, and whether every module of the
+  package had up-to-date bytecode before this run imported it.
 
 Raw times drift by tens of percent on a shared host, so compare two
-commits only by files written in one session on one machine.
+commits only by files written back to back on one machine, and run
+``python -m compileall -q src`` in both checkouts first: a fresh
+interpreter that has to compile the package pays for it in every timing.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -48,6 +55,19 @@ def best_us(fn, calls, repeats):
     return 1e6 * best
 
 
+def frozen_bump(z1, z2):
+    """The tau-invariance bump in the expression that BENCH_6.json and
+    BENCH_7.json timed (complex division, abs and float powers), so that the
+    integrate_tau layer keeps measuring the quadrature alone."""
+    import numpy as np
+
+    x = np.abs(z1 / z2) ** 2
+    y = np.abs(z2)
+    w1 = np.clip((x - 0.09) * (0.3025 - x), 0.0, None) / (0.5 * (0.3025 - 0.09)) ** 2
+    w2 = np.clip((y - 0.25) * (0.9 - y), 0.0, None) / (0.5 * (0.9 - 0.25)) ** 2
+    return w1**12 * w2**12
+
+
 def layer_times():
     import numpy as np
 
@@ -64,8 +84,17 @@ def layer_times():
     z = HartogsPoint(0.2 + 0.1j, 0.5 - 0.3j)
     w = HartogsPoint(-0.1 + 0.25j, 0.4 + 0.45j)
     grid = np.random.default_rng(1).normal(size=(133, 133)) + 0j
+    # the kernel-estimate suite's 10^4 boundary samples and its five nu
+    rng = np.random.default_rng([0, 300])
+    mod = 1.0 - 10.0 ** rng.uniform(-6.0, -0.3, size=10_000)
+    ys = np.clip(mod, 0.0, 0.998) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=10_000))
+    # one degree-32 series of the Szego suite's ratio study
+    series = verify._random_torus(np.random.default_rng([0, 642]), 32, n_terms=16)
     return {
         "quadrature.integrate_tau.tau_invariance_rule": best_us(
+            lambda: quadrature.integrate_tau(frozen_bump, tau_rule, automorphism=psi), 3, 5
+        ),
+        "quadrature.integrate_tau.tau_invariance_rule.suite_bump": best_us(
             lambda: quadrature.integrate_tau(verify._bump, tau_rule, automorphism=psi), 3, 5
         ),
         "quadrature.integrate_mu.callable_64x65": best_us(lambda: quadrature.integrate_mu(0.7, gaussian, mu_rule), 2, 5),
@@ -74,6 +103,10 @@ def layer_times():
         ),
         "kernels.kernel.nu=0.7": best_us(lambda: kernels.kernel(0.7, z, w), 2000, 5),
         "kernels.kernel.nu=3.5": best_us(lambda: kernels.kernel(3.5, z, w), 2000, 5),
+        "kernels.bound_ratio_profile.5nu_1e4_samples": best_us(
+            lambda: [kernels.bound_ratio_profile(nu, ys) for nu in (-1.5, -0.5, 0.7, 1.3, 3.5)], 1, 5
+        ),
+        "verify._torus_samples.degree32_n133": best_us(lambda: verify._torus_samples(series, 133), 200, 5),
         "projections.project_szego_grid.N=133": best_us(lambda: projections.project_szego_grid(grid), 200, 5),
     }
 
@@ -116,7 +149,8 @@ def batch_layers():
     return per_point, cli_ms
 
 
-def suite_times():
+def suite_pass():
+    """Time each suite of one seed-0 pass in this process; print the JSON."""
     from hartogs import verify
 
     times, passed = {}, {}
@@ -125,7 +159,17 @@ def suite_times():
         res = verify.run_suite(name, seed=0)
         times[name] = time.perf_counter() - start
         passed[name] = res.passed
-    return times, passed
+    print(json.dumps({"suites_s": times, "suites_passed": passed}))
+
+
+def suite_times():
+    """The per-suite times and verdicts of ``suite_pass`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("HARTOGS_QUAD_ORDER", None)
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--suite-pass"]
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    return record["suites_s"], record["suites_passed"]
 
 
 def tier1_time():
@@ -137,6 +181,16 @@ def tier1_time():
     wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": wall, "exit_code": proc.returncode, "summary": lines[-1] if lines else ""}
+
+
+def bytecode_cached():
+    """Whether every module of the package has bytecode at least as new as
+    its source, so that importing it compiles nothing."""
+    for source in (SRC / "hartogs").glob("*.py"):
+        cached = Path(importlib.util.cache_from_source(str(source)))
+        if not (cached.exists() and cached.stat().st_mtime >= source.stat().st_mtime):
+            return False
+    return True
 
 
 def provenance():
@@ -158,15 +212,24 @@ def provenance():
         "nproc": len(os.sched_getaffinity(0)),
         "machine": platform.machine(),
         "longdouble_eps": float(np.finfo(np.longdouble).eps),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "hartogs_bytecode_cached": bytecode_cached(),
     }
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, help="path of the JSON file to write")
+    parser.add_argument("--out", help="path of the JSON file to write")
+    parser.add_argument("--suite-pass", action="store_true", help="time one suite pass, print it as JSON and exit")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(SRC))
     os.environ.pop("HARTOGS_QUAD_ORDER", None)
+    if args.suite_pass:
+        suite_pass()
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
     record = {"provenance": provenance(), "layers_us": layer_times()}
     per_point, record["layers_ms"] = batch_layers()
     record["layers_us"].update(per_point)

@@ -199,14 +199,15 @@ def suite_reproducing(seed=0, tol=1e-8, nus=_REGIMES, n_funcs=20, n_points=20):
         worst = 0.0
         for _ in range(n_funcs):
             f = _random_laurent(rng, nu)
+            # weight * a and the kernel's coefficient depend on f alone
+            terms = [(j, k, space.weight(j, k) * a, kernels.kernel_coeff_closed(nu, j, k)) for (j, k), a in f.items()]
             for _ in range(n_points):
                 w = _random_point(rng, r2_range=(0.3, 0.8), ratio_max=0.8)
                 inner = 0.0j
-                for (j, k), a in f.items():
-                    weight = space.weight(j, k)
+                for j, k, weighted, coeff in terms:
                     # Laurent coefficient of K(., w) at (j, k)
-                    kern = kernels.kernel_coeff_closed(nu, j, k) * (w.z1**j * w.z2**k).conjugate()
-                    inner += weight * a * kern.conjugate()
+                    kern = coeff * (w.z1**j * w.z2**k).conjugate()
+                    inner += weighted * kern.conjugate()
                 direct = coeffspace.evaluate(f, w)
                 worst = max(worst, abs(inner - direct) / max(abs(direct), 1.0))
         res.rows.append((f"nu={nu} reproducing worst", 0.0, worst, worst, worst))
@@ -222,6 +223,14 @@ def suite_kernel_estimate(seed=0, samples=10_000, nus=(-1.5, -0.5, 0.7, 1.3, 3.5
     mod = 1.0 - 10.0 ** rng.uniform(-6.0, -0.3, size=samples)
     ang = rng.uniform(0.0, 2.0 * math.pi, size=samples)
     y = np.clip(mod, 0.0, 0.998) * np.exp(1j * ang)
+    spots = [
+        (
+            _random_point(_rng(seed, 310 + i), r2_range=(0.8, 0.95), ratio_max=0.95),
+            _random_point(_rng(seed, 320 + i), r2_range=(0.8, 0.95), ratio_max=0.95),
+        )
+        for i in range(5)
+    ]
+    spot_y = np.array([z.z2 * w.z2.conjugate() for z, w in spots])
     for nu in nus:
         cstar = kernels.bound_constant(nu)
         ratios = kernels.bound_ratio_profile(nu, y)
@@ -231,12 +240,9 @@ def suite_kernel_estimate(seed=0, samples=10_000, nus=(-1.5, -0.5, 0.7, 1.3, 3.5
             f"kernel estimate violated at nu={nu}: {np.max(ratios):.6f} > {cstar:.6f}",
         )
         # spot-check the profile against the full kernel on a few pairs
-        for i in range(5):
-            z = _random_point(_rng(seed, 310 + i), r2_range=(0.8, 0.95), ratio_max=0.95)
-            w = _random_point(_rng(seed, 320 + i), r2_range=(0.8, 0.95), ratio_max=0.95)
-            full = kernels.kernel_bound_ratio(nu, z, w)
-            prof = float(kernels.bound_ratio_profile(nu, np.array([z.z2 * w.z2.conjugate()]))[0])
-            res.row(f"nu={nu} ratio path {i}", full, prof, 1e-9)
+        profiles = kernels.bound_ratio_profile(nu, spot_y)
+        for i, (z, w) in enumerate(spots):
+            res.row(f"nu={nu} ratio path {i}", kernels.kernel_bound_ratio(nu, z, w), float(profiles[i]), 1e-9)
     for nu, const in ((0.0, 0.5), (-1.0, 1.0)):
         _, z, w = _random_pairs(_rng(seed, 330), 200)
         worst = float(np.max(np.abs(kernels.kernel_bound_ratio(nu, z, w) - const)))
@@ -369,13 +375,25 @@ def _random_torus(rng, degree, n_terms=12):
 
 
 def _torus_samples(f, n):
-    theta = 2.0 * np.pi * np.arange(n) / n
-    z1 = np.exp(1j * theta)[:, None]
-    z2 = np.exp(1j * theta)[None, :]
-    total = np.zeros((n, n), dtype=complex)
-    for (j, k), a in f.items():
-        total += a * z1**j * z2**k
-    return total
+    """f on the n x n torus grid: entry (p, q) is sum a_jk e^(2 pi i (j p + k q) / n).
+
+    Every power of a grid point is read from the table of the n-th roots
+    of unity at (j p) mod n, and the terms are summed by the product
+    (Z1 * a) @ Z2, a few rows of Z1 at a time: a complex product makes
+    4 m n k real multiply-adds, kept under kernels._ONE_THREAD_MNK.
+    """
+    items = f.items()
+    keys = np.array([key for key, _ in items], dtype=int).reshape(-1, 2)
+    coefs = np.array([a for _, a in items], dtype=complex)
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    grid = np.arange(n)
+    z1 = roots[np.outer(grid, keys[:, 0]) % n] * coefs
+    z2 = roots[np.outer(keys[:, 1], grid) % n]
+    out = np.empty((n, n), dtype=complex)
+    rows = max(1, kernels._ONE_THREAD_MNK // (4 * n * max(1, coefs.size)))
+    for start in range(0, n, rows):
+        np.matmul(z1[start : start + rows], z2, out=out[start : start + rows])
+    return out
 
 
 def suite_szego(seed=0, grid_tol=1e-11, degrees=(8, 32), ps=(1.5, 3.0), n_polys=200, growth_cap=1.2):
@@ -549,11 +567,16 @@ def _bump(z1, z2):
     exponential bump defeats Gauss rules; a high-order power window
     reaches the same tolerances at a fraction of the nodes).
     """
-    x = np.abs(z1 / z2) ** 2
-    y = np.abs(z2)
-    w1 = np.clip((x - 0.09) * (0.3025 - x), 0.0, None) / (0.5 * (0.3025 - 0.09)) ** 2
-    w2 = np.clip((y - 0.25) * (0.9 - y), 0.0, None) / (0.5 * (0.9 - 0.25)) ** 2
-    return w1**12 * w2**12
+    r2 = z2.real**2 + z2.imag**2
+    x = (z1.real**2 + z1.imag**2) / r2
+    y = np.sqrt(r2)
+    w1 = np.maximum((x - 0.09) * (0.3025 - x), 0.0) / (0.5 * (0.3025 - 0.09)) ** 2
+    w2 = np.maximum((y - 0.25) * (0.9 - y), 0.0) / (0.5 * (0.9 - 0.25)) ** 2
+    # the 12th power by multiplication: t^3, t^6, t^12
+    t = w1 * w2
+    t = t * t * t
+    t = t * t
+    return t * t
 
 
 # Moebius centers are capped at 0.2 so that automorphism images of the

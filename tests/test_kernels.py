@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hartogs import kernels
+from hartogs.coeffspace import SpaceParam
 from hartogs.geometry import HartogsPoint
 from hartogs.specfun import DomainError
 
@@ -265,6 +266,64 @@ class TestKernelEstimate:
         q = HartogsPoint(0.1, 0.5)
         with pytest.raises(DomainError):
             kernels.kernel_bound_ratio(-2.0, q, q)
+
+
+def horner_profile(nu, y, n_terms=6000):
+    """The profile by a plain Horner pass over all n_terms coefficients."""
+    coeffs = kernels._euler_coeffs(SpaceParam(nu), n_terms)
+    acc = np.zeros_like(y)
+    for c in coeffs[::-1]:
+        acc = acc * y + c
+    return abs(kernels.prefactor_a(nu)) * np.abs(acc)
+
+
+class TestBoundRatioProfile:
+    @pytest.mark.parametrize("nu", [-1.5, -0.5, 0.7, 3.5])
+    def test_matches_plain_horner(self, nu):
+        # more samples than one pass of the profile takes (_PROFILE_CHUNK)
+        rng = np.random.default_rng(45)
+        mod = 1.0 - 10.0 ** rng.uniform(-2.8, 0.0, size=4496)
+        y = np.r_[0.0, 0.9985, -0.9985, 0.9985j, mod * np.exp(2j * np.pi * rng.uniform(size=4496))]
+        ref = horner_profile(nu, y)
+        assert np.all(np.abs(kernels.bound_ratio_profile(nu, y) - ref) <= 1e-13 * ref)
+
+    def test_keeps_the_shape_of_its_input(self):
+        y = np.array([0.5 + 0.3j, -0.9, 0.99j, 0.2, 0.9985, 0.7 - 0.1j]).reshape(2, 3)
+        prof = kernels.bound_ratio_profile(0.7, y)
+        assert prof.shape == (2, 3)
+        assert np.all(np.abs(prof - horner_profile(0.7, y)) <= 1e-13 * horner_profile(0.7, y))
+        one = kernels.bound_ratio_profile(-1.5, np.array([0.9 + 0.1j]))
+        assert one.shape == (1,)
+        assert one[0] == pytest.approx(horner_profile(-1.5, np.array([0.9 + 0.1j]))[0], rel=1e-13)
+
+    @pytest.mark.parametrize("modulus, tol", [(0.9985, 5.5e-8), (0.998, 2.2e-9)])
+    def test_truncation_against_mpmath(self, modulus, tol):
+        """The documented cost of cutting the series at 6000 terms, at nu = -1.5."""
+        nu = -1.5
+        b = 0.5 * nu - math.ceil(0.5 * nu)
+        y = modulus * np.exp(1j * np.linspace(0.0, math.pi, 7))
+        prof = kernels.bound_ratio_profile(nu, y)
+        with mpmath.workdps(30):
+            ref = [abs(kernels.prefactor_a(nu)) * abs(mpmath.hyp2f1(-nu - 1.0, b, b + 1.0, complex(v))) for v in y]
+        errs = [abs(p - float(r)) / float(r) for p, r in zip(prof, ref)]
+        assert max(errs) <= tol
+
+
+class TestOneSpaceParamPerCall:
+    @pytest.mark.parametrize("nu", [-2.0, -1.5, -1.0, 0.7, 3.5])
+    def test_kernel_builds_space_param_once(self, nu, monkeypatch):
+        built = []
+
+        class Counting(SpaceParam):
+            def __post_init__(self):
+                built.append(self.nu)
+                super().__post_init__()
+
+        z, w = HartogsPoint(0.2 + 0.1j, 0.5 - 0.3j), HartogsPoint(-0.1 + 0.25j, 0.4 + 0.45j)
+        expected = kernels.kernel(nu, z, w)
+        monkeypatch.setattr(kernels, "SpaceParam", Counting)
+        assert kernels.kernel(nu, z, w) == expected
+        assert built == [nu]
 
 
 class TestDiagonalProbe:
