@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 bench/layers.py --out BENCH_8.json
+    python3 bench/layers.py --out BENCH_9.json
 
 The library is imported from the checkout's ``src/``.  The file holds:
 
@@ -20,8 +20,10 @@ The library is imported from the checkout's ``src/``.  The file holds:
 - ``provenance``: git SHA (``-dirty`` when the tree has uncommitted
   changes), Python, numpy and scipy versions, nproc, the precision of
   ``np.longdouble``, ``PYTHONDONTWRITEBYTECODE`` and
-  ``OPENBLAS_NUM_THREADS`` as found, and whether every module of the
-  package had up-to-date bytecode before this run imported it.
+  ``OPENBLAS_NUM_THREADS`` as found, whether every module of the
+  package had up-to-date bytecode before this run imported it, and the
+  number of threads that evaluate the chunks of a black-box integral
+  (the caller and its helpers).
 
 Raw times drift by tens of percent on a shared host, so compare two
 commits only by files written back to back on one machine, and run
@@ -197,6 +199,9 @@ def provenance():
     import numpy as np
     import scipy
 
+    cached = bytecode_cached()  # before the import below compiles the package
+    from hartogs import quadrature
+
     try:
         # "-dirty" marks a measurement of uncommitted changes on top of that commit
         sha = subprocess.run(
@@ -214,7 +219,8 @@ def provenance():
         "longdouble_eps": float(np.finfo(np.longdouble).eps),
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "hartogs_bytecode_cached": bytecode_cached(),
+        "hartogs_bytecode_cached": cached,
+        "quadrature_threads": quadrature._helper_threads()[1] + 1,
     }
 
 

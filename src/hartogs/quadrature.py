@@ -27,13 +27,27 @@ Phi is applied once, by ``_on_triangle``, and an automorphism of H is
 composed in product coordinates.  ``integrate_tau`` and
 ``mc_integrate_mu`` take only this black-box route.  Both evaluate the
 callable in chunks of about ``_MAX_BLOCK`` points, so temporaries stay
-cache-sized.  A Monte Carlo importance sampler doubles as a second,
+near cache size; a ``_tensor_sum`` chunk is whole rule rows, so it can
+be larger.  A Monte Carlo importance sampler doubles as a second,
 structurally different oracle.
+
+Threading: ``_each`` runs the chunks of a black-box integral on every CPU
+the process may use, concurrently and in any order, the calling thread
+among them.  Each chunk writes only its own slice of the result and the
+reductions run after the last chunk, so the value is bit for bit that of
+a serial loop.  A callable integrand must therefore be thread-safe; a
+pure numpy function is.  A callable that calls threaded BLAS runs it from
+several threads at once.  A callable may itself integrate, and numpy's
+``errstate`` around the outer call applies in every chunk.
 """
 
+import contextvars
+import functools
 import math
 import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,15 +166,80 @@ def _on_triangle(fn):
     return lambda w1, w2: fn(w1 * w2, w2)
 
 
+@functools.cache
+def _helper_threads():
+    """The helper pool of ``_each`` and its size: one thread fewer than the
+    CPUs this process may run on, so that with the caller every CPU drains
+    chunks, and no pool on a single CPU.  Built on the first black-box
+    integral, not at import."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API outside Linux
+        cpus = os.cpu_count() or 1
+    pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="hartogs-quadrature") if cpus > 1 else None
+    return pool, cpus - 1
+
+
+def _each(fn, items):
+    """Call fn(item) for every item of a sequence, on the calling thread
+    and the helper threads at once, in any order.
+
+    The caller drains the shared iterator too, then cancels the helper
+    tasks that never started and joins the rest.  So a callable that
+    itself integrates finishes: while the helpers are busy, its inner call
+    drains alone.  Each helper runs in a copy of the caller's context,
+    which carries numpy's ``errstate``.  Once an item raises, no thread
+    starts another, and the first exception raised is re-raised here.
+
+    Each thread holds what fn returned until its next call returns, as
+    the variables of a plain loop do.  A chunk that frees all its memory
+    lets glibc trim the heap, and the next chunk page-faults its
+    temporaries afresh: in a fresh process, 20,000 faults per
+    tau-invariance integral against 850 with the previous values held.
+    """
+    pool, helpers = _helper_threads()
+    todo = iter(items)
+    done = object()
+    lock = threading.Lock()
+    stop = threading.Event()
+    errors = []
+
+    def drain():
+        held = None
+        while not stop.is_set():
+            with lock:
+                item = next(todo, done)
+            if item is done:
+                return
+            try:
+                held = fn(item)  # the previous value is released only now
+            except BaseException as exc:  # re-raised by the caller below
+                errors.append(exc)
+                stop.set()
+
+    futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(min(helpers, len(items) - 1))]
+    try:
+        drain()
+    finally:
+        stop.set()  # an interrupted caller leaves the helpers no new item
+        # a cancelled task counts as done only once a helper dequeues it,
+        # so wait for the started ones alone
+        wait([future for future in futures if not future.cancel()])
+    if errors:
+        raise errors[0]
+
+
 def _tensor_sum(fn, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, angular):
     """Deterministic weighted sum of fn(w1, w2) over the 4D tensor grid of
     product coordinates w1 = r1 e^(i theta), w2 = r2 e^(i gamma).
 
-    Chunks of whole r1 rows, about _MAX_BLOCK points each (at least one
-    row), keep temporaries cache-sized.  Values are broadcast to each
-    chunk's grid, so an integrand that ignores a coordinate still sums
-    over it.  Plain angular sums fill an (n1, n2) table, and the radial
-    weights come last: radial_w1 @ table @ radial_w2.
+    fn is evaluated on chunks of whole r1 rows, as many rows as fit in
+    _MAX_BLOCK points and at least one, so a row larger than the budget is
+    a chunk of its own: on the default 64 x 65 rule that is 270,400
+    points.  The chunks run through ``_each``.  Values are broadcast to
+    each chunk's grid, so an integrand that ignores a coordinate still
+    sums over it.  Plain angular sums fill an (n1, n2) table, and the
+    radial weights come last: radial_w1 @ table @ radial_w2.
     """
     m = angular
     e = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
@@ -169,10 +248,14 @@ def _tensor_sum(fn, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, angula
     # axes: (i1, theta, i2, gamma)
     w2 = radial_nodes_2[None, None, :, None] * e[None, None, None, :]
     sums = np.empty((n1, radial_nodes_2.size), dtype=complex)
-    for start in range(0, n1, rows):
+
+    def chunk(start):
         w1 = radial_nodes_1[start : start + rows, None, None, None] * e[None, :, None, None]
         vals = np.broadcast_to(fn(w1, w2), np.broadcast(w1, w2).shape)
         sums[start : start + rows] = vals.sum(axis=(1, 3))
+        return vals
+
+    _each(chunk, range(0, n1, rows))
     return complex(radial_w1 @ sums @ radial_w2) * (2.0 * np.pi / m) ** 2
 
 
@@ -338,10 +421,14 @@ def mc_integrate_mu(nu, integrand, sample_count, seed):
     chunks = -(-sample_count // _MAX_BLOCK)
     bounds = [sample_count * i // chunks for i in range(chunks + 1)]
     vals = np.empty(sample_count, dtype=complex)
-    for lo, hi in zip(bounds, bounds[1:]):
+
+    def chunk(span):
+        lo, hi = span
         w1 = np.sqrt(u[lo:hi]) * np.exp(1j * theta[lo:hi])
         w2 = np.sqrt(v[lo:hi]) * np.exp(1j * gamma[lo:hi])
         vals[lo:hi] = fn(w1, w2)
+
+    _each(chunk, list(zip(bounds, bounds[1:])))
     est = complex(np.mean(vals))
     var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
     return est, math.sqrt(var / sample_count)

@@ -1,7 +1,11 @@
 """The integration oracle itself: exactness, normalization, Monte Carlo."""
 
 import math
+import sys
+import threading
+import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -306,6 +310,179 @@ class TestMonteCarlo:
             var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
             expected = (complex(np.mean(vals)), math.sqrt(var / count))
             assert repr(quadrature.mc_integrate_mu(nu, fn, count, seed)) == repr(expected)
+
+
+def _serial_tensor_sum(fn, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, angular):
+    """``quadrature._tensor_sum`` as a plain loop over its chunks, in order."""
+    m = angular
+    e = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+    n1 = radial_nodes_1.size
+    rows = max(1, quadrature._MAX_BLOCK // (m * m * radial_nodes_2.size))
+    w2 = radial_nodes_2[None, None, :, None] * e[None, None, None, :]
+    sums = np.empty((n1, radial_nodes_2.size), dtype=complex)
+    for start in range(0, n1, rows):
+        w1 = radial_nodes_1[start : start + rows, None, None, None] * e[None, :, None, None]
+        vals = np.broadcast_to(fn(w1, w2), np.broadcast(w1, w2).shape)
+        sums[start : start + rows] = vals.sum(axis=(1, 3))
+    return complex(radial_w1 @ sums @ radial_w2) * (2.0 * np.pi / m) ** 2
+
+
+def _serial_mc(nu, fn, sample_count, seed):
+    """``quadrature.mc_integrate_mu`` as a plain loop over its chunks, in order."""
+    rng = np.random.default_rng(seed)
+    u = rng.beta(1.0, nu + 1.0, size=sample_count)
+    v = rng.beta(0.5 * nu + 2.0, nu + 1.0, size=sample_count)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=sample_count)
+    gamma = rng.uniform(0.0, 2.0 * np.pi, size=sample_count)
+    chunks = -(-sample_count // quadrature._MAX_BLOCK)
+    bounds = [sample_count * i // chunks for i in range(chunks + 1)]
+    vals = np.empty(sample_count, dtype=complex)
+    for lo, hi in zip(bounds, bounds[1:]):
+        w1 = np.sqrt(u[lo:hi]) * np.exp(1j * theta[lo:hi])
+        w2 = np.sqrt(v[lo:hi]) * np.exp(1j * gamma[lo:hi])
+        vals[lo:hi] = fn(w1 * w2, w2)
+    var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
+    return complex(np.mean(vals)), math.sqrt(var / sample_count)
+
+
+def _finishes(call, timeout=120.0):
+    """Run call() on a daemon thread; fail instead of hanging if it does not return."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(call()), daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), f"did not finish within {timeout} s"
+    assert out, "raised instead of returning"
+    return out[0]
+
+
+class TestThreadedChunks:
+    """Black-box chunks run on every CPU and still give the serial loop's
+    bits, errors, errstate and nested calls."""
+
+    HELPERS = quadrature._helper_threads()[1]
+
+    @pytest.mark.parametrize("shape", TestTensorSum.RULES)
+    @pytest.mark.parametrize("name", sorted(TestTensorSum.INTEGRANDS))
+    def test_tensor_sum_repr_identical_to_serial_loop(self, shape, name):
+        n1, n2, m = shape
+        rng = np.random.default_rng([28, n1, n2, m])
+        r1, r2 = np.sort(rng.uniform(0.05, 0.95, size=n1)), np.sort(rng.uniform(0.05, 0.95, size=n2))
+        w1, w2 = rng.uniform(0.1, 1.0, size=n1), rng.uniform(0.1, 1.0, size=n2)
+        fn = TestTensorSum.INTEGRANDS[name]
+        threaded = quadrature._tensor_sum(fn, r1, w1, r2, w2, m)
+        assert repr(threaded) == repr(_serial_tensor_sum(fn, r1, w1, r2, w2, m))
+
+    def test_mc_repr_identical_to_serial_loop(self):
+        fn = lambda z1, z2: np.abs(z1) ** 2 * np.exp(-np.abs(z2)) + z1 * np.conj(z2)
+        assert repr(quadrature.mc_integrate_mu(0.7, fn, 200_003, 13)) == repr(_serial_mc(0.7, fn, 200_003, 13))
+
+    @pytest.mark.parametrize("outer, inner", [((64, 65), (8, 9)), ((4, 65), (8, 65))])
+    def test_nested_call_finishes(self, outer, inner):
+        # (4, 65) is two chunks and (8, 65) eight, so a helper busy with an
+        # outer chunk makes an inner call that also asks for helpers
+        inner_rule = quadrature.build_rule(0.7, *inner)
+        outer_rule = quadrature.build_rule(0.7, *outer)
+        ones = lambda z1, z2: np.ones_like(z2)
+        mass = quadrature.integrate_mu(0.7, ones, inner_rule)
+
+        def nested(z1, z2):
+            return np.abs(z2) ** 2 * quadrature.integrate_mu(0.7, ones, inner_rule)
+
+        value = _finishes(lambda: quadrature.integrate_mu(0.7, nested, outer_rule))
+        assert value == quadrature.integrate_mu(0.7, lambda z1, z2: np.abs(z2) ** 2 * mass, outer_rule)
+
+    def test_errstate_raise_reaches_the_caller(self):
+        rule = quadrature.build_rule(0.7, 16, 65)  # 16 one-row chunks
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError):
+                quadrature.integrate_mu(0.7, lambda z1, z2: 1.0 / (0.0 * np.abs(z2)), rule)
+
+    @pytest.mark.parametrize("mode", ["raise", "ignore"])
+    def test_errstate_applies_in_every_chunk(self, mode):
+        rule = quadrature.build_rule(0.7, 16, 65)
+        seen, threads = [], set()
+
+        def divide(z1, z2):
+            threads.add(threading.get_ident())
+            time.sleep(0.02)  # hold each chunk long enough for a helper to take the next
+            try:
+                np.divide(1.0, np.zeros(z2.shape))
+                seen.append("passed")
+            except FloatingPointError:
+                seen.append("raised")
+            return z2
+
+        with warnings.catch_warnings(record=True) as caught, np.errstate(divide=mode):
+            warnings.simplefilter("always")
+            quadrature.integrate_mu(0.7, divide, rule)
+        assert seen == ["raised" if mode == "raise" else "passed"] * 16
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(threads) == min(1 + self.HELPERS, 16)
+
+    def test_error_stops_the_loop(self):
+        """An integrand that raises on its third chunk: the error reaches the
+        caller and each other thread finishes at most the chunk it holds."""
+        integrals = (
+            (lambda fn: quadrature.integrate_mu(0.7, fn, quadrature.build_rule(0.7)), 64),
+            (lambda fn: quadrature.mc_integrate_mu(0.7, fn, 1_000_000, 3), 16),
+            (lambda fn: quadrature.integrate_tau(fn, quadrature.build_tau_rule(56, 24)), 28),
+        )
+        for integrate, chunks in integrals:
+            calls = []
+            lock = threading.Lock()
+
+            def third_fails(z1, z2):
+                if np.ndim(z2) == 2:  # the tau rule's support probe, not a chunk
+                    return np.zeros(np.broadcast(z1, z2).shape)
+                with lock:
+                    calls.append(None)
+                    count = len(calls)
+                if count == 3:
+                    raise ValueError("third chunk")
+                time.sleep(0.02)  # the failing thread sets the stop flag meanwhile
+                return z2
+
+            with pytest.raises(ValueError, match="third chunk"):
+                integrate(third_fails)
+            assert 3 <= len(calls) <= 3 + self.HELPERS < chunks
+
+    def test_previous_value_held_until_the_next_call_returns(self):
+        # as the variables of a plain loop are, so the heap is not trimmed between chunks
+        last, stale = {}, []
+
+        def fn(item):
+            previous = last.get(threading.get_ident())
+            if previous is not None and previous() is None:
+                stale.append(item)
+            value = np.empty(1000)
+            last[threading.get_ident()] = weakref.ref(value)
+            time.sleep(0.001)
+            return value
+
+        quadrature._each(fn, range(40))
+        assert not stale
+
+    def test_concurrent_callers_each_see_every_item_once(self):
+        """More calling threads than CPUs share the one helper pool, with a
+        short switch interval: no item is lost or run twice."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = [[] for _ in range(4)]
+            callers = [
+                threading.Thread(target=quadrature._each, args=(seen.append, range(500)), daemon=True)
+                for seen in results
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60.0)
+            assert not any(caller.is_alive() for caller in callers)
+        finally:
+            sys.setswitchinterval(interval)
+        for seen in results:
+            assert sorted(seen) == list(range(500))
 
 
 class TestTau:
