@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 bench/layers.py --out BENCH_9.json
+    python3 bench/layers.py --out BENCH_11.json
 
 The library is imported from the checkout's ``src/``.  The file holds:
 
@@ -13,6 +13,10 @@ The library is imported from the checkout's ``src/``.  The file holds:
   the kernel on a 128-pair batch;
 - ``layers_ms``: the milliseconds of one ``hartogs kernel --in`` call on a
   128-pair file, run in process through ``cli.main``;
+- ``import_s``: the median, over 7 fresh interpreters after one warm-up,
+  of the seconds from starting the interpreter until
+  ``import hartogs, hartogs.cli`` has finished (the set-up every
+  ``hartogs`` command pays);
 - ``suites_s``: the wall time of each suite in one pass over the
   ``verify`` registry at seed 0, run in a fresh interpreter as
   ``hartogs verify all`` is;
@@ -23,7 +27,8 @@ The library is imported from the checkout's ``src/``.  The file holds:
   ``OPENBLAS_NUM_THREADS`` as found, whether every module of the
   package had up-to-date bytecode before this run imported it, and the
   number of threads that evaluate the chunks of a black-box integral
-  (the caller and its helpers).
+  (the caller and its helpers), and the SciPy subpackages that
+  ``import hartogs, hartogs.cli`` loads.
 
 Raw times drift by tens of percent on a shared host, so compare two
 commits only by files written back to back on one machine, and run
@@ -36,6 +41,7 @@ import importlib.util
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -55,19 +61,6 @@ def best_us(fn, calls, repeats):
             fn()
         best = min(best, (time.perf_counter() - start) / calls)
     return 1e6 * best
-
-
-def frozen_bump(z1, z2):
-    """The tau-invariance bump in the expression that BENCH_6.json and
-    BENCH_7.json timed (complex division, abs and float powers), so that the
-    integrate_tau layer keeps measuring the quadrature alone."""
-    import numpy as np
-
-    x = np.abs(z1 / z2) ** 2
-    y = np.abs(z2)
-    w1 = np.clip((x - 0.09) * (0.3025 - x), 0.0, None) / (0.5 * (0.3025 - 0.09)) ** 2
-    w2 = np.clip((y - 0.25) * (0.9 - y), 0.0, None) / (0.5 * (0.9 - 0.25)) ** 2
-    return w1**12 * w2**12
 
 
 def layer_times():
@@ -93,9 +86,6 @@ def layer_times():
     # one degree-32 series of the Szego suite's ratio study
     series = verify._random_torus(np.random.default_rng([0, 642]), 32, n_terms=16)
     return {
-        "quadrature.integrate_tau.tau_invariance_rule": best_us(
-            lambda: quadrature.integrate_tau(frozen_bump, tau_rule, automorphism=psi), 3, 5
-        ),
         "quadrature.integrate_tau.tau_invariance_rule.suite_bump": best_us(
             lambda: quadrature.integrate_tau(verify._bump, tau_rule, automorphism=psi), 3, 5
         ),
@@ -149,6 +139,35 @@ def batch_layers():
         argv = ["kernel", "--nu", "0.7", "--in", str(infile), "--out", str(outfile)]
         cli_ms = {f"cli.main.kernel_in_batch{BATCH}.nu=0.7": best_us(lambda: cli.main(argv), 50, 5) / 1e3}
     return per_point, cli_ms
+
+
+IMPORT_PROBES = 7
+# prints the SciPy subpackages loaded once the package and its CLI are imported
+_IMPORT_PROBE = (
+    "import sys\n"
+    "import hartogs, hartogs.cli\n"
+    "names = [m for m, mod in sys.modules.items() if m.count('.') == 1 and m.startswith('scipy.')"
+    " and hasattr(mod, '__path__')]\n"
+    "print(' '.join(sorted(names)), flush=True)\n"
+)
+
+
+def import_time():
+    """The median seconds from starting a fresh interpreter until
+    ``import hartogs, hartogs.cli`` has finished, over IMPORT_PROBES probes
+    after one warm-up, and the SciPy subpackages that import loads."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("HARTOGS_QUAD_ORDER", None)
+    times = []
+    for _ in range(IMPORT_PROBES + 1):
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-c", _IMPORT_PROBE], env=env, stdout=subprocess.PIPE, text=True)
+        line = proc.stdout.readline()
+        times.append(time.perf_counter() - start)
+        proc.stdout.close()
+        if proc.wait(timeout=120) != 0:
+            raise SystemExit("error: the import probe failed")
+    return statistics.median(times[1:]), line.split()
 
 
 def suite_pass():
@@ -236,7 +255,9 @@ def main(argv=None):
         return 0
     if args.out is None:
         parser.error("--out is required")
-    record = {"provenance": provenance(), "layers_us": layer_times()}
+    record = {"provenance": provenance()}  # first: it checks the bytecode before any import writes it
+    record["import_s"], record["provenance"]["scipy_modules_at_import"] = import_time()
+    record["layers_us"] = layer_times()
     per_point, record["layers_ms"] = batch_layers()
     record["layers_us"].update(per_point)
     record["suites_s"], record["suites_passed"] = suite_times()
@@ -246,7 +267,8 @@ def main(argv=None):
     for section in ("layers_us", "layers_ms", "suites_s"):
         for name, value in record[section].items():
             print(f"{section:10s} {name:48s} {value:12.4g}")
-    print(f"run_all_s  {record['run_all_s']:.3f}   tier1 {record['tier1']['wall_s']:.2f} s: {record['tier1']['summary']}")
+    print(f"import_s   {record['import_s']:.3f}   run_all_s  {record['run_all_s']:.3f}", end="   ")
+    print(f"tier1 {record['tier1']['wall_s']:.2f} s: {record['tier1']['summary']}")
     return 0
 
 

@@ -16,9 +16,11 @@ pair's membership in the triangle at once (a bad pair exits 2 and names its
 record index) and evaluates the whole batch in one kernel call.  The
 argument parser is built on the first ``main`` call and reused after it.
 
-Exit codes: 0 success, 1 I/O error, 2 validation error, 3 verification
-failure.  All numeric output uses 12 significant digits; identical
-configuration and seed produce byte-identical output.
+Exit codes: 0 success, 1 I/O error (an unreadable file, malformed JSON
+or a missing key), 2 validation error, 3 verification failure (a failing
+suite or ``VerificationFailure``); any other exception is a bug and
+surfaces with its traceback.  All numeric output uses 12 significant
+digits; identical configuration and seed produce byte-identical output.
 """
 
 import argparse
@@ -32,7 +34,7 @@ import numpy as np
 from . import coeffspace, isometries, kernels, projections, quadrature, verify
 from .coeffspace import LaurentCoeffs, MixedPoly, TorusSeries
 from .geometry import HartogsPoint
-from .specfun import DomainError
+from .specfun import DomainError, VerificationFailure
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -58,11 +60,25 @@ def _parse_complex(text):
         raise DomainError(f"cannot parse complex number {text!r}") from exc
 
 
-def _read_json(path):
+class InputError(Exception):
+    """An input document lacks a key its format requires (an i/o error)."""
+
+
+def _read_json(path, parse):
+    """``parse`` applied to the JSON document at ``path`` (``-``: stdin).
+
+    A KeyError raised while parsing is a missing key of the document and
+    becomes InputError; a KeyError anywhere else is a bug and surfaces.
+    """
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+        data = json.load(sys.stdin)
+    else:
+        with open(path) as fh:
+            data = json.load(fh)
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise InputError(f"missing key {exc}") from exc
 
 
 def _write_text(path, text):
@@ -80,11 +96,12 @@ def _write_json(path, obj):
 def _read_pairs(path):
     """The --in records as an (n, 4) complex array of z1, z2, w1, w2.
 
-    A record missing a key raises KeyError (an i/o error); coordinates
+    A record missing a key raises InputError (an i/o error); coordinates
     that are not [re, im] pairs of numbers raise DomainError.
     """
-    records = _read_json(path)
-    coords = [[rec["z"]["z1"], rec["z"]["z2"], rec["w"]["z1"], rec["w"]["z2"]] for rec in records]
+    coords = _read_json(
+        path, lambda records: [[r["z"]["z1"], r["z"]["z2"], r["w"]["z1"], r["w"]["z2"]] for r in records]
+    )
     try:
         # the complex view keeps each (re, im) pair bit for bit, signed zeros included
         return np.array(coords, dtype=float).reshape(len(coords), 4, 2).view(complex)[..., 0]
@@ -114,7 +131,7 @@ _NORM_SPACES = ("bergman", "hardy", "dirichlet", "weighted-dirichlet", "star", "
 
 
 def _cmd_norm(args):
-    f = LaurentCoeffs.from_json(_read_json(args.infile))
+    f = _read_json(args.infile, LaurentCoeffs.from_json)
     space = args.space
     if space in ("bergman", "weighted-dirichlet", "star") and args.nu is None:
         raise DomainError(f"norm --space {space} requires --nu")
@@ -144,22 +161,28 @@ def _cmd_project(args):
     coeffspace.SpaceParam(args.nu).require("bergman", "the Bergman projection")
     order = quadrature.radial_order_from_env(32)
     projections.projection_self_test(args.nu, radial_order=order, angular_count=order + 1)
-    f = MixedPoly.from_json(_read_json(args.infile))
+    f = _read_json(args.infile, MixedPoly.from_json)
     out = projections.project_bergman(args.nu, f)
     _write_json(args.out, out.to_json())
     return EXIT_OK
 
 
-def _cmd_szego(args):
-    data = _read_json(args.infile)
+def _szego_input(data):
+    """A TorusSeries for a coefficient file, (n, values) for a grid file."""
     if "terms" in data:
-        out = projections.project_szego(TorusSeries.from_json(data))
-        _write_json(args.out, out.to_json())
+        return TorusSeries.from_json(data)
+    return int(data["n"]), data["values"]
+
+
+def _cmd_szego(args):
+    data = _read_json(args.infile, _szego_input)
+    if isinstance(data, TorusSeries):
+        _write_json(args.out, projections.project_szego(data).to_json())
         return EXIT_OK
-    n = int(data["n"])
+    n, values = data
     if args.grid and args.grid != n:
         raise DomainError(f"--grid {args.grid} disagrees with input grid size {n}")
-    flat = np.array([complex(re, im) for re, im in data["values"]])
+    flat = np.array([complex(re, im) for re, im in values])
     if flat.size != n * n:
         raise DomainError(f"grid file promises {n}x{n} values, found {flat.size}")
     projected = projections.project_szego_grid(flat.reshape(n, n))
@@ -185,26 +208,25 @@ def _cmd_scan_blowup(args):
     return EXIT_OK
 
 
+# (space, direction) -> (input coefficient type, map); the Bergman maps take nu first
+_ISOMETRIES = {
+    ("hardy", "forward"): (LaurentCoeffs, isometries.hardy_to_bidisc),
+    ("hardy", "inverse"): (isometries.BidiscCoeffs, isometries.bidisc_to_hardy),
+    ("dirichlet", "forward"): (LaurentCoeffs, isometries.dirichlet_to_bidisc),
+    ("dirichlet", "inverse"): (isometries.BidiscCoeffs, isometries.bidisc_to_dirichlet),
+    ("bergman", "forward"): (LaurentCoeffs, isometries.bergman_pullback),
+    ("bergman", "inverse"): (LaurentCoeffs, isometries.bergman_pullback_inverse),
+}
+
+
 def _cmd_isometry(args):
-    data = _read_json(args.infile)
-    if args.space == "hardy":
-        if args.direction == "forward":
-            out = isometries.hardy_to_bidisc(LaurentCoeffs.from_json(data))
-        else:
-            out = isometries.bidisc_to_hardy(isometries.BidiscCoeffs.from_json(data))
-    elif args.space == "dirichlet":
-        if args.direction == "forward":
-            out = isometries.dirichlet_to_bidisc(LaurentCoeffs.from_json(data))
-        else:
-            out = isometries.bidisc_to_dirichlet(isometries.BidiscCoeffs.from_json(data))
-    else:
+    coeff_type, fn = _ISOMETRIES[args.space, args.direction]
+    f = _read_json(args.infile, coeff_type.from_json)
+    if args.space == "bergman":
         if args.nu is None:
             raise DomainError("isometry --space bergman requires --nu")
-        if args.direction == "forward":
-            out = isometries.bergman_pullback(args.nu, LaurentCoeffs.from_json(data))
-        else:
-            out = isometries.bergman_pullback_inverse(args.nu, LaurentCoeffs.from_json(data))
-    _write_json(args.out, out.to_json())
+        fn = functools.partial(fn, args.nu)
+    _write_json(args.out, fn(f).to_json())
     return EXIT_OK
 
 
@@ -334,10 +356,10 @@ def main(argv=None):
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ArithmeticError as exc:
+    except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, InputError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

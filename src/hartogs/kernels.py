@@ -9,8 +9,8 @@ where x = z1 conj(w1) / (z2 conj(w2)), y = z2 conj(w2) and F is a Gauss
 hypergeometric factor.  For every -2 < nu != -1 one hypergeometric body
 evaluates it:
 
-    nu > -1        weighted Bergman kernels (nu = 0 in closed form too;
-                   at nu = 2n, F collapses to (1-y)^(-2n-2)),
+    nu > -1        weighted Bergman kernels (at nu = 2n, F collapses to
+                   (1-y)^(-2n-2)),
     -2 < nu < -1   weighted Dirichlet kernels (signed coefficients), the
                    same form at ceil(nu/2) = 0.
 
@@ -44,7 +44,6 @@ from .coeffspace import SNAP_TOL, SpaceParam
 from .specfun import DomainError, HypergeometricParams, gamma_ratio, gamma_ratio_signed, gauss_2f1
 
 __all__ = [
-    "bergman_kernel",
     "kernel_nu",
     "hardy_kernel",
     "weighted_dirichlet_kernel",
@@ -57,7 +56,6 @@ __all__ = [
     "kernel_bound_ratio",
     "bound_constant",
     "bound_ratio_profile",
-    "diagonal_probe",
 ]
 
 
@@ -102,12 +100,6 @@ def _degenerate_check(sp):
     if abs(sp.nu + 4.0 / 3.0) < SNAP_TOL:
         raise DomainError(f"the weighted Dirichlet pairing degenerates at nu = -4/3, got {sp.nu}")
     return sp
-
-
-def bergman_kernel(z, w):
-    """Unweighted Bergman kernel: 1 / (2 y (1 - x)^2 (1 - y)^2)."""
-    x, y = _xy(z, w)
-    return 1.0 / (2.0 * y * (1.0 - x) ** 2 * (1.0 - y) ** 2)
 
 
 def prefactor_a(nu):
@@ -486,17 +478,3 @@ def bound_ratio_profile(nu, y, n_terms=6000):
     for s in range(0, flat.size, _PROFILE_CHUNK):
         out[s : s + _PROFILE_CHUNK] = np.abs(_blocked_taylor_sum(table, flat[s : s + _PROFILE_CHUNK]))
     return abs(prefactor_a(sp)) * out.reshape(y.shape)
-
-
-def diagonal_probe(t):
-    """(K(z_t, z_t), delta(z_t)) along the path z_t = (0, t), t in (0, 1/2].
-
-    delta is the Euclidean distance from (0, t) to the boundary of the
-    triangle: min(t/sqrt(2), 1-t).  Near the origin K delta^2 stays in a
-    bounded band, the diagonal blow-up rate of the unweighted kernel.
-    """
-    if not 0.0 < t <= 0.5:
-        raise DomainError(f"diagonal probe path needs t in (0, 1/2], got {t}")
-    kval = 1.0 / (2.0 * t * t * (1.0 - t * t) ** 2)
-    delta = min(t / math.sqrt(2.0), 1.0 - t)
-    return kval, delta

@@ -22,13 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 from . import coeffspace, quadrature
 from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, TorusSeries
 from .geometry import normalization_C
-from .specfun import DomainError, beta_fn
+from .specfun import DomainError, VerificationFailure, beta_fn
 
 __all__ = [
     "IntegrabilityError",
@@ -110,7 +109,8 @@ def projection_self_test(nu, tol=1e-7, radial_order=32, angular_count=33):
     Runs once per nu (results are cached) on a fixed corpus of mixed
     monomials: for each term the oracle coefficient is
     <term, e> / ||e||^2 with e the surviving basis monomial, both sides
-    by tensor quadrature.  Raises on disagreement beyond tol.
+    by tensor quadrature.  Raises VerificationFailure on disagreement
+    beyond tol.
     """
     key = round(float(nu), 12)
     if key in _SELF_TEST_PASSED:
@@ -127,7 +127,7 @@ def projection_self_test(nu, tol=1e-7, radial_order=32, angular_count=33):
         lam_quad = num / den
         lam_rule = project_bergman(nu, term).get((j, k))
         if abs(lam_quad - lam_rule) > tol * max(1.0, abs(lam_rule)):
-            raise ArithmeticError(
+            raise VerificationFailure(
                 f"projection self-test failed at nu={nu}, term ({a},{b},{c},{d}): "
                 f"rule {lam_rule}, quadrature {lam_quad}"
             )
@@ -321,6 +321,9 @@ def blowup_scan(nu, p, epsilons):
 
 def _angular_integral(rho, exponent):
     """int_0^{2pi} |1 - rho e^(i theta)|^(-exponent) d theta, adaptive."""
+    # Imported here, its only use: scipy.integrate (and the scipy.optimize /
+    # scipy.sparse chain it loads) would cost every process ~0.3 s at start.
+    from scipy.integrate import quad
 
     def f(theta):
         return ((1.0 - rho) ** 2 + 4.0 * rho * math.sin(0.5 * theta) ** 2) ** (-0.5 * exponent)

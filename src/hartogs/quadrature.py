@@ -51,6 +51,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
+# roots_jacobi / roots_legendre import scipy.linalg on their first call; load it with the package instead.
+import scipy.linalg  # noqa: F401
 from scipy.special import roots_jacobi, roots_legendre
 
 from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, as_mixed, conj_product, evaluate_grid

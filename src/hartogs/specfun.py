@@ -14,6 +14,7 @@ from scipy.special import hyp2f1
 
 __all__ = [
     "DomainError",
+    "VerificationFailure",
     "HypergeometricParams",
     "log_gamma",
     "log_gamma_signed",
@@ -26,6 +27,10 @@ __all__ = [
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
+
+
+class VerificationFailure(ArithmeticError):
+    """A closed form disagreed with its independent check beyond tolerance."""
 
 
 def log_gamma(x):

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from hartogs import coeffspace, projections
 from hartogs.cli import main
+from hartogs.specfun import VerificationFailure
 
 
 def run_cli(capsys, *argv):
@@ -288,3 +290,54 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert f"takes no {argv[1]}" in err
+
+
+class TestExitCodes:
+    """Exit 3 is a verification failure and exit 1 an input fault; any
+    other exception is a bug and surfaces instead of taking their codes."""
+
+    def test_projection_self_test_failure_exits_3(self, capsys, tmp_path, monkeypatch):
+        def failing(nu, **kwargs):
+            raise VerificationFailure(f"projection self-test failed at nu={nu}")
+
+        monkeypatch.setattr(projections, "projection_self_test", failing)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": []}))
+        code, out, err = run_cli(capsys, "project", "--nu", "0.5", "--in", str(path))
+        assert code == 3 and out == "" and "verification failure" in err
+
+    @pytest.mark.parametrize("exc", [ZeroDivisionError, OverflowError, FloatingPointError, ArithmeticError])
+    def test_stray_arithmetic_error_surfaces(self, capsys, monkeypatch, exc):
+        def broken(nu):
+            raise exc("stray")
+
+        monkeypatch.setattr(projections, "critical_range", broken)
+        with pytest.raises(exc, match="stray"):
+            main(["critical-range", "--nu", "0"])
+
+    def test_key_error_outside_the_readers_surfaces(self, capsys, tmp_path, monkeypatch):
+        def broken(f):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(coeffspace, "hardy_norm_sq", broken)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": 0, "k": 0, "re": 1.0}]}))
+        with pytest.raises(KeyError, match="bug"):
+            main(["norm", "--space", "hardy", "--in", str(path)])
+
+    @pytest.mark.parametrize(
+        "argv, document, key",
+        [
+            (("norm", "--space", "hardy"), {"coefficients": []}, "terms"),
+            (("norm", "--space", "hardy"), {"terms": [{"j": 0, "re": 1.0}]}, "k"),
+            (("project", "--nu", "0"), {"terms": [{"a": 0, "b": 0, "c": 0, "re": 1.0}]}, "d"),
+            (("szego",), {"n": 2}, "values"),
+            (("isometry", "--space", "hardy", "--direction", "inverse"), {"terms": [{"j": 0, "re": 1.0}]}, "k"),
+        ],
+    )
+    def test_document_missing_a_key_exits_1(self, capsys, tmp_path, argv, document, key):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, *argv, "--in", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("i/o error: missing key") and repr(key) in err

@@ -1,0 +1,50 @@
+"""The package's import set: what a fresh ``hartogs`` process loads.
+
+Every CLI command and every ``verify`` pass starts a fresh interpreter, so
+each SciPy subpackage imported with the package is paid on every start.
+``scipy.integrate`` (with the ``scipy.optimize`` / ``scipy.sparse`` chain it
+loads) is needed only by ``classical_estimate_check`` and is imported there.
+What the package does load must be loaded at import, not on a first call
+inside a timed pass.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return {m for m in sys.modules if m == "scipy" or m.startswith("scipy.")}
+
+import hartogs, hartogs.cli
+at_import = scipy_modules()
+
+from hartogs import kernels, quadrature, verify
+from hartogs.geometry import HartogsPoint
+
+quadrature.build_rule(0.7, 8, 5)
+quadrature.build_tau_rule()
+kernels.kernel(0.7, HartogsPoint(0.1, 0.5), HartogsPoint(0.2j, 0.4))
+assert verify.run_suite("normalization").passed
+print(json.dumps({"at_import": sorted(at_import), "later": sorted(scipy_modules() - at_import)}))
+"""
+
+
+def _probe():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_import_set_and_first_calls_load_no_heavy_scipy():
+    loaded = _probe()
+    for heavy in ("scipy.integrate", "scipy.optimize", "scipy.sparse"):
+        assert heavy not in loaded["at_import"], heavy
+    assert loaded["later"] == []

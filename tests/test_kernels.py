@@ -40,20 +40,20 @@ def mp_kernel(nu, z, w):
 class TestBergmanKernel:
     def test_diagonal_value(self):
         q = HartogsPoint(0.0, 0.5)
-        assert kernels.bergman_kernel(q, q) == pytest.approx(1.0 / 0.28125, rel=1e-12)
+        assert kernels.kernel_nu(0.0, q, q) == pytest.approx(1.0 / 0.28125, rel=1e-12)
 
     def test_diagonal_positivity(self):
         rng = np.random.default_rng(30)
         for _ in range(1000):
             q = random_point(rng)
-            val = kernels.bergman_kernel(q, q)
+            val = kernels.kernel_nu(0.0, q, q)
             assert abs(val.imag) < 1e-12 * val.real and val.real > 0.0
 
     def test_series_cross_check(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             z, w = random_point(rng), random_point(rng)
-            closed = kernels.bergman_kernel(z, w)
+            closed = kernels.kernel_nu(0.0, z, w)
             series = kernels.kernel_series(0.0, z, w)
             assert abs(closed - series) <= 1e-9 * abs(closed)
 
@@ -63,7 +63,9 @@ class TestWeightedKernels:
         rng = np.random.default_rng(32)
         for _ in range(1000):
             z, w = random_point(rng), random_point(rng)
-            a = kernels.bergman_kernel(z, w)
+            y = z.z2 * w.z2.conjugate()
+            x = z.z1 * w.z1.conjugate() / y
+            a = 1.0 / (2.0 * y * (1.0 - x) ** 2 * (1.0 - y) ** 2)  # the unweighted Bergman kernel
             b = kernels.kernel_nu(0.0, z, w)
             assert abs(a - b) <= 1e-10 * abs(a)
 
@@ -324,24 +326,6 @@ class TestOneSpaceParamPerCall:
         monkeypatch.setattr(kernels, "SpaceParam", Counting)
         assert kernels.kernel(nu, z, w) == expected
         assert built == [nu]
-
-
-class TestDiagonalProbe:
-    def test_values(self):
-        kval, delta = kernels.diagonal_probe(0.1)
-        assert kval == pytest.approx(51.0152, rel=1e-4)
-        assert delta == pytest.approx(0.1 / math.sqrt(2.0), rel=1e-12)
-
-    def test_blowup_band(self):
-        vals = []
-        for t in (0.2, 0.1, 0.05, 0.025):
-            kval, delta = kernels.diagonal_probe(t)
-            vals.append(kval * delta * delta)
-        assert max(vals) <= 2.0 * min(vals)
-
-    def test_midpoint_finite(self):
-        kval, delta = kernels.diagonal_probe(0.5)
-        assert math.isfinite(kval) and math.isfinite(delta)
 
 
 class TestBoundaryAccuracy:
