@@ -2,15 +2,21 @@
 
 Run from the root of a checkout:
 
-    python3 bench/layers.py --out BENCH_11.json
+    python3 bench/layers.py --out BENCH_12.json
 
 The library is imported from the checkout's ``src/``.  The file holds:
 
 - ``layers_us``: the minimum over repeats of the microseconds per call of
   the black-box quadrature paths, the Monte Carlo oracle, the one-point
   kernel, the boundary-ratio profile, the torus sampling of the Szego
-  suite and the Szego FFT projection, and the microseconds per point of
-  the kernel on a 128-pair batch;
+  suite, one series' work in its ratio study and the Szego FFT
+  projection, and the microseconds per point of the kernel on a 128-pair
+  batch;
+- ``layers_minflt_per_call``: beside each black-box quadrature layer, the
+  minor page faults of this process per call over all its repeats.  A
+  layer that faults far more than usual is timed in another allocator
+  state (glibc's heap trimming and mmap threshold move with what ran
+  before), which can move its time by more than the code does;
 - ``layers_ms``: the milliseconds of one ``hartogs kernel --in`` call on a
   128-pair file, run in process through ``cli.main``;
 - ``import_s``: the median, over 7 fresh interpreters after one warm-up,
@@ -41,6 +47,7 @@ import importlib.util
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -63,7 +70,27 @@ def best_us(fn, calls, repeats):
     return 1e6 * best
 
 
+def best_us_faults(fn, calls, repeats):
+    """``best_us`` of fn and the minor page faults per call over all its calls."""
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    us = best_us(fn, calls, repeats)
+    return us, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / (calls * repeats)
+
+
+def fft_ratios(f, n, ps):
+    """The ratio study's work on one series in a tree that has no
+    ``verify._szego_ratios``: the FFT projection of its samples and one
+    modulus per norm."""
+    from hartogs import projections, verify
+
+    samples = verify._torus_samples(f, n)
+    projected = projections.project_szego_grid(samples)
+    return [projections.lp_norm_torus(p, projected) / projections.lp_norm_torus(p, samples) for p in ps]
+
+
 def layer_times():
+    """The ``layers_us`` of the single-threaded layers and the black-box
+    ones, and the minor faults per call of the black-box ones."""
     import numpy as np
 
     from hartogs import geometry, kernels, projections, quadrature, verify
@@ -85,22 +112,30 @@ def layer_times():
     ys = np.clip(mod, 0.0, 0.998) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=10_000))
     # one degree-32 series of the Szego suite's ratio study
     series = verify._random_torus(np.random.default_rng([0, 642]), 32, n_terms=16)
-    return {
-        "quadrature.integrate_tau.tau_invariance_rule.suite_bump": best_us(
+    ratios = getattr(verify, "_szego_ratios", fft_ratios)
+    black_box = {
+        "quadrature.integrate_tau.tau_invariance_rule.suite_bump": best_us_faults(
             lambda: quadrature.integrate_tau(verify._bump, tau_rule, automorphism=psi), 3, 5
         ),
-        "quadrature.integrate_mu.callable_64x65": best_us(lambda: quadrature.integrate_mu(0.7, gaussian, mu_rule), 2, 5),
-        "quadrature.mc_integrate_mu.1e6_samples": best_us(
+        "quadrature.integrate_mu.callable_64x65": best_us_faults(
+            lambda: quadrature.integrate_mu(0.7, gaussian, mu_rule), 2, 5
+        ),
+        "quadrature.mc_integrate_mu.1e6_samples": best_us_faults(
             lambda: quadrature.mc_integrate_mu(0.7, gaussian, 1_000_000, 3), 1, 5
         ),
+    }
+    layers = {name: us for name, (us, _) in black_box.items()}
+    layers.update({
         "kernels.kernel.nu=0.7": best_us(lambda: kernels.kernel(0.7, z, w), 2000, 5),
         "kernels.kernel.nu=3.5": best_us(lambda: kernels.kernel(3.5, z, w), 2000, 5),
         "kernels.bound_ratio_profile.5nu_1e4_samples": best_us(
             lambda: [kernels.bound_ratio_profile(nu, ys) for nu in (-1.5, -0.5, 0.7, 1.3, 3.5)], 1, 5
         ),
         "verify._torus_samples.degree32_n133": best_us(lambda: verify._torus_samples(series, 133), 200, 5),
+        "verify.szego.ratio_study.degree32": best_us(lambda: ratios(series, 133, (1.5, 3.0)), 200, 5),
         "projections.project_szego_grid.N=133": best_us(lambda: projections.project_szego_grid(grid), 200, 5),
-    }
+    })
+    return layers, {name: faults for name, (_, faults) in black_box.items()}
 
 
 BATCH = 128
@@ -257,14 +292,14 @@ def main(argv=None):
         parser.error("--out is required")
     record = {"provenance": provenance()}  # first: it checks the bytecode before any import writes it
     record["import_s"], record["provenance"]["scipy_modules_at_import"] = import_time()
-    record["layers_us"] = layer_times()
+    record["layers_us"], record["layers_minflt_per_call"] = layer_times()
     per_point, record["layers_ms"] = batch_layers()
     record["layers_us"].update(per_point)
     record["suites_s"], record["suites_passed"] = suite_times()
     record["run_all_s"] = sum(record["suites_s"].values())
     record["tier1"] = tier1_time()
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
-    for section in ("layers_us", "layers_ms", "suites_s"):
+    for section in ("layers_us", "layers_minflt_per_call", "layers_ms", "suites_s"):
         for name, value in record[section].items():
             print(f"{section:10s} {name:48s} {value:12.4g}")
     print(f"import_s   {record['import_s']:.3f}   run_all_s  {record['run_all_s']:.3f}", end="   ")

@@ -16,10 +16,11 @@ pair's membership in the triangle at once (a bad pair exits 2 and names its
 record index) and evaluates the whole batch in one kernel call.  The
 argument parser is built on the first ``main`` call and reused after it.
 
-Exit codes: 0 success, 1 I/O error (an unreadable file, malformed JSON
-or a missing key), 2 validation error, 3 verification failure (a failing
-suite or ``VerificationFailure``); any other exception is a bug and
-surfaces with its traceback.  All numeric output uses 12 significant
+Exit codes: 0 success, 1 I/O error (an unreadable file, malformed JSON,
+a missing key or a document of the wrong shape), 2 validation error (a
+field of the wrong type or value among them), 3 verification failure (a
+failing suite or ``VerificationFailure``); any other exception is a bug
+and surfaces with its traceback.  All numeric output uses 12 significant
 digits; identical configuration and seed produce byte-identical output.
 """
 
@@ -61,14 +62,19 @@ def _parse_complex(text):
 
 
 class InputError(Exception):
-    """An input document lacks a key its format requires (an i/o error)."""
+    """An input document lacks a key its format requires or nests the wrong
+    kind of container (an i/o error)."""
 
 
 def _read_json(path, parse):
     """``parse`` applied to the JSON document at ``path`` (``-``: stdin).
 
-    A KeyError raised while parsing is a missing key of the document and
-    becomes InputError; a KeyError anywhere else is a bug and surfaces.
+    What ``parse`` raises about the document's structure becomes
+    InputError: a KeyError is a missing key, a TypeError or AttributeError
+    a container of the wrong kind (a list where the format has an object,
+    say).  The same errors raised anywhere else are bugs and surface.  A
+    field of the wrong type or value is the parser's to report, as
+    DomainError.
     """
     if path == "-":
         data = json.load(sys.stdin)
@@ -79,6 +85,8 @@ def _read_json(path, parse):
         return parse(data)
     except KeyError as exc:
         raise InputError(f"missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise InputError(f"document of the wrong shape: {exc}") from exc
 
 
 def _write_text(path, text):
@@ -93,15 +101,21 @@ def _write_json(path, obj):
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _pair_coords(records):
+    """The z1, z2, w1, w2 coordinates of each {z, w} record of a list."""
+    if not isinstance(records, list):
+        raise TypeError(f"kernel --in needs a list of records, got {type(records).__name__}")
+    return [[r["z"]["z1"], r["z"]["z2"], r["w"]["z1"], r["w"]["z2"]] for r in records]
+
+
 def _read_pairs(path):
     """The --in records as an (n, 4) complex array of z1, z2, w1, w2.
 
-    A record missing a key raises InputError (an i/o error); coordinates
-    that are not [re, im] pairs of numbers raise DomainError.
+    A record missing a key or a document that is not a list of records
+    raises InputError (an i/o error); coordinates that are not [re, im]
+    pairs of numbers raise DomainError.
     """
-    coords = _read_json(
-        path, lambda records: [[r["z"]["z1"], r["z"]["z2"], r["w"]["z1"], r["w"]["z2"]] for r in records]
-    )
+    coords = _read_json(path, _pair_coords)
     try:
         # the complex view keeps each (re, im) pair bit for bit, signed zeros included
         return np.array(coords, dtype=float).reshape(len(coords), 4, 2).view(complex)[..., 0]
@@ -168,10 +182,14 @@ def _cmd_project(args):
 
 
 def _szego_input(data):
-    """A TorusSeries for a coefficient file, (n, values) for a grid file."""
+    """A TorusSeries for a coefficient file, (n, flat values) for a grid file."""
     if "terms" in data:
         return TorusSeries.from_json(data)
-    return int(data["n"]), data["values"]
+    n, values = data["n"], data["values"]
+    try:
+        return int(n), np.array([complex(re, im) for re, im in values])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"a grid file needs an integer n and [re, im] values: {exc}") from exc
 
 
 def _cmd_szego(args):
@@ -179,10 +197,9 @@ def _cmd_szego(args):
     if isinstance(data, TorusSeries):
         _write_json(args.out, projections.project_szego(data).to_json())
         return EXIT_OK
-    n, values = data
+    n, flat = data
     if args.grid and args.grid != n:
         raise DomainError(f"--grid {args.grid} disagrees with input grid size {n}")
-    flat = np.array([complex(re, im) for re, im in values])
     if flat.size != n * n:
         raise DomainError(f"grid file promises {n}x{n} values, found {flat.size}")
     projected = projections.project_szego_grid(flat.reshape(n, n))

@@ -178,11 +178,25 @@ class _CoeffMap:
 
     @classmethod
     def from_json(cls, obj):
+        """The map of a {"terms": [{<index names>, "re", "im"}, ...]} document.
+
+        A missing key raises KeyError and a container of the wrong kind
+        TypeError or AttributeError; an index that is not an integral
+        number or a coefficient part that is not a number raises
+        DomainError.
+        """
         names = cls._key_names
         terms = {}
         for row in obj["terms"]:
-            key = tuple(int(row[name]) for name in names)
-            terms[key] = terms.get(key, 0.0j) + complex(row["re"], row.get("im", 0.0))
+            index, re, im = [row[name] for name in names], row["re"], row.get("im", 0.0)
+            try:
+                key = tuple(int(x) for x in index)
+                if key != tuple(index):  # 1.5 or "1" would pass int() silently
+                    raise ValueError(f"index {index} is not integral")
+                coef = complex(re, im)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DomainError(f"term {row}: indices must be integers and re, im numbers ({exc})") from exc
+            terms[key] = terms.get(key, 0.0j) + coef
         return cls(terms)
 
 

@@ -341,3 +341,59 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv, "--in", str(path))
         assert code == 1 and out == ""
         assert err.startswith("i/o error: missing key") and repr(key) in err
+
+    @pytest.mark.parametrize(
+        "argv, document",
+        [
+            (("norm", "--space", "hardy"), [1, 2]),
+            (("norm", "--space", "hardy"), {"terms": [[0, 0, 1.0]]}),
+            (("isometry", "--space", "hardy"), "terms"),
+            (("szego",), [1, 2]),
+            (("kernel", "--nu", "0.7"), {"z": {"z1": [0.1, 0.0], "z2": [0.5, 0.0]}, "w": {"z1": [0.1, 0.0], "z2": [0.5, 0.0]}}),
+            (("kernel", "--nu", "0.7"), {}),
+            (("kernel", "--nu", "0.7"), [{"z": [0.1, 0.5], "w": [0.1, 0.5]}]),
+        ],
+    )
+    def test_document_of_the_wrong_shape_exits_1(self, capsys, tmp_path, argv, document):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, *argv, "--in", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("i/o error: document of the wrong shape")
+
+    @pytest.mark.parametrize(
+        "argv, document",
+        [
+            (("norm", "--space", "hardy"), {"terms": [{"j": "x", "k": 0, "re": 1}]}),
+            (("norm", "--space", "hardy"), {"terms": [{"j": None, "k": 0, "re": 1}]}),
+            (("norm", "--space", "hardy"), {"terms": [{"j": float("inf"), "k": 0, "re": 1}]}),
+            (("norm", "--space", "hardy"), {"terms": [{"j": 1.5, "k": 0, "re": 1}]}),
+            (("isometry", "--space", "hardy"), {"terms": [{"j": 0, "k": "2", "re": 1}]}),
+            (("norm", "--space", "hardy"), {"terms": [{"j": 0, "k": 0, "re": "1"}]}),
+            (("project", "--nu", "0"), {"terms": [{"a": 0, "b": 0, "c": 0, "d": 0, "re": 1.0, "im": [0]}]}),
+            (("szego",), {"n": "x", "values": []}),
+            (("szego",), {"n": 1, "values": [[1.0]]}),
+        ],
+    )
+    def test_field_of_the_wrong_type_or_value_exits_2(self, capsys, tmp_path, argv, document):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, *argv, "--in", str(path))
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_index_outside_the_space_keeps_its_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": -1, "k": 0, "re": 1.0}]}))
+        code, out, err = run_cli(capsys, "norm", "--space", "hardy", "--in", str(path))
+        assert (code, out, err) == (2, "", "error: Laurent key needs j >= 0, got (-1, 0)\n")
+
+    @pytest.mark.parametrize("exc", [TypeError, AttributeError, ValueError])
+    def test_parse_errors_outside_the_readers_surface(self, capsys, tmp_path, monkeypatch, exc):
+        def broken(f):
+            raise exc("bug")
+
+        monkeypatch.setattr(coeffspace, "hardy_norm_sq", broken)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": 0, "k": 0, "re": 1.0}]}))
+        with pytest.raises(exc, match="bug"):
+            main(["norm", "--space", "hardy", "--in", str(path)])

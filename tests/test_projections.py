@@ -21,6 +21,7 @@ from hartogs.projections import (
     szego_multiplier,
 )
 from hartogs.specfun import DomainError
+from hartogs.verify import _random_torus, _szego_ratios, _torus_samples
 
 
 class TestProjectBergman:
@@ -137,6 +138,30 @@ class TestSzegoGrid:
             direct = self.samples(project_szego(f), n)
             grid = project_szego_grid(self.samples(f, n))
             assert float(np.max(np.abs(direct - grid))) <= 1e-11
+
+    @pytest.mark.parametrize("degree, n", [(8, 37), (32, 133)])
+    def test_matches_coefficient_projection_at_the_ratio_study_sizes(self, degree, n):
+        """The szego suite's ratio-study shapes: 16-term series of degree 8
+        and 32 on grids of N = 37 and 133."""
+        rng = np.random.default_rng(53 + degree)
+        for _ in range(5):
+            f = _random_torus(rng, degree, n_terms=16)
+            direct = self.samples(project_szego(f), n)
+            grid = project_szego_grid(self.samples(f, n))
+            assert float(np.max(np.abs(direct - grid))) <= 1e-11
+
+    def test_ratio_study_matches_the_fft_route(self):
+        rng = np.random.default_rng(54)
+        for _ in range(5):
+            f = _random_torus(rng, 32, n_terms=16)
+            samples = _torus_samples(f, 133)
+            fft = [lp_norm_torus(p, project_szego_grid(samples)) / lp_norm_torus(p, samples) for p in (1.5, 3.0)]
+            np.testing.assert_allclose(_szego_ratios(f, 133, (1.5, 3.0)), fft, rtol=1e-13)
+
+    def test_ratio_study_of_an_all_rejected_series_is_zero(self):
+        f = TorusSeries({(-1, 3): 1.0, (0, -2): 2.0j, (-8, -8): 1.0 - 1.0j, (4, -6): 0.5})
+        assert len(project_szego(f)) == 0
+        assert _szego_ratios(f, 37, (1.5, 3.0)) == [0.0, 0.0]
 
     def test_constant_grid_unchanged(self):
         grid = np.full((8, 8), 2.5 + 0.5j)

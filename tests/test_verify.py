@@ -2,8 +2,24 @@
 
 import numpy as np
 
+from hartogs import quadrature
 from hartogs.coeffspace import TorusSeries
-from hartogs.verify import _bump, _torus_samples
+from hartogs.geometry import random_automorphism
+from hartogs.verify import _TAU_CENTER_CAP, _TAU_R1_RANGE, _TAU_R2_RANGE, _bump, _torus_samples
+
+
+def plain_bump(z1, z2):
+    """The plain array expression of _bump, one temporary per operation:
+    the reference its in-place evaluation must equal bit for bit."""
+    r2 = z2.real**2 + z2.imag**2
+    x = (z1.real**2 + z1.imag**2) / r2
+    y = np.sqrt(r2)
+    w1 = np.maximum((x - 0.09) * (0.3025 - x), 0.0) / (0.5 * (0.3025 - 0.09)) ** 2
+    w2 = np.maximum((y - 0.25) * (0.9 - y), 0.0) / (0.5 * (0.9 - 0.25)) ** 2
+    t = w1 * w2
+    t = t * t * t
+    t = t * t
+    return t * t
 
 
 def bump_formula(z1, z2):
@@ -47,6 +63,47 @@ class TestBump:
         outside = (ratio <= 0.3) | (ratio >= 0.55) | (np.abs(z2) <= 0.25) | (np.abs(z2) >= 0.9)
         assert outside.sum() > 2000
         assert np.all(_bump(z1, z2)[outside] == 0.0)
+
+
+    def test_equals_the_plain_expression(self):
+        z1, z2, ratio = random_pairs(6, 20_000)
+        z1[:50] = 0.0
+        inside = (ratio > 0.3) & (ratio < 0.55) & (np.abs(z2) > 0.25) & (np.abs(z2) < 0.9)
+        assert inside.sum() > 3000 and (~inside).sum() > 3000
+        assert np.array_equal(_bump(z1, z2), plain_bump(z1, z2))
+
+    @staticmethod
+    def chunk_grids(rows=3, m=8, n2=5):
+        """A chunk of r1 rows and the shared w2 grid, on _tensor_sum's axes
+        (i1, theta, i2, gamma)."""
+        e = np.exp(2j * np.pi * np.arange(m) / m)
+        w1 = np.linspace(0.1, 0.8, rows)[:, None, None, None] * e[None, :, None, None]
+        w2 = np.linspace(0.3, 0.85, n2)[None, None, :, None] * e[None, None, None, :]
+        return w1, w2
+
+    def test_broadcasts_a_chunk_grid_against_the_w2_grid(self):
+        w1, w2 = self.chunk_grids()
+        for z1, z2 in ((w1 * w2, w2), (w1, w2)):
+            got = _bump(z1, z2)
+            assert got.shape == (3, 8, 5, 8) and got.dtype == np.float64
+            assert np.array_equal(got, plain_bump(z1, z2))
+
+    def test_leaves_its_inputs_unchanged(self):
+        w1, w2 = self.chunk_grids()
+        z1, z2, _ = random_pairs(7, 1000)
+        for a, b in ((w1 * w2, w2), (w1, w2), (z1, z2)):
+            a_before, b_before = a.copy(), b.copy()
+            _bump(a, b)
+            assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+
+    def test_tau_integrals_repr_identical_to_the_plain_expression(self):
+        rule = quadrature.build_tau_rule(
+            radial_order=56, angular_count=24, shell_eps=0.05, r1_range=_TAU_R1_RANGE, r2_range=_TAU_R2_RANGE
+        )
+        for seed in range(3):
+            psi = random_automorphism(np.random.default_rng(seed), max_center=_TAU_CENTER_CAP)
+            got = quadrature.integrate_tau(_bump, rule, automorphism=psi)
+            assert repr(got) == repr(quadrature.integrate_tau(plain_bump, rule, automorphism=psi))
 
 
 class TestTorusSamples:
