@@ -2,16 +2,18 @@
 
 Run from the root of a checkout:
 
-    python3 bench/layers.py --out BENCH_12.json
+    python3 bench/layers.py --out BENCH_14.json
 
 The library is imported from the checkout's ``src/``.  The file holds:
 
 - ``layers_us``: the minimum over repeats of the microseconds per call of
   the black-box quadrature paths, the Monte Carlo oracle, the one-point
-  kernel, the boundary-ratio profile, the torus sampling of the Szego
-  suite, one series' work in its ratio study and the Szego FFT
-  projection, and the microseconds per point of the kernel on a 128-pair
-  batch;
+  kernel, the boundary-ratio profile of the kernel-estimate suite (its
+  five nu over one set of samples), the torus sampling of the Szego
+  suite, one series' work in its ratio study, the Szego FFT projection,
+  one signed Gamma ratio of a coefficient weight, the 2F1 on 128 points
+  and one random point of the suites, and the microseconds per point of
+  the kernel on a 128-pair batch;
 - ``layers_minflt_per_call``: beside each black-box quadrature layer, the
   minor page faults of this process per call over all its repeats.  A
   layer that faults far more than usual is timed in another allocator
@@ -88,12 +90,20 @@ def fft_ratios(f, n, ps):
     return [projections.lp_norm_torus(p, projected) / projections.lp_norm_torus(p, samples) for p in ps]
 
 
+def per_nu_profiles(nus, y):
+    """The kernel-estimate suite's profiles in a tree that has no
+    ``kernels._ratio_profiles``: one ``bound_ratio_profile`` per nu."""
+    from hartogs import kernels
+
+    return [kernels.bound_ratio_profile(nu, y) for nu in nus]
+
+
 def layer_times():
     """The ``layers_us`` of the single-threaded layers and the black-box
     ones, and the minor faults per call of the black-box ones."""
     import numpy as np
 
-    from hartogs import geometry, kernels, projections, quadrature, verify
+    from hartogs import geometry, kernels, projections, quadrature, specfun, verify
     from hartogs.geometry import HartogsPoint
 
     # the tau-invariance suite's rule and integrand, composed with one of its automorphisms
@@ -113,6 +123,18 @@ def layer_times():
     # one degree-32 series of the Szego suite's ratio study
     series = verify._random_torus(np.random.default_rng([0, 642]), 32, n_terms=16)
     ratios = getattr(verify, "_szego_ratios", fft_ratios)
+    profiles = getattr(kernels, "_ratio_profiles", per_nu_profiles)
+    # the seven Gamma arguments of the weight of z1^2 z2^-3 at nu = -1.5; the last is -0.25
+    w_nu, j, k = -1.5, 2, -3
+    weight_args = (
+        [w_nu + 2.0, 1.5 * w_nu + 3.0, j + 1.0, j + k + 0.5 * w_nu + 2.0],
+        [0.5 * w_nu + 2.0, j + w_nu + 2.0, j + k + 1.5 * w_nu + 3.0],
+    )
+    # the kernel's 2F1 at nu = 0.7 on 128 points of the batch layers' pairs
+    pts = random_pairs(BATCH)
+    y128 = pts[:, 1] * np.conj(pts[:, 3])
+    hyp = specfun.HypergeometricParams(1.5 * 0.7 - 1 + 2.0, 1.0, 0.5 * 0.7 - 1 + 1.0)
+    point_rng = np.random.default_rng(2)
     black_box = {
         "quadrature.integrate_tau.tau_invariance_rule.suite_bump": best_us_faults(
             lambda: quadrature.integrate_tau(verify._bump, tau_rule, automorphism=psi), 3, 5
@@ -129,8 +151,11 @@ def layer_times():
         "kernels.kernel.nu=0.7": best_us(lambda: kernels.kernel(0.7, z, w), 2000, 5),
         "kernels.kernel.nu=3.5": best_us(lambda: kernels.kernel(3.5, z, w), 2000, 5),
         "kernels.bound_ratio_profile.5nu_1e4_samples": best_us(
-            lambda: [kernels.bound_ratio_profile(nu, ys) for nu in (-1.5, -0.5, 0.7, 1.3, 3.5)], 1, 5
+            lambda: profiles((-1.5, -0.5, 0.7, 1.3, 3.5), ys), 1, 5
         ),
+        "specfun.gamma_ratio_signed.weight_7_args": best_us(lambda: specfun.gamma_ratio_signed(*weight_args), 20000, 5),
+        f"specfun.gauss_2f1.{BATCH}_points": best_us(lambda: specfun.gauss_2f1(hyp, y128), 2000, 5),
+        "verify._random_point": best_us(lambda: verify._random_point(point_rng), 20000, 5),
         "verify._torus_samples.degree32_n133": best_us(lambda: verify._torus_samples(series, 133), 200, 5),
         "verify.szego.ratio_study.degree32": best_us(lambda: ratios(series, 133, (1.5, 3.0)), 200, 5),
         "projections.project_szego_grid.N=133": best_us(lambda: projections.project_szego_grid(grid), 200, 5),

@@ -125,6 +125,8 @@ def _read_pairs(path):
 
 def _cmd_kernel(args):
     if args.infile:
+        if any(v is not None for v in (args.z1, args.z2, args.w1, args.w2)):
+            raise DomainError("kernel --in takes no --z1 --z2 --w1 --w2")
         pts = _read_pairs(args.infile)
     else:
         if None in (args.z1, args.z2, args.w1, args.w2):
@@ -142,13 +144,16 @@ def _cmd_kernel(args):
 
 
 _NORM_SPACES = ("bergman", "hardy", "dirichlet", "weighted-dirichlet", "star", "sharp")
+_NORM_SPACES_WITH_NU = ("bergman", "weighted-dirichlet", "star")
 
 
 def _cmd_norm(args):
     f = _read_json(args.infile, LaurentCoeffs.from_json)
     space = args.space
-    if space in ("bergman", "weighted-dirichlet", "star") and args.nu is None:
+    if space in _NORM_SPACES_WITH_NU and args.nu is None:
         raise DomainError(f"norm --space {space} requires --nu")
+    if space not in _NORM_SPACES_WITH_NU and args.nu is not None:
+        raise DomainError(f"norm --space {space} takes no --nu")
     if space == "bergman":
         val = coeffspace.bergman_norm_sq(args.nu, f)
         label = "bergman_norm_sq"
@@ -187,6 +192,10 @@ def _szego_input(data):
         return TorusSeries.from_json(data)
     n, values = data["n"], data["values"]
     try:
+        if any(isinstance(x, bool) for x in [n, *(part for pair in values for part in pair)]):
+            raise ValueError("true and false are not numbers")  # int() and complex() read them as 1, 0
+        if int(n) != n:  # 2.5 or "2" would pass int() silently
+            raise ValueError(f"n = {n!r} is not an integer")
         return int(n), np.array([complex(re, im) for re, im in values])
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"a grid file needs an integer n and [re, im] values: {exc}") from exc
@@ -195,10 +204,12 @@ def _szego_input(data):
 def _cmd_szego(args):
     data = _read_json(args.infile, _szego_input)
     if isinstance(data, TorusSeries):
+        if args.grid is not None:
+            raise DomainError("szego --grid applies to a grid file, not to coefficients")
         _write_json(args.out, projections.project_szego(data).to_json())
         return EXIT_OK
     n, flat = data
-    if args.grid and args.grid != n:
+    if args.grid is not None and args.grid != n:
         raise DomainError(f"--grid {args.grid} disagrees with input grid size {n}")
     if flat.size != n * n:
         raise DomainError(f"grid file promises {n}x{n} values, found {flat.size}")
@@ -243,6 +254,8 @@ def _cmd_isometry(args):
         if args.nu is None:
             raise DomainError("isometry --space bergman requires --nu")
         fn = functools.partial(fn, args.nu)
+    elif args.nu is not None:
+        raise DomainError(f"isometry --space {args.space} takes no --nu")
     _write_json(args.out, fn(f).to_json())
     return EXIT_OK
 

@@ -139,7 +139,7 @@ class _CoeffMap:
         data = {}
         if terms:
             for key, val in dict(terms).items():
-                key = tuple(int(x) for x in key)
+                key = tuple(map(int, key))
                 self._check_key(key)
                 val = complex(val)
                 if val != 0.0:
@@ -181,15 +181,20 @@ class _CoeffMap:
         """The map of a {"terms": [{<index names>, "re", "im"}, ...]} document.
 
         A missing key raises KeyError and a container of the wrong kind
-        TypeError or AttributeError; an index that is not an integral
-        number or a coefficient part that is not a number raises
-        DomainError.
+        (``terms`` not a list, say) TypeError or AttributeError; an index
+        that is not an integral number or a coefficient part that is not a
+        number, a boolean included, raises DomainError.
         """
         names = cls._key_names
         terms = {}
-        for row in obj["terms"]:
+        rows = obj["terms"]
+        if not isinstance(rows, list):
+            raise TypeError(f"terms must be a list, got {type(rows).__name__}")
+        for row in rows:
             index, re, im = [row[name] for name in names], row["re"], row.get("im", 0.0)
             try:
+                if any(isinstance(x, bool) for x in (*index, re, im)):
+                    raise ValueError("true and false are not numbers")  # int() and complex() read them as 1, 0
                 key = tuple(int(x) for x in index)
                 if key != tuple(index):  # 1.5 or "1" would pass int() silently
                     raise ValueError(f"index {index} is not integral")

@@ -274,9 +274,10 @@ def kernel_coeff_closed(nu, j, k):
     through its Pochhammer recurrence, so the value travels a different
     numerical route than the Gamma-ratio reciprocal of
     :func:`kernel_coeff`; the two agree to rounding and the reproducing
-    identity tests pair them deliberately.
+    identity tests pair them deliberately.  ``nu`` is a float or its
+    SpaceParam.
     """
-    sp = SpaceParam(nu)
+    sp = _space(nu)
     nu, kind = sp.nu, sp.kind
     if not sp.member(j, k):
         return 0.0
@@ -337,8 +338,8 @@ def kernel_series(nu, z, w, tol=1e-12):
     else:
         # Gamma(j+nu+2)/Gamma(j+1) and Gamma(m+3nu/2+3)/Gamma(m+nu/2+2),
         # each scaled to 1 at its first index (b_m may change sign once)
-        a_j = np.cumprod(np.r_[1.0, (jj[:-1] + nu + 2.0) / (jj[:-1] + 1.0)])
-        b_m = np.cumprod(np.r_[1.0, (mm[:-1] + 1.5 * nu + 3.0) / (mm[:-1] + 0.5 * nu + 2.0)])
+        a_j = np.cumprod(np.concatenate(([1.0], (jj[:-1] + nu + 2.0) / (jj[:-1] + 1.0))))
+        b_m = np.cumprod(np.concatenate(([1.0], (mm[:-1] + 1.5 * nu + 3.0) / (mm[:-1] + 0.5 * nu + 2.0))))
         front = gamma_ratio_signed(
             [0.5 * nu + 2.0, m_min + 1.5 * nu + 3.0], [1.5 * nu + 3.0, m_min + 0.5 * nu + 2.0]
         )
@@ -424,30 +425,56 @@ _ONE_THREAD_MNK = 262_144
 _PROFILE_CHUNK = 4096
 
 
-def _blocked_taylor_sum(table, y):
+def _blocked_taylor_sum(table, re, im, step):
     """sum_n c_n y^n over a 1-D complex array y, where row b of ``table``
-    holds the real c_n for n = _BLOCK b .. _BLOCK b + _BLOCK - 1.
+    holds the real c_n for n = _BLOCK b .. _BLOCK b + _BLOCK - 1, ``re``
+    and ``im`` the real and imaginary parts of y^0 .. y^(_BLOCK-1) (one row
+    per power) and ``step`` is y^_BLOCK.
 
-    The powers y^0 .. y^(_BLOCK-1) come by cumprod, every block's partial
-    sum by one real matrix product each for their real and imaginary
-    parts, and the blocks are combined by Horner in y^_BLOCK.
+    Every block's partial sum comes by one real matrix product each for
+    the real and imaginary parts of the powers, and the blocks are
+    combined by Horner in y^_BLOCK.
     """
-    powers = np.empty((_BLOCK, y.size), dtype=complex)
-    powers[0] = 1.0
-    powers[1:] = y
-    np.cumprod(powers, axis=0, out=powers)
-    re, im = powers.real.copy(), powers.imag.copy()
-    n_blocks = table.shape[0]
-    blocks = np.empty((n_blocks, y.size), dtype=complex)
+    n_blocks, size = table.shape[0], step.size
+    blocks = np.empty((n_blocks, size), dtype=complex)
     rows = max(1, _ONE_THREAD_MNK // (n_blocks * _BLOCK))
-    for s in range(0, y.size, rows):
+    for s in range(0, size, rows):
         blocks.real[:, s : s + rows] = table @ re[:, s : s + rows]
         blocks.imag[:, s : s + rows] = table @ im[:, s : s + rows]
-    step = powers[-1] * y
     acc = blocks[-1]
     for b in range(n_blocks - 2, -1, -1):
         acc = acc * step + blocks[b]
     return acc
+
+
+def _ratio_profiles(nus, y, n_terms=6000):
+    """``bound_ratio_profile(nu, y, n_terms)`` for each nu of ``nus``, as a list.
+
+    The powers y^0 .. y^(_BLOCK-1) of each chunk of samples (by cumprod)
+    and its Horner step y^_BLOCK are built once and shared by every nu's
+    blocked sum, so each nu's values are those of a one-nu call.
+    """
+    y = np.asarray(y)
+    if np.any(np.abs(y) > 0.9985):
+        raise DomainError("bound_ratio_profile needs |y| <= 0.9985")
+    spaces = [SpaceParam(nu) for nu in nus]
+    n_blocks = -(-n_terms // _BLOCK)
+    tables = np.zeros((len(spaces), n_blocks * _BLOCK))
+    for table, sp in zip(tables, spaces):
+        table[:n_terms] = _euler_coeffs(sp, n_terms)
+    tables = tables.reshape(len(spaces), n_blocks, _BLOCK)
+    flat = y.astype(complex).ravel()
+    out = np.empty((len(spaces), flat.size))
+    for s in range(0, flat.size, _PROFILE_CHUNK):
+        chunk = flat[s : s + _PROFILE_CHUNK]
+        powers = np.empty((_BLOCK, chunk.size), dtype=complex)
+        powers[0] = 1.0
+        powers[1:] = chunk
+        np.cumprod(powers, axis=0, out=powers)
+        re, im, step = powers.real.copy(), powers.imag.copy(), powers[-1] * chunk
+        for row, table in zip(out, tables):
+            row[s : s + _PROFILE_CHUNK] = np.abs(_blocked_taylor_sum(table, re, im, step))
+    return [abs(prefactor_a(sp)) * row.reshape(y.shape) for sp, row in zip(spaces, out)]
 
 
 def bound_ratio_profile(nu, y, n_terms=6000):
@@ -465,16 +492,4 @@ def bound_ratio_profile(nu, y, n_terms=6000):
     of nu in (-2, -1) the largest was 2.3e-7 / 8.6e-9, at nu = -1.9, and
     for nu >= -0.5 it stays below 1.4e-12.
     """
-    y = np.asarray(y)
-    if np.any(np.abs(y) > 0.9985):
-        raise DomainError("bound_ratio_profile needs |y| <= 0.9985")
-    sp = SpaceParam(nu)
-    n_blocks = -(-n_terms // _BLOCK)
-    table = np.zeros(n_blocks * _BLOCK)
-    table[:n_terms] = _euler_coeffs(sp, n_terms)
-    table = table.reshape(n_blocks, _BLOCK)
-    flat = y.astype(complex).ravel()
-    out = np.empty(flat.size)
-    for s in range(0, flat.size, _PROFILE_CHUNK):
-        out[s : s + _PROFILE_CHUNK] = np.abs(_blocked_taylor_sum(table, flat[s : s + _PROFILE_CHUNK]))
-    return abs(prefactor_a(sp)) * out.reshape(y.shape)
+    return _ratio_profiles((nu,), y, n_terms)[0]

@@ -79,12 +79,17 @@ def gamma_ratio_signed(numerators, denominators):
     """Gamma ratio allowing negative non-integer arguments.
 
     Returns a signed float; a pole in a denominator yields 0.0 and a pole
-    in a numerator yields a signed infinity.
+    in a numerator yields a signed infinity.  A positive argument adds its
+    ``math.lgamma`` directly, the value and sign ``log_gamma_signed``
+    would give it.
     """
     sign = 1.0
     acc = 0.0
     num_pole = False
     for a in numerators:
+        if a > 0.0:
+            acc += math.lgamma(a)
+            continue
         s, l = log_gamma_signed(a)
         if s == 0.0:
             num_pole = True
@@ -93,6 +98,9 @@ def gamma_ratio_signed(numerators, denominators):
         acc += l
     den_pole = False
     for b in denominators:
+        if b > 0.0:
+            acc -= math.lgamma(b)
+            continue
         s, l = log_gamma_signed(b)
         if s == 0.0:
             den_pole = True

@@ -57,11 +57,21 @@ def _rng(seed, salt):
 
 
 def _random_point(rng, r2_range=(0.25, 0.9), ratio_max=0.85):
-    rho = rng.uniform(*r2_range)
-    ratio = math.sqrt(rng.uniform(0.0, 1.0)) * ratio_max
-    ang1, ang2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    z2 = rho * cmath.exp(1j * ang2)
-    return HartogsPoint(ratio * z2 * cmath.exp(1j * ang1), z2)
+    """A point with |z2| uniform in r2_range, |z1/z2| = ratio_max sqrt(u) and
+    uniform angles, from four uniform doubles drawn in one call.
+
+    Each draw is mapped by the formula of ``Generator.uniform``,
+    low + (high - low) u, so the point equals the one drawn by
+    ``uniform(*r2_range)``, ``uniform(0, 1)`` and ``uniform(0, 2 pi, 2)``.
+    The draws are Python floats: numpy complex scalars round the later
+    products z2 conj(w2) differently from Python complex.
+    """
+    u_rho, u_ratio, u_ang1, u_ang2 = rng.random(4).tolist()
+    lo, hi = r2_range
+    rho = lo + (hi - lo) * u_rho
+    ratio = math.sqrt(u_ratio) * ratio_max
+    z2 = rho * cmath.exp(1j * (2.0 * math.pi * u_ang2))
+    return HartogsPoint(ratio * z2 * cmath.exp(1j * (2.0 * math.pi * u_ang1)), z2)
 
 
 def _random_pairs(rng, count):
@@ -75,11 +85,12 @@ def _random_pairs(rng, count):
 def _random_laurent(rng, nu, n_terms=6, jmax=4, kmax=4, normalize=True):
     """Random polynomial supported in I_nu with unit coefficient energy."""
     terms = {}
+    space = coeffspace.SpaceParam(nu)
     kmin_base = coeffspace.min_total_degree(nu)
     while len(terms) < n_terms:
         j = int(rng.integers(0, jmax + 1))
         k = int(rng.integers(max(kmin_base - j, -jmax - 4), kmax + 1))
-        if coeffspace.index_member(nu, j, k):
+        if space.member(j, k):
             terms[(j, k)] = complex(rng.normal(), rng.normal())
     if normalize:
         scale = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
@@ -90,6 +101,7 @@ def _random_laurent(rng, nu, n_terms=6, jmax=4, kmax=4, normalize=True):
 def _random_mixed(rng, nu, n_terms=4, max_exp=3):
     """Random mixed polynomial with every term integrable for mu_nu."""
     terms = {}
+    space = coeffspace.SpaceParam(nu)
     while len(terms) < n_terms:
         a = int(rng.integers(0, max_exp + 1))
         b = int(rng.integers(0, max_exp + 1))
@@ -97,7 +109,7 @@ def _random_mixed(rng, nu, n_terms=4, max_exp=3):
         d = int(rng.integers(0, max_exp + 1))
         if not 2 * a + 2 * b + c + d + nu + 4.0 > 0.0:
             continue
-        if a >= b and coeffspace.index_member(nu, a - b, c - d):
+        if a >= b and space.member(a - b, c - d):
             if not a + c + 0.5 * nu + 2.0 > 0.0:
                 continue
         terms[(a, b, c, d)] = complex(rng.normal(), rng.normal())
@@ -124,9 +136,10 @@ def suite_monomials(seed=0, tol=1e-8, nus=(-0.5, 0.0, 0.7, 2.0), jmax=4, kmax=4,
     res = SuiteResult("monomials", True)
     for nu in nus:
         rule = quadrature.build_rule(nu, radial_order=48, angular_count=4)
+        space = coeffspace.SpaceParam(nu)
         for j in range(jmax + 1):
             for k in range(-kmax, kmax + 1):
-                if not coeffspace.index_member(nu, j, k):
+                if not space.member(j, k):
                     continue
                 closed = coeffspace.monomial_norm_sq(nu, j, k)
                 mono = LaurentCoeffs({(j, k): 1.0})
@@ -200,7 +213,7 @@ def suite_reproducing(seed=0, tol=1e-8, nus=_REGIMES, n_funcs=20, n_points=20):
         for _ in range(n_funcs):
             f = _random_laurent(rng, nu)
             # weight * a and the kernel's coefficient depend on f alone
-            terms = [(j, k, space.weight(j, k) * a, kernels.kernel_coeff_closed(nu, j, k)) for (j, k), a in f.items()]
+            terms = [(j, k, space.weight(j, k) * a, kernels.kernel_coeff_closed(space, j, k)) for (j, k), a in f.items()]
             for _ in range(n_points):
                 w = _random_point(rng, r2_range=(0.3, 0.8), ratio_max=0.8)
                 inner = 0.0j
@@ -231,16 +244,17 @@ def suite_kernel_estimate(seed=0, samples=10_000, nus=(-1.5, -0.5, 0.7, 1.3, 3.5
         for i in range(5)
     ]
     spot_y = np.array([z.z2 * w.z2.conjugate() for z, w in spots])
-    for nu in nus:
+    # every nu's profile over the same samples, sharing their Taylor powers
+    all_ratios = kernels._ratio_profiles(nus, y)
+    all_profiles = kernels._ratio_profiles(nus, spot_y)
+    for nu, ratios, profiles in zip(nus, all_ratios, all_profiles):
         cstar = kernels.bound_constant(nu)
-        ratios = kernels.bound_ratio_profile(nu, y)
         res.row(f"nu={nu} sup ratio vs C*", cstar, float(np.max(ratios)))
         res.check(
             float(np.max(ratios)) <= cstar,
             f"kernel estimate violated at nu={nu}: {np.max(ratios):.6f} > {cstar:.6f}",
         )
         # spot-check the profile against the full kernel on a few pairs
-        profiles = kernels.bound_ratio_profile(nu, spot_y)
         for i, (z, w) in enumerate(spots):
             res.row(f"nu={nu} ratio path {i}", kernels.kernel_bound_ratio(nu, z, w), float(profiles[i]), 1e-9)
     for nu, const in ((0.0, 0.5), (-1.0, 1.0)):
@@ -332,14 +346,15 @@ def suite_projection(seed=0, tol=1e-7, nus=(-0.5, 0.0, 0.7, 2.0), pairs=50):
     for nu in nus:
         projections.projection_self_test(nu)
         rule = quadrature.build_rule(nu, radial_order=32, angular_count=25)
+        space = coeffspace.SpaceParam(nu)
         for j, k in ((0, 0), (1, -1), (2, 1), (0, 2)):
-            if not coeffspace.index_member(nu, j, k):
+            if not space.member(j, k):
                 continue
             out = projections.project_bergman(nu, MixedPoly({(j, 0, k, 0): 1.0}))
             res.row(f"nu={nu} fixes ({j},{k})", 1.0, out.get((j, k)).real, 1e-12)
             res.check(len(out) == 1, f"unexpected support at nu={nu}")
         # the conj(z2)^(1+ceil(nu/2)) test input and its d_nu
-        m = 1 + coeffspace.SpaceParam(nu).ceil
+        m = 1 + space.ceil
         f = MixedPoly({(0, 0, 0, m): 1.0})
         image = projections.project_bergman(nu, f)
         d_beta = image.get((0, -m))

@@ -126,6 +126,12 @@ class TestKernelCommand:
         re = float(out.strip().split("\n")[1].split(",")[5])
         assert re == pytest.approx(129.60767, rel=1e-7)
 
+    @pytest.mark.parametrize("flag", ["--z1", "--z2", "--w1", "--w2"])
+    def test_point_flag_beside_a_pair_file_exits_2(self, capsys, tmp_path, flag):
+        path = self._write_pairs(tmp_path, [([0.1, 0.0], [0.5, 0.0], [0.0, 0.2], [0.4, -0.1])])
+        code, out, err = run_cli(capsys, "kernel", "--nu", "0.7", "--in", path, flag, "0.1,0")
+        assert (code, out) == (2, "") and "kernel --in takes no --z1 --z2 --w1 --w2" in err
+
 
 class TestNormCommand:
     def test_hardy(self, capsys, tmp_path):
@@ -144,6 +150,13 @@ class TestNormCommand:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "norm", "--space", "hardy", "--in", "/nonexistent.json")
         assert code == 1
+
+    @pytest.mark.parametrize("space", ["hardy", "dirichlet", "sharp"])
+    def test_nu_for_a_space_without_one_exits_2(self, capsys, tmp_path, space):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": 1, "k": 0, "re": 1.0}]}))
+        code, out, err = run_cli(capsys, "norm", "--space", space, "--nu", "3", "--in", str(path))
+        assert (code, out, err) == (2, "", f"error: norm --space {space} takes no --nu\n")
 
     def test_star_rejects_non_finite_nu(self, capsys, tmp_path):
         path = tmp_path / "f.json"
@@ -205,6 +218,19 @@ class TestSzegoCommand:
         code, _, err = run_cli(capsys, "szego", "--grid", "8", "--in", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["7", "0"])
+    def test_grid_flag_with_a_coefficient_file_exits_2(self, capsys, tmp_path, grid):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": 1, "k": 0, "re": 2.0}]}))
+        code, out, err = run_cli(capsys, "szego", "--grid", grid, "--in", str(path))
+        assert (code, out) == (2, "") and "szego --grid applies to a grid file" in err
+
+    def test_grid_flag_zero_is_checked_against_the_file(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 2, "values": [[0.0, 0.0]] * 4}))
+        code, out, err = run_cli(capsys, "szego", "--grid", "0", "--in", str(path))
+        assert (code, out) == (2, "") and "disagrees with input grid size 2" in err
+
 
 class TestIsometryCommand:
     def test_round_trip_through_files(self, capsys, tmp_path):
@@ -230,6 +256,15 @@ class TestIsometryCommand:
         path.write_text(json.dumps({"terms": []}))
         code, _, err = run_cli(capsys, "isometry", "--space", "bergman", "--in", str(path))
         assert code == 2 and "--nu" in err
+
+    @pytest.mark.parametrize("space", ["hardy", "dirichlet"])
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_nu_for_a_space_without_one_exits_2(self, capsys, tmp_path, space, direction):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": 1, "k": 0, "re": 1.0}]}))
+        argv = ("isometry", "--space", space, "--direction", direction, "--nu", "3", "--in", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: isometry --space {space} takes no --nu\n")
 
 
 class TestScanBlowupCommand:
@@ -352,6 +387,12 @@ class TestExitCodes:
             (("kernel", "--nu", "0.7"), {"z": {"z1": [0.1, 0.0], "z2": [0.5, 0.0]}, "w": {"z1": [0.1, 0.0], "z2": [0.5, 0.0]}}),
             (("kernel", "--nu", "0.7"), {}),
             (("kernel", "--nu", "0.7"), [{"z": [0.1, 0.5], "w": [0.1, 0.5]}]),
+            (("norm", "--space", "hardy"), {"terms": {}}),
+            (("norm", "--space", "hardy"), {"terms": ""}),
+            (("norm", "--space", "hardy"), {"terms": {"j": 0, "k": 0, "re": 1.0}}),
+            (("project", "--nu", "0"), {"terms": None}),
+            (("szego",), {"terms": "abc"}),
+            (("isometry", "--space", "hardy", "--direction", "inverse"), {"terms": {}}),
         ],
     )
     def test_document_of_the_wrong_shape_exits_1(self, capsys, tmp_path, argv, document):
@@ -373,6 +414,17 @@ class TestExitCodes:
             (("project", "--nu", "0"), {"terms": [{"a": 0, "b": 0, "c": 0, "d": 0, "re": 1.0, "im": [0]}]}),
             (("szego",), {"n": "x", "values": []}),
             (("szego",), {"n": 1, "values": [[1.0]]}),
+            (("norm", "--space", "hardy"), {"terms": [{"j": True, "k": 0, "re": 1.0}]}),
+            (("norm", "--space", "hardy"), {"terms": [{"j": 0, "k": False, "re": 1.0}]}),
+            (("norm", "--space", "hardy"), {"terms": [{"j": 0, "k": 0, "re": True}]}),
+            (("norm", "--space", "hardy"), {"terms": [{"j": 0, "k": 0, "re": 1.0, "im": True}]}),
+            (("project", "--nu", "0"), {"terms": [{"a": 0, "b": True, "c": 0, "d": 0, "re": 1.0}]}),
+            (("szego",), {"terms": [{"j": 0, "k": 0, "re": 1.0, "im": False}]}),
+            (("szego",), {"n": True, "values": [[1.0, 0.0]]}),
+            (("szego",), {"n": 1, "values": [[True, 0.0]]}),
+            (("szego",), {"n": 1, "values": [[1.0, False]]}),
+            (("szego",), {"n": 2.5, "values": [[1.0, 0.0]] * 4}),
+            (("szego",), {"n": "2", "values": [[1.0, 0.0]] * 4}),
         ],
     )
     def test_field_of_the_wrong_type_or_value_exits_2(self, capsys, tmp_path, argv, document):

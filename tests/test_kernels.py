@@ -311,6 +311,81 @@ class TestBoundRatioProfile:
         assert max(errs) <= tol
 
 
+def per_nu_profile(nu, y, n_terms=6000):
+    """bound_ratio_profile as it was before its Taylor powers were shared
+    across nu: powers, their real and imaginary copies and the Horner step
+    built per nu and per chunk.  The reference _ratio_profiles must equal
+    bit for bit."""
+    y = np.asarray(y)
+    sp = SpaceParam(nu)
+    n_blocks = -(-n_terms // kernels._BLOCK)
+    table = np.zeros(n_blocks * kernels._BLOCK)
+    table[:n_terms] = kernels._euler_coeffs(sp, n_terms)
+    table = table.reshape(n_blocks, kernels._BLOCK)
+    flat = y.astype(complex).ravel()
+    out = np.empty(flat.size)
+    for s in range(0, flat.size, kernels._PROFILE_CHUNK):
+        chunk = flat[s : s + kernels._PROFILE_CHUNK]
+        powers = np.empty((kernels._BLOCK, chunk.size), dtype=complex)
+        powers[0] = 1.0
+        powers[1:] = chunk
+        np.cumprod(powers, axis=0, out=powers)
+        re, im = powers.real.copy(), powers.imag.copy()
+        blocks = np.empty((n_blocks, chunk.size), dtype=complex)
+        rows = max(1, kernels._ONE_THREAD_MNK // (n_blocks * kernels._BLOCK))
+        for r in range(0, chunk.size, rows):
+            blocks.real[:, r : r + rows] = table @ re[:, r : r + rows]
+            blocks.imag[:, r : r + rows] = table @ im[:, r : r + rows]
+        step = powers[-1] * chunk
+        acc = blocks[-1]
+        for b in range(n_blocks - 2, -1, -1):
+            acc = acc * step + blocks[b]
+        out[s : s + kernels._PROFILE_CHUNK] = np.abs(acc)
+    return abs(kernels.prefactor_a(sp)) * out.reshape(y.shape)
+
+
+class TestRatioProfiles:
+    """_ratio_profiles shares each chunk's Taylor powers across nu; every
+    value must stay that of the per-nu computation."""
+
+    NUS = (-1.5, -0.5, 0.7, 1.3, 3.5)  # the kernel-estimate suite's
+
+    @staticmethod
+    def suite_samples():
+        """The kernel-estimate suite's 10^4 boundary samples at seed 0."""
+        rng = np.random.default_rng([0, 300])
+        mod = 1.0 - 10.0 ** rng.uniform(-6.0, -0.3, size=10_000)
+        return np.clip(mod, 0.0, 0.998) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=10_000))
+
+    def test_equals_the_per_nu_profile_on_the_suite_samples(self):
+        y = self.suite_samples()
+        profiles = kernels._ratio_profiles(self.NUS, y)
+        assert len(profiles) == len(self.NUS)
+        for nu, prof in zip(self.NUS, profiles):
+            assert prof.shape == y.shape and prof.dtype == np.float64
+            assert np.array_equal(prof, per_nu_profile(nu, y))
+            assert np.array_equal(prof, kernels.bound_ratio_profile(nu, y))
+
+    def test_equals_the_per_nu_profile_on_few_samples_and_a_grid(self):
+        rng = np.random.default_rng(8)
+        few = 0.95 * rng.uniform(size=5) * np.exp(2j * math.pi * rng.uniform(size=5))
+        grid = np.array([0.5 + 0.3j, -0.9, 0.99j, 0.2, 0.9985, 0.7 - 0.1j]).reshape(2, 3)
+        for y in (few, grid):
+            for nu, prof in zip(self.NUS, kernels._ratio_profiles(self.NUS, y)):
+                assert prof.shape == y.shape
+                assert np.array_equal(prof, per_nu_profile(nu, y))
+
+    def test_one_nu_short_series(self):
+        y = self.suite_samples()[:5000]
+        (prof,) = kernels._ratio_profiles((0.7,), y, n_terms=100)
+        assert np.array_equal(prof, per_nu_profile(0.7, y, n_terms=100))
+        assert np.array_equal(prof, kernels.bound_ratio_profile(0.7, y, n_terms=100))
+
+    def test_refuses_samples_beyond_the_cap(self):
+        with pytest.raises(DomainError, match="0.9985"):
+            kernels._ratio_profiles(self.NUS, np.array([0.5, 0.999]))
+
+
 class TestOneSpaceParamPerCall:
     @pytest.mark.parametrize("nu", [-2.0, -1.5, -1.0, 0.7, 3.5])
     def test_kernel_builds_space_param_once(self, nu, monkeypatch):

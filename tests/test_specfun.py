@@ -83,6 +83,67 @@ class TestGammaRatio:
         assert gamma_ratio_signed([1.0], [-1.0]) == 0.0
 
 
+def loop_gamma_ratio_signed(numerators, denominators):
+    """gamma_ratio_signed with every argument through log_gamma_signed, the
+    reference its direct math.lgamma path for positive arguments must
+    equal bit for bit."""
+    sign, acc, num_pole, den_pole = 1.0, 0.0, False, False
+    for a in numerators:
+        s, l = log_gamma_signed(a)
+        if s == 0.0:
+            num_pole = True
+            continue
+        sign *= s
+        acc += l
+    for b in denominators:
+        s, l = log_gamma_signed(b)
+        if s == 0.0:
+            den_pole = True
+            continue
+        sign *= s
+        acc -= l
+    if num_pole and den_pole:
+        raise DomainError("gamma_ratio_signed: pole over pole is ambiguous")
+    if num_pole:
+        return sign * math.inf
+    if den_pole:
+        return 0.0
+    return sign * math.exp(acc)
+
+
+class TestGammaRatioSignedReference:
+    def test_equals_the_loop_on_random_arguments(self):
+        rng = np.random.default_rng(14)
+        for _ in range(3000):
+            n_num, n_den = rng.integers(0, 5, size=2)
+            args = rng.uniform(-12.0, 30.0, size=n_num + n_den)
+            nums, dens = args[:n_num].tolist(), args[n_num:].tolist()
+            assert gamma_ratio_signed(nums, dens) == loop_gamma_ratio_signed(nums, dens)
+
+    def test_equals_the_loop_on_the_weight_arguments(self):
+        """The seven arguments of a coefficient weight, positive and negative."""
+        for nu in (-1.9, -1.5, -4.0 / 3.0 + 1e-3, -0.5, 0.7, 3.5, 41.3):
+            for j in range(4):
+                for k in range(-j - 3, 4):
+                    nums = [nu + 2.0, 1.5 * nu + 3.0, j + 1.0, j + k + 0.5 * nu + 2.0]
+                    dens = [0.5 * nu + 2.0, j + nu + 2.0, j + k + 1.5 * nu + 3.0]
+                    assert gamma_ratio_signed(nums, dens) == loop_gamma_ratio_signed(nums, dens)
+
+    @pytest.mark.parametrize(
+        "nums, dens",
+        [([-2.0, 1.5], [0.5]), ([1.5], [-3.0, 2.5]), ([0.0], [2.0]), ([2.5], [0.0, -0.5]), ([-1.5, 3.0], [-0.5, 4.0])],
+    )
+    def test_same_value_at_poles(self, nums, dens):
+        assert gamma_ratio_signed(nums, dens) == loop_gamma_ratio_signed(nums, dens)
+
+    @pytest.mark.parametrize("nums, dens", [([-1.0], [0.0]), ([2.5, -3.0], [1.5, -2.0])])
+    def test_pole_over_pole_raises_as_the_loop(self, nums, dens):
+        with pytest.raises(DomainError, match="pole over pole"):
+            loop_gamma_ratio_signed(nums, dens)
+        with pytest.raises(DomainError, match="pole over pole"):
+            gamma_ratio_signed(nums, dens)
+
+
 class TestBeta:
     def test_trivial_values(self):
         assert beta_fn(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)

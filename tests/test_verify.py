@@ -1,11 +1,110 @@
 """The numerical helpers of the verify suites against their plain definitions."""
 
-import numpy as np
+import cmath
+import math
 
-from hartogs import quadrature
-from hartogs.coeffspace import TorusSeries
-from hartogs.geometry import random_automorphism
-from hartogs.verify import _TAU_CENTER_CAP, _TAU_R1_RANGE, _TAU_R2_RANGE, _bump, _torus_samples
+import numpy as np
+import pytest
+
+from hartogs import coeffspace, quadrature
+from hartogs.coeffspace import LaurentCoeffs, MixedPoly, TorusSeries
+from hartogs.geometry import HartogsPoint, random_automorphism
+from hartogs.verify import (
+    _REGIMES,
+    _TAU_CENTER_CAP,
+    _TAU_R1_RANGE,
+    _TAU_R2_RANGE,
+    _bump,
+    _random_laurent,
+    _random_mixed,
+    _random_point,
+    _torus_samples,
+)
+
+
+def three_call_point(rng, r2_range=(0.25, 0.9), ratio_max=0.85):
+    """_random_point by three Generator.uniform calls: the reference its
+    one-call form must equal, draw for draw."""
+    rho = rng.uniform(*r2_range)
+    ratio = math.sqrt(rng.uniform(0.0, 1.0)) * ratio_max
+    ang1, ang2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+    z2 = rho * cmath.exp(1j * ang2)
+    return HartogsPoint(ratio * z2 * cmath.exp(1j * ang1), z2)
+
+
+def member_per_candidate_laurent(rng, nu, n_terms=6, jmax=4, kmax=4, normalize=True):
+    """_random_laurent testing each candidate by index_member, which builds
+    a SpaceParam per call: the reference for the hoisted SpaceParam."""
+    terms = {}
+    kmin_base = coeffspace.min_total_degree(nu)
+    while len(terms) < n_terms:
+        j = int(rng.integers(0, jmax + 1))
+        k = int(rng.integers(max(kmin_base - j, -jmax - 4), kmax + 1))
+        if coeffspace.index_member(nu, j, k):
+            terms[(j, k)] = complex(rng.normal(), rng.normal())
+    if normalize:
+        scale = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
+        terms = {key: a / scale for key, a in terms.items()}
+    return LaurentCoeffs(terms)
+
+
+def member_per_candidate_mixed(rng, nu, n_terms=4, max_exp=3):
+    """_random_mixed testing each candidate by index_member."""
+    terms = {}
+    while len(terms) < n_terms:
+        a = int(rng.integers(0, max_exp + 1))
+        b = int(rng.integers(0, max_exp + 1))
+        c = int(rng.integers(-2, max_exp + 1))
+        d = int(rng.integers(0, max_exp + 1))
+        if not 2 * a + 2 * b + c + d + nu + 4.0 > 0.0:
+            continue
+        if a >= b and coeffspace.index_member(nu, a - b, c - d):
+            if not a + c + 0.5 * nu + 2.0 > 0.0:
+                continue
+        terms[(a, b, c, d)] = complex(rng.normal(), rng.normal())
+    return MixedPoly(terms)
+
+
+class TestRandomPoint:
+    # the three argument sets of the suites: kernel-agreement, reproducing, kernel-estimate
+    ARGUMENTS = [{}, {"r2_range": (0.3, 0.8), "ratio_max": 0.8}, {"r2_range": (0.8, 0.95), "ratio_max": 0.95}]
+
+    @pytest.mark.parametrize("kwargs", ARGUMENTS)
+    @pytest.mark.parametrize("seed", [0, 31])
+    def test_equals_the_three_call_draw(self, kwargs, seed):
+        got_rng, ref_rng = np.random.default_rng([seed, 101]), np.random.default_rng([seed, 101])
+        for _ in range(1000):
+            got, ref = _random_point(got_rng, **kwargs), three_call_point(ref_rng, **kwargs)
+            assert (got.z1, got.z2) == (ref.z1, ref.z2)
+        # both streams end at the same state
+        assert got_rng.random() == ref_rng.random()
+
+    def test_coordinates_are_python_complex(self):
+        """numpy complex scalars would round the suites' z2 conj(w2) products differently."""
+        rng = np.random.default_rng(3)
+        for kwargs in self.ARGUMENTS:
+            point = _random_point(rng, **kwargs)
+            assert type(point.z1) is complex and type(point.z2) is complex
+
+
+class TestRandomPolynomials:
+    @pytest.mark.parametrize("nu", _REGIMES + (-1.0 + 1e-4, 1.0))
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_laurent_equals_the_per_candidate_reference(self, nu, seed):
+        for kwargs in ({}, {"n_terms": 5}, {"n_terms": 6, "jmax": 6, "kmax": 6}, {"normalize": False}):
+            got_rng, ref_rng = np.random.default_rng([seed, 200]), np.random.default_rng([seed, 200])
+            for _ in range(10):
+                got = _random_laurent(got_rng, nu, **kwargs)
+                assert got.terms == member_per_candidate_laurent(ref_rng, nu, **kwargs).terms
+            assert got_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_mixed_equals_the_per_candidate_reference(self, seed):
+        got_rng, ref_rng = np.random.default_rng([seed, 500]), np.random.default_rng([seed, 500])
+        for nu in (-0.5, 0.0, 0.7, 2.0):
+            for _ in range(20):
+                assert _random_mixed(got_rng, nu).terms == member_per_candidate_mixed(ref_rng, nu).terms
+        assert got_rng.random() == ref_rng.random()
 
 
 def plain_bump(z1, z2):
