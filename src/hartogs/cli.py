@@ -27,6 +27,7 @@ digits; identical configuration and seed produce byte-identical output.
 import argparse
 import functools
 import inspect
+import itertools
 import json
 import sys
 
@@ -113,12 +114,20 @@ def _read_pairs(path):
 
     A record missing a key or a document that is not a list of records
     raises InputError (an i/o error); coordinates that are not [re, im]
-    pairs of numbers raise DomainError.
+    pairs of numbers, booleans included, raise DomainError.
     """
     coords = _read_json(path, _pair_coords)
     try:
+        values = np.array(coords, dtype=float)
+        # true and false read as 1.0 and 0.0, so only a batch holding a 0 or 1 needs the scan of types
+        if ((values == 0.0) | (values == 1.0)).any():
+            leaves = coords
+            for _ in range(values.ndim - 1):
+                leaves = itertools.chain.from_iterable(leaves)
+            if bool in set(map(type, leaves)):
+                raise ValueError("true and false are not numbers")
         # the complex view keeps each (re, im) pair bit for bit, signed zeros included
-        return np.array(coords, dtype=float).reshape(len(coords), 4, 2).view(complex)[..., 0]
+        return values.reshape(len(coords), 4, 2).view(complex)[..., 0]
     except (TypeError, ValueError) as exc:
         raise DomainError(f"kernel --in records need [re, im] coordinates: {exc}") from exc
 

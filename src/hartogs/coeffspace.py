@@ -8,9 +8,8 @@ and membership in every space of the one-parameter family is a weighted
 square-summability condition on the coefficients.  This module holds the
 family parameter (SpaceParam, which decides the regime of nu for the
 whole library), the coefficient containers, the index set I_nu, the
-exact Gamma/Beta closed forms of the space norms, the three-way
-coefficient split feeding the multiplier operator T, and the restriction
-of a function to the torus grid used by the Hardy-side machinery.
+exact Gamma/Beta closed forms of the space norms, and the three-way
+coefficient split feeding the multiplier operator T.
 
 Out-of-space inputs produce the +inf sentinel rather than an error: the
 divergence of a norm is a mathematical outcome that callers test for.
@@ -31,7 +30,6 @@ __all__ = [
     "index_member",
     "min_total_degree",
     "monomial_norm_sq",
-    "weighted_dirichlet_weight",
     "bergman_norm_sq",
     "hardy_norm_sq",
     "dirichlet_norm_sq",
@@ -40,8 +38,6 @@ __all__ = [
     "t_norm_sq",
     "star_norm",
     "evaluate",
-    "restrict_to_torus",
-    "hardy_sup_check",
 ]
 
 
@@ -104,9 +100,11 @@ class SpaceParam:
     def weight(self, j, k):
         """Coefficient weight of z1^j z2^k in the pairing of the space.
 
-        The Gamma form of ``_gamma_weight`` for nu > -1 and -2 < nu < -1
-        (signed there), 1 at nu = -1 and (j+1)(j+k+1) at nu = -2.
-        Returns +inf outside I_nu.
+        The Gamma form of ``_gamma_weight`` for nu > -1 and -2 < nu < -1,
+        1 at nu = -1 and (j+1)(j+k+1) at nu = -2; +inf outside I_nu.  Below
+        nu = -4/3 the weights at j + k = -1 are negative and the pairing is
+        indefinite.  The kernel's Laurent coefficient of
+        (z1 conj(w1))^j (z2 conj(w2))^k is 1 / weight(j, k), signed alike.
         """
         if not self.member(j, k):
             return math.inf
@@ -127,6 +125,12 @@ class SpaceParam:
                 return math.inf
             total += w * abs(a) ** 2
         return total
+
+
+def _space(nu):
+    """nu as its SpaceParam; a SpaceParam passes through, so a caller that
+    has already built one does not build it again."""
+    return nu if isinstance(nu, SpaceParam) else SpaceParam(nu)
 
 
 class _CoeffMap:
@@ -293,18 +297,6 @@ def monomial_norm_sq(nu, j, k):
     return SpaceParam(nu).require("bergman", "monomial_norm_sq").weight(j, k)
 
 
-def weighted_dirichlet_weight(nu, j, k):
-    """Coefficient weight of the weighted Dirichlet pairing, -2 < nu < -1.
-
-    Same Gamma closed form as the Bergman-range weight; the overall
-    prefactor is positive on this range but individual weights at
-    j + k = -1 turn negative for nu < -4/3 (the pairing is then
-    indefinite; see the kernel module for the matching signed kernel
-    coefficients).  Returns +inf outside I_nu.
-    """
-    return SpaceParam(nu).require("weighted-dirichlet", "weighted_dirichlet_weight").weight(j, k)
-
-
 def bergman_norm_sq(nu, f):
     """Squared A^2_nu norm of a Laurent polynomial; +inf if the support
     leaks outside I_nu."""
@@ -325,7 +317,8 @@ def weighted_dirichlet_norm_sq(nu, f):
     """The signed weighted sum defining the D_nu pairing, -2 < nu < -1.
 
     The value is real but may be negative for supports hitting the
-    indefinite indices; +inf if the support leaves I_nu.
+    indefinite indices (j + k = -1 below nu = -4/3, see
+    ``SpaceParam.weight``); +inf if the support leaves I_nu.
     """
     return SpaceParam(nu).require("weighted-dirichlet", "weighted_dirichlet_norm_sq").norm_sq(f)
 
@@ -355,18 +348,17 @@ def split_f123(f):
     return LaurentCoeffs(t1), LaurentCoeffs(t2), LaurentCoeffs(t3), a00
 
 
-def _tsplit_prefactor(nu):
-    """2^(nu/2) C_nu continued below nu = -1:
+def _tsplit_prefactor(sp):
+    """2^(nu/2) C_nu continued below nu = -1 over the whole family:
 
         (nu+1)^2 Gamma(3nu/2+3) / (pi^2 Gamma(nu+2) Gamma(nu/2+2)),
 
-    which is analytic on (-3, inf) except for a removable 0/0 at nu = -2
-    (limit 2 / (3 pi^2)) and a genuine pole at nu = -8/3.
+    analytic on [-2, inf) except for a removable 0/0 at nu = -2, the
+    Dirichlet space (limit 2 / (3 pi^2)).
     """
-    if not (math.isfinite(nu) and nu > -3.0):
-        raise DomainError(f"T-split norms need a finite nu > -3, got {nu}")
-    if abs(nu + 2.0) < SNAP_TOL:
+    if sp.kind == "dirichlet":
         return 2.0 / (3.0 * math.pi**2)
+    nu = sp.nu
     ratio = gamma_ratio_signed([1.5 * nu + 3.0], [nu + 2.0, 0.5 * nu + 2.0])
     return (nu + 1.0) ** 2 * ratio / math.pi**2
 
@@ -380,12 +372,15 @@ def t_norm_sq(nu, which, f_i):
         pi^2 2^(nu/2) C_nu |c|^2 B(J+1, nu+3) B(J+K+nu/2+3, nu+3),
 
     the same Beta form for all three split components (``which`` only
-    labels the component).  A term is finite iff nu > -3 and
-    J + K + nu/2 + 3 > 0; otherwise the +inf sentinel is returned.
+    labels the component).  A term is finite iff J + K + nu/2 + 3 > 0;
+    otherwise the +inf sentinel is returned.  ``nu`` is a float or its
+    SpaceParam; nu < -2 raises DomainError.
     """
     if which not in (1, 2, 3):
         raise DomainError(f"which must be 1, 2 or 3, got {which}")
-    pref = _tsplit_prefactor(nu)
+    sp = _space(nu)
+    nu = sp.nu
+    pref = _tsplit_prefactor(sp)
     total = 0.0
     for (J, K), c in f_i.items():
         second = J + K + 0.5 * nu + 3.0
@@ -400,12 +395,13 @@ def star_norm(nu, f):
 
     For nu > -1 this is the equivalent Bergman-space norm, for
     -2 < nu < -1 it defines the weighted Dirichlet space and at nu = -2
-    the Dirichlet space.
+    the Dirichlet space.  nu < -2 raises DomainError.
     """
+    sp = SpaceParam(nu)
     f1, f2, f3, a00 = split_f123(f)
     total = abs(a00)
     for which, part in ((1, f1), (2, f2), (3, f3)):
-        sq = t_norm_sq(nu, which, part)
+        sq = t_norm_sq(sp, which, part)
         if math.isinf(sq):
             return math.inf
         total += math.sqrt(max(sq, 0.0))
@@ -427,31 +423,3 @@ def evaluate_grid(f, z1, z2):
     for (j, k), a in f.items():
         total = total + a * z1**j * z2**k
     return total
-
-
-def restrict_to_torus(f, s, t):
-    """Fourier data of f(s t e^(i th), t e^(i ga)) on the torus.
-
-    The coefficient at (j, k) is a_{jk} s^j t^(j+k).
-    """
-    if not (0.0 < s < 1.0 and 0.0 < t < 1.0):
-        raise DomainError(f"(s, t) must lie in (0,1)^2, got ({s}, {t})")
-    return TorusSeries({(j, k): a * s**j * t ** (j + k) for (j, k), a in f.items()})
-
-
-def hardy_sup_check(f, grid):
-    """Max over an (s, t) grid of the dilated boundary L^2 mass.
-
-    The value at (s, t) is sum |a_{jk}|^2 s^(2j+1) t^(2(j+k+1)); it is
-    bounded by the Hardy norm and increases to it as (s, t) -> (1, 1).
-    The support of f must lie in I_{-1}.
-    """
-    if math.isinf(hardy_norm_sq(f)):
-        raise DomainError("hardy_sup_check needs support inside the Hardy index set")
-    best = 0.0
-    for s, t in grid:
-        val = 0.0
-        for (j, k), a in f.items():
-            val += abs(a) ** 2 * s ** (2 * j + 1) * t ** (2 * (j + k + 1))
-        best = max(best, val)
-    return best

@@ -30,8 +30,9 @@ DomainError outside that range.
 
 Alongside the closed forms the module carries brute-force basis-series
 oracles (per pair, sharing no code with the batched bodies), the Laurent
-coefficients of each kernel (exact reciprocals of the monomial weights),
-and the boundary-estimate checker with its derived majorant constant.
+coefficients of each kernel read off its closed form (the reciprocals of
+the monomial weights ``SpaceParam.weight``, reached by another route), and
+the boundary-estimate checker with its derived majorant constant.
 """
 
 import math
@@ -40,7 +41,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import coeffspace
-from .coeffspace import SNAP_TOL, SpaceParam
+from .coeffspace import SNAP_TOL, SpaceParam, _space
 from .specfun import DomainError, HypergeometricParams, gamma_ratio, gamma_ratio_signed, gauss_2f1
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "weighted_dirichlet_kernel",
     "dirichlet_kernel",
     "kernel",
-    "kernel_coeff",
     "kernel_coeff_closed",
     "kernel_series",
     "kernel_nu_series_k",
@@ -85,12 +85,6 @@ def _batch_xy(z, w):
 def _result(val, single):
     """A complex for a single pair, the array for a batch."""
     return complex(val[0]) if single else val
-
-
-def _space(nu):
-    """nu as its SpaceParam; a SpaceParam passes through, so a caller that
-    has already built one does not build it again."""
-    return nu if isinstance(nu, SpaceParam) else SpaceParam(nu)
 
 
 def _degenerate_check(sp):
@@ -256,26 +250,14 @@ def kernel(nu, z, w):
     return dirichlet_kernel(z, w)
 
 
-def kernel_coeff(nu, j, k):
-    """Laurent coefficient of the kernel: the reciprocal monomial weight.
-
-    K(z, w) = sum_{(j,k) in I_nu} kernel_coeff(nu, j, k) (z1 conj(w1))^j
-    (z2 conj(w2))^k; outside I_nu, where the weight is +inf, the
-    coefficient is zero.
-    """
-    w = SpaceParam(nu).weight(j, k)
-    return math.inf if w == 0.0 else 1.0 / w
-
-
 def kernel_coeff_closed(nu, j, k):
     """Laurent coefficient of the kernel read off the closed form.
 
     Expands (1 - x)^(-(nu+2)) binomially and the hypergeometric factor
     through its Pochhammer recurrence, so the value travels a different
-    numerical route than the Gamma-ratio reciprocal of
-    :func:`kernel_coeff`; the two agree to rounding and the reproducing
-    identity tests pair them deliberately.  ``nu`` is a float or its
-    SpaceParam.
+    numerical route than the Gamma-ratio reciprocal 1 / ``SpaceParam.weight``;
+    the two agree to rounding and the reproducing identity tests pair them
+    deliberately.  ``nu`` is a float or its SpaceParam.
     """
     sp = _space(nu)
     nu, kind = sp.nu, sp.kind

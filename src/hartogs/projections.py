@@ -44,7 +44,6 @@ __all__ = [
     "critical_range_unified",
     "schur_feasible",
     "blowup_scan",
-    "classical_estimate_check",
 ]
 
 class IntegrabilityError(DomainError):
@@ -68,7 +67,7 @@ def project_bergman(nu, f):
     nu = sp.nu
     if not isinstance(f, MixedPoly):
         raise DomainError("project_bergman expects a MixedPoly input")
-    front = normalization_C(nu) * 2.0 ** (0.5 * nu) * math.pi**2
+    front = normalization_C(sp) * 2.0 ** (0.5 * nu) * math.pi**2
     out = {}
     for (a, b, c, d), coef in f.items():
         if not 2 * a + 2 * b + c + d + nu + 4.0 > 0.0:
@@ -317,61 +316,3 @@ def blowup_scan(nu, p, epsilons):
     else:
         regime = "convergent"
     return BlowupScan(nu, p, s, epsilons, values, slope, regime)
-
-
-def _angular_integral(rho, exponent):
-    """int_0^{2pi} |1 - rho e^(i theta)|^(-exponent) d theta, adaptive."""
-    # Imported here, its only use: scipy.integrate (and the scipy.optimize /
-    # scipy.sparse chain it loads) would cost every process ~0.3 s at start.
-    from scipy.integrate import quad
-
-    def f(theta):
-        return ((1.0 - rho) ** 2 + 4.0 * rho * math.sin(0.5 * theta) ** 2) ** (-0.5 * exponent)
-
-    val, _ = quad(f, 0.0, math.pi, epsabs=0.0, epsrel=1e-10, limit=400)
-    return 2.0 * val
-
-
-def classical_estimate_check(which, params, grid, order=64):
-    """Numerical ratio scan of the two classical one-variable estimates.
-
-    which = "cl-estimate": params is tau > 0, grid lists rho in (0, 1);
-    the left side is the angular integral of |1 - rho e^(i theta)|^(-1-tau)
-    and the right side (1-rho)^(-tau).
-
-    which = "cl-estimate2": params is (gamma, delta), grid lists |z|;
-    the left side is int_D (1-|w|^2)^gamma |1 - z conj(w)|^(-2-gamma-delta) dw
-    and the right side (1-|z|^2)^(-delta).
-
-    Returns a dict with the per-point ratios and their min/max spread.
-    """
-    rows = []
-    if which == "cl-estimate":
-        tau = float(params)
-        if not tau > 0.0:
-            raise DomainError(f"cl-estimate requires tau > 0, got {tau}")
-        for rho in grid:
-            left = _angular_integral(rho, 1.0 + tau)
-            right = (1.0 - rho) ** (-tau)
-            rows.append((rho, left, right, left / right))
-    elif which == "cl-estimate2":
-        gamma, delta = params
-        if not (gamma > -1.0 and delta > 0.0):
-            raise DomainError(f"cl-estimate2 requires gamma > -1 and delta > 0, got {params}")
-        vj, wj = quadrature._jacobi01(order, gamma, 0.0)
-        for mod_z in grid:
-            inner = np.array(
-                [_angular_integral(mod_z * math.sqrt(v), 2.0 + gamma + delta) for v in vj]
-            )
-            left = 0.5 * float(np.dot(wj, inner))
-            right = (1.0 - mod_z * mod_z) ** (-delta)
-            rows.append((mod_z, left, right, left / right))
-    else:
-        raise DomainError(f"unknown estimate {which!r}")
-    ratios = [r[-1] for r in rows]
-    return {
-        "rows": rows,
-        "min_ratio": min(ratios),
-        "max_ratio": max(ratios),
-        "spread": max(ratios) / min(ratios),
-    }

@@ -55,7 +55,7 @@ import numpy as np
 import scipy.linalg  # noqa: F401
 from scipy.special import roots_jacobi, roots_legendre
 
-from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, as_mixed, conj_product, evaluate_grid
+from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, _space, as_mixed, conj_product, evaluate_grid
 from .geometry import normalization_C
 from .specfun import DomainError
 
@@ -132,11 +132,11 @@ def build_rule(nu, radial_order=None, angular_count=65):
 
     The default radial order is 64, overridable through the
     HARTOGS_QUAD_ORDER environment variable.  The rule carries the
-    snapped nu of :class:`SpaceParam`.
+    snapped nu of :class:`SpaceParam`; ``nu`` is a float or its SpaceParam.
     """
     if radial_order is None:
         radial_order = radial_order_from_env(64)
-    sp = SpaceParam(nu).require("bergman", "build_rule")
+    sp = _space(nu).require("bergman", "build_rule")
     nu = sp.nu
     if radial_order < 1 or angular_count < 1:
         raise DomainError("rule orders must be positive")
@@ -287,9 +287,10 @@ def _integrate_pullback(nu, integrand, rule, on_triangle):
     """c_nu/4 times the rule's sum of the integrand over D x D*, pulled
     through Phi when ``on_triangle``, against v^v_shift for mu_nu and one
     power of v fewer for the bidisc weight."""
-    nu = SpaceParam(nu).nu
+    sp = SpaceParam(nu)
+    nu = sp.nu
     if rule is None:
-        rule = build_rule(nu)
+        rule = build_rule(sp)
     if rule.nu != nu:
         raise DomainError(f"rule was built for nu = {rule.nu}, asked for {nu}")
     # |w2|^nu rho drho pulls back to v^(nu/2) dv / 2 against the same
@@ -301,7 +302,7 @@ def _integrate_pullback(nu, integrand, rule, on_triangle):
     else:
         fn = as_grid_fn(integrand)
         total = _tensor_sum(_on_triangle(fn) if on_triangle else fn, *radial, rule.angular)
-    return normalization_C(nu) * 2.0 ** (0.5 * nu) / 4.0 * total
+    return normalization_C(sp) * 2.0 ** (0.5 * nu) / 4.0 * total
 
 
 def integrate_mu(nu, integrand, rule=None):

@@ -99,9 +99,13 @@ def _random_laurent(rng, nu, n_terms=6, jmax=4, kmax=4, normalize=True):
 
 
 def _random_mixed(rng, nu, n_terms=4, max_exp=3):
-    """Random mixed polynomial with every term integrable for mu_nu."""
+    """Random mixed polynomial with every term integrable for mu_nu.
+
+    For nu > -1, c >= -2 also keeps the Beta moment a + c + nu/2 + 2 of
+    every term that P_nu keeps positive: a moment <= 0 needs a = b = 0 and
+    c = -2, and then z2^(-2-d) is outside I_nu.
+    """
     terms = {}
-    space = coeffspace.SpaceParam(nu)
     while len(terms) < n_terms:
         a = int(rng.integers(0, max_exp + 1))
         b = int(rng.integers(0, max_exp + 1))
@@ -109,9 +113,6 @@ def _random_mixed(rng, nu, n_terms=4, max_exp=3):
         d = int(rng.integers(0, max_exp + 1))
         if not 2 * a + 2 * b + c + d + nu + 4.0 > 0.0:
             continue
-        if a >= b and space.member(a - b, c - d):
-            if not a + c + 0.5 * nu + 2.0 > 0.0:
-                continue
         terms[(a, b, c, d)] = complex(rng.normal(), rng.normal())
     return MixedPoly(terms)
 

@@ -164,6 +164,13 @@ class TestNormCommand:
         code, out, err = run_cli(capsys, "norm", "--space", "star", "--nu", "inf", "--in", str(path))
         assert code == 2 and out == "" and "finite nu" in err
 
+    def test_star_rejects_nu_below_minus_two(self, capsys, tmp_path):
+        # the T-split Beta integrals converge down to nu = -3, but the family ends at -2
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": 1, "k": 0, "re": 1.0, "im": 0.0}]}))
+        code, out, err = run_cli(capsys, "norm", "--space", "star", "--nu", "-2.5", "--in", str(path))
+        assert (code, out, err) == (2, "", "error: the space family needs finite nu >= -2, got -2.5\n")
+
 
 class TestProjectCommand:
     def test_regime_guard(self, capsys, tmp_path):
@@ -425,6 +432,9 @@ class TestExitCodes:
             (("szego",), {"n": 1, "values": [[1.0, False]]}),
             (("szego",), {"n": 2.5, "values": [[1.0, 0.0]] * 4}),
             (("szego",), {"n": "2", "values": [[1.0, 0.0]] * 4}),
+            (("kernel", "--nu", "0.7"), [{"z": {"z1": [False, 0], "z2": [0.5, 0]}, "w": {"z1": [0.1, 0], "z2": [0.5, 0]}}]),
+            (("kernel", "--nu", "0.7"), [{"z": {"z1": [True, 0], "z2": [0.5, 0]}, "w": {"z1": [0.1, 0], "z2": [0.5, 0]}}]),
+            (("kernel", "--nu", "0.7"), [{"z": {"z1": [0.1, 0], "z2": [0.5, False]}, "w": {"z1": [0.1, 0], "z2": [0.5, 0]}}]),
         ],
     )
     def test_field_of_the_wrong_type_or_value_exits_2(self, capsys, tmp_path, argv, document):

@@ -5,28 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from hartogs import kernels, projections, quadrature
+from hartogs import coeffspace, kernels, projections, quadrature
 from hartogs.coeffspace import (
     LaurentCoeffs,
     MixedPoly,
     SpaceParam,
     TorusSeries,
+    _tsplit_prefactor,
     as_mixed,
     bergman_norm_sq,
     conj_product,
     dirichlet_norm_sq,
     evaluate,
     hardy_norm_sq,
-    hardy_sup_check,
     index_member,
     min_total_degree,
     monomial_norm_sq,
-    restrict_to_torus,
     split_f123,
     star_norm,
     t_norm_sq,
     weighted_dirichlet_norm_sq,
-    weighted_dirichlet_weight,
 )
 from hartogs.geometry import HartogsPoint
 from hartogs.specfun import DomainError
@@ -200,7 +198,7 @@ class TestSpaceNorms:
             assert val > 0.0
 
     def test_weighted_dirichlet_single_monomial(self):
-        w = weighted_dirichlet_weight(-1.5, 1, 2)
+        w = SpaceParam(-1.5).weight(1, 2)
         f = LaurentCoeffs({(1, 2): 2.0j})
         assert weighted_dirichlet_norm_sq(-1.5, f) == pytest.approx(4.0 * w, rel=1e-12)
 
@@ -208,7 +206,7 @@ class TestSpaceNorms:
         # below nu = -4/3 the pairing is indefinite at total degree -1;
         # the kernel coefficient is the reciprocal (cross-checked in the
         # kernels module tests)
-        assert weighted_dirichlet_weight(-1.5, 0, -1) == pytest.approx(-1.0, rel=1e-12)
+        assert SpaceParam(-1.5).weight(0, -1) == pytest.approx(-1.0, rel=1e-12)
         assert math.isinf(weighted_dirichlet_norm_sq(-1.5, LaurentCoeffs({(0, -2): 1.0})))
 
     def test_parseval_additivity(self):
@@ -274,6 +272,19 @@ class TestSplitAndTNorms:
     def test_t_norm_accepts_nu_minus_two(self):
         f1 = split_f123(LaurentCoeffs({(1, 1): 1.0}))[0]
         assert t_norm_sq(-2.0, 1, f1) > 0.0
+        # the removable 0/0 of the prefactor, at -2 and inside the snap window
+        for nu in (-2.0, -2.0 + 1e-13, -2.0 - 1e-13):
+            assert _tsplit_prefactor(SpaceParam(nu)) == 2.0 / (3.0 * math.pi**2)
+        assert _tsplit_prefactor(SpaceParam(-2.0 + 1e-7)) == pytest.approx(2.0 / (3.0 * math.pi**2), rel=1e-6)
+
+    def test_t_split_refuses_nu_below_minus_two(self):
+        # (-3, -2) is outside the family even though the Beta integrals converge there
+        f1 = split_f123(LaurentCoeffs({(1, 1): 1.0}))[0]
+        for nu in (-2.5, -2.0 - 1e-9):
+            with pytest.raises(DomainError):
+                t_norm_sq(nu, 1, f1)
+            with pytest.raises(DomainError):
+                star_norm(nu, LaurentCoeffs({(0, 0): 1.0}))
 
     def test_t_norm_finiteness_characterization(self):
         # a term with J + K + nu/2 + 3 <= 0 diverges, others converge
@@ -282,6 +293,24 @@ class TestSplitAndTNorms:
         good = LaurentCoeffs({(0, -2): 1.0})  # 0 - 2 - 0.25 + 3 = 0.75
         assert math.isinf(t_norm_sq(nu, 2, bad))
         assert math.isfinite(t_norm_sq(nu, 2, good))
+
+    def test_star_norm_and_projection_build_space_param_once(self, monkeypatch):
+        built = []
+
+        class Counting(SpaceParam):
+            def __post_init__(self):
+                built.append(self.nu)
+                super().__post_init__()
+
+        f = LaurentCoeffs({(0, 0): 1.0, (1, 1): 1.0, (0, 2): 1.0, (2, -2): 1.0})
+        g = MixedPoly({(1, 1, 2, 0): 1.0, (2, 1, -1, 0): 1.0})
+        expected = star_norm(0.7, f), projections.project_bergman(0.7, g)
+        monkeypatch.setattr(coeffspace, "SpaceParam", Counting)
+        monkeypatch.setattr(projections, "SpaceParam", Counting)
+        assert star_norm(0.7, f) == expected[0]
+        assert built == [0.7]
+        assert projections.project_bergman(0.7, g) == expected[1]
+        assert built == [0.7, 0.7]
 
     def test_star_norm_examples(self):
         assert star_norm(0.0, LaurentCoeffs({(0, 0): 1.0})) == pytest.approx(1.0)
@@ -298,38 +327,6 @@ class TestEvaluationAndTorus:
         q2 = HartogsPoint(0.25, 0.5)
         assert evaluate(LaurentCoeffs({(1, -1): 1.0}), q2) == pytest.approx(0.5)
 
-    def test_restrict_to_torus_examples(self):
-        f = LaurentCoeffs({(1, 0): 1.0})
-        assert restrict_to_torus(f, 0.5, 0.5).get((1, 0)) == pytest.approx(0.25)
-        g = LaurentCoeffs({(0, -1): 1.0})
-        assert restrict_to_torus(g, 0.9, 0.9).get((0, -1)) == pytest.approx(1.0 / 0.9)
-
-    def test_torus_distance_formula_against_fft(self):
-        # || f - f_st ||^2 on the torus equals the coefficient formula
-        rng = np.random.default_rng(21)
-        n = 32
-        theta = 2 * np.pi * np.arange(n) / n
-        e1 = np.exp(1j * theta)[:, None]
-        e2 = np.exp(1j * theta)[None, :]
-        for _ in range(10):
-            terms = {
-                (int(rng.integers(0, 5)), int(rng.integers(-5, 6))): complex(
-                    rng.normal(), rng.normal()
-                )
-                for _ in range(6)
-            }
-            f = LaurentCoeffs(terms)
-            s, t = rng.uniform(0.4, 0.95, size=2)
-            fst = restrict_to_torus(f, s, t)
-            formula = sum(
-                abs(a) ** 2 * (1.0 - s**j * t ** (j + k)) ** 2 for (j, k), a in f.items()
-            )
-            grid = np.zeros((n, n), dtype=complex)
-            for (j, k), a in f.items():
-                grid += (a - fst.get((j, k))) * e1**j * e2**k
-            fft_mass = float(np.sum(np.abs(np.fft.fft2(grid) / n**2) ** 2))
-            assert formula == pytest.approx(fft_mass, abs=1e-12, rel=1e-12)
-
     def test_restrict_distance_vanishes_at_corner(self):
         f = LaurentCoeffs({(0, -1): 1.0, (2, 1): 1.0})
         prev = math.inf
@@ -340,15 +337,3 @@ class TestEvaluationAndTorus:
             assert dist < prev
             prev = dist
         assert prev <= 1e-4
-
-    def test_hardy_sup_check(self):
-        grid = [(s, t) for s in np.linspace(0.1, 0.999, 40) for t in np.linspace(0.1, 0.999, 40)]
-        mono = LaurentCoeffs({(1, 2): 1.0})
-        val = hardy_sup_check(mono, grid)
-        assert val <= 1.0 and val == pytest.approx(1.0, abs=2e-2)
-        f = LaurentCoeffs({(0, 0): 1.0, (1, 0): 1.0})
-        at_09 = hardy_sup_check(f, [(0.9, 0.9)])
-        assert at_09 == pytest.approx(0.9 * 0.9**2 + 0.9**3 * 0.9**4, rel=1e-12)
-        assert hardy_sup_check(f, grid) <= hardy_norm_sq(f)
-        with pytest.raises(DomainError):
-            hardy_sup_check(LaurentCoeffs({(0, -2): 1.0}), grid)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs import kernels
+from hartogs import coeffspace, kernels
 from hartogs.coeffspace import SpaceParam
 from hartogs.geometry import HartogsPoint
 from hartogs.specfun import DomainError
@@ -158,10 +158,8 @@ class TestWeightedDirichletKernel:
 
     def test_signed_coefficient_matches_weight(self):
         # the (0,-1) kernel coefficient is the reciprocal of the signed weight
-        from hartogs.coeffspace import weighted_dirichlet_weight
-
-        w = weighted_dirichlet_weight(-1.5, 0, -1)
-        assert kernels.kernel_coeff(-1.5, 0, -1) == pytest.approx(1.0 / w, rel=1e-12)
+        w = SpaceParam(-1.5).weight(0, -1)
+        assert w < 0.0
         assert kernels.kernel_coeff_closed(-1.5, 0, -1) == pytest.approx(1.0 / w, rel=1e-12)
 
     def test_series_oracle_refuses_four_thirds(self):
@@ -399,6 +397,7 @@ class TestOneSpaceParamPerCall:
         z, w = HartogsPoint(0.2 + 0.1j, 0.5 - 0.3j), HartogsPoint(-0.1 + 0.25j, 0.4 + 0.45j)
         expected = kernels.kernel(nu, z, w)
         monkeypatch.setattr(kernels, "SpaceParam", Counting)
+        monkeypatch.setattr(coeffspace, "SpaceParam", Counting)  # the home of kernels._space
         assert kernels.kernel(nu, z, w) == expected
         assert built == [nu]
 

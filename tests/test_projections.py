@@ -10,7 +10,6 @@ from hartogs.coeffspace import LaurentCoeffs, MixedPoly, TorusSeries, index_memb
 from hartogs.projections import (
     IntegrabilityError,
     blowup_scan,
-    classical_estimate_check,
     critical_range,
     critical_range_unified,
     lp_norm_torus,
@@ -298,25 +297,3 @@ class TestBlowupScan:
             blowup_scan(0.0, 5.0, [0.1])
         with pytest.raises(DomainError):
             blowup_scan(0.0, 5.0, [0.1, 1.5])
-
-
-class TestClassicalEstimates:
-    def test_poisson_exact_case(self):
-        # tau = 1: the angular integral is 2 pi / (1 - rho^2)
-        stats = classical_estimate_check("cl-estimate", 1.0, [0.9])
-        rho, left, right, ratio = stats["rows"][0]
-        assert left == pytest.approx(2 * math.pi / (1 - 0.81), rel=1e-9)
-        assert ratio == pytest.approx(left * 0.1, rel=1e-9)
-
-    def test_angular_sweep_stable(self):
-        stats = classical_estimate_check("cl-estimate", 0.5, [0.9, 0.99, 0.999])
-        assert stats["spread"] <= 2.0
-
-    def test_disc_estimate_finite(self):
-        stats = classical_estimate_check("cl-estimate2", (0.0, 1.0), [0.5, 0.9, 0.95])
-        assert math.isfinite(stats["max_ratio"])
-        assert stats["spread"] <= 100.0
-
-    def test_unknown_lemma_rejected(self):
-        with pytest.raises(DomainError):
-            classical_estimate_check("cl-estimate3", 1.0, [0.5])
