@@ -118,8 +118,12 @@ def _read_pairs(path):
     """
     coords = _read_json(path, _pair_coords)
     try:
-        values = np.array(coords, dtype=float)
-        # true and false read as 1.0 and 0.0, so only a batch holding a 0 or 1 needs the scan of types
+        values = np.array(coords)
+        # strings infer as kind "U", null as "O" and an all-boolean batch as "b"
+        if values.dtype.kind not in "iuf":
+            raise TypeError(f"coordinates must be numbers, got {values.dtype}")
+        values = values.astype(float)
+        # among numbers true and false read as 1 and 0, so only a batch holding a 0 or 1 needs the scan of types
         if ((values == 0.0) | (values == 1.0)).any():
             leaves = coords
             for _ in range(values.ndim - 1):

@@ -8,8 +8,9 @@ and membership in every space of the one-parameter family is a weighted
 square-summability condition on the coefficients.  This module holds the
 family parameter (SpaceParam, which decides the regime of nu for the
 whole library), the coefficient containers, the index set I_nu, the
-exact Gamma/Beta closed forms of the space norms, and the three-way
-coefficient split feeding the multiplier operator T.
+Gamma moment of a monomial that every closed norm and projection
+coefficient reads, and the three-way coefficient split feeding the
+multiplier operator T.
 
 Out-of-space inputs produce the +inf sentinel rather than an error: the
 divergence of a norm is a mathematical outcome that callers test for.
@@ -18,7 +19,7 @@ divergence of a norm is a mathematical outcome that callers test for.
 import math
 from dataclasses import dataclass
 
-from .specfun import DomainError, beta_fn, gamma_ratio_signed
+from .specfun import DomainError, gamma_ratio_signed
 
 __all__ = [
     "SpaceParam",
@@ -27,8 +28,6 @@ __all__ = [
     "TorusSeries",
     "as_mixed",
     "conj_product",
-    "index_member",
-    "min_total_degree",
     "monomial_norm_sq",
     "bergman_norm_sq",
     "hardy_norm_sq",
@@ -262,16 +261,6 @@ def conj_product(f, g):
     return MixedPoly(terms)
 
 
-def index_member(nu, j, k):
-    """Membership of (j, k) in I_nu = {j >= 0, j + k + nu/2 + 2 > 0}."""
-    return SpaceParam(nu).member(j, k)
-
-
-def min_total_degree(nu):
-    """Smallest integer value of j + k over I_nu, i.e. -1 - ceil(nu/2)."""
-    return -1 - SpaceParam(nu).ceil
-
-
 def _gamma_weight(nu, j, k):
     """The Gamma-form monomial weight shared by the nu > -1 and the
     weighted-Dirichlet regimes:
@@ -281,7 +270,8 @@ def _gamma_weight(nu, j, k):
 
     For -2 < nu < -1 the last denominator Gamma can be negative (its
     argument dips below zero when j + k = -1 and nu < -4/3), so the ratio
-    is evaluated with sign tracking.
+    is evaluated with sign tracking.  For nu > -1 it is the moment
+    2^(nu/2) C_nu pi^2 B(j+1, nu+1) B(j+k+nu/2+2, nu+1) = ||z1^j z2^k||^2.
     """
     return gamma_ratio_signed(
         [nu + 2.0, 1.5 * nu + 3.0, j + 1.0, j + k + 0.5 * nu + 2.0],
@@ -348,46 +338,29 @@ def split_f123(f):
     return LaurentCoeffs(t1), LaurentCoeffs(t2), LaurentCoeffs(t3), a00
 
 
-def _tsplit_prefactor(sp):
-    """2^(nu/2) C_nu continued below nu = -1 over the whole family:
+def t_norm_sq(nu, f_i):
+    """Exact squared L^2_nu norm of T f_i, any of the three split parts.
 
-        (nu+1)^2 Gamma(3nu/2+3) / (pi^2 Gamma(nu+2) Gamma(nu/2+2)),
+    T multiplies by |z2| (1 - |z1/z2|^2)(1 - |z2|^2), and in pullback
+    coordinates |T|^2 dmu_nu = r_nu dmu_{nu+2}, with c_nu = 2^(nu/2) C_nu
+    the density constant of mu_nu and the rational ratio
 
-    analytic on [-2, inf) except for a removable 0/0 at nu = -2, the
-    Dirichlet space (limit 2 / (3 pi^2)).
+        r_nu = c_nu / c_{nu+2} = (2/3) (nu+1)^2 (nu/2+2) / ((nu+3)(3nu/2+4)(3nu/2+5)),
+
+    1/3 at nu = -2 and 0 at nu = -1.  So the monomial (J, K) contributes
+    r_nu |c|^2 ``_gamma_weight(nu+2, J, K)``; it is finite iff
+    J + K + nu/2 + 3 > 0, i.e. (J, K) lies in I_{nu+2}, else the +inf
+    sentinel is returned.  ``nu`` is a float or its SpaceParam; nu < -2
+    raises DomainError.
     """
-    if sp.kind == "dirichlet":
-        return 2.0 / (3.0 * math.pi**2)
-    nu = sp.nu
-    ratio = gamma_ratio_signed([1.5 * nu + 3.0], [nu + 2.0, 0.5 * nu + 2.0])
-    return (nu + 1.0) ** 2 * ratio / math.pi**2
-
-
-def t_norm_sq(nu, which, f_i):
-    """Exact squared L^2_nu norm of T f_i through Beta integrals.
-
-    T multiplies a function by |z2| (1 - |z1/z2|^2)(1 - |z2|^2), and for a
-    Laurent monomial with exponents (J, K) the norm contribution is
-
-        pi^2 2^(nu/2) C_nu |c|^2 B(J+1, nu+3) B(J+K+nu/2+3, nu+3),
-
-    the same Beta form for all three split components (``which`` only
-    labels the component).  A term is finite iff J + K + nu/2 + 3 > 0;
-    otherwise the +inf sentinel is returned.  ``nu`` is a float or its
-    SpaceParam; nu < -2 raises DomainError.
-    """
-    if which not in (1, 2, 3):
-        raise DomainError(f"which must be 1, 2 or 3, got {which}")
-    sp = _space(nu)
-    nu = sp.nu
-    pref = _tsplit_prefactor(sp)
+    nu = _space(nu).nu
     total = 0.0
     for (J, K), c in f_i.items():
-        second = J + K + 0.5 * nu + 3.0
-        if not second > 0.0:
+        if not J + K + 0.5 * nu + 3.0 > 0.0:
             return math.inf
-        total += abs(c) ** 2 * beta_fn(J + 1.0, nu + 3.0) * beta_fn(second, nu + 3.0)
-    return math.pi**2 * pref * total
+        total += abs(c) ** 2 * _gamma_weight(nu + 2.0, J, K)
+    r = (2.0 / 3.0) * (nu + 1.0) ** 2 * (0.5 * nu + 2.0) / ((nu + 3.0) * (1.5 * nu + 4.0) * (1.5 * nu + 5.0))
+    return r * total
 
 
 def star_norm(nu, f):
@@ -400,8 +373,8 @@ def star_norm(nu, f):
     sp = SpaceParam(nu)
     f1, f2, f3, a00 = split_f123(f)
     total = abs(a00)
-    for which, part in ((1, f1), (2, f2), (3, f3)):
-        sq = t_norm_sq(sp, which, part)
+    for part in (f1, f2, f3):
+        sq = t_norm_sq(sp, part)
         if math.isinf(sq):
             return math.inf
         total += math.sqrt(max(sq, 0.0))

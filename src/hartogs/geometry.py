@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffspace import _space
-from .specfun import DomainError, gamma_ratio
+from .specfun import DomainError, gamma_ratio_signed
 
 __all__ = [
     "HartogsPoint",
@@ -64,7 +64,7 @@ def normalization_C(nu):
     defined for nu > -1.  ``nu`` is a float or its SpaceParam.
     """
     nu = _space(nu).require("bergman", "normalization_C").nu
-    ratio = gamma_ratio([1.5 * nu + 3.0], [nu + 1.0, 0.5 * nu + 2.0])
+    ratio = gamma_ratio_signed([1.5 * nu + 3.0], [nu + 1.0, 0.5 * nu + 2.0])
     return (nu + 1.0) * ratio / (2.0 ** (0.5 * nu) * math.pi**2)
 
 

@@ -14,7 +14,7 @@ Laurent coefficients (never numerical integrations), which makes the
                many negative powers survive.
 """
 
-from .coeffspace import LaurentCoeffs, _CoeffMap, index_member
+from .coeffspace import LaurentCoeffs, SpaceParam, _CoeffMap
 from .specfun import DomainError
 
 __all__ = [
@@ -74,9 +74,10 @@ def bergman_pullback(nu, f):
     The image is returned as a Laurent map in the product coordinates
     (w2 exponents may be negative when nu > 0).
     """
+    sp = SpaceParam(nu)
     out = {}
     for (j, k), a in f.items():
-        if not index_member(nu, j, k):
+        if not sp.member(j, k):
             raise DomainError(f"term ({j}, {k}) lies outside I_nu for nu = {nu}")
         out[(j, j + k + 1)] = a
     return LaurentCoeffs(out)
@@ -84,9 +85,10 @@ def bergman_pullback(nu, f):
 
 def bergman_pullback_inverse(nu, g):
     """Inverse pullback: (j, k) -> (j, k - j - 1), landing back in I_nu."""
+    sp = SpaceParam(nu)
     out = {}
     for (j, k), a in g.items():
-        if not index_member(nu, j, k - j - 1):
+        if not sp.member(j, k - j - 1):
             raise DomainError(f"term ({j}, {k}) does not come from I_nu for nu = {nu}")
         out[(j, k - j - 1)] = a
     return LaurentCoeffs(out)

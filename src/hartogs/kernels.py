@@ -20,11 +20,12 @@ The two remaining regimes have their own closed forms:
     nu = -2        the Dirichlet kernel, a product of logarithms.
 
 The closed forms take a single pair of points or a batch, a HartogsPoint
-whose coordinates are complex arrays of one shape, so ``kernel(nu, z, w)``
-is one call per nu however many pairs it evaluates.  Each regime is one
-body of numpy ufuncs over the arrays of x and y.  A single pair runs
-through that body as a batch of one and returns a complex; a batch
-returns an array.  The hypergeometric body is resolved to 1e-12 relative
+whose coordinates are complex arrays, so ``kernel(nu, z, w)`` is one call
+per nu however many pairs it evaluates.  The coordinates of z and w
+broadcast together, and each regime is one body of numpy ufuncs over the
+flattened arrays of x and y.  A single pair runs through that body as a
+batch of one and returns a complex; a batch returns an array of the
+broadcast shape.  The hypergeometric body is resolved to 1e-12 relative
 for nu <= 100, except within 0.1 of an even integer above 8, and raises
 DomainError outside that range.
 
@@ -40,9 +41,8 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from . import coeffspace
 from .coeffspace import SNAP_TOL, SpaceParam, _space
-from .specfun import DomainError, HypergeometricParams, gamma_ratio, gamma_ratio_signed, gauss_2f1
+from .specfun import DomainError, HypergeometricParams, gamma_ratio_signed, gauss_2f1
 
 __all__ = [
     "kernel_nu",
@@ -72,19 +72,21 @@ def _xy(z, w):
 
 
 def _batch_xy(z, w):
-    """x and y as complex arrays of at least one dimension, and whether
-    (z, w) is a single pair.  A single pair runs as a batch of one, through
-    the same array loops as any batch, so it gets the batch's value bit
-    for bit."""
-    single = getattr(z.z2, "ndim", 0) == 0 and getattr(w.z2, "ndim", 0) == 0
-    z1, z2, w1, w2 = (np.array(v, dtype=complex, ndmin=1) for v in (z.z1, z.z2, w.z1, w.z2))
+    """x and y as flat complex arrays, and the batch shape, that of the
+    coordinates of z and w broadcast together (() for a single pair).  Any
+    batch, a single pair included, runs flattened through the same array
+    loops, so it gets the values of the flattened batch bit for bit."""
+    coords = [np.asarray(v, dtype=complex) for v in (z.z1, z.z2, w.z1, w.z2)]
+    shape = np.broadcast(*coords).shape
+    # np.broadcast_to costs about 1 us a call, which the common case of equal shapes skips
+    z1, z2, w1, w2 = (v.ravel() if v.shape == shape else np.broadcast_to(v, shape).ravel() for v in coords)
     y = z2 * np.conj(w2)
-    return z1 * np.conj(w1) / y, y, single
+    return z1 * np.conj(w1) / y, y, shape
 
 
-def _result(val, single):
-    """A complex for a single pair, the array for a batch."""
-    return complex(val[0]) if single else val
+def _result(val, shape):
+    """A complex for a single pair, the array of the batch's shape for a batch."""
+    return complex(val[0]) if shape == () else val.reshape(shape)
 
 
 def _degenerate_check(sp):
@@ -161,15 +163,15 @@ def _hypergeometric_kernel(sp, z, w):
     nu, c = sp.nu, sp.ceil
     if nu > _MAX_NU:
         raise DomainError(f"the kernel is resolved to 1e-12 only for nu <= {_MAX_NU:g}, got {nu}")
-    x, y, single = _batch_xy(z, w)
+    x, y, shape = _batch_xy(z, w)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # reported just below
         hyp = _kernel_2f1(1.5 * nu - c + 2.0, 0.5 * nu - c + 1.0, y)
         val = prefactor_a(sp) * y ** (-1 - c) * (1.0 - x) ** (-(nu + 2.0)) * hyp
     finite = np.isfinite(val)
     if not finite.all():
-        i = int(np.argmin(finite.ravel()))
+        i = int(np.argmin(finite))
         raise DomainError(f"the nu = {nu} kernel leaves the double range at entry {i}")
-    return _result(val, single)
+    return _result(val, shape)
 
 
 def kernel_nu(nu, z, w):
@@ -183,8 +185,8 @@ def kernel_nu(nu, z, w):
 
 def hardy_kernel(z, w):
     """Hardy kernel 1 / ((z2 conj(w2) - z1 conj(w1)) (1 - z2 conj(w2)))."""
-    x, y, single = _batch_xy(z, w)
-    return _result(1.0 / (y * (1.0 - x) * (1.0 - y)), single)
+    x, y, shape = _batch_xy(z, w)
+    return _result(1.0 / (y * (1.0 - x) * (1.0 - y)), shape)
 
 
 def weighted_dirichlet_kernel(nu, z, w):
@@ -228,8 +230,8 @@ def dirichlet_kernel(z, w):
 
     with L(t) = log(1/(1-t))/t, which is how the z1 conj(w1) = 0 slice is
     filled in."""
-    x, y, single = _batch_xy(z, w)
-    return _result(_log1over(x) * _log1over(y), single)
+    x, y, shape = _batch_xy(z, w)
+    return _result(_log1over(x) * _log1over(y), shape)
 
 
 def kernel(nu, z, w):
@@ -305,14 +307,15 @@ def kernel_series(nu, z, w, tol=1e-12):
     in np.longdouble (80-bit on x86-64 Linux; where it is plain double the
     oracle holds about 1e-12 instead of 1e-15 at nu = 3.5).
     """
-    nu = _degenerate_check(SpaceParam(nu)).nu
+    sp = _degenerate_check(SpaceParam(nu))
+    nu = sp.nu
     x, y = _xy(z, w)
     q = max(abs(x), abs(y))
     if q >= 1.0:
         raise DomainError("kernel series needs |x|, |y| < 1")
     growth = max(nu + 1.0, 0.0) + 0.5
     n = _series_extent(q, 2.0 * growth, tol)
-    m_min = coeffspace.min_total_degree(nu)
+    m_min = -1 - sp.ceil
     jj = np.arange(0, n, dtype=np.longdouble)
     mm = np.arange(m_min, m_min + 2 * n, dtype=np.longdouble)
     if nu == -2.0:
@@ -345,7 +348,7 @@ def kernel_nu_series_k(nu, z, w, tol=1e-12):
     kk = np.arange(k0, k0 + n, dtype=float)
     logc = gammaln(kk + 1.5 * nu + 1.0) - gammaln(kk + 0.5 * nu)
     ksum = np.sum(np.exp(logc) * y ** np.arange(k0, k0 + n))
-    front = gamma_ratio([0.5 * nu + 2.0], [1.5 * nu + 3.0])
+    front = gamma_ratio_signed([0.5 * nu + 2.0], [1.5 * nu + 3.0])
     return complex(front * y ** (-2) * (1.0 - x) ** (-(nu + 2.0)) * ksum)
 
 

@@ -3,9 +3,9 @@
 The weighted Bergman projection P_nu acts on finite mixed polynomials
 z1^a conj(z1)^b z2^c conj(z2)^d exactly: angular selection keeps only the
 holomorphic monomial z1^(a-b) z2^(c-d), and the surviving coefficient is
-a ratio of Beta integrals against the reciprocal monomial norm.  The
-coefficient rule is a derived formula, so a mandatory self-test against
-the quadrature oracle guards its first use in any CLI run.
+the Gamma moment at the exponents (a, c) over the squared norm of the
+survivor.  The coefficient rule is a derived formula, so a mandatory
+self-test against the quadrature oracle guards its first use in any CLI run.
 
 The Szego projection is a Fourier multiplier on the torus with symbol the
 indicator of {j >= 0, j + k + 1 >= 0} (sgn(0) := +1, which the series
@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_legendre
 
-from . import coeffspace, quadrature
-from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, TorusSeries
-from .geometry import normalization_C
-from .specfun import DomainError, VerificationFailure, beta_fn
+from . import quadrature
+from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, TorusSeries, _gamma_weight
+from .specfun import DomainError, VerificationFailure
 
 __all__ = [
     "IntegrabilityError",
@@ -59,7 +58,9 @@ def project_bergman(nu, f):
         lambda = C_nu 2^(nu/2) pi^2 B(a+1, nu+1) B(a+c+nu/2+2, nu+1)
                  / || z1^(a-b) z2^(c-d) ||^2_{A^2_nu}
 
-    when a >= b and (a-b, c-d) lies in I_nu, and to zero otherwise.
+    when a >= b and (a-b, c-d) lies in I_nu, and to zero otherwise.  The
+    numerator is ``_gamma_weight(nu, a, c)``, so on a basis monomial the
+    two weights are one computation and lambda is exactly 1.0.
     Raises IntegrabilityError, naming the term, when a term is not in
     L^1(dmu_nu) or its surviving Beta moment diverges.
     """
@@ -67,7 +68,6 @@ def project_bergman(nu, f):
     nu = sp.nu
     if not isinstance(f, MixedPoly):
         raise DomainError("project_bergman expects a MixedPoly input")
-    front = normalization_C(sp) * 2.0 ** (0.5 * nu) * math.pi**2
     out = {}
     for (a, b, c, d), coef in f.items():
         if not 2 * a + 2 * b + c + d + nu + 4.0 > 0.0:
@@ -75,18 +75,11 @@ def project_bergman(nu, f):
         j, k = a - b, c - d
         if not sp.member(j, k):
             continue
-        second = a + c + 0.5 * nu + 2.0
-        if not second > 0.0:
+        if not a + c + 0.5 * nu + 2.0 > 0.0:
             raise IntegrabilityError(
                 f"term (a={a}, b={b}, c={c}, d={d}) has a divergent moment against z1^{j} z2^{k}"
             )
-        if b == 0 and d == 0:
-            # already a basis monomial: lambda = 1 exactly, keep the
-            # projection idempotent at the coefficient level
-            lam = 1.0
-        else:
-            lam = front * beta_fn(a + 1.0, nu + 1.0) * beta_fn(second, nu + 1.0)
-            lam /= sp.weight(j, k)
+        lam = _gamma_weight(nu, a, c) / sp.weight(j, k)
         out[(j, k)] = out.get((j, k), 0.0j) + coef * lam
     return LaurentCoeffs(out)
 
@@ -103,7 +96,7 @@ _SELF_TEST_TERMS = (
 
 
 def projection_self_test(nu, tol=1e-7, radial_order=32, angular_count=33):
-    """Compare the Beta coefficient rule against the quadrature oracle.
+    """Compare the Gamma-weight coefficient rule against the quadrature oracle.
 
     Runs once per nu (results are cached) on a fixed corpus of mixed
     monomials: for each term the oracle coefficient is
@@ -114,11 +107,12 @@ def projection_self_test(nu, tol=1e-7, radial_order=32, angular_count=33):
     key = round(float(nu), 12)
     if key in _SELF_TEST_PASSED:
         return True
+    sp = SpaceParam(nu)
     rule = quadrature.build_rule(nu, radial_order, angular_count)
     for a, b, c, d in _SELF_TEST_TERMS:
         term = MixedPoly({(a, b, c, d): 1.0})
         j, k = a - b, c - d
-        if j < 0 or not coeffspace.index_member(nu, j, k):
+        if not sp.member(j, k):
             continue
         basis = LaurentCoeffs({(j, k): 1.0})
         num = quadrature.inner_product_quad(nu, term, basis, rule)

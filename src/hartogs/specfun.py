@@ -1,9 +1,11 @@
 """Real/complex special functions used by every closed form in the library.
 
-Provides log-Gamma (the C library's ``math.lgamma`` behind a domain
-check), stable Gamma ratios, the Beta function and the Gauss
-hypergeometric function 2F1 on the open unit disc (SciPy's complex
-``hyp2f1`` ufunc behind a domain check, for a scalar or an array).
+Provides one Gamma-ratio routine, summed in log space with sign tracking
+(the C library's ``math.lgamma`` on positive arguments, the reflection
+formula on negative ones), and the Gauss hypergeometric function 2F1 on
+the open unit disc (SciPy's complex ``hyp2f1`` ufunc behind a domain
+check, for a scalar or an array).  Every Beta integral of the package is
+a ratio of Gamma values and goes through the one routine.
 """
 
 import math
@@ -16,11 +18,8 @@ __all__ = [
     "DomainError",
     "VerificationFailure",
     "HypergeometricParams",
-    "log_gamma",
     "log_gamma_signed",
-    "gamma_ratio",
     "gamma_ratio_signed",
-    "beta_fn",
     "gauss_2f1",
 ]
 
@@ -33,17 +32,6 @@ class VerificationFailure(ArithmeticError):
     """A closed form disagreed with its independent check beyond tolerance."""
 
 
-def log_gamma(x):
-    """ln Gamma(x) for real x > 0, through ``math.lgamma``.
-
-    Raises DomainError for x <= 0; signed values on the negative axis
-    come from :func:`log_gamma_signed`.
-    """
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def log_gamma_signed(x):
     """(sign, ln|Gamma(x)|) for real non-integer x (or any x > 0).
 
@@ -53,33 +41,21 @@ def log_gamma_signed(x):
     in the denominator collapse to zero.
     """
     if x > 0.0:
-        return 1.0, log_gamma(x)
+        return 1.0, math.lgamma(x)
     if x == math.floor(x):
         return 0.0, math.inf
     s = math.sin(math.pi * x)
     sign = 1.0 if s > 0.0 else -1.0
-    return sign, math.log(math.pi / abs(s)) - log_gamma(1.0 - x)
-
-
-def gamma_ratio(numerators, denominators):
-    """prod Gamma(n_i) / prod Gamma(d_j) evaluated in log space.
-
-    All arguments must be positive; intermediate overflow is avoided for
-    arguments up to ~1e4 because only the log-Gamma values are summed.
-    """
-    acc = 0.0
-    for a in numerators:
-        acc += log_gamma(a)
-    for b in denominators:
-        acc -= log_gamma(b)
-    return math.exp(acc)
+    return sign, math.log(math.pi / abs(s)) - math.lgamma(1.0 - x)
 
 
 def gamma_ratio_signed(numerators, denominators):
-    """Gamma ratio allowing negative non-integer arguments.
+    """prod Gamma(n_i) / prod Gamma(d_j), evaluated in log space.
 
-    Returns a signed float; a pole in a denominator yields 0.0 and a pole
-    in a numerator yields a signed infinity.  A positive argument adds its
+    Only the log-Gamma values are summed, so arguments up to ~1e4 do not
+    overflow.  Negative non-integer arguments are allowed and the result
+    is a signed float; a pole in a denominator yields 0.0 and a pole in a
+    numerator a signed infinity.  A positive argument adds its
     ``math.lgamma`` directly, the value and sign ``log_gamma_signed``
     would give it.
     """
@@ -114,13 +90,6 @@ def gamma_ratio_signed(numerators, denominators):
     if den_pole:
         return 0.0
     return sign * math.exp(acc)
-
-
-def beta_fn(a, b):
-    """Beta function Gamma(a)Gamma(b)/Gamma(a+b) for a, b > 0."""
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"beta_fn requires positive arguments, got ({a}, {b})")
-    return gamma_ratio([a, b], [a + b])
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,7 @@ def _random_laurent(rng, nu, n_terms=6, jmax=4, kmax=4, normalize=True):
     """Random polynomial supported in I_nu with unit coefficient energy."""
     terms = {}
     space = coeffspace.SpaceParam(nu)
-    kmin_base = coeffspace.min_total_degree(nu)
+    kmin_base = -1 - space.ceil
     while len(terms) < n_terms:
         j = int(rng.integers(0, jmax + 1))
         k = int(rng.integers(max(kmin_base - j, -jmax - 4), kmax + 1))
@@ -99,10 +99,10 @@ def _random_laurent(rng, nu, n_terms=6, jmax=4, kmax=4, normalize=True):
 
 
 def _random_mixed(rng, nu, n_terms=4, max_exp=3):
-    """Random mixed polynomial with every term integrable for mu_nu.
+    """Random mixed polynomial with c >= -2.
 
-    For nu > -1, c >= -2 also keeps the Beta moment a + c + nu/2 + 2 of
-    every term that P_nu keeps positive: a moment <= 0 needs a = b = 0 and
+    For nu > -1, c >= -2 keeps the Beta moment a + c + nu/2 + 2 of every
+    term that P_nu keeps positive: a moment <= 0 needs a = b = 0 and
     c = -2, and then z2^(-2-d) is outside I_nu.
     """
     terms = {}
@@ -111,8 +111,6 @@ def _random_mixed(rng, nu, n_terms=4, max_exp=3):
         b = int(rng.integers(0, max_exp + 1))
         c = int(rng.integers(-2, max_exp + 1))
         d = int(rng.integers(0, max_exp + 1))
-        if not 2 * a + 2 * b + c + d + nu + 4.0 > 0.0:
-            continue
         terms[(a, b, c, d)] = complex(rng.normal(), rng.normal())
     return MixedPoly(terms)
 
@@ -550,7 +548,7 @@ def _t_multiplier_rule(rule):
 
 
 def suite_tsplit(seed=0, tol=1e-7, nus=(-0.5, 0.0, 1.0), n_funcs=20, ratio_funcs=200, ratio_cap=1e3):
-    """Beta closed form of the T-split norms against quadrature, and the
+    """Gamma closed form of the T-split norms against quadrature, and the
     bounded star-norm/Bergman-norm comparability ratio."""
     res = SuiteResult("t-split", True)
     for nu in nus:
@@ -559,9 +557,8 @@ def suite_tsplit(seed=0, tol=1e-7, nus=(-0.5, 0.0, 1.0), n_funcs=20, ratio_funcs
         worst = 0.0
         for _ in range(n_funcs):
             f = _random_laurent(rng, nu, n_terms=5)
-            parts = coeffspace.split_f123(f)[:3]
-            for which, part in enumerate(parts, start=1):
-                closed = coeffspace.t_norm_sq(nu, which, part)
+            for part in coeffspace.split_f123(f)[:3]:
+                closed = coeffspace.t_norm_sq(nu, part)
                 quad = quadrature.integrate_mu(nu, coeffspace.conj_product(part, part), rule).real
                 if abs(closed) < 1e-14 and abs(quad) < 1e-12:
                     continue

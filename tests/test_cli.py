@@ -435,6 +435,10 @@ class TestExitCodes:
             (("kernel", "--nu", "0.7"), [{"z": {"z1": [False, 0], "z2": [0.5, 0]}, "w": {"z1": [0.1, 0], "z2": [0.5, 0]}}]),
             (("kernel", "--nu", "0.7"), [{"z": {"z1": [True, 0], "z2": [0.5, 0]}, "w": {"z1": [0.1, 0], "z2": [0.5, 0]}}]),
             (("kernel", "--nu", "0.7"), [{"z": {"z1": [0.1, 0], "z2": [0.5, False]}, "w": {"z1": [0.1, 0], "z2": [0.5, 0]}}]),
+            (("kernel", "--nu", "0.7"), [{"z": {"z1": ["0.1", 0], "z2": [0.5, 0]}, "w": {"z1": [0.1, 0], "z2": [0.5, 0]}}]),
+            (("kernel", "--nu", "0.7"), [{"z": {"z1": [0.1, 0], "z2": [0.5, 0]}, "w": {"z1": [0.1, 0], "z2": ["0.5", "0"]}}]),
+            (("kernel", "--nu", "0.7"), [{"z": {"z1": [None, 0], "z2": [0.5, 0]}, "w": {"z1": [0.1, 0], "z2": [0.5, 0]}}]),
+            (("kernel", "--nu", "0.7"), [{"z": {"z1": [False, False], "z2": [True, False]}, "w": {"z1": [False, False], "z2": [True, False]}}]),
         ],
     )
     def test_field_of_the_wrong_type_or_value_exits_2(self, capsys, tmp_path, argv, document):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,15 +12,12 @@ from hartogs.coeffspace import (
     MixedPoly,
     SpaceParam,
     TorusSeries,
-    _tsplit_prefactor,
     as_mixed,
     bergman_norm_sq,
     conj_product,
     dirichlet_norm_sq,
     evaluate,
     hardy_norm_sq,
-    index_member,
-    min_total_degree,
     monomial_norm_sq,
     split_f123,
     star_norm,
@@ -73,7 +71,7 @@ class TestSpaceParam:
                 assert sp.nu == special
                 closed = kernels.kernel(nu, z, w)
                 assert abs(closed - kernels.kernel_series(nu, z, w)) <= 1e-10 * abs(closed)
-                assert min_total_degree(nu) == -1 - sp.ceil
+                assert sp.member(0, -1 - sp.ceil) and not sp.member(0, -2 - sp.ceil)
                 if special > -1.0:
                     assert quadrature.build_rule(nu, 4, 4).v_shift == 1 + sp.ceil
                     scan = projections.blowup_scan(nu, p, [0.1, 0.01])
@@ -122,22 +120,22 @@ class TestContainers:
 
 class TestIndexSet:
     def test_bergman_examples(self):
-        assert not index_member(0.0, 0, -2)
-        assert index_member(0.0, 0, -1)
+        assert not SpaceParam(0.0).member(0, -2)
+        assert SpaceParam(0.0).member(0, -1)
 
     def test_hardy_example(self):
-        assert index_member(-1.0, 0, -1)
-        assert not index_member(-1.0, 0, -2)
+        assert SpaceParam(-1.0).member(0, -1)
+        assert not SpaceParam(-1.0).member(0, -2)
 
     def test_dirichlet_examples(self):
-        assert index_member(-2.0, 3, -3)
-        assert not index_member(-2.0, 3, -4)
+        assert SpaceParam(-2.0).member(3, -3)
+        assert not SpaceParam(-2.0).member(3, -4)
 
     def test_min_total_degree(self):
-        assert min_total_degree(0.0) == -1
-        assert min_total_degree(-1.0) == -1
-        assert min_total_degree(-2.0) == 0
-        assert min_total_degree(2.0) == -2
+        # the smallest j + k over I_nu is -1 - ceil(nu/2)
+        for nu, expected in ((0.0, -1), (-1.0, -1), (-2.0, 0), (2.0, -2), (0.7, -2), (-1.5, -1)):
+            sp = SpaceParam(nu)
+            assert min(j + k for j in range(3) for k in range(-8, 3) if sp.member(j, k)) == expected
 
 
 class TestMonomialNorms:
@@ -243,13 +241,13 @@ class TestSplitAndTNorms:
         assert len(f1) + len(f2) + len(f3) + 1 == len(f)
 
     def test_t_norm_zero(self):
-        assert t_norm_sq(0.0, 1, LaurentCoeffs()) == 0.0
+        assert t_norm_sq(0.0, LaurentCoeffs()) == 0.0
 
     def test_t_norm_value_and_quadrature(self):
         # f = z1 z2 gives f1 = 2 z1; closed Beta value is
         # pi^2 C_0 * 4 * B(2,3) B(4,3) = 1/90
         f1 = split_f123(LaurentCoeffs({(1, 1): 1.0}))[0]
-        closed = t_norm_sq(0.0, 1, f1)
+        closed = t_norm_sq(0.0, f1)
         assert closed == pytest.approx(1.0 / 90.0, rel=1e-12)
         rule = quadrature.build_rule(0.0, radial_order=32, angular_count=9)
         val = quadrature.integrate_mu(0.0, _t_sq(f1), rule).real
@@ -271,18 +269,42 @@ class TestSplitAndTNorms:
 
     def test_t_norm_accepts_nu_minus_two(self):
         f1 = split_f123(LaurentCoeffs({(1, 1): 1.0}))[0]
-        assert t_norm_sq(-2.0, 1, f1) > 0.0
-        # the removable 0/0 of the prefactor, at -2 and inside the snap window
-        for nu in (-2.0, -2.0 + 1e-13, -2.0 - 1e-13):
-            assert _tsplit_prefactor(SpaceParam(nu)) == 2.0 / (3.0 * math.pi**2)
-        assert _tsplit_prefactor(SpaceParam(-2.0 + 1e-7)) == pytest.approx(2.0 / (3.0 * math.pi**2), rel=1e-6)
+        at_two = t_norm_sq(-2.0, f1)
+        # f1 = 2 z1, and the Beta form's removable 0/0 at nu = -2 gives
+        # 4 pi^2 (2 / (3 pi^2)) B(2, 1) B(3, 1) = 4/9
+        assert at_two == pytest.approx(4.0 / 9.0, rel=1e-14)
+        for nu in (-2.0 + 1e-13, -2.0 - 1e-13):
+            assert t_norm_sq(nu, f1) == at_two
+        assert t_norm_sq(-2.0 + 1e-7, f1) == pytest.approx(at_two, rel=1e-6)
+
+    @pytest.mark.parametrize("nu", [-2.0, -2.0 + 1e-13, -2.0 - 1e-13, -1.9, -1.5, -1.0, -0.5, 0.0, 0.7, 3.5, 20.7])
+    def test_t_norm_matches_the_beta_form(self, nu):
+        """Against a 40-digit mpmath reference of the Beta form
+
+            |T f_i|^2 = pi^2 c_nu sum |c|^2 B(J+1, nu+3) B(J+K+nu/2+3, nu+3),
+            pi^2 c_nu = (2/3) (nu+1)^2 Gamma(3nu/2+4) / (Gamma(nu+3) Gamma(nu/2+2)),
+
+        with the removable 0/0 of c_nu at nu = -2 cancelled by hand.
+        """
+        rng = np.random.default_rng(16)
+        with mpmath.workdps(40):
+            v = mpmath.mpf(nu)
+            front = mpmath.mpf(2) / 3 * (v + 1) ** 2 * mpmath.gamma(1.5 * v + 4) / (mpmath.gamma(v + 3) * mpmath.gamma(v / 2 + 2))
+            for _ in range(8):
+                for part in split_f123(_random_laurent(rng, nu, n_terms=5, jmax=5, kmax=5))[:3]:
+                    ref = front * mpmath.fsum(
+                        abs(mpmath.mpc(c)) ** 2 * mpmath.beta(J + 1, v + 3) * mpmath.beta(J + K + v / 2 + 3, v + 3)
+                        for (J, K), c in part.items()
+                    )
+                    closed = t_norm_sq(nu, part)
+                    assert abs(closed - float(ref)) <= 1e-12 * abs(float(ref))
 
     def test_t_split_refuses_nu_below_minus_two(self):
         # (-3, -2) is outside the family even though the Beta integrals converge there
         f1 = split_f123(LaurentCoeffs({(1, 1): 1.0}))[0]
         for nu in (-2.5, -2.0 - 1e-9):
             with pytest.raises(DomainError):
-                t_norm_sq(nu, 1, f1)
+                t_norm_sq(nu, f1)
             with pytest.raises(DomainError):
                 star_norm(nu, LaurentCoeffs({(0, 0): 1.0}))
 
@@ -291,8 +313,8 @@ class TestSplitAndTNorms:
         nu = -0.5
         bad = LaurentCoeffs({(0, -3): 1.0})  # 0 - 3 - 0.25 + 3 = -0.25
         good = LaurentCoeffs({(0, -2): 1.0})  # 0 - 2 - 0.25 + 3 = 0.75
-        assert math.isinf(t_norm_sq(nu, 2, bad))
-        assert math.isfinite(t_norm_sq(nu, 2, good))
+        assert math.isinf(t_norm_sq(nu, bad))
+        assert math.isfinite(t_norm_sq(nu, good))
 
     def test_star_norm_and_projection_build_space_param_once(self, monkeypatch):
         built = []
@@ -327,13 +349,3 @@ class TestEvaluationAndTorus:
         q2 = HartogsPoint(0.25, 0.5)
         assert evaluate(LaurentCoeffs({(1, -1): 1.0}), q2) == pytest.approx(0.5)
 
-    def test_restrict_distance_vanishes_at_corner(self):
-        f = LaurentCoeffs({(0, -1): 1.0, (2, 1): 1.0})
-        prev = math.inf
-        for s in (0.9, 0.99, 0.999):
-            dist = sum(
-                abs(a) ** 2 * (1.0 - s**j * s ** (j + k)) ** 2 for (j, k), a in f.items()
-            )
-            assert dist < prev
-            prev = dist
-        assert prev <= 1e-4

@@ -490,3 +490,30 @@ class TestBatchedKernel:
         t = np.array([0.0, 1e-5, 9.9e-4, 1.1e-3, 0.1])
         ref = np.array([1.0] + [-math.log1p(-v) / v for v in t[1:]])
         assert np.all(np.abs(kernels._log1over(t) - ref) <= 1e-13 * ref)
+
+
+class TestBatchShapes:
+    """A batch of any shape, z and w broadcast together, gets the values of
+    the same pairs flattened into one dimension, bit for bit."""
+
+    SHAPES = [((1,), (1,)), ((2, 3), ()), ((2, 3), (2, 3)), ((3, 1), (1, 4)), ((2, 5, 3, 5), ())]
+
+    @staticmethod
+    def _points(rng, shape):
+        z2 = rng.uniform(0.3, 0.9, shape) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, shape))
+        z1 = z2 * rng.uniform(0.0, 0.9, shape) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, shape))
+        if shape == ():
+            return HartogsPoint(complex(z1), complex(z2))
+        return HartogsPoint(z1, z2)
+
+    @pytest.mark.parametrize("nu", [-2.0, -1.5, -1.0, -0.5, 0.0, 0.7, 3.5, 20.7, 60.7])
+    @pytest.mark.parametrize("z_shape, w_shape", SHAPES)
+    def test_equals_the_flattened_batch(self, nu, z_shape, w_shape):
+        rng = np.random.default_rng(16)
+        z, w = self._points(rng, z_shape), self._points(rng, w_shape)
+        got = kernels.kernel(nu, z, w)
+        z1, z2, w1, w2 = (np.ravel(v) for v in np.broadcast_arrays(z.z1, z.z2, w.z1, w.z2))
+        flat = kernels.kernel(nu, HartogsPoint(z1, z2), HartogsPoint(w1, w2))
+        shape = np.broadcast_shapes(z_shape, w_shape)
+        assert got.shape == shape and flat.shape == (z1.size,)
+        assert np.array_equal(got, flat.reshape(shape))

@@ -2,11 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from hartogs import projections, quadrature
-from hartogs.coeffspace import LaurentCoeffs, MixedPoly, TorusSeries, index_member
+from hartogs.coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, TorusSeries
 from hartogs.projections import (
     IntegrabilityError,
     blowup_scan,
@@ -25,13 +26,12 @@ from hartogs.verify import _random_torus, _szego_ratios, _torus_samples
 
 class TestProjectBergman:
     def test_fixes_basis_monomials(self):
-        for nu in (-0.5, 0.0, 0.7, 2.0):
-            for j, k in ((0, 0), (2, 1), (1, -1)):
-                if not index_member(nu, j, k):
-                    continue
-                out = project_bergman(nu, MixedPoly({(j, 0, k, 0): 1.0}))
-                assert out.get((j, k)) == pytest.approx(1.0, rel=1e-12)
-                assert len(out) == 1
+        # the coefficient is one weight over the same weight: exactly 1.0
+        for nu in (-0.5, 0.0, 0.7, 2.0, 3.5, 20.7, 41.3):
+            for j in range(5):
+                for k in range(-j - 25, 5):
+                    if SpaceParam(nu).member(j, k):
+                        assert project_bergman(nu, MixedPoly({(j, 0, k, 0): 1.0})).terms == {(j, k): 1.0}
 
     def test_conjugate_z2_power(self):
         # P_nu(conj(z2)^(1+ceil(nu/2))) = d_nu z2^(-1-ceil(nu/2)), d_nu > 0,
@@ -56,7 +56,7 @@ class TestProjectBergman:
         f = MixedPoly({(0, 1, 0, 0): 1.0})
         for j in range(5):
             for k in range(-4, 5):
-                if not index_member(0.0, j, k):
+                if not SpaceParam(0.0).member(j, k):
                     continue
                 basis = LaurentCoeffs({(j, k): 1.0})
                 assert abs(quadrature.inner_product_quad(0.0, f, basis, rule)) <= 1e-12
@@ -78,6 +78,29 @@ class TestProjectBergman:
 
     def test_self_test_passes(self):
         assert projections.projection_self_test(0.3)
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.7, 2.0, 3.5, 20.7])
+    def test_coefficient_matches_the_beta_ratio(self, nu):
+        """Against a 40-digit mpmath reference: the C_nu 2^(nu/2) pi^2 of the
+        moment cancels against the squared norm of the surviving monomial,
+
+            lambda = B(a+1, nu+1) B(a+c+nu/2+2, nu+1) / (B(j+1, nu+1) B(j+k+nu/2+2, nu+1)).
+        """
+        sp = SpaceParam(nu)
+        with mpmath.workdps(40):
+            v = mpmath.mpf(nu)
+            for a in range(4):
+                for b in range(a + 1):
+                    for c in range(-1 - sp.ceil, 4):
+                        for d in range(4):
+                            j, k = a - b, c - d
+                            if not sp.member(j, k):
+                                continue
+                            ref = (mpmath.beta(a + 1, v + 1) * mpmath.beta(a + c + v / 2 + 2, v + 1)) / (
+                                mpmath.beta(j + 1, v + 1) * mpmath.beta(j + k + v / 2 + 2, v + 1)
+                            )
+                            lam = project_bergman(nu, MixedPoly({(a, b, c, d): 1.0})).get((j, k))
+                            assert lam.imag == 0.0 and abs(lam.real - float(ref)) <= 1e-12 * float(ref)
 
 
 class TestSzego:

@@ -33,14 +33,14 @@ def three_call_point(rng, r2_range=(0.25, 0.9), ratio_max=0.85):
 
 
 def member_per_candidate_laurent(rng, nu, n_terms=6, jmax=4, kmax=4, normalize=True):
-    """_random_laurent testing each candidate by index_member, which builds
-    a SpaceParam per call: the reference for the hoisted SpaceParam."""
+    """_random_laurent building a SpaceParam for each candidate: the
+    reference for the hoisted SpaceParam."""
     terms = {}
-    kmin_base = coeffspace.min_total_degree(nu)
+    kmin_base = -1 - coeffspace.SpaceParam(nu).ceil
     while len(terms) < n_terms:
         j = int(rng.integers(0, jmax + 1))
         k = int(rng.integers(max(kmin_base - j, -jmax - 4), kmax + 1))
-        if coeffspace.index_member(nu, j, k):
+        if coeffspace.SpaceParam(nu).member(j, k):
             terms[(j, k)] = complex(rng.normal(), rng.normal())
     if normalize:
         scale = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
@@ -49,7 +49,8 @@ def member_per_candidate_laurent(rng, nu, n_terms=6, jmax=4, kmax=4, normalize=T
 
 
 def member_per_candidate_mixed(rng, nu, n_terms=4, max_exp=3):
-    """_random_mixed testing each candidate by index_member."""
+    """_random_mixed testing each candidate for integrability and for
+    membership, by a SpaceParam built per candidate."""
     terms = {}
     while len(terms) < n_terms:
         a = int(rng.integers(0, max_exp + 1))
@@ -58,7 +59,7 @@ def member_per_candidate_mixed(rng, nu, n_terms=4, max_exp=3):
         d = int(rng.integers(0, max_exp + 1))
         if not 2 * a + 2 * b + c + d + nu + 4.0 > 0.0:
             continue
-        if a >= b and coeffspace.index_member(nu, a - b, c - d):
+        if a >= b and coeffspace.SpaceParam(nu).member(a - b, c - d):
             if not a + c + 0.5 * nu + 2.0 > 0.0:
                 continue
         terms[(a, b, c, d)] = complex(rng.normal(), rng.normal())
