@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 bench/layers.py --out BENCH_14.json
+    python3 bench/layers.py --out BENCH_<n>.json
 
 The library is imported from the checkout's ``src/``.  The file holds:
 
@@ -217,7 +217,6 @@ def import_time():
     ``import hartogs, hartogs.cli`` has finished, over IMPORT_PROBES probes
     after one warm-up, and the SciPy subpackages that import loads."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("HARTOGS_QUAD_ORDER", None)
     times = []
     for _ in range(IMPORT_PROBES + 1):
         start = time.perf_counter()
@@ -246,7 +245,6 @@ def suite_pass():
 def suite_times():
     """The per-suite times and verdicts of ``suite_pass`` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("HARTOGS_QUAD_ORDER", None)
     cmd = [sys.executable, str(Path(__file__).resolve()), "--suite-pass"]
     proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, check=True)
     record = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -255,7 +253,6 @@ def suite_times():
 
 def tier1_time():
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("HARTOGS_QUAD_ORDER", None)
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
@@ -309,7 +306,6 @@ def main(argv=None):
     parser.add_argument("--suite-pass", action="store_true", help="time one suite pass, print it as JSON and exit")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(SRC))
-    os.environ.pop("HARTOGS_QUAD_ORDER", None)
     if args.suite_pass:
         suite_pass()
         return 0

@@ -33,7 +33,7 @@ import sys
 
 import numpy as np
 
-from . import coeffspace, isometries, kernels, projections, quadrature, verify
+from . import coeffspace, isometries, kernels, projections, verify
 from .coeffspace import LaurentCoeffs, MixedPoly, TorusSeries
 from .geometry import HartogsPoint
 from .specfun import DomainError, VerificationFailure
@@ -156,43 +156,33 @@ def _cmd_kernel(args):
     return EXIT_OK
 
 
-_NORM_SPACES = ("bergman", "hardy", "dirichlet", "weighted-dirichlet", "star", "sharp")
-_NORM_SPACES_WITH_NU = ("bergman", "weighted-dirichlet", "star")
+# space -> (output label, whether it takes --nu, norm of (nu, f)); each norm
+# is looked up in coeffspace at call time
+_NORMS = {
+    "bergman": ("bergman_norm_sq", True, lambda nu, f: coeffspace.bergman_norm_sq(nu, f)),
+    "hardy": ("hardy_norm_sq", False, lambda nu, f: coeffspace.hardy_norm_sq(f)),
+    "dirichlet": ("dirichlet_norm_sq", False, lambda nu, f: coeffspace.dirichlet_norm_sq(f)),
+    "weighted-dirichlet": ("weighted_dirichlet_norm_sq", True, lambda nu, f: coeffspace.weighted_dirichlet_norm_sq(nu, f)),
+    "star": ("star_norm", True, lambda nu, f: coeffspace.star_norm(nu, f)),
+    "sharp": ("sharp_norm", False, lambda nu, f: coeffspace.star_norm(-2.0, f)),
+}
 
 
 def _cmd_norm(args):
     f = _read_json(args.infile, LaurentCoeffs.from_json)
     space = args.space
-    if space in _NORM_SPACES_WITH_NU and args.nu is None:
+    label, takes_nu, norm = _NORMS[space]
+    if takes_nu and args.nu is None:
         raise DomainError(f"norm --space {space} requires --nu")
-    if space not in _NORM_SPACES_WITH_NU and args.nu is not None:
+    if not takes_nu and args.nu is not None:
         raise DomainError(f"norm --space {space} takes no --nu")
-    if space == "bergman":
-        val = coeffspace.bergman_norm_sq(args.nu, f)
-        label = "bergman_norm_sq"
-    elif space == "hardy":
-        val = coeffspace.hardy_norm_sq(f)
-        label = "hardy_norm_sq"
-    elif space == "dirichlet":
-        val = coeffspace.dirichlet_norm_sq(f)
-        label = "dirichlet_norm_sq"
-    elif space == "weighted-dirichlet":
-        val = coeffspace.weighted_dirichlet_norm_sq(args.nu, f)
-        label = "weighted_dirichlet_norm_sq"
-    elif space == "star":
-        val = coeffspace.star_norm(args.nu, f)
-        label = "star_norm"
-    else:
-        val = coeffspace.star_norm(-2.0, f)
-        label = "sharp_norm"
-    _write_text(args.out, f"{label} {_fmt(val)}\n")
+    _write_text(args.out, f"{label} {_fmt(norm(args.nu, f))}\n")
     return EXIT_OK
 
 
 def _cmd_project(args):
     coeffspace.SpaceParam(args.nu).require("bergman", "the Bergman projection")
-    order = quadrature.radial_order_from_env(32)
-    projections.projection_self_test(args.nu, radial_order=order, angular_count=order + 1)
+    projections.projection_self_test(args.nu)
     f = _read_json(args.infile, MixedPoly.from_json)
     out = projections.project_bergman(args.nu, f)
     _write_json(args.out, out.to_json())
@@ -336,7 +326,7 @@ def build_parser():
 
     p = sub.add_parser("norm", help="coefficient-space norm of a Laurent polynomial")
     p.add_argument("--nu", type=float)
-    p.add_argument("--space", choices=_NORM_SPACES, required=True)
+    p.add_argument("--space", choices=tuple(_NORMS), required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_norm)

@@ -104,6 +104,11 @@ class SpaceParam:
         nu = -4/3 the weights at j + k = -1 are negative and the pairing is
         indefinite.  The kernel's Laurent coefficient of
         (z1 conj(w1))^j (z2 conj(w2))^k is 1 / weight(j, k), signed alike.
+
+        nu = -2 is not a continuity point: Gamma(nu+2) Gamma(3nu/2+3) has a
+        double pole there, and (3/2) eps^2 weight(j, k) at nu = -2 + eps
+        tends to j(j+k), not to (j+1)(j+k+1) (to 0 when j = 0 or j+k = 0,
+        and to -3j at j+k = -1).
         """
         if not self.member(j, k):
             return math.inf

@@ -296,16 +296,17 @@ def _series_extent(q, growth, tol):
     return n
 
 
-def kernel_series(nu, z, w, tol=1e-12):
+def kernel_series(nu, z, w):
     """Brute-force kernel value: truncated sum of basis terms over I_nu.
 
     Independent oracle for the closed forms; truncation is driven by the
     geometric tail bound in q = max(|x|, |y|) with a polynomial-growth
-    allowance for the coefficients.  The table is rank one in (j, m = j + k),
-    front * a_j * b_m, so the sum is a product of two power series; their
-    terms cancel by up to nine digits near the boundary, so both are summed
-    in np.longdouble (80-bit on x86-64 Linux; where it is plain double the
-    oracle holds about 1e-12 instead of 1e-15 at nu = 3.5).
+    allowance for the coefficients, cut below 1e-12.  The table is rank one
+    in (j, m = j + k), front * a_j * b_m, so the sum is a product of two
+    power series; their terms cancel by up to nine digits near the
+    boundary, so both are summed in np.longdouble (80-bit on x86-64 Linux;
+    where it is plain double the oracle holds about 1e-12 instead of 1e-15
+    at nu = 3.5).
     """
     sp = _degenerate_check(SpaceParam(nu))
     nu = sp.nu
@@ -314,7 +315,7 @@ def kernel_series(nu, z, w, tol=1e-12):
     if q >= 1.0:
         raise DomainError("kernel series needs |x|, |y| < 1")
     growth = max(nu + 1.0, 0.0) + 0.5
-    n = _series_extent(q, 2.0 * growth, tol)
+    n = _series_extent(q, 2.0 * growth, 1e-12)
     m_min = -1 - sp.ceil
     jj = np.arange(0, n, dtype=np.longdouble)
     mm = np.arange(m_min, m_min + 2 * n, dtype=np.longdouble)
@@ -333,17 +334,19 @@ def kernel_series(nu, z, w, tol=1e-12):
     return complex(front * sum_x * sum_y)
 
 
-def kernel_nu_series_k(nu, z, w, tol=1e-12):
+def kernel_nu_series_k(nu, z, w):
     """Second oracle for nu > -1: the one-dimensional k-sum form
 
         K_nu = [Gamma(nu/2+2)/Gamma(3nu/2+3)] y^(-2) (1-x)^(-(nu+2))
-               * sum_{k > -nu/2} Gamma(k+3nu/2+1)/Gamma(k+nu/2) y^k.
+               * sum_{k > -nu/2} Gamma(k+3nu/2+1)/Gamma(k+nu/2) y^k,
+
+    truncated as :func:`kernel_series` is, below 1e-12.
     """
     sp = SpaceParam(nu).require("bergman", "kernel_nu_series_k")
     nu = sp.nu
     x, y = _xy(z, w)
     q = abs(y)
-    n = _series_extent(q, 2.0 * max(nu + 1.0, 0.0) + 0.5, tol)
+    n = _series_extent(q, 2.0 * max(nu + 1.0, 0.0) + 0.5, 1e-12)
     k0 = 1 - sp.ceil
     kk = np.arange(k0, k0 + n, dtype=float)
     logc = gammaln(kk + 1.5 * nu + 1.0) - gammaln(kk + 0.5 * nu)
@@ -386,13 +389,15 @@ def _euler_coeffs(sp, n_terms):
     return np.cumprod(ratios)
 
 
-def bound_constant(nu, n_terms=200_000):
-    """The majorant C*(nu) = |a_nu| sum_n |c_n| over the Euler coefficients,
-    padded with an integral-comparison tail allowance so the returned value
-    upper-bounds the full sum (terms decay like n^(-(nu+2)-1))."""
+def bound_constant(nu):
+    """The majorant C*(nu) = |a_nu| sum_n |c_n| over the first 200,000 Euler
+    coefficients, padded with an integral-comparison tail allowance so the
+    returned value upper-bounds the full sum (terms decay like
+    n^(-(nu+2)-1))."""
     sp = SpaceParam(nu)
     if sp.kind == "dirichlet":
         raise DomainError(f"bound_constant requires nu > -2, got {nu}")
+    n_terms = 200_000
     coeffs = np.abs(_euler_coeffs(sp, n_terms))
     tail = coeffs[-1] * n_terms / (sp.nu + 2.0) * 1.5
     return abs(prefactor_a(sp)) * (float(np.sum(coeffs)) + tail)

@@ -95,20 +95,20 @@ _SELF_TEST_TERMS = (
 )
 
 
-def projection_self_test(nu, tol=1e-7, radial_order=32, angular_count=33):
+def projection_self_test(nu):
     """Compare the Gamma-weight coefficient rule against the quadrature oracle.
 
-    Runs once per nu (results are cached) on a fixed corpus of mixed
-    monomials: for each term the oracle coefficient is
-    <term, e> / ||e||^2 with e the surviving basis monomial, both sides
-    by tensor quadrature.  Raises VerificationFailure on disagreement
-    beyond tol.
+    Runs once per snapped nu of :class:`SpaceParam` (results are cached)
+    on a fixed corpus of mixed monomials: for each term the oracle
+    coefficient is <term, e> / ||e||^2 with e the surviving basis
+    monomial, both sides by tensor quadrature on the 32 x 33 rule.
+    Raises VerificationFailure on a relative disagreement beyond 1e-7.
     """
-    key = round(float(nu), 12)
-    if key in _SELF_TEST_PASSED:
-        return True
     sp = SpaceParam(nu)
-    rule = quadrature.build_rule(nu, radial_order, angular_count)
+    nu = sp.nu
+    if nu in _SELF_TEST_PASSED:
+        return True
+    rule = quadrature.build_rule(sp, 32, 33)
     for a, b, c, d in _SELF_TEST_TERMS:
         term = MixedPoly({(a, b, c, d): 1.0})
         j, k = a - b, c - d
@@ -119,12 +119,12 @@ def projection_self_test(nu, tol=1e-7, radial_order=32, angular_count=33):
         den = quadrature.inner_product_quad(nu, basis, basis, rule).real
         lam_quad = num / den
         lam_rule = project_bergman(nu, term).get((j, k))
-        if abs(lam_quad - lam_rule) > tol * max(1.0, abs(lam_rule)):
+        if abs(lam_quad - lam_rule) > 1e-7 * max(1.0, abs(lam_rule)):
             raise VerificationFailure(
                 f"projection self-test failed at nu={nu}, term ({a},{b},{c},{d}): "
                 f"rule {lam_rule}, quadrature {lam_quad}"
             )
-    _SELF_TEST_PASSED.add(key)
+    _SELF_TEST_PASSED.add(nu)
     return True
 
 
@@ -242,14 +242,14 @@ def schur_feasible(nu, p):
     return SchurParams(0.5 * ab_hi, 0.5 * ab_hi, 0.5 * (gamma_lo + gamma_hi))
 
 
-def _tail_integral(s, nu, eps, order=64):
+def _tail_integral(s, nu, eps):
     """T(eps) = int_eps^1 rho^s (1 - rho^2)^nu drho, split at 1/2.
 
     The inner piece goes through rho = e^x (handles strongly negative s),
     the outer piece through v = rho^2 against a Jacobi (1-v)^nu rule that
     absorbs the endpoint singularity for nu < 0.
     """
-    x, w = roots_legendre(order)
+    x, w = roots_legendre(64)
     total = 0.0
     cut = max(eps, 0.5)
     if eps < 0.5:
@@ -258,7 +258,7 @@ def _tail_integral(s, nu, eps, order=64):
         vals = np.exp((s + 1.0) * xs) * (1.0 - np.exp(2.0 * xs)) ** nu
         total += float(np.dot(w, vals)) * 0.5 * (hi - lo)
     a = cut * cut
-    xj, wj = quadrature._jacobi01(order, nu, 0.0)
+    xj, wj = quadrature._jacobi01(64, nu, 0.0)
     v = a + (1.0 - a) * xj
     vals = 0.5 * v ** (0.5 * (s - 1.0))
     total += float(np.dot(wj, vals)) * (1.0 - a) ** (nu + 1.0)

@@ -70,7 +70,6 @@ __all__ = [
     "mc_integrate_mu",
     "inner_product_quad",
     "as_grid_fn",
-    "radial_order_from_env",
 ]
 
 _MAX_BLOCK = 65_536  # integrand evaluations per chunk
@@ -113,29 +112,12 @@ def _jacobi01(order, alpha, beta):
     return 0.5 * (x + 1.0), w / 2.0 ** (alpha + beta + 1.0)
 
 
-def radial_order_from_env(default):
-    """The radial order set by HARTOGS_QUAD_ORDER, or ``default`` when unset.
-
-    Raises DomainError when the variable does not hold an integer.
-    """
-    raw = os.environ.get("HARTOGS_QUAD_ORDER")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise DomainError(f"HARTOGS_QUAD_ORDER must be an integer, got {raw!r}") from exc
-
-
-def build_rule(nu, radial_order=None, angular_count=65):
+def build_rule(nu, radial_order=64, angular_count=65):
     """Gauss-Jacobi x trapezoid rule for integrals against mu_nu.
 
-    The default radial order is 64, overridable through the
-    HARTOGS_QUAD_ORDER environment variable.  The rule carries the
-    snapped nu of :class:`SpaceParam`; ``nu`` is a float or its SpaceParam.
+    The rule carries the snapped nu of :class:`SpaceParam`; ``nu`` is a
+    float or its SpaceParam.
     """
-    if radial_order is None:
-        radial_order = radial_order_from_env(64)
     sp = _space(nu).require("bergman", "build_rule")
     nu = sp.nu
     if radial_order < 1 or angular_count < 1:

@@ -189,12 +189,14 @@ class TestProjectCommand:
         out = json.loads(dst.read_text())
         assert out["terms"] == [{"im": 0.0, "j": 0, "k": -1, "re": pytest.approx(0.5, rel=1e-10)}]
 
-    def test_quad_order_must_be_integer(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("HARTOGS_QUAD_ORDER", "abc")
+    def test_environment_does_not_change_the_output(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "f.json"
-        path.write_text(json.dumps({"terms": []}))
-        code, _, err = run_cli(capsys, "project", "--nu", "0.5", "--in", str(path))
-        assert code == 2 and "HARTOGS_QUAD_ORDER" in err
+        path.write_text(json.dumps({"terms": [{"a": 1, "b": 0, "c": 0, "d": 1, "re": 1.0, "im": 0.5}]}))
+        monkeypatch.delenv("HARTOGS_QUAD_ORDER", raising=False)
+        unset = run_cli(capsys, "project", "--nu", "0.5", "--in", str(path))
+        monkeypatch.setenv("HARTOGS_QUAD_ORDER", "abc")
+        assert run_cli(capsys, "project", "--nu", "0.5", "--in", str(path)) == unset
+        assert unset[0] == 0 and json.loads(unset[1])["terms"]
 
 
 class TestSzegoCommand:

@@ -12,6 +12,7 @@ from hartogs.coeffspace import (
     MixedPoly,
     SpaceParam,
     TorusSeries,
+    _gamma_weight,
     as_mixed,
     bergman_norm_sq,
     conj_product,
@@ -58,6 +59,21 @@ class TestSpaceParam:
         for bad in (math.inf, math.nan):
             with pytest.raises(DomainError):
                 SpaceParam(bad)
+
+    def test_nu_minus_two_is_not_a_continuity_point(self):
+        """Gamma(nu+2) Gamma(3nu/2+3) has a double pole at nu = -2, and the
+        weight renormalized by it tends to j(j+k) (and -3j at j+k = -1),
+        not to the Dirichlet weight (j+1)(j+k+1).  Tolerances fixed before
+        the run: 1e-5 relative, or 1e-5 absolute where the limit is 0, at
+        eps = 1e-7 (the deviation is O(eps))."""
+        eps = 1e-7
+        sp = SpaceParam(-2.0 + eps)
+        for j in range(4):
+            for k in range(-1 - j, 5):
+                assert sp.member(j, k)
+                renormalized = 1.5 * eps * eps * _gamma_weight(-2.0 + eps, j, k)
+                limit = -3.0 * j if j + k == -1 else float(j * (j + k))
+                assert abs(renormalized - limit) <= 1e-5 * max(abs(limit), 1.0)
 
     def test_one_regime_decision_near_special_nu(self):
         """Kernel, oracle, index set, rule, blow-up and critical range all

@@ -51,12 +51,10 @@ class TestBuildRule:
         with pytest.raises(DomainError):
             quadrature.build_rule(0.0, radial_order=0)
 
-    def test_order_from_environment(self, monkeypatch):
+    def test_environment_does_not_change_the_default_rule(self, monkeypatch):
         monkeypatch.setenv("HARTOGS_QUAD_ORDER", "12")
-        assert quadrature.build_rule(0.0).u_nodes.size == 12
-        monkeypatch.setenv("HARTOGS_QUAD_ORDER", "abc")
-        with pytest.raises(DomainError, match="HARTOGS_QUAD_ORDER"):
-            quadrature.build_rule(0.0)
+        rule = quadrature.build_rule(0.0)
+        assert (rule.u_nodes.size, rule.v_nodes.size, rule.angular) == (64, 64, 65)
 
 
 class TestIntegrateMu:

@@ -1,12 +1,13 @@
 """The numerical helpers of the verify suites against their plain definitions."""
 
 import cmath
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from hartogs import coeffspace, quadrature
+from hartogs import cli, coeffspace, quadrature, verify
 from hartogs.coeffspace import LaurentCoeffs, MixedPoly, TorusSeries
 from hartogs.geometry import HartogsPoint, random_automorphism
 from hartogs.verify import (
@@ -221,3 +222,9 @@ class TestTorusSamples:
 
     def test_empty_series_is_zero(self):
         assert np.all(_torus_samples(TorusSeries({}), 7) == 0.0)
+
+
+def test_suites_take_only_the_seed_and_what_a_verify_flag_sets():
+    settable = {"seed", *cli._VERIFY_FLAGS.values()}
+    for name, suite in verify.SUITES.items():
+        assert set(inspect.signature(suite).parameters) <= settable, name
