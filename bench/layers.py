@@ -91,8 +91,10 @@ def fft_ratios(f, n, ps):
 
 
 def per_nu_profiles(nus, y):
-    """The kernel-estimate suite's profiles in a tree that has no
-    ``kernels._ratio_profiles``: one ``bound_ratio_profile`` per nu."""
+    """The kernel-estimate suite's profiles as it computes them, one
+    ``bound_ratio_profile`` (one 2F1 call) per nu.  A tree that has
+    ``kernels._ratio_profiles``, the blocked Taylor sum that shared its
+    powers across nu, is timed through that instead."""
     from hartogs import kernels
 
     return [kernels.bound_ratio_profile(nu, y) for nu in nus]

@@ -388,11 +388,7 @@ def star_norm(nu, f):
 
 def evaluate(f, q):
     """Value of a Laurent polynomial at a point of the triangle."""
-    z1, z2 = complex(q.z1), complex(q.z2)
-    total = 0.0j
-    for (j, k), a in f.items():
-        total += a * z1**j * z2**k
-    return total
+    return evaluate_grid(f, complex(q.z1), complex(q.z2))
 
 
 def evaluate_grid(f, z1, z2):

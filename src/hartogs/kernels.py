@@ -33,7 +33,8 @@ Alongside the closed forms the module carries brute-force basis-series
 oracles (per pair, sharing no code with the batched bodies), the Laurent
 coefficients of each kernel read off its closed form (the reciprocals of
 the monomial weights ``SpaceParam.weight``, reached by another route), and
-the boundary-estimate checker with its derived majorant constant.
+the boundary-estimate checker with its profile in y (one 2F1 call) and its
+derived majorant constant.
 """
 
 import math
@@ -403,83 +404,28 @@ def bound_constant(nu):
     return abs(prefactor_a(sp)) * (float(np.sum(coeffs)) + tail)
 
 
-# bound_ratio_profile sums its Taylor series in blocks of _BLOCK terms.  One
-# matrix product of m x n x k = (number of blocks) x (samples) x _BLOCK
-# stays at or under OpenBLAS's single-thread threshold of _ONE_THREAD_MNK:
-# above it a product may start a second thread, and 1024-sample products
-# then took 0.8 s instead of 0.14 s in 1 of 10 fresh processes.  Samples
-# go through in chunks of _PROFILE_CHUNK, which bounds the temporaries at
-# about 3.5 kB per sample.
-_BLOCK = 64
-_ONE_THREAD_MNK = 262_144
-_PROFILE_CHUNK = 4096
+# Largest even nu up to which bound_ratio_profile held 1e-12 relative against
+# mpmath (nu in steps of 0.05 and at 2n - 0.01, |y| up to 1 - 1e-6 at the
+# angles 0, +-pi/3 and pi); SciPy's 2F1 lost 2e-12 at nu = 5.95 and 3e-9 at 22.01.
+_MAX_PROFILE_NU = 4.0
 
 
-def _blocked_taylor_sum(table, re, im, step):
-    """sum_n c_n y^n over a 1-D complex array y, where row b of ``table``
-    holds the real c_n for n = _BLOCK b .. _BLOCK b + _BLOCK - 1, ``re``
-    and ``im`` the real and imaginary parts of y^0 .. y^(_BLOCK-1) (one row
-    per power) and ``step`` is y^_BLOCK.
-
-    Every block's partial sum comes by one real matrix product each for
-    the real and imaginary parts of the powers, and the blocks are
-    combined by Horner in y^_BLOCK.
-    """
-    n_blocks, size = table.shape[0], step.size
-    blocks = np.empty((n_blocks, size), dtype=complex)
-    rows = max(1, _ONE_THREAD_MNK // (n_blocks * _BLOCK))
-    for s in range(0, size, rows):
-        blocks.real[:, s : s + rows] = table @ re[:, s : s + rows]
-        blocks.imag[:, s : s + rows] = table @ im[:, s : s + rows]
-    acc = blocks[-1]
-    for b in range(n_blocks - 2, -1, -1):
-        acc = acc * step + blocks[b]
-    return acc
-
-
-def _ratio_profiles(nus, y, n_terms=6000):
-    """``bound_ratio_profile(nu, y, n_terms)`` for each nu of ``nus``, as a list.
-
-    The powers y^0 .. y^(_BLOCK-1) of each chunk of samples (by cumprod)
-    and its Horner step y^_BLOCK are built once and shared by every nu's
-    blocked sum, so each nu's values are those of a one-nu call.
-    """
-    y = np.asarray(y)
-    if np.any(np.abs(y) > 0.9985):
-        raise DomainError("bound_ratio_profile needs |y| <= 0.9985")
-    spaces = [SpaceParam(nu) for nu in nus]
-    n_blocks = -(-n_terms // _BLOCK)
-    tables = np.zeros((len(spaces), n_blocks * _BLOCK))
-    for table, sp in zip(tables, spaces):
-        table[:n_terms] = _euler_coeffs(sp, n_terms)
-    tables = tables.reshape(len(spaces), n_blocks, _BLOCK)
-    flat = y.astype(complex).ravel()
-    out = np.empty((len(spaces), flat.size))
-    for s in range(0, flat.size, _PROFILE_CHUNK):
-        chunk = flat[s : s + _PROFILE_CHUNK]
-        powers = np.empty((_BLOCK, chunk.size), dtype=complex)
-        powers[0] = 1.0
-        powers[1:] = chunk
-        np.cumprod(powers, axis=0, out=powers)
-        re, im, step = powers.real.copy(), powers.imag.copy(), powers[-1] * chunk
-        for row, table in zip(out, tables):
-            row[s : s + _PROFILE_CHUNK] = np.abs(_blocked_taylor_sum(table, re, im, step))
-    return [abs(prefactor_a(sp)) * row.reshape(y.shape) for sp, row in zip(spaces, out)]
-
-
-def bound_ratio_profile(nu, y, n_terms=6000):
+def bound_ratio_profile(nu, y):
     """Vectorized kernel_bound_ratio as a function of y = z2 conj(w2) alone.
 
     The (1 - x) factors of the kernel cancel exactly against the estimate
-    shape, so the ratio equals |a_nu| |F_euler(y)|; this form makes the
-    10^4-sample boundary scans affordable.  Returns an array of y's shape.
+    shape, so the ratio is |a_nu| |F(-nu-1, b; b+1; y)|, b = nu/2 - ceil(nu/2),
+    the Euler transform (DLMF 15.8.1) of the kernel's 2F1: one 2F1 call
+    over an array of y, returning y's shape.
 
-    Requires |y| <= 0.9985.  The Taylor series is cut after ``n_terms``
-    terms; its coefficients decay like n^(-(nu+2)-1), so the cut costs
-    most for nu below -1 and |y| near 1.  With the default 6000 terms the
-    relative error against mpmath at |y| = 0.9985 / 0.998 (the cap of the
-    kernel-estimate suite) is 5.2e-8 / 2.0e-9 at nu = -1.5; over a scan
-    of nu in (-2, -1) the largest was 2.3e-7 / 8.6e-9, at nu = -1.9, and
-    for nu >= -0.5 it stays below 1.4e-12.
+    Resolved to 1e-12 relative for |y| < 1 and -2 < nu <= 4, except near the
+    real zeros of F on (-1, 0) (at nu = 0.57, 1.5 and 3.86, for instance),
+    where |F| falls below 1e-2 and the error is 1e-14 |a_nu| instead.
+    Raises DomainError at nu = -2 (no estimate of this shape), at
+    nu = -4/3 (a pole of a_nu) and above nu = 4.
     """
-    return _ratio_profiles((nu,), y, n_terms)[0]
+    sp = _degenerate_check(SpaceParam(nu))
+    if sp.kind == "dirichlet" or sp.nu > _MAX_PROFILE_NU:
+        raise DomainError(f"bound_ratio_profile is resolved only for -2 < nu <= {_MAX_PROFILE_NU:g}, got {nu}")
+    b = 0.5 * sp.nu - sp.ceil
+    return abs(prefactor_a(sp)) * np.abs(gauss_2f1(HypergeometricParams(-sp.nu - 1.0, b, b + 1.0), y))

@@ -115,8 +115,9 @@ def gauss_2f1(params, z):
     """Gauss hypergeometric function F(alpha, beta; gamma; z) for |z| < 1.
 
     Evaluated by SciPy's complex ``hyp2f1`` ufunc, which picks the series
-    or a transformation of it by region; for the kernels' parameter triples
-    the value matches mpmath to 1e-12 relative error out to |z| = 1 - 1e-6.
+    or a transformation of it by region; for the kernel's triples
+    (alpha, 1; gamma) the value matches mpmath to 1e-12 relative error out
+    to |z| = 1 - 1e-6 (``kernels.bound_ratio_profile`` states its own).
     An array z is evaluated in one ufunc call and returns an array; a
     scalar z returns a complex.  An array alpha broadcasts against z as the
     ufunc's arguments do, so an (m, 1) column of alphas gives m rows.

@@ -41,6 +41,11 @@ class SuiteResult:
             self.fail(f"{case}: rel err {r:.3e} exceeds {tol:.1e}")
         return r
 
+    def worst(self, case, worst, tol, message):
+        """Record the row (case, 0, worst, worst, worst); fail if worst exceeds tol."""
+        self.rows.append((case, 0.0, worst, worst, worst))
+        self.check(worst <= tol, f"{message}: {worst:.3e} exceeds {tol:.1e}")
+
     def check(self, ok, message):
         if not ok:
             self.fail(message)
@@ -166,8 +171,7 @@ def suite_kernel_agreement(seed=0, tol=1e-8, nus=_REGIMES):
         closed = kernels.kernel(nu, z, w)
         series = np.array([kernels.kernel_series(nu, zi, wi) for zi, wi in singles])
         worst = float(np.max(np.abs(closed - series) / np.maximum(np.abs(closed), 1e-300)))
-        res.rows.append((f"nu={nu} worst pair", 0.0, worst, worst, worst))
-        res.check(worst <= tol, f"kernel series mismatch at nu={nu}: {worst:.3e}")
+        res.worst(f"nu={nu} worst pair", worst, tol, f"kernel series mismatch at nu={nu}")
         if coeffspace.SpaceParam(nu).kind == "bergman":
             z = _random_point(_rng(seed, 150))
             w = _random_point(_rng(seed, 151))
@@ -191,8 +195,7 @@ def suite_kernel_agreement(seed=0, tol=1e-8, nus=_REGIMES):
             * (1.0 - y) ** (-2.0 * n - 2.0)
         )
         worst = float(np.max(np.abs(kernels.kernel_nu(nu, z, w) - reduced) / np.abs(reduced)))
-        res.rows.append((f"even reduction nu={nu}", 0.0, worst, worst, worst))
-        res.check(worst <= 1e-10, f"even reduction failed at nu={nu}: {worst:.3e}")
+        res.worst(f"even reduction nu={nu}", worst, 1e-10, f"even reduction failed at nu={nu}")
     return res
 
 
@@ -222,8 +225,7 @@ def suite_reproducing(seed=0, tol=1e-8, nus=_REGIMES):
                     inner += weighted * kern.conjugate()
                 direct = coeffspace.evaluate(f, w)
                 worst = max(worst, abs(inner - direct) / max(abs(direct), 1.0))
-        res.rows.append((f"nu={nu} reproducing worst", 0.0, worst, worst, worst))
-        res.check(worst <= tol, f"reproducing identity failed at nu={nu}: {worst:.3e}")
+        res.worst(f"nu={nu} reproducing worst", worst, tol, f"reproducing identity failed at nu={nu}")
     return res
 
 
@@ -243,16 +245,12 @@ def suite_kernel_estimate(seed=0, nus=(-1.5, -0.5, 0.7, 1.3, 3.5)):
         for i in range(5)
     ]
     spot_y = np.array([z.z2 * w.z2.conjugate() for z, w in spots])
-    # every nu's profile over the same samples, sharing their Taylor powers
-    all_ratios = kernels._ratio_profiles(nus, y)
-    all_profiles = kernels._ratio_profiles(nus, spot_y)
-    for nu, ratios, profiles in zip(nus, all_ratios, all_profiles):
+    for nu in nus:
+        sup = float(np.max(kernels.bound_ratio_profile(nu, y)))
+        profiles = kernels.bound_ratio_profile(nu, spot_y)
         cstar = kernels.bound_constant(nu)
-        res.row(f"nu={nu} sup ratio vs C*", cstar, float(np.max(ratios)))
-        res.check(
-            float(np.max(ratios)) <= cstar,
-            f"kernel estimate violated at nu={nu}: {np.max(ratios):.6f} > {cstar:.6f}",
-        )
+        res.row(f"nu={nu} sup ratio vs C*", cstar, sup)
+        res.check(sup <= cstar, f"kernel estimate violated at nu={nu}: {sup:.6f} > {cstar:.6f}")
         # spot-check the profile against the full kernel on a few pairs
         for i, (z, w) in enumerate(spots):
             res.row(f"nu={nu} ratio path {i}", kernels.kernel_bound_ratio(nu, z, w), float(profiles[i]), 1e-9)
@@ -267,17 +265,13 @@ def suite_critical_range(seed=0, tol=1e-12):
     """Case-form and unified ceiling-form ranges agree everywhere."""
     res = SuiteResult("critical-range", True)
     rng = _rng(seed, 400)
-    checked = 0
-    while checked < 1000:
+    for _ in range(1000):
         nu = float(rng.uniform(-1.0 + 1e-6, 20.0))
-        if abs(nu - 2.0 * round(0.5 * nu)) < 1e-9:
-            continue
         a = projections.critical_range(nu)
         b = projections.critical_range_unified(nu)
         if abs(a.p_minus - b.p_minus) > tol or abs(a.p_plus - b.p_plus) > tol:
             res.fail(f"range mismatch at nu={nu}")
-        checked += 1
-    res.rows.append(("random nu agreement", 1000.0, float(checked), 0.0, 0.0))
+    res.rows.append(("random nu agreement", 1000.0, 1000.0, 0.0, 0.0))
     for n in range(6):
         nu = 2.0 * n
         a = projections.critical_range(nu)
@@ -374,8 +368,7 @@ def suite_projection(seed=0, tol=1e-7, nus=(-0.5, 0.0, 0.7, 2.0)):
         lhs = quadrature.inner_product_quad(nu, pf, g, rule)
         rhs = quadrature.inner_product_quad(nu, f, pg, rule)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
-    res.rows.append((f"self-adjointness nu={nu}", 0.0, worst, worst, worst))
-    res.check(worst <= tol, f"self-adjointness broke: {worst:.3e}")
+    res.worst(f"self-adjointness nu={nu}", worst, tol, "self-adjointness broke")
     return res
 
 
@@ -388,13 +381,19 @@ def _random_torus(rng, degree, n_terms=12):
     return TorusSeries(terms)
 
 
+# The most real multiply-adds m x n x k that one matrix product keeps on one
+# OpenBLAS thread: above it a product may start a second thread, and a run of
+# such products then took 0.8 s instead of 0.14 s in 1 of 10 fresh processes.
+_ONE_THREAD_MNK = 262_144
+
+
 def _torus_samples(f, n):
     """f on the n x n torus grid: entry (p, q) is sum a_jk e^(2 pi i (j p + k q) / n).
 
     Every power of a grid point is read from the table of the n-th roots
     of unity at (j p) mod n, and the terms are summed by the product
     (Z1 * a) @ Z2, a few rows of Z1 at a time: a complex product makes
-    4 m n k real multiply-adds, kept under kernels._ONE_THREAD_MNK.
+    4 m n k real multiply-adds, kept under _ONE_THREAD_MNK.
     """
     items = f.items()
     keys = np.array([key for key, _ in items], dtype=int).reshape(-1, 2)
@@ -404,7 +403,7 @@ def _torus_samples(f, n):
     z1 = roots[np.outer(grid, keys[:, 0]) % n] * coefs
     z2 = roots[np.outer(keys[:, 1], grid) % n]
     out = np.empty((n, n), dtype=complex)
-    rows = max(1, kernels._ONE_THREAD_MNK // (4 * n * max(1, coefs.size)))
+    rows = max(1, _ONE_THREAD_MNK // (4 * n * max(1, coefs.size)))
     for start in range(0, n, rows):
         np.matmul(z1[start : start + rows], z2, out=out[start : start + rows])
     return out
@@ -445,8 +444,7 @@ def suite_szego(seed=0):
         direct = _torus_samples(projections.project_szego(f), n)
         via_grid = projections.project_szego_grid(_torus_samples(f, n))
         worst = max(worst, float(np.max(np.abs(direct - via_grid))))
-    res.rows.append(("grid vs coefficients", 0.0, worst, worst, worst))
-    res.check(worst <= 1e-11, f"grid projection mismatch {worst:.2e}")
+    res.worst("grid vs coefficients", worst, 1e-11, "grid projection mismatch")
     ps = (1.5, 3.0)
     ratio_stats = {}
     for degree in (8, 32):
@@ -510,11 +508,9 @@ def suite_isometries(seed=0):
             abs(coeffspace.dirichlet_norm_sq(fd) - isometries.dirichlet_bidisc_norm_sq(gd)),
         )
         res.check(isometries.bidisc_to_dirichlet(gd) == fd, "dirichlet round trip failed")
-    res.rows.append(("hardy norm gap", 0.0, worst_h, worst_h, worst_h))
-    res.rows.append(("dirichlet norm gap", 0.0, worst_d, worst_d, worst_d))
     # identical float multisets summed in identical order: gaps are exact zeros
-    res.check(worst_h <= 1e-15, f"hardy isometry gap {worst_h:.2e}")
-    res.check(worst_d <= 1e-15, f"dirichlet isometry gap {worst_d:.2e}")
+    res.worst("hardy norm gap", worst_h, 1e-15, "hardy isometry gap")
+    res.worst("dirichlet norm gap", worst_d, 1e-15, "dirichlet isometry gap")
     for nu in (-0.5, 0.0, 1.0):
         rng_nu = _rng(seed, 810 + int(10 * nu))
         rule = quadrature.build_rule(nu, radial_order=32, angular_count=25)
@@ -563,8 +559,7 @@ def suite_tsplit(seed=0, tol=1e-7, nus=(-0.5, 0.0, 1.0)):
                 if abs(closed) < 1e-14 and abs(quad) < 1e-12:
                     continue
                 worst = max(worst, abs(closed - quad) / max(abs(closed), abs(quad)))
-        res.rows.append((f"nu={nu} T-norm worst rel err", 0.0, worst, worst, worst))
-        res.check(worst <= tol, f"T-norm mismatch at nu={nu}: {worst:.3e}")
+        res.worst(f"nu={nu} T-norm worst rel err", worst, tol, f"T-norm mismatch at nu={nu}")
         ratios = []
         for _ in range(200):
             f = _random_laurent(rng, nu, n_terms=6, jmax=6, kmax=6)

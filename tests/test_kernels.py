@@ -23,18 +23,34 @@ def random_point(rng, r2=(0.3, 0.85), ratio=0.8):
     return HartogsPoint(rat * z2 * cmath.exp(1j * a1), z2)
 
 
+def mp_prefactor(nu, c):
+    """a_nu = Gamma(nu/2+2) Gamma(3nu/2-c+2) / (Gamma(3nu/2+3) Gamma(nu/2-c+1)), c = ceil(nu/2),
+    at the working precision."""
+    nu = mpmath.mpf(nu)
+    g = mpmath.gamma
+    return g(nu / 2 + 2) * g(1.5 * nu - c + 2) / (g(1.5 * nu + 3) * g(nu / 2 - c + 1))
+
+
 def mp_kernel(nu, z, w):
     """The hypergeometric closed form of every -2 < nu != -1 kernel at 40 digits:
     a_nu y^(-1-c) (1-x)^(-(nu+2)) 2F1(3nu/2-c+2, 1; nu/2-c+1; y), c = ceil(nu/2)."""
     with mpmath.workdps(40):
         c = math.ceil(nu / 2)
+        a = mp_prefactor(nu, c)
         nu = mpmath.mpf(nu)
         y = mpmath.mpc(z.z2) * mpmath.conj(mpmath.mpc(w.z2))
         x = mpmath.mpc(z.z1) * mpmath.conj(mpmath.mpc(w.z1)) / y
-        g = mpmath.gamma
-        a = g(nu / 2 + 2) * g(1.5 * nu - c + 2) / (g(1.5 * nu + 3) * g(nu / 2 - c + 1))
         hyp = mpmath.hyp2f1(1.5 * nu - c + 2, 1, nu / 2 - c + 1, y)
         return complex(a * y ** (-1 - c) * (1 - x) ** (-(nu + 2)) * hyp)
+
+
+def mp_profile(nu, y):
+    """The boundary ratio as a function of y at 30 digits: |a_nu| |2F1(-nu-1, b; b+1; y)|,
+    b = nu/2 - ceil(nu/2), with the 2F1 parameters rounded to doubles as the library's are."""
+    with mpmath.workdps(30):
+        c = math.ceil(nu / 2)
+        b = 0.5 * nu - c
+        return float(abs(mp_prefactor(nu, c)) * abs(mpmath.hyp2f1(-nu - 1.0, b, b + 1.0, complex(y))))
 
 
 class TestBergmanKernel:
@@ -268,120 +284,56 @@ class TestKernelEstimate:
             kernels.kernel_bound_ratio(-2.0, q, q)
 
 
-def horner_profile(nu, y, n_terms=6000):
-    """The profile by a plain Horner pass over all n_terms coefficients."""
-    coeffs = kernels._euler_coeffs(SpaceParam(nu), n_terms)
-    acc = np.zeros_like(y)
-    for c in coeffs[::-1]:
-        acc = acc * y + c
-    return abs(kernels.prefactor_a(nu)) * np.abs(acc)
-
-
 class TestBoundRatioProfile:
-    @pytest.mark.parametrize("nu", [-1.5, -0.5, 0.7, 3.5])
-    def test_matches_plain_horner(self, nu):
-        # more samples than one pass of the profile takes (_PROFILE_CHUNK)
-        rng = np.random.default_rng(45)
-        mod = 1.0 - 10.0 ** rng.uniform(-2.8, 0.0, size=4496)
-        y = np.r_[0.0, 0.9985, -0.9985, 0.9985j, mod * np.exp(2j * np.pi * rng.uniform(size=4496))]
-        ref = horner_profile(nu, y)
-        assert np.all(np.abs(kernels.bound_ratio_profile(nu, y) - ref) <= 1e-13 * ref)
-
     def test_keeps_the_shape_of_its_input(self):
         y = np.array([0.5 + 0.3j, -0.9, 0.99j, 0.2, 0.9985, 0.7 - 0.1j]).reshape(2, 3)
         prof = kernels.bound_ratio_profile(0.7, y)
         assert prof.shape == (2, 3)
-        assert np.all(np.abs(prof - horner_profile(0.7, y)) <= 1e-13 * horner_profile(0.7, y))
+        ref = np.array([mp_profile(0.7, v) for v in y.ravel()]).reshape(2, 3)
+        assert np.all(np.abs(prof - ref) <= 1e-13 * ref)
         one = kernels.bound_ratio_profile(-1.5, np.array([0.9 + 0.1j]))
         assert one.shape == (1,)
-        assert one[0] == pytest.approx(horner_profile(-1.5, np.array([0.9 + 0.1j]))[0], rel=1e-13)
+        assert one[0] == pytest.approx(mp_profile(-1.5, 0.9 + 0.1j), rel=1e-13)
 
     @pytest.mark.parametrize("modulus, tol", [(0.9985, 5.5e-8), (0.998, 2.2e-9)])
     def test_truncation_against_mpmath(self, modulus, tol):
-        """The documented cost of cutting the series at 6000 terms, at nu = -1.5."""
+        """The bounds the former 6000-term Taylor series documented at these
+        moduli for nu = -1.5 (the 2F1 profile meets them with a wide margin;
+        test_against_mpmath_over_nu_and_modulus is the 1e-12 gate)."""
         nu = -1.5
-        b = 0.5 * nu - math.ceil(0.5 * nu)
         y = modulus * np.exp(1j * np.linspace(0.0, math.pi, 7))
         prof = kernels.bound_ratio_profile(nu, y)
-        with mpmath.workdps(30):
-            ref = [abs(kernels.prefactor_a(nu)) * abs(mpmath.hyp2f1(-nu - 1.0, b, b + 1.0, complex(v))) for v in y]
-        errs = [abs(p - float(r)) / float(r) for p, r in zip(prof, ref)]
+        errs = [abs(p - r) / r for p, r in zip(prof, (mp_profile(nu, v) for v in y))]
         assert max(errs) <= tol
 
+    def test_against_mpmath_over_nu_and_modulus(self):
+        """1e-12 relative over nu in steps of 0.05 and at 2n - 0.01 up to the
+        cap nu = 4, |y| up to 1 - 1e-6 at the angles 0, +-pi/3 and pi.  The
+        reference at -pi/3 is that at pi/3: |F(conj y)| = |F(y)| for real
+        parameters."""
+        nus = [round(-1.95 + 0.05 * i, 10) for i in range(120)] + [-0.01, 1.99, 3.99]
+        moduli, angles = (0.5, 0.9, 0.998, 1.0 - 1e-6), (0.0, math.pi / 3, math.pi)
+        half = np.array([m * np.exp(1j * a) for m in moduli for a in angles])
+        y = np.concatenate([half, np.conj(half)])
+        worst = 0.0
+        for nu in nus:
+            ref = np.tile([mp_profile(nu, v) for v in half], 2)
+            worst = max(worst, float(np.max(np.abs(kernels.bound_ratio_profile(nu, y) - ref) / ref)))
+        assert worst <= 1e-12
 
-def per_nu_profile(nu, y, n_terms=6000):
-    """bound_ratio_profile as it was before its Taylor powers were shared
-    across nu: powers, their real and imaginary copies and the Horner step
-    built per nu and per chunk.  The reference _ratio_profiles must equal
-    bit for bit."""
-    y = np.asarray(y)
-    sp = SpaceParam(nu)
-    n_blocks = -(-n_terms // kernels._BLOCK)
-    table = np.zeros(n_blocks * kernels._BLOCK)
-    table[:n_terms] = kernels._euler_coeffs(sp, n_terms)
-    table = table.reshape(n_blocks, kernels._BLOCK)
-    flat = y.astype(complex).ravel()
-    out = np.empty(flat.size)
-    for s in range(0, flat.size, kernels._PROFILE_CHUNK):
-        chunk = flat[s : s + kernels._PROFILE_CHUNK]
-        powers = np.empty((kernels._BLOCK, chunk.size), dtype=complex)
-        powers[0] = 1.0
-        powers[1:] = chunk
-        np.cumprod(powers, axis=0, out=powers)
-        re, im = powers.real.copy(), powers.imag.copy()
-        blocks = np.empty((n_blocks, chunk.size), dtype=complex)
-        rows = max(1, kernels._ONE_THREAD_MNK // (n_blocks * kernels._BLOCK))
-        for r in range(0, chunk.size, rows):
-            blocks.real[:, r : r + rows] = table @ re[:, r : r + rows]
-            blocks.imag[:, r : r + rows] = table @ im[:, r : r + rows]
-        step = powers[-1] * chunk
-        acc = blocks[-1]
-        for b in range(n_blocks - 2, -1, -1):
-            acc = acc * step + blocks[b]
-        out[s : s + kernels._PROFILE_CHUNK] = np.abs(acc)
-    return abs(kernels.prefactor_a(sp)) * out.reshape(y.shape)
+    @pytest.mark.parametrize("nu, y", [(0.57, -0.25), (1.5, -0.91), (3.86, -0.999)])
+    def test_near_a_real_zero_the_error_is_absolute(self, nu, y):
+        """Near a real zero of the 2F1 on (-1, 0) the profile holds its
+        documented absolute bound, 1e-14 |a_nu|, in place of 1e-12 relative."""
+        ref = mp_profile(nu, y)
+        err = abs(float(kernels.bound_ratio_profile(nu, y)) - ref)
+        assert ref < 2e-3 * abs(kernels.prefactor_a(nu))
+        assert err <= 1e-14 * abs(kernels.prefactor_a(nu))
 
-
-class TestRatioProfiles:
-    """_ratio_profiles shares each chunk's Taylor powers across nu; every
-    value must stay that of the per-nu computation."""
-
-    NUS = (-1.5, -0.5, 0.7, 1.3, 3.5)  # the kernel-estimate suite's
-
-    @staticmethod
-    def suite_samples():
-        """The kernel-estimate suite's 10^4 boundary samples at seed 0."""
-        rng = np.random.default_rng([0, 300])
-        mod = 1.0 - 10.0 ** rng.uniform(-6.0, -0.3, size=10_000)
-        return np.clip(mod, 0.0, 0.998) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=10_000))
-
-    def test_equals_the_per_nu_profile_on_the_suite_samples(self):
-        y = self.suite_samples()
-        profiles = kernels._ratio_profiles(self.NUS, y)
-        assert len(profiles) == len(self.NUS)
-        for nu, prof in zip(self.NUS, profiles):
-            assert prof.shape == y.shape and prof.dtype == np.float64
-            assert np.array_equal(prof, per_nu_profile(nu, y))
-            assert np.array_equal(prof, kernels.bound_ratio_profile(nu, y))
-
-    def test_equals_the_per_nu_profile_on_few_samples_and_a_grid(self):
-        rng = np.random.default_rng(8)
-        few = 0.95 * rng.uniform(size=5) * np.exp(2j * math.pi * rng.uniform(size=5))
-        grid = np.array([0.5 + 0.3j, -0.9, 0.99j, 0.2, 0.9985, 0.7 - 0.1j]).reshape(2, 3)
-        for y in (few, grid):
-            for nu, prof in zip(self.NUS, kernels._ratio_profiles(self.NUS, y)):
-                assert prof.shape == y.shape
-                assert np.array_equal(prof, per_nu_profile(nu, y))
-
-    def test_one_nu_short_series(self):
-        y = self.suite_samples()[:5000]
-        (prof,) = kernels._ratio_profiles((0.7,), y, n_terms=100)
-        assert np.array_equal(prof, per_nu_profile(0.7, y, n_terms=100))
-        assert np.array_equal(prof, kernels.bound_ratio_profile(0.7, y, n_terms=100))
-
-    def test_refuses_samples_beyond_the_cap(self):
-        with pytest.raises(DomainError, match="0.9985"):
-            kernels._ratio_profiles(self.NUS, np.array([0.5, 0.999]))
+    @pytest.mark.parametrize("nu", [4.01, 5.95, 60.7, 99.0, -2.0, -4.0 / 3.0, -4.0 / 3.0 + 1e-13])
+    def test_refuses_unresolved_and_excluded_nu(self, nu):
+        with pytest.raises(DomainError):
+            kernels.bound_ratio_profile(nu, np.array([0.5, 0.9j]))
 
 
 class TestOneSpaceParamPerCall:
