@@ -79,27 +79,6 @@ def best_us_faults(fn, calls, repeats):
     return us, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / (calls * repeats)
 
 
-def fft_ratios(f, n, ps):
-    """The ratio study's work on one series in a tree that has no
-    ``verify._szego_ratios``: the FFT projection of its samples and one
-    modulus per norm."""
-    from hartogs import projections, verify
-
-    samples = verify._torus_samples(f, n)
-    projected = projections.project_szego_grid(samples)
-    return [projections.lp_norm_torus(p, projected) / projections.lp_norm_torus(p, samples) for p in ps]
-
-
-def per_nu_profiles(nus, y):
-    """The kernel-estimate suite's profiles as it computes them, one
-    ``bound_ratio_profile`` (one 2F1 call) per nu.  A tree that has
-    ``kernels._ratio_profiles``, the blocked Taylor sum that shared its
-    powers across nu, is timed through that instead."""
-    from hartogs import kernels
-
-    return [kernels.bound_ratio_profile(nu, y) for nu in nus]
-
-
 def layer_times():
     """The ``layers_us`` of the single-threaded layers and the black-box
     ones, and the minor faults per call of the black-box ones."""
@@ -124,8 +103,6 @@ def layer_times():
     ys = np.clip(mod, 0.0, 0.998) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=10_000))
     # one degree-32 series of the Szego suite's ratio study
     series = verify._random_torus(np.random.default_rng([0, 642]), 32, n_terms=16)
-    ratios = getattr(verify, "_szego_ratios", fft_ratios)
-    profiles = getattr(kernels, "_ratio_profiles", per_nu_profiles)
     # the seven Gamma arguments of the weight of z1^2 z2^-3 at nu = -1.5; the last is -0.25
     w_nu, j, k = -1.5, 2, -3
     weight_args = (
@@ -153,13 +130,13 @@ def layer_times():
         "kernels.kernel.nu=0.7": best_us(lambda: kernels.kernel(0.7, z, w), 2000, 5),
         "kernels.kernel.nu=3.5": best_us(lambda: kernels.kernel(3.5, z, w), 2000, 5),
         "kernels.bound_ratio_profile.5nu_1e4_samples": best_us(
-            lambda: profiles((-1.5, -0.5, 0.7, 1.3, 3.5), ys), 1, 5
+            lambda: [kernels.bound_ratio_profile(nu, ys) for nu in (-1.5, -0.5, 0.7, 1.3, 3.5)], 1, 5
         ),
         "specfun.gamma_ratio_signed.weight_7_args": best_us(lambda: specfun.gamma_ratio_signed(*weight_args), 20000, 5),
         f"specfun.gauss_2f1.{BATCH}_points": best_us(lambda: specfun.gauss_2f1(hyp, y128), 2000, 5),
         "verify._random_point": best_us(lambda: verify._random_point(point_rng), 20000, 5),
         "verify._torus_samples.degree32_n133": best_us(lambda: verify._torus_samples(series, 133), 200, 5),
-        "verify.szego.ratio_study.degree32": best_us(lambda: ratios(series, 133, (1.5, 3.0)), 200, 5),
+        "verify.szego.ratio_study.degree32": best_us(lambda: verify._szego_ratios(series, 133, (1.5, 3.0)), 200, 5),
         "projections.project_szego_grid.N=133": best_us(lambda: projections.project_szego_grid(grid), 200, 5),
     })
     return layers, {name: faults for name, (_, faults) in black_box.items()}

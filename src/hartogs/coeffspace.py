@@ -93,8 +93,8 @@ class SpaceParam:
 
     def member(self, j, k):
         """Membership of (j, k) in I_nu = {j >= 0, j + k + nu/2 + 2 > 0},
-        i.e. j >= 0 and j + k >= -1 - ceil(nu/2)."""
-        return j >= 0 and j + k >= -1 - self.ceil
+        i.e. j >= 0 and j + k >= -1 - ceil(nu/2); elementwise on arrays."""
+        return (j >= 0) & (j + k >= -1 - self.ceil)
 
     def weight(self, j, k):
         """Coefficient weight of z1^j z2^k in the pairing of the space.

@@ -27,7 +27,9 @@ flattened arrays of x and y.  A single pair runs through that body as a
 batch of one and returns a complex; a batch returns an array of the
 broadcast shape.  The hypergeometric body is resolved to 1e-12 relative
 for nu <= 100, except within 0.1 of an even integer above 8, and raises
-DomainError outside that range.
+DomainError outside that range.  Near the real zeros of F on the negative
+y axis the error is instead at most 1e-14 |a_nu| |y|^(-1-ceil(nu/2))
+|1-x|^(-(nu+2)).
 
 Alongside the closed forms the module carries brute-force basis-series
 oracles (per pair, sharing no code with the batched bodies), the Laurent

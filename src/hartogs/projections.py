@@ -84,7 +84,6 @@ def project_bergman(nu, f):
     return LaurentCoeffs(out)
 
 
-_SELF_TEST_PASSED = set()
 _SELF_TEST_TERMS = (
     (1, 0, 0, 0),
     (0, 0, 0, 1),
@@ -98,16 +97,14 @@ _SELF_TEST_TERMS = (
 def projection_self_test(nu):
     """Compare the Gamma-weight coefficient rule against the quadrature oracle.
 
-    Runs once per snapped nu of :class:`SpaceParam` (results are cached)
-    on a fixed corpus of mixed monomials: for each term the oracle
-    coefficient is <term, e> / ||e||^2 with e the surviving basis
-    monomial, both sides by tensor quadrature on the 32 x 33 rule.
+    Runs at the snapped nu of :class:`SpaceParam` on a fixed corpus of
+    mixed monomials: for each term the oracle coefficient is
+    <term, e> / ||e||^2 with e the surviving basis monomial, both sides
+    by tensor quadrature on the 32 x 33 rule.
     Raises VerificationFailure on a relative disagreement beyond 1e-7.
     """
     sp = SpaceParam(nu)
     nu = sp.nu
-    if nu in _SELF_TEST_PASSED:
-        return True
     rule = quadrature.build_rule(sp, 32, 33)
     for a, b, c, d in _SELF_TEST_TERMS:
         term = MixedPoly({(a, b, c, d): 1.0})
@@ -124,13 +121,15 @@ def projection_self_test(nu):
                 f"projection self-test failed at nu={nu}, term ({a},{b},{c},{d}): "
                 f"rule {lam_rule}, quadrature {lam_quad}"
             )
-    _SELF_TEST_PASSED.add(nu)
     return True
 
 
+_HARDY = SpaceParam(-1.0)
+
+
 def szego_multiplier(j, k):
-    """Multiplier symbol: 1 on {j >= 0, j + k + 1 >= 0}, else 0."""
-    return 1 if (j >= 0 and j + k + 1 >= 0) else 0
+    """Multiplier symbol: 1 on the Hardy index set I_-1 = {j >= 0, j + k + 1 >= 0}, else 0."""
+    return int(_HARDY.member(j, k))
 
 
 def project_szego(f):
@@ -151,8 +150,7 @@ def project_szego_grid(samples):
     n = samples.shape[0]
     freq = np.fft.fftfreq(n, d=1.0 / n)
     jj, kk = np.meshgrid(freq, freq, indexing="ij")
-    mask = (jj >= 0) & (jj + kk + 1 >= 0)
-    return np.fft.ifft2(np.fft.fft2(samples) * mask)
+    return np.fft.ifft2(np.fft.fft2(samples) * _HARDY.member(jj, kk))
 
 
 def lp_norm_torus(p, samples):

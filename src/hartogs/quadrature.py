@@ -103,7 +103,6 @@ class TauRule:
     r2_nodes: np.ndarray
     r2_weights: np.ndarray
     angular: int
-    shell_eps: float
 
 
 def _jacobi01(order, alpha, beta):
@@ -330,7 +329,7 @@ def build_tau_rule(radial_order=48, angular_count=40, shell_eps=0.05, r1_range=N
     full = (shell_eps, 1.0 - shell_eps)
     r1, w1 = mapped(r1_range or full)
     r2, w2 = mapped(r2_range or full)
-    return TauRule(r1, w1, r2, w2, angular_count, shell_eps)
+    return TauRule(r1, w1, r2, w2, angular_count)
 
 
 def integrate_tau(integrand, rule=None, automorphism=None):
@@ -422,11 +421,9 @@ def mc_integrate_mu(nu, integrand, sample_count, seed):
 def inner_product_quad(nu, f, g, rule=None):
     """L^2_nu pairing <f, g> = int f conj(g) dmu_nu by tensor quadrature.
 
-    Two coefficient objects are paired into one MixedPoly and summed
-    separably; otherwise f conj(g) is a black-box callable.
+    f and g are coefficient objects, paired into one MixedPoly and summed
+    separably; anything else raises DomainError.
     """
-    if isinstance(f, _COEFF_TYPES) and isinstance(g, _COEFF_TYPES):
-        return integrate_mu(nu, conj_product(f, g), rule)
-    ff = as_grid_fn(f)
-    gg = as_grid_fn(g)
-    return integrate_mu(nu, lambda z1, z2: ff(z1, z2) * np.conj(gg(z1, z2)), rule)
+    if not (isinstance(f, _COEFF_TYPES) and isinstance(g, _COEFF_TYPES)):
+        raise DomainError("inner_product_quad pairs two LaurentCoeffs / MixedPoly objects")
+    return integrate_mu(nu, conj_product(f, g), rule)

@@ -1,10 +1,10 @@
 """Real/complex special functions used by every closed form in the library.
 
 Provides one Gamma-ratio routine, summed in log space with sign tracking
-(the C library's ``math.lgamma`` on positive arguments, the reflection
-formula on negative ones), and the Gauss hypergeometric function 2F1 on
-the open unit disc (SciPy's complex ``hyp2f1`` ufunc behind a domain
-check, for a scalar or an array).  Every Beta integral of the package is
+(``math.lgamma`` on every argument but the poles, negative ones
+included), and the Gauss hypergeometric function 2F1 on the open unit
+disc (SciPy's complex ``hyp2f1`` ufunc behind a domain check, for a
+scalar or an array).  Every Beta integral of the package is
 a ratio of Gamma values and goes through the one routine.
 """
 
@@ -18,7 +18,6 @@ __all__ = [
     "DomainError",
     "VerificationFailure",
     "HypergeometricParams",
-    "log_gamma_signed",
     "gamma_ratio_signed",
     "gauss_2f1",
 ]
@@ -32,57 +31,36 @@ class VerificationFailure(ArithmeticError):
     """A closed form disagreed with its independent check beyond tolerance."""
 
 
-def log_gamma_signed(x):
-    """(sign, ln|Gamma(x)|) for real non-integer x (or any x > 0).
-
-    Negative arguments go through the reflection formula
-    Gamma(x) Gamma(1-x) = pi / sin(pi x).  At a pole (x a non-positive
-    integer) the pair (0, +inf) is returned so that ratios with a pole
-    in the denominator collapse to zero.
-    """
-    if x > 0.0:
-        return 1.0, math.lgamma(x)
-    if x == math.floor(x):
-        return 0.0, math.inf
-    s = math.sin(math.pi * x)
-    sign = 1.0 if s > 0.0 else -1.0
-    return sign, math.log(math.pi / abs(s)) - math.lgamma(1.0 - x)
-
-
 def gamma_ratio_signed(numerators, denominators):
     """prod Gamma(n_i) / prod Gamma(d_j), evaluated in log space.
 
     Only the log-Gamma values are summed, so arguments up to ~1e4 do not
-    overflow.  Negative non-integer arguments are allowed and the result
-    is a signed float; a pole in a denominator yields 0.0 and a pole in a
-    numerator a signed infinity.  A positive argument adds its
-    ``math.lgamma`` directly, the value and sign ``log_gamma_signed``
-    would give it.
+    overflow.  Every argument but a pole goes through ``math.lgamma``,
+    which reduces sin(pi x) exactly and so keeps its digits next to a
+    negative integer; Gamma(x) has the sign (-1)^floor(x) for negative x.
+    The result is a signed float; a pole (a non-positive integer) in a
+    denominator yields 0.0 and a pole in a numerator a signed infinity.
     """
     sign = 1.0
     acc = 0.0
     num_pole = False
     for a in numerators:
-        if a > 0.0:
-            acc += math.lgamma(a)
-            continue
-        s, l = log_gamma_signed(a)
-        if s == 0.0:
-            num_pole = True
-            continue
-        sign *= s
-        acc += l
+        if a <= 0.0:
+            if a == math.floor(a):
+                num_pole = True
+                continue
+            if math.floor(a) % 2:
+                sign = -sign
+        acc += math.lgamma(a)
     den_pole = False
     for b in denominators:
-        if b > 0.0:
-            acc -= math.lgamma(b)
-            continue
-        s, l = log_gamma_signed(b)
-        if s == 0.0:
-            den_pole = True
-            continue
-        sign *= s
-        acc -= l
+        if b <= 0.0:
+            if b == math.floor(b):
+                den_pole = True
+                continue
+            if math.floor(b) % 2:
+                sign = -sign
+        acc -= math.lgamma(b)
     if num_pole and den_pole:
         raise DomainError("gamma_ratio_signed: pole over pole is ambiguous")
     if num_pole:

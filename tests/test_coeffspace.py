@@ -153,6 +153,13 @@ class TestIndexSet:
             sp = SpaceParam(nu)
             assert min(j + k for j in range(3) for k in range(-8, 3) if sp.member(j, k)) == expected
 
+    def test_elementwise_on_arrays(self):
+        jj, kk = np.meshgrid(np.arange(-2, 4), np.arange(-6, 3), indexing="ij")
+        for nu in (-2.0, -1.5, -1.0, 0.7, 3.5):
+            sp = SpaceParam(nu)
+            expected = [[sp.member(j, k) for j, k in zip(rj, rk)] for rj, rk in zip(jj.tolist(), kk.tolist())]
+            assert sp.member(jj, kk).tolist() == expected
+
 
 class TestMonomialNorms:
     def test_flat_case_formula(self):

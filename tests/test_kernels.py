@@ -370,7 +370,9 @@ class TestBoundaryAccuracy:
         assert abs(kernels.kernel(-1.5, q, q) - ref) <= 1e-10 * abs(ref)
 
     @pytest.mark.parametrize(
-        "nu", [-1.9, -1.5, -1.2, -0.5, 0.0, 0.7, 2.0, 3.5, 8.0, 25.3, 41.3, 59.9, 60.1, 60.7, 99.1]
+        "nu",
+        [-2.0 + 1e-11, -2.0 + 1e-9, -2.0 + 1e-6, -1.9, -1.5, -1.2, -0.5, 0.0, 0.7, 2.0, 3.5, 8.0, 25.3, 41.3]
+        + [59.9, 60.1, 60.7, 99.1],
     )
     def test_mpmath_sweep(self, nu):
         # 1 - |y| log-uniform on [1e-6, 0.75], random arguments, |x| below 0.95^2
@@ -380,6 +382,19 @@ class TestBoundaryAccuracy:
             z, w = (random_point(rng, r2=(rho, rho), ratio=0.95) for _ in range(2))
             ref = mp_kernel(nu, z, w)
             assert abs(kernels.kernel(nu, z, w) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("nu, y", [(0.57, -0.25), (1.5, -0.91), (3.86, -0.998)])
+    @pytest.mark.parametrize("x", [0.0, 0.5])
+    def test_near_a_real_zero_the_error_is_absolute(self, nu, y, x):
+        """Near a real zero of the 2F1 on (-1, 0) the kernel holds its documented
+        absolute bound, 1e-14 |a_nu| |y|^(-1-c) |1-x|^(-(nu+2)), in place of
+        1e-12 relative."""
+        r = math.sqrt(-y)
+        z, w = HartogsPoint(r * math.sqrt(x) + 0j, r + 0j), HartogsPoint(-r * math.sqrt(x) + 0j, -r + 0j)
+        scale = abs(kernels.prefactor_a(nu)) * (-y) ** (-1 - math.ceil(nu / 2)) * (1.0 - x) ** (-(nu + 2))
+        ref = mp_kernel(nu, z, w)
+        assert abs(ref) < 1e-3 * scale
+        assert abs(kernels.kernel(nu, z, w) - ref) <= 1e-14 * scale
 
     @pytest.mark.parametrize("nu", [9.95, 10.05, 59.98, 100.5])
     def test_unresolved_nu_ranges_raise(self, nu):

@@ -79,14 +79,6 @@ class TestProjectBergman:
     def test_self_test_passes(self):
         assert projections.projection_self_test(0.3)
 
-    def test_self_test_is_cached_on_the_snapped_nu(self, monkeypatch):
-        projections.projection_self_test(0.0)
-        calls = []
-        quad = quadrature.inner_product_quad
-        monkeypatch.setattr(quadrature, "inner_product_quad", lambda *args: calls.append(args) or quad(*args))
-        assert projections.projection_self_test(6e-13)
-        assert calls == []
-
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.7, 2.0, 3.5, 20.7])
     def test_coefficient_matches_the_beta_ratio(self, nu):
         """Against a 40-digit mpmath reference: the C_nu 2^(nu/2) pi^2 of the

@@ -142,6 +142,13 @@ class TestInnerProduct:
         assert abs(quadrature.inner_product_quad(0.0, a, b, rule)) <= 1e-13
         assert quadrature.inner_product_quad(0.0, a, a, rule).real > 0.0
 
+    def test_refuses_a_callable(self):
+        a = LaurentCoeffs({(0, 1): 1.0})
+        with pytest.raises(DomainError, match="pairs two"):
+            quadrature.inner_product_quad(0.0, a, lambda z1, z2: z2)
+        with pytest.raises(DomainError, match="pairs two"):
+            quadrature.inner_product_quad(0.0, lambda z1, z2: z2, a)
+
 
 def _random_poly(rng, nu, on_triangle, n_terms=8, max_exp=5):
     """Random MixedPoly whose terms are integrable: negative c and d, and

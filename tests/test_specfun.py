@@ -12,7 +12,6 @@ from hartogs.specfun import (
     HypergeometricParams,
     gamma_ratio_signed,
     gauss_2f1,
-    log_gamma_signed,
 )
 
 
@@ -25,28 +24,6 @@ def _mp_2f1(a, b, g, z):
 def beta(a, b):
     """B(a, b) through the one Gamma-ratio routine."""
     return gamma_ratio_signed([a, b], [a + b])
-
-
-class TestLogGamma:
-    def test_classical_values(self):
-        assert log_gamma_signed(1.0) == pytest.approx((1.0, 0.0), abs=1e-14)
-        assert log_gamma_signed(2.0) == pytest.approx((1.0, 0.0), abs=1e-14)
-        assert log_gamma_signed(0.5) == pytest.approx((1.0, math.log(math.sqrt(math.pi))), rel=1e-13)
-
-    def test_against_libm(self):
-        rng = np.random.default_rng(1)
-        for x in rng.uniform(0.01, 1e4, size=500):
-            s, l = log_gamma_signed(x)
-            assert s == 1.0 and l == pytest.approx(math.lgamma(x), rel=1e-13, abs=1e-12)
-
-    def test_signed_negative_arguments(self):
-        # Gamma is negative on (-1, 0) and positive on (-2, -1)
-        s, l = log_gamma_signed(-0.25)
-        assert s == -1.0 and math.exp(l) == pytest.approx(4.901666809860711, rel=1e-12)
-        s, _ = log_gamma_signed(-1.5)
-        assert s == 1.0
-        s, l = log_gamma_signed(-2.0)
-        assert s == 0.0 and math.isinf(l)
 
 
 class TestGammaRatio:
@@ -80,32 +57,37 @@ class TestGammaRatio:
         assert gamma_ratio_signed([1.0], [-1.0]) == 0.0
 
 
+def _is_pole(x):
+    return x <= 0.0 and x == math.floor(x)
+
+
 def loop_gamma_ratio_signed(numerators, denominators):
-    """gamma_ratio_signed with every argument through log_gamma_signed, the
-    reference its direct math.lgamma path for positive arguments must
-    equal bit for bit."""
-    sign, acc, num_pole, den_pole = 1.0, 0.0, False, False
-    for a in numerators:
-        s, l = log_gamma_signed(a)
-        if s == 0.0:
-            num_pole = True
-            continue
-        sign *= s
-        acc += l
-    for b in denominators:
-        s, l = log_gamma_signed(b)
-        if s == 0.0:
-            den_pole = True
-            continue
-        sign *= s
-        acc -= l
+    """The Gamma ratio as a loop of 40-digit mpmath Gamma values, one per
+    argument, rounded once at the end.  A pole in a denominator gives 0.0,
+    one in a numerator the signed infinity, one on each side DomainError."""
+    num_pole = any(map(_is_pole, numerators))
+    den_pole = any(map(_is_pole, denominators))
     if num_pole and den_pole:
         raise DomainError("gamma_ratio_signed: pole over pole is ambiguous")
-    if num_pole:
-        return sign * math.inf
     if den_pole:
         return 0.0
-    return sign * math.exp(acc)
+    with mpmath.workdps(40):
+        value = mpmath.mpf(1)
+        for a in numerators:
+            if not _is_pole(a):
+                value *= mpmath.gamma(a)
+        for b in denominators:
+            value /= mpmath.gamma(b)
+        return math.copysign(math.inf, value) if num_pole else float(value)
+
+
+def assert_matches_the_loop(nums, dens):
+    """1e-13 relative against the loop; a pole's 0.0 or infinity exactly."""
+    got, ref = gamma_ratio_signed(nums, dens), loop_gamma_ratio_signed(nums, dens)
+    if ref == 0.0 or math.isinf(ref):
+        assert got == ref
+    else:
+        assert abs(got - ref) <= 1e-13 * abs(ref), (nums, dens, got, ref)
 
 
 class TestGammaRatioSignedReference:
@@ -114,8 +96,7 @@ class TestGammaRatioSignedReference:
         for _ in range(3000):
             n_num, n_den = rng.integers(0, 5, size=2)
             args = rng.uniform(-12.0, 30.0, size=n_num + n_den)
-            nums, dens = args[:n_num].tolist(), args[n_num:].tolist()
-            assert gamma_ratio_signed(nums, dens) == loop_gamma_ratio_signed(nums, dens)
+            assert_matches_the_loop(args[:n_num].tolist(), args[n_num:].tolist())
 
     def test_equals_the_loop_on_the_weight_arguments(self):
         """The seven arguments of a coefficient weight, positive and negative."""
@@ -124,14 +105,29 @@ class TestGammaRatioSignedReference:
                 for k in range(-j - 3, 4):
                     nums = [nu + 2.0, 1.5 * nu + 3.0, j + 1.0, j + k + 0.5 * nu + 2.0]
                     dens = [0.5 * nu + 2.0, j + nu + 2.0, j + k + 1.5 * nu + 3.0]
-                    assert gamma_ratio_signed(nums, dens) == loop_gamma_ratio_signed(nums, dens)
+                    assert_matches_the_loop(nums, dens)
+
+    @pytest.mark.parametrize("n", [-1.0, -2.0, -3.0])
+    def test_next_to_a_negative_integer(self, n):
+        # 1.5 nu + 2 and the weight's j + k + 1.5 nu + 3 at j + k = -1 tend to -1 as nu -> -2
+        for m in range(2, 13):
+            for x in (n + 10.0**-m, n - 10.0**-m):
+                assert_matches_the_loop([x], [])
+                assert_matches_the_loop([2.5], [x])
+
+    def test_sign_between_the_first_poles(self):
+        # Gamma is negative on (-1, 0) and positive on (-2, -1)
+        for x in np.linspace(-1.0, 0.0, 51)[1:-1].tolist():
+            assert gamma_ratio_signed([x], []) < 0.0 and gamma_ratio_signed([1.0], [x]) < 0.0
+        for x in np.linspace(-2.0, -1.0, 51)[1:-1].tolist():
+            assert gamma_ratio_signed([x], []) > 0.0 and gamma_ratio_signed([1.0], [x]) > 0.0
 
     @pytest.mark.parametrize(
         "nums, dens",
         [([-2.0, 1.5], [0.5]), ([1.5], [-3.0, 2.5]), ([0.0], [2.0]), ([2.5], [0.0, -0.5]), ([-1.5, 3.0], [-0.5, 4.0])],
     )
     def test_same_value_at_poles(self, nums, dens):
-        assert gamma_ratio_signed(nums, dens) == loop_gamma_ratio_signed(nums, dens)
+        assert_matches_the_loop(nums, dens)
 
     @pytest.mark.parametrize("nums, dens", [([-1.0], [0.0]), ([2.5, -3.0], [1.5, -2.0])])
     def test_pole_over_pole_raises_as_the_loop(self, nums, dens):
