@@ -35,8 +35,9 @@ The library is imported from the checkout's ``src/``.  The file holds:
   ``OPENBLAS_NUM_THREADS`` as found, whether every module of the
   package had up-to-date bytecode before this run imported it, and the
   number of threads that evaluate the chunks of a black-box integral
-  (the caller and its helpers), and the SciPy subpackages that
-  ``import hartogs, hartogs.cli`` loads.
+  (the caller and its helpers), the SciPy subpackages that
+  ``import hartogs, hartogs.cli`` loads, and ``src_lines``, the number of
+  lines of ``src/hartogs/*.py``.
 
 Raw times drift by tens of percent on a shared host, so compare two
 commits only by files written back to back on one machine, and run
@@ -276,6 +277,7 @@ def provenance():
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "hartogs_bytecode_cached": cached,
         "quadrature_threads": quadrature._helper_threads()[1] + 1,
+        "src_lines": sum(len(path.read_text().splitlines()) for path in (SRC / "hartogs").glob("*.py")),
     }
 
 

@@ -8,7 +8,7 @@ Subcommands map one-to-one onto the library layers:
     szego           Szego projection (coefficient or FFT grid mode)
     critical-range  the L^p boundedness interval of P_nu
     scan-blowup     endpoint blow-up scan, CSV (epsilon, integral, slope)
-    isometry        the three re-indexing isometries, forward or inverse
+    isometry        the re-indexing isometry onto the bidisc, forward or inverse
     verify          cross-validation suites, CSV + summary table
 
 ``kernel --in`` reads its JSON records into complex arrays, checks every
@@ -229,7 +229,10 @@ def _cmd_critical_range(args):
 
 
 def _cmd_scan_blowup(args):
-    epsilons = [float(tok) for tok in args.eps.split(",")]
+    try:
+        epsilons = [float(tok) for tok in args.eps.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"--eps needs comma-separated numbers: {exc}") from exc
     scan = projections.blowup_scan(args.nu, args.p, epsilons)
     rows = ["epsilon,integral,fitted_slope"]
     for eps, val in zip(scan.epsilons, scan.values):
@@ -239,27 +242,23 @@ def _cmd_scan_blowup(args):
     return EXIT_OK
 
 
-# (space, direction) -> (input coefficient type, map); the Bergman maps take nu first
-_ISOMETRIES = {
-    ("hardy", "forward"): (LaurentCoeffs, isometries.hardy_to_bidisc),
-    ("hardy", "inverse"): (isometries.BidiscCoeffs, isometries.bidisc_to_hardy),
-    ("dirichlet", "forward"): (LaurentCoeffs, isometries.dirichlet_to_bidisc),
-    ("dirichlet", "inverse"): (isometries.BidiscCoeffs, isometries.bidisc_to_dirichlet),
-    ("bergman", "forward"): (LaurentCoeffs, isometries.bergman_pullback),
-    ("bergman", "inverse"): (LaurentCoeffs, isometries.bergman_pullback_inverse),
-}
+# isometry space -> its nu; bergman reads --nu
+_ISOMETRY_NU = {"hardy": -1.0, "dirichlet": -2.0}
 
 
 def _cmd_isometry(args):
-    coeff_type, fn = _ISOMETRIES[args.space, args.direction]
-    f = _read_json(args.infile, coeff_type.from_json)
+    f = _read_json(args.infile, LaurentCoeffs.from_json)
     if args.space == "bergman":
         if args.nu is None:
             raise DomainError("isometry --space bergman requires --nu")
-        fn = functools.partial(fn, args.nu)
+        coeffspace.SpaceParam(args.nu).require("bergman", "isometry --space bergman")
+        nu = args.nu
     elif args.nu is not None:
         raise DomainError(f"isometry --space {args.space} takes no --nu")
-    _write_json(args.out, fn(f).to_json())
+    else:
+        nu = _ISOMETRY_NU[args.space]
+    fn = isometries.to_bidisc if args.direction == "forward" else isometries.from_bidisc
+    _write_json(args.out, fn(nu, f).to_json())
     return EXIT_OK
 
 
@@ -356,7 +355,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_scan_blowup)
 
     p = sub.add_parser("isometry", help="re-indexing isometries onto bidisc spaces")
-    p.add_argument("--space", choices=("hardy", "dirichlet", "bergman"), required=True)
+    p.add_argument("--space", choices=(*_ISOMETRY_NU, "bergman"), required=True)
     p.add_argument("--nu", type=float)
     p.add_argument("--direction", choices=("forward", "inverse"), default="forward")
     p.add_argument("--in", dest="infile", required=True)

@@ -373,9 +373,13 @@ def star_norm(nu, f):
 
     For nu > -1 this is the equivalent Bergman-space norm, for
     -2 < nu < -1 it defines the weighted Dirichlet space and at nu = -2
-    the Dirichlet space.  nu < -2 raises DomainError.
+    the Dirichlet space.  The Hardy space nu = -1 has no such norm: r_nu
+    = 0 there (see ``t_norm_sq``), so the sum would read |a00| for every
+    f.  nu = -1 and nu < -2 raise DomainError.
     """
     sp = SpaceParam(nu)
+    if sp.kind == "hardy":
+        raise DomainError("star_norm has no T-split form at nu = -1, the Hardy space")
     f1, f2, f3, a00 = split_f123(f)
     total = abs(a00)
     for part in (f1, f2, f3):

@@ -1,96 +1,67 @@
-"""Exact coefficient re-indexing isometries onto bidisc spaces.
+"""The bidisc isometry of the family, an exact re-indexing of coefficients.
 
-All three isometries of the family are pure integer re-indexings of
-Laurent coefficients (never numerical integrations), which makes the
-"surjective isometry" statements machine-checkable exactly:
+Phi(w1, w2) = (w1 w2, w2) maps D x D* onto the Hartogs triangle, and its
+complex Jacobian is det Phi' = w2.  Every isometry of the paper is
 
-  * Hardy:     f -> Jac(Phi) * (f o Phi) sends a_{jk} to the bidisc
-               coefficient at (j, j+k+1); the Hardy norms are equal sums.
-  * Dirichlet: f -> f o Phi sends a_{jk} to (j, j+k); the weight
-               (j+1)(j+k+1) becomes the bidisc Dirichlet weight (j+1)(k+1).
-  * Bergman:   same re-indexing as Hardy, landing in the pullback space
-               on D x D*; for nu <= 0 the image is holomorphic across
-               w2 = 0 (all w2 exponents nonnegative), for nu > 0 finitely
-               many negative powers survive.
+    f -> w2^s (f o Phi),
+
+which takes z1^j z2^k to w1^j w2^(j+k+s): the coefficient a_jk moves to
+(j, j+k+s) and nothing is integrated, so the "surjective isometry"
+statements are machine-checkable exactly.
+
+  * s = 1 for nu >= -1.  For nu > -1, Phi changes the measure by |w2|^2,
+    the square of its Jacobian, so w2 (f o Phi) has the norm of f in
+    A^2_nu(D x D*); the image is holomorphic across w2 = 0 when nu <= 0
+    (all w2 exponents nonnegative) and keeps finitely many negative powers
+    of w2 when nu > 0.  The Hardy norm at nu = -1, the nu -> -1 limit of
+    these norms, carries the same factor: the image lies in H^2 of the
+    bidisc and both norms are the same Parseval sum.
+  * s = 0 at nu = -2.  The Dirichlet weight (j+1)(j+k+1) of a_jk becomes
+    the bidisc Dirichlet weight (j+1)(k+1) under (j, k) -> (j, j+k) with no
+    Jacobian factor.
+
+The paper gives no isometry for the weighted Dirichlet spaces -2 < nu < -1.
 """
 
-from .coeffspace import LaurentCoeffs, SpaceParam, _CoeffMap
+from .coeffspace import LaurentCoeffs, SpaceParam
 from .specfun import DomainError
 
-__all__ = [
-    "BidiscCoeffs",
-    "hardy_to_bidisc",
-    "bidisc_to_hardy",
-    "dirichlet_to_bidisc",
-    "bidisc_to_dirichlet",
-    "bergman_pullback",
-    "bergman_pullback_inverse",
-    "hardy_bidisc_norm_sq",
-    "dirichlet_bidisc_norm_sq",
-]
+__all__ = ["to_bidisc", "from_bidisc", "hardy_bidisc_norm_sq", "dirichlet_bidisc_norm_sq"]
 
 
-class BidiscCoeffs(_CoeffMap):
-    """Finite map (j >= 0, k >= 0) -> Taylor coefficient on the bidisc."""
-
-    def _check_key(self, key):
-        if len(key) != 2 or key[0] < 0 or key[1] < 0:
-            raise DomainError(f"bidisc key needs j, k >= 0, got {key}")
-
-
-def hardy_to_bidisc(f):
-    """Hardy-space isometry onto H^2 of the bidisc: (j, k) -> (j, j+k+1)."""
-    out = {}
-    for (j, k), a in f.items():
-        if not j + k + 1 >= 0:
-            raise DomainError(f"term ({j}, {k}) lies outside the Hardy index set")
-        out[(j, j + k + 1)] = a
-    return BidiscCoeffs(out)
-
-
-def bidisc_to_hardy(g):
-    """Inverse of :func:`hardy_to_bidisc`: (j, k) -> (j, k - j - 1)."""
-    return LaurentCoeffs({(j, k - j - 1): a for (j, k), a in g.items()})
-
-
-def dirichlet_to_bidisc(f):
-    """Dirichlet-space isometry onto the bidisc: (j, k) -> (j, j+k)."""
-    out = {}
-    for (j, k), a in f.items():
-        if not j + k >= 0:
-            raise DomainError(f"term ({j}, {k}) lies outside the Dirichlet index set")
-        out[(j, j + k)] = a
-    return BidiscCoeffs(out)
-
-
-def bidisc_to_dirichlet(g):
-    """Inverse of :func:`dirichlet_to_bidisc`: (j, k) -> (j, k - j)."""
-    return LaurentCoeffs({(j, k - j): a for (j, k), a in g.items()})
-
-
-def bergman_pullback(nu, f):
-    """Pullback isometry A^2_nu(H) -> A^2_nu(D x D*): (j, k) -> (j, j+k+1).
-
-    The image is returned as a Laurent map in the product coordinates
-    (w2 exponents may be negative when nu > 0).
-    """
+def _jacobian_power(nu):
+    """The SpaceParam of nu and the power s of w2 its isometry multiplies by."""
     sp = SpaceParam(nu)
+    if sp.kind == "weighted-dirichlet":
+        raise DomainError(f"the paper gives no bidisc isometry for -2 < nu < -1, got {nu}")
+    return sp, 0 if sp.kind == "dirichlet" else 1
+
+
+def to_bidisc(nu, f):
+    """w2^s (f o Phi) of a Laurent polynomial in the nu space: (j, k) -> (j, j+k+s).
+
+    A term outside I_nu raises DomainError.
+    """
+    sp, s = _jacobian_power(nu)
     out = {}
     for (j, k), a in f.items():
         if not sp.member(j, k):
             raise DomainError(f"term ({j}, {k}) lies outside I_nu for nu = {nu}")
-        out[(j, j + k + 1)] = a
+        out[(j, j + k + s)] = a
     return LaurentCoeffs(out)
 
 
-def bergman_pullback_inverse(nu, g):
-    """Inverse pullback: (j, k) -> (j, k - j - 1), landing back in I_nu."""
-    sp = SpaceParam(nu)
+def from_bidisc(nu, g):
+    """Inverse of :func:`to_bidisc`: (j, k) -> (j, k-j-s).
+
+    A term that no term of I_nu maps to raises DomainError.
+    """
+    sp, s = _jacobian_power(nu)
     out = {}
     for (j, k), a in g.items():
-        if not sp.member(j, k - j - 1):
+        if not sp.member(j, k - j - s):
             raise DomainError(f"term ({j}, {k}) does not come from I_nu for nu = {nu}")
-        out[(j, k - j - 1)] = a
+        out[(j, k - j - s)] = a
     return LaurentCoeffs(out)
 
 

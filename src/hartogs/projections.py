@@ -284,15 +284,18 @@ def blowup_scan(nu, p, epsilons):
     s < -1 (p beyond the critical endpoint (4+nu)/(1+ceil(nu/2))),
     logarithmically at s = -1, and converges for s > -1.  The slope of
     log T against log eps is fitted on the last half of the epsilon list
-    (the asymptotic regime).
+    (the asymptotic regime).  The epsilons, taken in decreasing order,
+    must be at least two distinct numbers inside (0, 1), else DomainError.
     """
     sp = SpaceParam(nu).require("bergman", "blowup_scan")
     nu = sp.nu
     if not (math.isfinite(p) and p > 1.0):
         raise DomainError(f"blowup_scan requires a finite p > 1, got {p}")
     epsilons = tuple(sorted((float(e) for e in epsilons), reverse=True))
-    if len(epsilons) < 2 or not 0.0 < epsilons[-1] < epsilons[0] < 1.0:
-        raise DomainError("epsilons must be a decreasing list inside (0, 1)")
+    # every comparison with nan is false, so a nan fails one of these wherever it sorts
+    inside = len(epsilons) >= 2 and 0.0 < epsilons[-1] and epsilons[0] < 1.0
+    if not (inside and all(a > b for a, b in zip(epsilons, epsilons[1:]))):
+        raise DomainError(f"epsilons must be at least two distinct numbers inside (0, 1), got {list(epsilons)}")
     s = nu - (1.0 + sp.ceil) * p + 3.0
     values = tuple(_tail_integral(s, nu, e) for e in epsilons)
     half = len(epsilons) // 2

@@ -22,6 +22,7 @@ import numpy as np
 from . import coeffspace, isometries, kernels, projections, quadrature
 from .coeffspace import LaurentCoeffs, MixedPoly, TorusSeries
 from .geometry import HartogsPoint, random_automorphism
+from .specfun import DomainError
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_all"]
 
@@ -136,7 +137,11 @@ def suite_normalization(seed=0, tol=1e-10, nus=(-0.5, -0.1, 0.0, 0.7, 2.0, 3.5))
 
 
 def suite_monomials(seed=0, tol=1e-8, nus=(-0.5, 0.0, 0.7, 2.0), jmax=4, kmax=4):
-    """Gamma closed form of the monomial norms against tensor quadrature."""
+    """Gamma closed form of the monomial norms against tensor quadrature,
+    over 0 <= j <= jmax and |k| <= kmax; a negative bound, which would check
+    nothing, raises DomainError."""
+    if jmax < 0 or kmax < 0:
+        raise DomainError(f"monomials needs jmax, kmax >= 0, got {jmax}, {kmax}")
     res = SuiteResult("monomials", True)
     for nu in nus:
         rule = quadrature.build_rule(nu, radial_order=48, angular_count=4)
@@ -495,19 +500,19 @@ def suite_isometries(seed=0):
     worst_h = worst_d = 0.0
     for _ in range(100):
         f = _random_laurent(rng, -1.0, n_terms=6, normalize=False)
-        g = isometries.hardy_to_bidisc(f)
+        g = isometries.to_bidisc(-1.0, f)
         worst_h = max(
             worst_h,
             abs(coeffspace.hardy_norm_sq(f) - isometries.hardy_bidisc_norm_sq(g)),
         )
-        res.check(isometries.bidisc_to_hardy(g) == f, "hardy round trip failed")
+        res.check(isometries.from_bidisc(-1.0, g) == f, "hardy round trip failed")
         fd = _random_laurent(rng, -2.0, n_terms=6, normalize=False)
-        gd = isometries.dirichlet_to_bidisc(fd)
+        gd = isometries.to_bidisc(-2.0, fd)
         worst_d = max(
             worst_d,
             abs(coeffspace.dirichlet_norm_sq(fd) - isometries.dirichlet_bidisc_norm_sq(gd)),
         )
-        res.check(isometries.bidisc_to_dirichlet(gd) == fd, "dirichlet round trip failed")
+        res.check(isometries.from_bidisc(-2.0, gd) == fd, "dirichlet round trip failed")
     # identical float multisets summed in identical order: gaps are exact zeros
     res.worst("hardy norm gap", worst_h, 1e-15, "hardy isometry gap")
     res.worst("dirichlet norm gap", worst_d, 1e-15, "dirichlet isometry gap")
@@ -516,7 +521,7 @@ def suite_isometries(seed=0):
         rule = quadrature.build_rule(nu, radial_order=32, angular_count=25)
         for idx in range(8):
             f = _random_laurent(rng_nu, nu, n_terms=5)
-            g = isometries.bergman_pullback(nu, f)
+            g = isometries.to_bidisc(nu, f)
             if nu <= 0.0:
                 res.check(
                     all(k >= 0 for (j, k), _ in g.items()),
@@ -524,7 +529,7 @@ def suite_isometries(seed=0):
                 )
             quad = quadrature.integrate_bidisc(nu, coeffspace.conj_product(g, g), rule).real
             res.row(f"nu={nu} pullback norm {idx}", coeffspace.bergman_norm_sq(nu, f), quad, 1e-8)
-            res.check(isometries.bergman_pullback_inverse(nu, g) == f, "pullback round trip")
+            res.check(isometries.from_bidisc(nu, g) == f, "pullback round trip")
     return res
 
 

@@ -171,6 +171,14 @@ class TestNormCommand:
         code, out, err = run_cli(capsys, "norm", "--space", "star", "--nu", "-2.5", "--in", str(path))
         assert (code, out, err) == (2, "", "error: the space family needs finite nu >= -2, got -2.5\n")
 
+    @pytest.mark.parametrize("nu", ["-1", "-1.0000000000001"])
+    def test_star_refuses_the_hardy_space(self, capsys, tmp_path, nu):
+        # r_nu = 0 at nu = -1, so the T-split sum would read |a00| = 0 for z1 + z2^2
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": 1, "k": 0, "re": 1.0}, {"j": 0, "k": 2, "re": 1.0}]}))
+        code, out, err = run_cli(capsys, "norm", "--space", "star", "--nu", nu, "--in", str(path))
+        assert (code, out) == (2, "") and "nu = -1" in err
+
 
 class TestProjectCommand:
     def test_regime_guard(self, capsys, tmp_path):
@@ -276,6 +284,39 @@ class TestIsometryCommand:
         assert (code, out, err) == (2, "", f"error: isometry --space {space} takes no --nu\n")
 
 
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    @pytest.mark.parametrize("nu", ["-2", "-1.5", "-1", "-3"])
+    def test_bergman_refuses_nu_outside_its_regime(self, capsys, tmp_path, direction, nu):
+        # at nu = -2 the forward map would send z1 z2^-1 to (1, 1), not to the
+        # Dirichlet image (1, 0)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": 1, "k": -1, "re": 1.0}]}))
+        argv = ("isometry", "--space", "bergman", "--direction", direction, "--nu", nu, "--in", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and "nu" in err
+
+    def test_bergman_at_positive_nu(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": 0, "k": -2, "re": 1.0, "im": -0.5}]}))
+        code, out, _ = run_cli(capsys, "isometry", "--space", "bergman", "--nu", "2.5", "--in", str(path))
+        assert code == 0
+        assert json.loads(out) == {"terms": [{"j": 0, "k": -1, "re": 1.0, "im": -0.5}]}
+        path.write_text(out)
+        code, out, _ = run_cli(
+            capsys, "isometry", "--space", "bergman", "--nu", "2.5", "--direction", "inverse", "--in", str(path)
+        )
+        assert code == 0
+        assert json.loads(out) == {"terms": [{"j": 0, "k": -2, "re": 1.0, "im": -0.5}]}
+
+    @pytest.mark.parametrize("space", ["hardy", "dirichlet"])
+    @pytest.mark.parametrize("term", [{"j": 0, "k": -1, "re": 1.0}, {"j": -1, "k": 0, "re": 1.0}])
+    def test_inverse_of_a_term_off_the_bidisc_exits_2(self, capsys, tmp_path, space, term):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"terms": [term]}))
+        code, out, err = run_cli(capsys, "isometry", "--space", space, "--direction", "inverse", "--in", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+
 class TestScanBlowupCommand:
     def test_csv_shape(self, capsys):
         code, out, _ = run_cli(
@@ -291,6 +332,11 @@ class TestScanBlowupCommand:
         for p in ("inf", "nan"):
             code, out, err = run_cli(capsys, "scan-blowup", "--nu", "0", "--p", p, "--eps", "1e-1,1e-2")
             assert code == 2 and out == "" and "finite p > 1" in err
+
+    @pytest.mark.parametrize("eps", ["1e-1,abc", "", "1e-1,nan,1e-3", "1e-1,1e-1,1e-3"])
+    def test_rejects_bad_epsilons(self, capsys, eps):
+        code, out, err = run_cli(capsys, "scan-blowup", "--nu", "0", "--p", "5", "--eps", eps)
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 class TestVerifyCommand:
@@ -334,6 +380,12 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert f"takes no {argv[1]}" in err
+
+    @pytest.mark.parametrize("flag", ["--jmax", "--kmax"])
+    def test_monomials_refuses_a_negative_bound(self, capsys, flag):
+        # a bound of -1 leaves no monomial to check, and an empty suite must not pass
+        code, out, err = run_cli(capsys, "verify", "monomials", "--nu", "0", flag, "-1")
+        assert (code, out) == (2, "") and "jmax, kmax >= 0" in err
 
 
 class TestExitCodes:

@@ -357,6 +357,15 @@ class TestSplitAndTNorms:
         assert projections.project_bergman(0.7, g) == expected[1]
         assert built == [0.7, 0.7]
 
+    def test_star_norm_refuses_the_hardy_space(self):
+        # r_nu = 0 at nu = -1: each T-split part has norm 0, so the sum would be |a00|
+        f = LaurentCoeffs({(1, 0): 1.0, (0, 2): 1.0})
+        for part in split_f123(f)[:3]:
+            assert t_norm_sq(-1.0, part) == 0.0
+        for nu in (-1.0, -1.0 + 1e-13):
+            with pytest.raises(DomainError, match="nu = -1"):
+                star_norm(nu, f)
+
     def test_star_norm_examples(self):
         assert star_norm(0.0, LaurentCoeffs({(0, 0): 1.0})) == pytest.approx(1.0)
         val = star_norm(0.0, LaurentCoeffs({(1, 1): 1.0}))

@@ -1,70 +1,125 @@
-"""Re-indexing isometries onto the bidisc spaces."""
+"""The bidisc isometry f -> w2^s (f o Phi) of every space that has one."""
 
 import numpy as np
 import pytest
 
 from hartogs import quadrature
-from hartogs.coeffspace import LaurentCoeffs, bergman_norm_sq, dirichlet_norm_sq, hardy_norm_sq
-from hartogs.isometries import (
-    BidiscCoeffs,
-    bergman_pullback,
-    bergman_pullback_inverse,
-    bidisc_to_dirichlet,
-    bidisc_to_hardy,
-    dirichlet_bidisc_norm_sq,
-    dirichlet_to_bidisc,
-    hardy_bidisc_norm_sq,
-    hardy_to_bidisc,
-)
+from hartogs.coeffspace import LaurentCoeffs, bergman_norm_sq, dirichlet_norm_sq, evaluate_grid, hardy_norm_sq
+from hartogs.isometries import dirichlet_bidisc_norm_sq, from_bidisc, hardy_bidisc_norm_sq, to_bidisc
 from hartogs.specfun import DomainError
 from hartogs.verify import _random_laurent
 
 
+class TestBothMaps:
+    # (nu, a term of I_nu, its image): s = 0 at nu = -2 and 1 from nu = -1 on
+    EXAMPLES = [
+        (-2.0, (0, 0), (0, 0)),
+        (-2.0, (1, -1), (1, 0)),
+        (-2.0, (2, 3), (2, 5)),
+        (-1.0, (0, -1), (0, 0)),
+        (-1.0, (1, -1), (1, 1)),
+        (-1.0, (1, 0), (1, 2)),
+        (0.0, (0, -1), (0, 0)),
+        (0.0, (2, -3), (2, 0)),
+        (2.0, (0, -2), (0, -1)),
+        (2.0, (3, -5), (3, -1)),
+    ]
+
+    @pytest.mark.parametrize("nu, term, image", EXAMPLES)
+    def test_examples(self, nu, term, image):
+        f = LaurentCoeffs({term: 1.0 - 2.0j})
+        g = LaurentCoeffs({image: 1.0 - 2.0j})
+        assert to_bidisc(nu, f) == g
+        assert from_bidisc(nu, g) == f
+
+    @pytest.mark.parametrize("nu, s", [(-2.0, 0), (-1.0, 1), (0.0, 1), (2.0, 1)])
+    def test_is_the_composition_with_phi(self, nu, s):
+        # g(w1, w2) = w2^s f(w1 w2, w2) at points of D x D*
+        rng = np.random.default_rng(66)
+        w1 = np.sqrt(rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
+        w2 = (0.2 + 0.7 * rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
+        for _ in range(10):
+            f = _random_laurent(rng, nu, n_terms=6, normalize=False)
+            g = to_bidisc(nu, f)
+            np.testing.assert_allclose(evaluate_grid(g, w1, w2), w2**s * evaluate_grid(f, w1 * w2, w2), rtol=1e-12)
+
+    def test_snapped_nu_takes_the_power_of_its_regime(self):
+        f = LaurentCoeffs({(1, -1): 1.0})
+        assert to_bidisc(-2.0 + 1e-13, f) == LaurentCoeffs({(1, 0): 1.0})
+        assert to_bidisc(-1.0 - 1e-13, f) == LaurentCoeffs({(1, 1): 1.0})
+
+    @pytest.mark.parametrize("nu", [-1.9, -1.5, -4.0 / 3.0, -1.1])
+    def test_weighted_dirichlet_has_no_isometry(self, nu):
+        f = LaurentCoeffs({(0, 0): 1.0})
+        with pytest.raises(DomainError, match="no bidisc isometry"):
+            to_bidisc(nu, f)
+        with pytest.raises(DomainError, match="no bidisc isometry"):
+            from_bidisc(nu, f)
+
+    @pytest.mark.parametrize("nu", [-2.5, float("nan"), float("inf")])
+    def test_nu_outside_the_family(self, nu):
+        with pytest.raises(DomainError):
+            to_bidisc(nu, LaurentCoeffs({(0, 0): 1.0}))
+
+
 class TestHardyIsometry:
     def test_examples(self):
-        assert hardy_to_bidisc(LaurentCoeffs({(0, -1): 1.0})) == BidiscCoeffs({(0, 0): 1.0})
-        assert hardy_to_bidisc(LaurentCoeffs({(1, 0): 1.0})) == BidiscCoeffs({(1, 2): 1.0})
-        assert bidisc_to_hardy(BidiscCoeffs({(0, 0): 1.0})) == LaurentCoeffs({(0, -1): 1.0})
-        assert bidisc_to_hardy(BidiscCoeffs({(1, 1): 1.0})) == LaurentCoeffs({(1, -1): 1.0})
+        assert to_bidisc(-1.0, LaurentCoeffs({(0, -1): 1.0})) == LaurentCoeffs({(0, 0): 1.0})
+        assert to_bidisc(-1.0, LaurentCoeffs({(1, 0): 1.0})) == LaurentCoeffs({(1, 2): 1.0})
+        assert from_bidisc(-1.0, LaurentCoeffs({(0, 0): 1.0})) == LaurentCoeffs({(0, -1): 1.0})
+        assert from_bidisc(-1.0, LaurentCoeffs({(1, 1): 1.0})) == LaurentCoeffs({(1, -1): 1.0})
 
     def test_norm_preserved_exactly(self):
         rng = np.random.default_rng(60)
         for _ in range(100):
             f = _random_laurent(rng, -1.0, n_terms=7, normalize=False)
-            g = hardy_to_bidisc(f)
+            g = to_bidisc(-1.0, f)
             assert hardy_bidisc_norm_sq(g) == hardy_norm_sq(f)
 
     def test_round_trip(self):
         rng = np.random.default_rng(61)
         for _ in range(100):
             f = _random_laurent(rng, -1.0, n_terms=6, normalize=False)
-            assert bidisc_to_hardy(hardy_to_bidisc(f)) == f
+            assert from_bidisc(-1.0, to_bidisc(-1.0, f)) == f
 
     def test_support_violation(self):
+        with pytest.raises(DomainError, match=r"term \(0, -2\) lies outside I_nu"):
+            to_bidisc(-1.0, LaurentCoeffs({(0, -2): 1.0}))
+        with pytest.raises(DomainError, match=r"term \(2, -1\) does not come from I_nu"):
+            from_bidisc(-1.0, LaurentCoeffs({(2, -1): 1.0}))
+
+    def test_inverse_refuses_negative_indices(self):
+        # H^2 of the bidisc holds only j, k >= 0: a negative k has no preimage
+        # in I_{-1}, and a negative j is no Laurent key at all
+        for k in (-1, -2):
+            with pytest.raises(DomainError):
+                from_bidisc(-1.0, LaurentCoeffs({(0, k): 1.0}))
         with pytest.raises(DomainError):
-            hardy_to_bidisc(LaurentCoeffs({(0, -2): 1.0}))
+            LaurentCoeffs({(-1, 0): 1.0})
 
 
 class TestDirichletIsometry:
     def test_examples(self):
-        g = dirichlet_to_bidisc(LaurentCoeffs({(0, 0): 1.0}))
-        assert g == BidiscCoeffs({(0, 0): 1.0})
+        g = to_bidisc(-2.0, LaurentCoeffs({(0, 0): 1.0}))
+        assert g == LaurentCoeffs({(0, 0): 1.0})
         assert dirichlet_bidisc_norm_sq(g) == pytest.approx(1.0)
-        g = dirichlet_to_bidisc(LaurentCoeffs({(1, -1): 1.0}))
-        assert g == BidiscCoeffs({(1, 0): 1.0})
+        g = to_bidisc(-2.0, LaurentCoeffs({(1, -1): 1.0}))
+        assert g == LaurentCoeffs({(1, 0): 1.0})
         assert dirichlet_bidisc_norm_sq(g) == pytest.approx(2.0)
 
     def test_norm_preserved_exactly(self):
         rng = np.random.default_rng(62)
         for _ in range(100):
             f = _random_laurent(rng, -2.0, n_terms=7, normalize=False)
-            g = dirichlet_to_bidisc(f)
+            g = to_bidisc(-2.0, f)
             assert dirichlet_bidisc_norm_sq(g) == dirichlet_norm_sq(f)
-            assert bidisc_to_dirichlet(g) == f
+            assert from_bidisc(-2.0, g) == f
 
     def test_support_violation(self):
         with pytest.raises(DomainError):
-            dirichlet_to_bidisc(LaurentCoeffs({(2, -3): 1.0}))
+            to_bidisc(-2.0, LaurentCoeffs({(2, -3): 1.0}))
+        with pytest.raises(DomainError):
+            from_bidisc(-2.0, LaurentCoeffs({(2, -1): 1.0}))
 
 
 class TestBergmanPullback:
@@ -73,18 +128,18 @@ class TestBergmanPullback:
         for nu in (-0.9, -0.5, 0.0):
             for _ in range(50):
                 f = _random_laurent(rng, nu, n_terms=6)
-                g = bergman_pullback(nu, f)
+                g = to_bidisc(nu, f)
                 assert all(k >= 0 for (_, k), _ in g.items())
 
     def test_negative_powers_for_positive_nu(self):
         f = LaurentCoeffs({(0, -2): 1.0})  # in I_2
-        g = bergman_pullback(2.0, f)
+        g = to_bidisc(2.0, f)
         assert g == LaurentCoeffs({(0, -1): 1.0})
 
     def test_constant_image_example(self):
         # z2^(-1) pulls back to the constant 1; both norms equal 2 at nu = 0
         f = LaurentCoeffs({(0, -1): 1.0})
-        g = bergman_pullback(0.0, f)
+        g = to_bidisc(0.0, f)
         assert g == LaurentCoeffs({(0, 0): 1.0})
         assert bergman_norm_sq(0.0, f) == pytest.approx(2.0, rel=1e-12)
         rule = quadrature.build_rule(0.0, radial_order=16, angular_count=4)
@@ -99,7 +154,7 @@ class TestBergmanPullback:
             rule = quadrature.build_rule(nu, radial_order=32, angular_count=25)
             for _ in range(5):
                 f = _random_laurent(rng, nu, n_terms=5)
-                g = bergman_pullback(nu, f)
+                g = to_bidisc(nu, f)
                 gf = quadrature.as_grid_fn(g)
                 quad = quadrature.integrate_bidisc(
                     nu, lambda w1, w2: np.abs(gf(w1, w2)) ** 2, rule
@@ -108,20 +163,13 @@ class TestBergmanPullback:
 
     def test_round_trip(self):
         rng = np.random.default_rng(65)
-        for _ in range(50):
-            f = _random_laurent(rng, 0.7, n_terms=6, normalize=False)
-            assert bergman_pullback_inverse(0.7, bergman_pullback(0.7, f)) == f
+        for nu in (-0.5, 0.7, 2.0):
+            for _ in range(50):
+                f = _random_laurent(rng, nu, n_terms=6, normalize=False)
+                assert from_bidisc(nu, to_bidisc(nu, f)) == f
 
     def test_support_violation(self):
         with pytest.raises(DomainError):
-            bergman_pullback(0.0, LaurentCoeffs({(0, -2): 1.0}))
+            to_bidisc(0.0, LaurentCoeffs({(0, -2): 1.0}))
         with pytest.raises(DomainError):
-            bergman_pullback_inverse(0.0, LaurentCoeffs({(0, -1): 1.0}))
-
-
-class TestBidiscContainer:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            BidiscCoeffs({(0, -1): 1.0})
-        with pytest.raises(DomainError):
-            BidiscCoeffs({(-1, 0): 1.0})
+            from_bidisc(0.0, LaurentCoeffs({(0, -1): 1.0}))

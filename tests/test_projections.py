@@ -320,3 +320,8 @@ class TestBlowupScan:
             blowup_scan(0.0, 5.0, [0.1])
         with pytest.raises(DomainError):
             blowup_scan(0.0, 5.0, [0.1, 1.5])
+
+    @pytest.mark.parametrize("eps", [[0.1, math.nan, 1e-3], [math.nan, 0.1], [0.1, 0.1, 1e-3]])
+    def test_refuses_nan_and_repeated_epsilons(self, eps):
+        with pytest.raises(DomainError, match="distinct numbers inside"):
+            blowup_scan(0.0, 5.0, eps)
