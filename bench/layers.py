@@ -20,7 +20,10 @@ The library is imported from the checkout's ``src/``.  The file holds:
   state (glibc's heap trimming and mmap threshold move with what ran
   before), which can move its time by more than the code does;
 - ``layers_ms``: the milliseconds of one ``hartogs kernel --in`` call on a
-  128-pair file, run in process through ``cli.main``;
+  128-pair file, run in process through ``cli.main``, and of one kernel
+  call on the 115,600 pullback points of a 20 x 17 rule against one fixed
+  w near the origin (the kernel grid of a kernel-integral oracle) at
+  nu = 0, 0.7 and 3.5;
 - ``import_s``: the median, over 7 fresh interpreters after one warm-up,
   of the seconds from starting the interpreter until
   ``import hartogs, hartogs.cli`` has finished (the set-up every
@@ -47,6 +50,7 @@ interpreter that has to compile the package pays for it in every timing.
 
 import argparse
 import importlib.util
+import cmath
 import json
 import os
 import platform
@@ -181,6 +185,34 @@ def batch_layers():
     return per_point, cli_ms
 
 
+# the kernel grid: a rule's radial order and angular count, the nu, and the
+# fixed w, with |w2| = 0.2 and |w1/w2| = 0.15
+GRID_RULE = (20, 17)
+GRID_NUS = (0.0, 0.7, 3.5)
+GRID_W = (cmath.rect(0.03, 1.5), cmath.rect(0.2, 0.4))
+
+
+def grid_layers():
+    """Milliseconds of one kernel call on the pullback points (w1 w2, w2) of a
+    GRID_RULE rule against GRID_W, per nu of GRID_NUS."""
+    import numpy as np
+
+    from hartogs import kernels, quadrature
+    from hartogs.geometry import HartogsPoint
+
+    w = HartogsPoint(*GRID_W)
+    times = {}
+    for nu in GRID_NUS:
+        rule = quadrature.build_rule(nu, *GRID_RULE)
+        e = np.exp(2j * np.pi * np.arange(rule.angular) / rule.angular)
+        w1 = (np.sqrt(rule.u_nodes)[:, None] * e)[:, :, None, None]
+        w2 = (np.sqrt(rule.v_nodes)[:, None] * e)[None, None, :, :]
+        z = HartogsPoint(w1 * w2, np.broadcast_to(w2, np.broadcast(w1, w2).shape))
+        name = f"kernels.kernel.grid_{GRID_RULE[0]}x{GRID_RULE[1]}_{z.z1.size}_points.nu={nu:g}"
+        times[name] = best_us(lambda: kernels.kernel(nu, z, w), 3, 5) / 1e3
+    return times
+
+
 IMPORT_PROBES = 7
 # prints the SciPy subpackages loaded once the package and its CLI are imported
 _IMPORT_PROBE = (
@@ -297,6 +329,7 @@ def main(argv=None):
     record["layers_us"], record["layers_minflt_per_call"] = layer_times()
     per_point, record["layers_ms"] = batch_layers()
     record["layers_us"].update(per_point)
+    record["layers_ms"].update(grid_layers())
     record["suites_s"], record["suites_passed"] = suite_times()
     record["run_all_s"] = sum(record["suites_s"].values())
     record["tier1"] = tier1_time()

@@ -48,8 +48,9 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
-# the fields after nu of a kernel row: z1, z2, w1, w2 as re+imj, then re, im
-_KERNEL_FIELDS = ",".join(["{:.12g}{:+.12g}j"] * 4 + ["{:.12g}", "{:.12g}"])
+# the fields after nu of a kernel row: z1, z2, w1, w2 as re+imj, then re, im;
+# "%.12g" % x is the string f"{x:.12g}", both from CPython's one float repr routine
+_KERNEL_FIELDS = ",".join(["%.12g%+.12gj"] * 4 + ["%.12g", "%.12g"])
 
 
 def _parse_complex(text):
@@ -148,11 +149,10 @@ def _cmd_kernel(args):
     z = HartogsPoint(pts[:, 0], pts[:, 1])
     w = HartogsPoint(pts[:, 2], pts[:, 3])
     vals = kernels.kernel(args.nu, z, w)
-    nu = _fmt(args.nu) + ","
-    # each row's real and imaginary parts as Python floats, in field order
-    fields = np.column_stack([pts, vals]).view(float).tolist()
-    rows = ["nu,z1,z2,w1,w2,re,im"] + [nu + _KERNEL_FIELDS.format(*row) for row in fields]
-    _write_text(args.out, "\n".join(rows) + "\n")
+    # one template for the whole output, the header and then a row per pair,
+    # filled from every row's real and imaginary parts as Python floats in field order
+    template = "\n".join(["nu,z1,z2,w1,w2,re,im"] + [_fmt(args.nu) + "," + _KERNEL_FIELDS] * len(pts)) + "\n"
+    _write_text(args.out, template % tuple(np.column_stack([pts, vals]).view(float).ravel().tolist()))
     return EXIT_OK
 
 

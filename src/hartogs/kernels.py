@@ -119,12 +119,24 @@ def prefactor_a(nu):
     )
 
 
+# Largest alpha at which the kernel's 2F1 is one SciPy call.  Against
+# 30-digit mpmath, at nu in steps of 0.01 over (2/3, 20/3] and at 2n +- 1e-4
+# (|y| from 1e-4 to 1 - 1e-6, 13 angles in [0, pi]), the call held 1.5e-14
+# relative where |F| >= 1e-2 and 1.2e-16 absolute below, against 5.9e-14 and
+# 5.7e-16 for the recursion; on the same grid it lost 4e-14 at alpha = 16.5,
+# 1.3e-12 at alpha = 22.5 and 1e-8 at alpha = 43.
+_MAX_DIRECT_ALPHA = 8.0
+
+
 def _kernel_2f1(alpha, gam, y):
     """F(alpha, 1; gam; y) over an array of y, gam in (0, 1].
 
-    SciPy's complex hyp2f1 loses digits at large alpha (a relative error
-    of 0.2 at nu = 41.3, alpha = 43, near Re y = 0, |y| -> 1), so above
-    alpha = 2 it is called only at a - 1 and a, with a in (1, 2] and
+    Up to alpha = _MAX_DIRECT_ALPHA = 8 (every weighted Dirichlet nu and
+    every Bergman nu <= 20/3; the sweep that sets it is recorded beside it)
+    and at gam = 1 this is one SciPy hyp2f1 call.  SciPy's complex hyp2f1
+    loses digits as alpha grows (1.3e-12 relative at alpha = 22.5, and 0.2
+    at nu = 41.3, alpha = 43, near Re y = 0, |y| -> 1), so above the
+    threshold it is called only at a - 1 and a, with a in (1, 2] and
     alpha - a an integer, and a is stepped up to alpha by the contiguous
     relation (DLMF 15.5.11)
 
@@ -141,7 +153,7 @@ def _kernel_2f1(alpha, gam, y):
     min(gam, 1-gam) < 0.05 (nu within 0.1 of an even integer) raise
     DomainError.
     """
-    if alpha <= 2.0 or gam == 1.0:
+    if alpha <= _MAX_DIRECT_ALPHA or gam == 1.0:
         return gauss_2f1(HypergeometricParams(alpha, 1.0, gam), y)
     steps = math.ceil(alpha) - 2
     if steps > 8 and min(gam, 1.0 - gam) < 0.05:

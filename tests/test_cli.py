@@ -1,12 +1,16 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hartogs import coeffspace, projections
+from hartogs import cli, coeffspace, kernels, projections
 from hartogs.cli import main
+from hartogs.geometry import HartogsPoint
 from hartogs.specfun import VerificationFailure
 
 
@@ -30,6 +34,17 @@ class TestCriticalRangeCommand:
     def test_out_of_regime(self, capsys):
         code, _, err = run_cli(capsys, "critical-range", "--nu", "-1.5")
         assert code == 2 and "nu > -1" in err
+
+
+# a kernel row's fields formatted one str.format call per row
+_FORMAT_FIELDS = ",".join(["{:.12g}{:+.12g}j"] * 4 + ["{:.12g}", "{:.12g}"])
+# any float, with signed zeros, subnormals, the ends of the double range,
+# values of 17 significant digits and the non-finite values drawn often
+_CSV_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e-300, -1e-300, math.inf, -math.inf, math.nan]),
+    st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(-(10**17) + 1, 10**17 - 1), st.integers(-340, 290)),
+)
 
 
 class TestKernelCommand:
@@ -125,6 +140,31 @@ class TestKernelCommand:
         assert code == 0
         re = float(out.strip().split("\n")[1].split(",")[5])
         assert re == pytest.approx(129.60767, rel=1e-7)
+
+    def test_empty_batch_prints_only_the_header(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "kernel", "--nu", "0.7", "--in", self._write_pairs(tmp_path, []))
+        assert (code, out) == (0, "nu,z1,z2,w1,w2,re,im\n")
+
+    @pytest.mark.parametrize("nu", ["-2", "-1.5", "-1", "-0.5", "0", "2"])
+    def test_batch_rows_are_the_per_row_format(self, capsys, tmp_path, nu):
+        """The whole-batch template prints the bytes of one str.format call
+        per row, over 500 seeded pairs (signed zeros among them)."""
+        rng = np.random.default_rng(22)
+        z2, w2 = (rng.uniform(0.05, 0.999, 500) * np.exp(2j * np.pi * rng.uniform(size=500)) for _ in range(2))
+        z1, w1 = (v * rng.uniform(0.0, 0.95, 500) * np.exp(2j * np.pi * rng.uniform(size=500)) for v in (z2, w2))
+        pts = np.stack([z1, z2, w1, w2], axis=1)
+        pts[::7, 0] = -0.0
+        pts[3::11, 2] = complex(0.0, -0.0)
+        path = self._write_pairs(tmp_path, [[[v.real, v.imag] for v in row] for row in pts.tolist()])
+        code, out, _ = run_cli(capsys, "kernel", "--nu", nu, "--in", path)
+        vals = kernels.kernel(float(nu), HartogsPoint(pts[:, 0], pts[:, 1]), HartogsPoint(pts[:, 2], pts[:, 3]))
+        rows = np.column_stack([pts, vals]).view(float).tolist()
+        expected = ["nu,z1,z2,w1,w2,re,im"] + [f"{float(nu):.12g}," + _FORMAT_FIELDS.format(*row) for row in rows]
+        assert code == 0 and out == "\n".join(expected) + "\n"
+
+    @given(st.lists(_CSV_FLOATS, min_size=10, max_size=10))
+    def test_template_row_equals_the_format_row(self, row):
+        assert cli._KERNEL_FIELDS % tuple(row) == _FORMAT_FIELDS.format(*row)
 
     @pytest.mark.parametrize("flag", ["--z1", "--z2", "--w1", "--w2"])
     def test_point_flag_beside_a_pair_file_exits_2(self, capsys, tmp_path, flag):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs import coeffspace, kernels
+from hartogs import coeffspace, kernels, specfun
 from hartogs.coeffspace import SpaceParam
 from hartogs.geometry import HartogsPoint
 from hartogs.specfun import DomainError
@@ -371,8 +371,8 @@ class TestBoundaryAccuracy:
 
     @pytest.mark.parametrize(
         "nu",
-        [-2.0 + 1e-11, -2.0 + 1e-9, -2.0 + 1e-6, -1.9, -1.5, -1.2, -0.5, 0.0, 0.7, 2.0, 3.5, 8.0, 25.3, 41.3]
-        + [59.9, 60.1, 60.7, 99.1],
+        [-2.0 + 1e-11, -2.0 + 1e-9, -2.0 + 1e-6, -1.9, -1.5, -1.2, -0.5, 0.0, 0.67, 0.7, 1.3, 2.0, 2.001, 2.1]
+        + [3.5, 3.9999, 4.0001, 5.3, 6.66, 8.0, 25.3, 41.3, 59.9, 60.1, 60.7, 99.1],
     )
     def test_mpmath_sweep(self, nu):
         # 1 - |y| log-uniform on [1e-6, 0.75], random arguments, |x| below 0.95^2
@@ -411,14 +411,47 @@ class TestBoundaryAccuracy:
             kernels.kernel(99.1, q, q)
 
 
+class TestDirectRange:
+    """The kernel's 2F1 is one SciPy call up to alpha = 8 and the contiguous
+    recursion from two seeds above it."""
+
+    Z, W = HartogsPoint(0.2 + 0.1j, 0.5 - 0.3j), HartogsPoint(-0.1 + 0.25j, 0.4 + 0.45j)
+
+    def _alphas(self, nu, monkeypatch):
+        """The first parameters of the gauss_2f1 calls of one kernel evaluation."""
+        alphas = []
+
+        def counting(params, y):
+            alphas.append(params.alpha)
+            return specfun.gauss_2f1(params, y)
+
+        monkeypatch.setattr(kernels, "gauss_2f1", counting)
+        kernels.kernel(nu, self.Z, self.W)
+        return alphas
+
+    @pytest.mark.parametrize("nu", [0.67, 1.3, 2.001, 3.5, 4.0001, 5.3, 6.66, 20.0 / 3.0])
+    def test_one_direct_call_up_to_alpha_8(self, nu, monkeypatch):
+        alpha = 1.5 * nu - math.ceil(nu / 2) + 2.0
+        assert 2.0 < alpha <= 8.0
+        assert self._alphas(nu, monkeypatch) == [alpha]
+
+    @pytest.mark.parametrize("nu", [6.67, 7.3, 20.7])
+    def test_recursion_above_alpha_8(self, nu, monkeypatch):
+        alpha = 1.5 * nu - math.ceil(nu / 2) + 2.0
+        (seeds,) = self._alphas(nu, monkeypatch)
+        a = alpha - (math.ceil(alpha) - 2)
+        assert alpha > 8.0 and 1.0 < a <= 2.0
+        assert np.array_equal(seeds, [[a - 1.0], [a]])
+
+
 # one strategy per regime of the kernel: Dirichlet, weighted Dirichlet,
-# Hardy, Bergman with one direct 2F1 (alpha <= 2), Bergman by recursion
+# Hardy, Bergman with one direct 2F1 (alpha <= 8), Bergman by recursion
 _NUS = st.one_of(
     st.just(-2.0),
     st.floats(-1.99, -1.01).filter(lambda nu: abs(nu + 4.0 / 3.0) > 1e-6),
     st.just(-1.0),
-    st.floats(-0.99, 0.66),
-    st.floats(0.67, 99.1),
+    st.floats(-0.99, 20.0 / 3.0),
+    st.floats(6.67, 99.1),
 )
 # |z1/z2|: the z1 = 0 slice, the |x| < 1e-3 Taylor branch of the Dirichlet
 # kernel, and the bulk
