@@ -35,10 +35,13 @@ Threading: ``_each`` runs the chunks of a black-box integral on every CPU
 the process may use, concurrently and in any order, the calling thread
 among them.  Each chunk writes only its own slice of the result and the
 reductions run after the last chunk, so the value is bit for bit that of
-a serial loop.  A callable integrand must therefore be thread-safe; a
-pure numpy function is.  A callable that calls threaded BLAS runs it from
-several threads at once.  A callable may itself integrate, and numpy's
-``errstate`` around the outer call applies in every chunk.
+a serial loop.  A Monte Carlo chunk also draws its own samples, from its
+own generator spawned from the seed, so the draws run on every CPU too
+and the estimate does not depend on the number of threads.  A callable
+integrand must be thread-safe; a pure numpy function is.  A callable that
+calls threaded BLAS runs it from several threads at once.  A callable may
+itself integrate, and numpy's ``errstate`` around the outer call applies
+in every chunk.
 """
 
 import contextvars
@@ -381,38 +384,55 @@ def _warn_if_support_leaks(fn, r1, r2, angular):
             break
 
 
+def _is_integer(value):
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def mc_integrate_mu(nu, integrand, sample_count, seed):
     """Monte Carlo importance-sampled integral against mu_nu.
 
     The squared radii are drawn from the exact radial laws of the
-    pullback weight (u ~ Beta(1, nu+1), v ~ Beta(nu/2+2, nu+1)), angles
-    uniformly; since mu_nu is a probability measure the estimator is the
-    plain sample mean.  Returns (estimate, standard_error); bit-identical
-    under a fixed seed.
+    pullback weight: u ~ Beta(1, nu+1) by inversion of its distribution
+    function, u = 1 - (1 - U)^(1/(nu+1)) with U uniform on [0, 1), and
+    v ~ Beta(nu/2+2, nu+1).  Each angle is that of a standard complex
+    Gaussian g, e^(i theta) = g/|g|, which is uniform on the circle.
+    Since mu_nu is a probability measure the estimator is the plain
+    sample mean.
+
+    The samples come in near-equal chunks of at most ``_MAX_BLOCK``,
+    which depend on ``sample_count`` alone.  Chunk i draws its u, then
+    its v, then its 2n Gaussians (w1's angles before w2's) from its own
+    generator, seeded by child i of ``SeedSequence(seed).spawn(chunks)``,
+    so the chunks draw on every CPU at once.  ``sample_count`` is an
+    integer of at least 1000 and ``seed`` a non-negative integer.
+    Returns (estimate, standard_error); bit-identical under a fixed
+    seed, whatever the number of threads.
     """
-    if sample_count < 1000:
-        raise DomainError(f"sample_count must be at least 1000, got {sample_count}")
+    if not _is_integer(sample_count) or sample_count < 1000:
+        raise DomainError(f"sample_count must be an integer of at least 1000, got {sample_count!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     nu = SpaceParam(nu).require("bergman", "mc_integrate_mu").nu
-    rng = np.random.default_rng(seed)
-    u = rng.beta(1.0, nu + 1.0, size=sample_count)
-    v = rng.beta(0.5 * nu + 2.0, nu + 1.0, size=sample_count)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=sample_count)
-    gamma = rng.uniform(0.0, 2.0 * np.pi, size=sample_count)
     fn = _on_triangle(as_grid_fn(integrand))
-    # near-equal chunks, none a short tail: numpy evaluates large temporaries
-    # in place with swapped operands, which can round a complex product
-    # differently, so only chunks this large match the whole-array values
     chunks = -(-sample_count // _MAX_BLOCK)
     bounds = [sample_count * i // chunks for i in range(chunks + 1)]
+    streams = np.random.SeedSequence(seed).spawn(chunks)
     vals = np.empty(sample_count, dtype=complex)
 
-    def chunk(span):
-        lo, hi = span
-        w1 = np.sqrt(u[lo:hi]) * np.exp(1j * theta[lo:hi])
-        w2 = np.sqrt(v[lo:hi]) * np.exp(1j * gamma[lo:hi])
-        vals[lo:hi] = fn(w1, w2)
+    def chunk(i):
+        lo, n = bounds[i], bounds[i + 1] - bounds[i]
+        rng = np.random.default_rng(streams[i])
+        u = -np.expm1(np.log1p(-rng.random(n)) / (nu + 1.0))
+        v = rng.beta(0.5 * nu + 2.0, nu + 1.0, size=n)
+        angles = rng.standard_normal(4 * n).view(complex)
+        angles /= np.abs(angles)
+        w1 = np.sqrt(u) * angles[:n]
+        w2 = np.sqrt(v) * angles[n:]
+        vals[lo : lo + n] = fn(w1, w2)
+        return angles
 
-    _each(chunk, list(zip(bounds, bounds[1:])))
+    _each(chunk, range(chunks))
     est = complex(np.mean(vals))
     var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
     return est, math.sqrt(var / sample_count)

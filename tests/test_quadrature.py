@@ -297,24 +297,44 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             quadrature.mc_integrate_mu(0.0, lambda z1, z2: z2, 100, seed=1)
 
+    @pytest.mark.parametrize("count", [True, 10_000.0])
+    def test_sample_count_must_be_an_integer_of_at_least_1000(self, count):
+        with pytest.raises(DomainError, match="sample_count"):
+            quadrature.mc_integrate_mu(0.7, lambda z1, z2: z2, count, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, False])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            quadrature.mc_integrate_mu(0.7, lambda z1, z2: z2, 10_000, seed)
+
+    def test_numpy_integers_are_accepted(self):
+        fn = lambda z1, z2: np.abs(z2)
+        assert quadrature.mc_integrate_mu(0.7, fn, np.int64(2000), np.uint32(7)) == quadrature.mc_integrate_mu(
+            0.7, fn, 2000, 7
+        )
+
     @pytest.mark.parametrize("count", [200_003, 1_000_000])
-    def test_repr_identical_to_whole_array_formula(self, count):
-        """Chunked evaluation changes no bit of the estimate: the sample
-        stream and the reductions are those of the whole-array formula."""
-        nu, seed = 0.7, 12
+    def test_repr_identical_to_per_chunk_streams(self, count):
+        """The estimate is that of a serial loop over the chunks, each
+        drawing from its own spawned stream; the reductions run on the
+        whole value array."""
         integrands = (lambda z1, z2: np.abs(z1) ** 2 * np.exp(-np.abs(z2)) + z1 * np.conj(z2), lambda z1, z2: 1.5)
         for fn in integrands:
-            rng = np.random.default_rng(seed)
-            u = rng.beta(1.0, nu + 1.0, size=count)
-            v = rng.beta(0.5 * nu + 2.0, nu + 1.0, size=count)
-            theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-            gamma = rng.uniform(0.0, 2.0 * np.pi, size=count)
-            w1 = np.sqrt(u) * np.exp(1j * theta)
-            w2 = np.sqrt(v) * np.exp(1j * gamma)
-            vals = np.asarray(fn(w1 * w2, w2)) + np.zeros(count, dtype=complex)
-            var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
-            expected = (complex(np.mean(vals)), math.sqrt(var / count))
-            assert repr(quadrature.mc_integrate_mu(nu, fn, count, seed)) == repr(expected)
+            assert repr(quadrature.mc_integrate_mu(0.7, fn, count, 12)) == repr(_serial_mc(0.7, fn, count, 12))
+
+    @pytest.mark.parametrize("nu", [-0.9, 0.0, 3.5, 20.0])
+    def test_sample_law_matches_closed_forms(self, nu):
+        """|z1^j z2^k|^2 averages to its closed-form norm, and a monomial of
+        nonzero angular frequency to 0, each within 5 standard errors.  The
+        second monomial has even frequencies (2, -2) in the product angles,
+        so angles confined to a line would not average it to 0."""
+        for seed, (j, k) in enumerate([(1, -1), (3, -1), (2, 1), (1, 3)]):
+            fn = lambda z1, z2: np.abs(z1**j * z2**k) ** 2
+            est, se = quadrature.mc_integrate_mu(nu, fn, 200_000, seed)
+            assert abs(est - monomial_norm_sq(nu, j, k)) <= 5.0 * se
+        for seed, fn in enumerate([lambda z1, z2: z1 * np.conj(z2) ** 2, lambda z1, z2: z1**2 * np.conj(z2) ** 4]):
+            est, se = quadrature.mc_integrate_mu(nu, fn, 200_000, 90 + seed)
+            assert abs(est) <= 5.0 * se
 
 
 def _serial_tensor_sum(fn, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, angular):
@@ -333,18 +353,22 @@ def _serial_tensor_sum(fn, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2,
 
 
 def _serial_mc(nu, fn, sample_count, seed):
-    """``quadrature.mc_integrate_mu`` as a plain loop over its chunks, in order."""
-    rng = np.random.default_rng(seed)
-    u = rng.beta(1.0, nu + 1.0, size=sample_count)
-    v = rng.beta(0.5 * nu + 2.0, nu + 1.0, size=sample_count)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=sample_count)
-    gamma = rng.uniform(0.0, 2.0 * np.pi, size=sample_count)
+    """``quadrature.mc_integrate_mu`` as a plain loop over its chunks, in order,
+    chunk i drawing u by inversion, v, then w1's and w2's Gaussian angles
+    from child i of the seed's SeedSequence."""
     chunks = -(-sample_count // quadrature._MAX_BLOCK)
     bounds = [sample_count * i // chunks for i in range(chunks + 1)]
+    streams = np.random.SeedSequence(seed).spawn(chunks)
     vals = np.empty(sample_count, dtype=complex)
-    for lo, hi in zip(bounds, bounds[1:]):
-        w1 = np.sqrt(u[lo:hi]) * np.exp(1j * theta[lo:hi])
-        w2 = np.sqrt(v[lo:hi]) * np.exp(1j * gamma[lo:hi])
+    for stream, lo, hi in zip(streams, bounds, bounds[1:]):
+        rng = np.random.default_rng(stream)
+        n = hi - lo
+        u = -np.expm1(np.log1p(-rng.random(n)) / (nu + 1.0))
+        v = rng.beta(0.5 * nu + 2.0, nu + 1.0, size=n)
+        g = rng.standard_normal(4 * n).view(complex)
+        g = g / np.abs(g)
+        w1 = np.sqrt(u) * g[:n]
+        w2 = np.sqrt(v) * g[n:]
         vals[lo:hi] = fn(w1 * w2, w2)
     var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
     return complex(np.mean(vals)), math.sqrt(var / sample_count)
@@ -381,6 +405,15 @@ class TestThreadedChunks:
     def test_mc_repr_identical_to_serial_loop(self):
         fn = lambda z1, z2: np.abs(z1) ** 2 * np.exp(-np.abs(z2)) + z1 * np.conj(z2)
         assert repr(quadrature.mc_integrate_mu(0.7, fn, 200_003, 13)) == repr(_serial_mc(0.7, fn, 200_003, 13))
+
+    def test_mc_repr_identical_without_helper_threads(self, monkeypatch):
+        """With the helper pool off the caller draws every chunk alone, and the
+        value does not depend on the number of threads."""
+        fn = lambda z1, z2: np.abs(z1) ** 2 * np.exp(-np.abs(z2)) + z1 * np.conj(z2)
+        threaded = quadrature.mc_integrate_mu(0.7, fn, 200_003, 13)
+        monkeypatch.setattr(quadrature, "_helper_threads", lambda: (None, 0))
+        alone = quadrature.mc_integrate_mu(0.7, fn, 200_003, 13)
+        assert repr(alone) == repr(threaded) == repr(_serial_mc(0.7, fn, 200_003, 13))
 
     @pytest.mark.parametrize("outer, inner", [((64, 65), (8, 9)), ((4, 65), (8, 65))])
     def test_nested_call_finishes(self, outer, inner):
