@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from . import coeffspace, isometries, kernels, projections, verify
-from .coeffspace import LaurentCoeffs, MixedPoly, TorusSeries
+from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, TorusSeries
 from .geometry import HartogsPoint
 from .specfun import DomainError, VerificationFailure
 
@@ -156,32 +156,35 @@ def _cmd_kernel(args):
     return EXIT_OK
 
 
-# space -> (output label, whether it takes --nu, norm of (nu, f)); each norm
-# is looked up in coeffspace at call time
-_NORMS = {
-    "bergman": ("bergman_norm_sq", True, lambda nu, f: coeffspace.bergman_norm_sq(nu, f)),
-    "hardy": ("hardy_norm_sq", False, lambda nu, f: coeffspace.hardy_norm_sq(f)),
-    "dirichlet": ("dirichlet_norm_sq", False, lambda nu, f: coeffspace.dirichlet_norm_sq(f)),
-    "weighted-dirichlet": ("weighted_dirichlet_norm_sq", True, lambda nu, f: coeffspace.weighted_dirichlet_norm_sq(nu, f)),
-    "star": ("star_norm", True, lambda nu, f: coeffspace.star_norm(nu, f)),
-    "sharp": ("sharp_norm", False, lambda nu, f: coeffspace.star_norm(-2.0, f)),
-}
+# the spaces of norm and isometry whose nu is fixed; sharp is the star norm
+# at nu = -2, and bergman, weighted-dirichlet and star read --nu
+_SPACE_NU = {"hardy": -1.0, "dirichlet": -2.0}
+
+
+def _space_nu(args, fixed):
+    """--nu, or ``fixed`` when it is not None; DomainError if --nu is
+    missing where the space needs it or given where it does not."""
+    if fixed is None and args.nu is None:
+        raise DomainError(f"{args.command} --space {args.space} requires --nu")
+    if fixed is not None and args.nu is not None:
+        raise DomainError(f"{args.command} --space {args.space} takes no --nu")
+    return args.nu if fixed is None else fixed
 
 
 def _cmd_norm(args):
     f = _read_json(args.infile, LaurentCoeffs.from_json)
     space = args.space
-    label, takes_nu, norm = _NORMS[space]
-    if takes_nu and args.nu is None:
-        raise DomainError(f"norm --space {space} requires --nu")
-    if not takes_nu and args.nu is not None:
-        raise DomainError(f"norm --space {space} takes no --nu")
-    _write_text(args.out, f"{label} {_fmt(norm(args.nu, f))}\n")
+    nu = _space_nu(args, -2.0 if space == "sharp" else _SPACE_NU.get(space))
+    if space in ("star", "sharp"):
+        _write_text(args.out, f"{space}_norm {_fmt(coeffspace.star_norm(nu, f))}\n")
+    else:
+        label = space.replace("-", "_") + "_norm_sq"
+        _write_text(args.out, f"{label} {_fmt(SpaceParam(nu).require(space, label).norm_sq(f))}\n")
     return EXIT_OK
 
 
 def _cmd_project(args):
-    coeffspace.SpaceParam(args.nu).require("bergman", "the Bergman projection")
+    SpaceParam(args.nu).require("bergman", "the Bergman projection")
     projections.projection_self_test(args.nu)
     f = _read_json(args.infile, MixedPoly.from_json)
     out = projections.project_bergman(args.nu, f)
@@ -242,21 +245,10 @@ def _cmd_scan_blowup(args):
     return EXIT_OK
 
 
-# isometry space -> its nu; bergman reads --nu
-_ISOMETRY_NU = {"hardy": -1.0, "dirichlet": -2.0}
-
-
 def _cmd_isometry(args):
     f = _read_json(args.infile, LaurentCoeffs.from_json)
-    if args.space == "bergman":
-        if args.nu is None:
-            raise DomainError("isometry --space bergman requires --nu")
-        coeffspace.SpaceParam(args.nu).require("bergman", "isometry --space bergman")
-        nu = args.nu
-    elif args.nu is not None:
-        raise DomainError(f"isometry --space {args.space} takes no --nu")
-    else:
-        nu = _ISOMETRY_NU[args.space]
+    nu = _space_nu(args, _SPACE_NU.get(args.space))
+    SpaceParam(nu).require(args.space, f"isometry --space {args.space}")
     fn = isometries.to_bidisc if args.direction == "forward" else isometries.from_bidisc
     _write_json(args.out, fn(nu, f).to_json())
     return EXIT_OK
@@ -267,6 +259,8 @@ _VERIFY_FLAGS = {"nu": "nus", "jmax": "jmax", "kmax": "kmax", "tolerance": "tol"
 
 
 def _cmd_verify(args):
+    if args.seed < 0:
+        raise DomainError(f"verify --seed must be a non-negative integer, got {args.seed}")
     if args.suite == "all":
         accepted = ()  # every suite runs at its own documented bounds
     elif args.suite in verify.SUITES:
@@ -325,7 +319,8 @@ def build_parser():
 
     p = sub.add_parser("norm", help="coefficient-space norm of a Laurent polynomial")
     p.add_argument("--nu", type=float)
-    p.add_argument("--space", choices=tuple(_NORMS), required=True)
+    spaces = ("bergman", *_SPACE_NU, "weighted-dirichlet", "star", "sharp")
+    p.add_argument("--space", choices=spaces, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_norm)
@@ -355,7 +350,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_scan_blowup)
 
     p = sub.add_parser("isometry", help="re-indexing isometries onto bidisc spaces")
-    p.add_argument("--space", choices=(*_ISOMETRY_NU, "bergman"), required=True)
+    p.add_argument("--space", choices=(*_SPACE_NU, "bergman"), required=True)
     p.add_argument("--nu", type=float)
     p.add_argument("--direction", choices=("forward", "inverse"), default="forward")
     p.add_argument("--in", dest="infile", required=True)

@@ -7,7 +7,8 @@ Holomorphic functions on the Hartogs triangle expand as Laurent series
 and membership in every space of the one-parameter family is a weighted
 square-summability condition on the coefficients.  This module holds the
 family parameter (SpaceParam, which decides the regime of nu for the
-whole library), the coefficient containers, the index set I_nu, the
+whole library and whose ``norm_sq`` is the norm of every space of the
+family), the coefficient containers, the index set I_nu, the
 Gamma moment of a monomial that every closed norm and projection
 coefficient reads, and the three-way coefficient split feeding the
 multiplier operator T.
@@ -29,10 +30,6 @@ __all__ = [
     "as_mixed",
     "conj_product",
     "monomial_norm_sq",
-    "bergman_norm_sq",
-    "hardy_norm_sq",
-    "dirichlet_norm_sq",
-    "weighted_dirichlet_norm_sq",
     "split_f123",
     "t_norm_sq",
     "star_norm",
@@ -120,8 +117,11 @@ class SpaceParam:
         return _gamma_weight(self.nu, j, k)
 
     def norm_sq(self, f):
-        """The weighted sum sum weight(j, k) |a_jk|^2 of a Laurent polynomial;
-        +inf if the support leaks outside I_nu."""
+        """The squared norm sum weight(j, k) |a_jk|^2 of a Laurent polynomial
+        in the space: the Gamma moments for nu > -1, the Parseval sum at
+        nu = -1, the Dirichlet sum at nu = -2, and for -2 < nu < -1 the
+        signed D_nu pairing, which is negative on some supports below
+        nu = -4/3.  +inf if the support leaks outside I_nu."""
         total = 0.0
         for (j, k), a in f.items():
             w = self.weight(j, k)
@@ -290,32 +290,6 @@ def monomial_norm_sq(nu, j, k):
     At nu = 0 this reduces to 2 / ((j+1)(j+k+2)).
     """
     return SpaceParam(nu).require("bergman", "monomial_norm_sq").weight(j, k)
-
-
-def bergman_norm_sq(nu, f):
-    """Squared A^2_nu norm of a Laurent polynomial; +inf if the support
-    leaks outside I_nu."""
-    return SpaceParam(nu).require("bergman", "bergman_norm_sq").norm_sq(f)
-
-
-def hardy_norm_sq(f):
-    """Squared Hardy norm: plain Parseval sum over I_{-1}."""
-    return SpaceParam(-1.0).norm_sq(f)
-
-
-def dirichlet_norm_sq(f):
-    """Squared Dirichlet norm sum (j+1)(j+k+1)|a_{jk}|^2 over {k >= -j}."""
-    return SpaceParam(-2.0).norm_sq(f)
-
-
-def weighted_dirichlet_norm_sq(nu, f):
-    """The signed weighted sum defining the D_nu pairing, -2 < nu < -1.
-
-    The value is real but may be negative for supports hitting the
-    indefinite indices (j + k = -1 below nu = -4/3, see
-    ``SpaceParam.weight``); +inf if the support leaves I_nu.
-    """
-    return SpaceParam(nu).require("weighted-dirichlet", "weighted_dirichlet_norm_sq").norm_sq(f)
 
 
 def split_f123(f):

@@ -1,7 +1,8 @@
 """Reproducing kernels of the whole family, closed forms and series oracles.
 
 Every space in the family is a reproducing kernel Hilbert space on the
-triangle, and all kernels share the shape
+triangle, and ``kernel(nu, z, w)`` is the one entry for all of them; the
+regime is read from ``SpaceParam``.  All kernels share the shape
 
     K(z, w) = (prefactor) * y^(-1-ceil(nu/2)) * (1 - x)^(-(nu+2)) * F(y),
 
@@ -49,9 +50,6 @@ from .specfun import DomainError, HypergeometricParams, gamma_ratio_signed, gaus
 
 __all__ = [
     "kernel_nu",
-    "hardy_kernel",
-    "weighted_dirichlet_kernel",
-    "dirichlet_kernel",
     "kernel",
     "kernel_coeff_closed",
     "kernel_series",
@@ -198,25 +196,6 @@ def kernel_nu(nu, z, w):
     return _hypergeometric_kernel(_space(nu).require("bergman", "kernel_nu"), z, w)
 
 
-def hardy_kernel(z, w):
-    """Hardy kernel 1 / ((z2 conj(w2) - z1 conj(w1)) (1 - z2 conj(w2)))."""
-    x, y, shape = _batch_xy(z, w)
-    return _result(1.0 / (y * (1.0 - x) * (1.0 - y)), shape)
-
-
-def weighted_dirichlet_kernel(nu, z, w):
-    """Weighted Dirichlet kernel for -2 < nu < -1.
-
-    The Bergman closed form at ceil(nu/2) = 0:
-    K = a_nu y^(-1) (1 - x)^(-(nu+2)) F(3nu/2+2, 1; nu/2+1; y), where
-    a_nu = (nu/2 + 1)/(3nu/2 + 2) is a signed ratio (it changes sign at
-    nu = -4/3, where the pairing degenerates: there, and within SNAP_TOL
-    of it, DomainError is raised).  ``nu`` is a float or its SpaceParam.
-    """
-    sp = _space(nu).require("weighted-dirichlet", "weighted_dirichlet_kernel")
-    return _hypergeometric_kernel(_degenerate_check(sp), z, w)
-
-
 def _log1over(t):
     """log(1/(1-t)) / t with the removable singularity filled by series.
 
@@ -237,34 +216,29 @@ def _log1over(t):
     return out
 
 
-def dirichlet_kernel(z, w):
-    """Dirichlet kernel: the double series sum x^j y^k / ((j+1)(j+k+1))
-    over {j >= 0, k >= -j}, in closed logarithmic form
-
-        K = (1/(z1 conj(w1))) log(1/(1-x)) log(1/(1-y)) = L(x) L(y)
-
-    with L(t) = log(1/(1-t))/t, which is how the z1 conj(w1) = 0 slice is
-    filled in."""
-    x, y, shape = _batch_xy(z, w)
-    return _result(_log1over(x) * _log1over(y), shape)
-
-
 def kernel(nu, z, w):
-    """Dispatch the kernel of the regime selected by nu in [-2, inf).
+    """The kernel of the nu space for every nu in [-2, inf), the regime read
+    from its SpaceParam.
 
-    z and w are single points or batches; a batch is evaluated in one
-    array pass of the regime's body.  ``nu`` is a float or its
-    SpaceParam, which is built once here and passed down.
+    nu > -1 goes to ``kernel_nu``; -2 < nu < -1 takes the same body at
+    ceil(nu/2) = 0, whose constant a_nu = (nu/2+1)/(3nu/2+2) changes sign at
+    nu = -4/3, where the pairing degenerates and DomainError is raised
+    (within SNAP_TOL).  The Hardy kernel is 1/(y (1-x)(1-y)); the Dirichlet
+    kernel, sum x^j y^k / ((j+1)(j+k+1)) over {j >= 0, k >= -j}, is
+    L(x) L(y) with L(t) = log(1/(1-t))/t, which fills in the z1 conj(w1) = 0
+    slice.  z and w are single points or batches, a batch evaluated in one
+    array pass; ``nu`` is a float or its SpaceParam.
     """
     sp = _space(nu)
     kind = sp.kind
     if kind == "bergman":
         return kernel_nu(sp, z, w)
-    if kind == "hardy":
-        return hardy_kernel(z, w)
     if kind == "weighted-dirichlet":
-        return weighted_dirichlet_kernel(sp, z, w)
-    return dirichlet_kernel(z, w)
+        return _hypergeometric_kernel(_degenerate_check(sp), z, w)
+    x, y, shape = _batch_xy(z, w)
+    if kind == "hardy":
+        return _result(1.0 / (y * (1.0 - x) * (1.0 - y)), shape)
+    return _result(_log1over(x) * _log1over(y), shape)
 
 
 def kernel_coeff_closed(nu, j, k):

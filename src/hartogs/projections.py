@@ -12,10 +12,10 @@ indicator of {j >= 0, j + k + 1 >= 0} (sgn(0) := +1, which the series
 definition of the projection forces; the literal sgn(0) = 0 reading would
 break idempotence).  A spectral grid realization via the FFT doubles it.
 
-The boundedness range of P_nu on L^p_nu is computed in both the
-case-dispatched floor form and the unified ceiling form, together with
-the Schur-test feasibility region and the endpoint blow-up scan that
-witnesses divergence outside the range.
+The boundedness range of P_nu on L^p_nu is computed in the ceiling form
+of the necessity argument, together with the Schur-test feasibility
+region and the endpoint blow-up scan that witnesses divergence outside
+the range.
 """
 
 import math
@@ -40,7 +40,6 @@ __all__ = [
     "project_szego_grid",
     "lp_norm_torus",
     "critical_range",
-    "critical_range_unified",
     "schur_feasible",
     "blowup_scan",
 ]
@@ -172,33 +171,15 @@ class CriticalRange:
 
 
 def critical_range(nu):
-    """Boundedness range of P_nu in the case-dispatched form:
-
-    (i)   nu > 0, nu != 2n:  (2 - x/(2+nu-floor(nu/2)), 2 + x/(2+floor(nu/2))),
-          x = nu - 2 floor(nu/2);
-    (ii)  nu = 2n, n >= 0:   (2 - 2/(3+n), 2 + 2/(1+n));
-    (iii) -1 < nu < 0:       (2 - (2+nu)/(3+nu), 4 + nu).
-
-    Even integers are those SpaceParam snaps onto (within 1e-12).
-    """
-    nu = SpaceParam(nu).require("bergman", "critical_range").nu
-    n = round(0.5 * nu)
-    if nu == 2.0 * n:
-        return CriticalRange(2.0 - 2.0 / (3.0 + n), 2.0 + 2.0 / (1.0 + n))
-    if nu > 0.0:
-        fl = math.floor(0.5 * nu)
-        x = nu - 2.0 * fl
-        return CriticalRange(2.0 - x / (2.0 + nu - fl), 2.0 + x / (2.0 + fl))
-    return CriticalRange(2.0 - (2.0 + nu) / (3.0 + nu), 4.0 + nu)
-
-
-def critical_range_unified(nu):
-    """The same range in the unified ceiling form used by the necessity
-    argument: with A = 1 + ceil(nu/2) and B = nu - ceil(nu/2) + 3,
+    """Boundedness range of P_nu, nu > -1, in the ceiling form used by the
+    necessity argument: with A = 1 + ceil(nu/2) and B = nu - ceil(nu/2) + 3,
 
         ( (A+B)/B, (A+B)/A ) = ( 2 - (B-A)/B, 2 + (B-A)/A ).
+
+    The upper end is where z2^(-A), the projection of conj(z2)^A, leaves
+    L^p_nu; at nu = 0 the range is Chakrabarti-Zeytuncu's (4/3, 4).
     """
-    sp = SpaceParam(nu).require("bergman", "critical_range_unified")
+    sp = SpaceParam(nu).require("bergman", "critical_range")
     c = sp.ceil
     a = 1.0 + c
     b = sp.nu - c + 3.0
@@ -223,7 +204,7 @@ def schur_feasible(nu, p):
 
         ( (1+ceil(nu/2)) max(1/p, 1/p'),  (3+nu-ceil(nu/2)) min(1/p, 1/p') ),
 
-    which is nonempty exactly when p lies in the unified critical range.
+    which is nonempty exactly when p lies in the critical range.
     """
     sp = SpaceParam(nu).require("bergman", "schur_feasible")
     nu, c = sp.nu, sp.ceil

@@ -109,9 +109,16 @@ class TauRule:
 
 
 def _jacobi01(order, alpha, beta):
-    """Nodes and weights for the weight (1-t)^alpha t^beta on (0, 1)."""
+    """Nodes and weights for the weight (1-t)^alpha t^beta on (0, 1).
+
+    Raises DomainError when the scale 2^(alpha+beta+1) of the map from
+    (-1, 1) leaves the double range, at alpha + beta >= 1023.
+    """
+    power = alpha + beta + 1.0
+    if power >= 1024.0:
+        raise DomainError(f"the Gauss-Jacobi scale 2^{power:g} leaves the double range")
     x, w = roots_jacobi(order, alpha, beta)
-    return 0.5 * (x + 1.0), w / 2.0 ** (alpha + beta + 1.0)
+    return 0.5 * (x + 1.0), w / 2.0**power
 
 
 def build_rule(nu, radial_order=64, angular_count=65):

@@ -31,11 +31,16 @@ class VerificationFailure(ArithmeticError):
     """A closed form disagreed with its independent check beyond tolerance."""
 
 
+# log of the largest double; math.exp overflows above it
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 def gamma_ratio_signed(numerators, denominators):
     """prod Gamma(n_i) / prod Gamma(d_j), evaluated in log space.
 
-    Only the log-Gamma values are summed, so arguments up to ~1e4 do not
-    overflow.  Every argument but a pole goes through ``math.lgamma``,
+    Only the log-Gamma values are summed, so the arguments may be large as
+    long as the ratio is a double; a ratio above the double range raises
+    DomainError.  Every argument but a pole goes through ``math.lgamma``,
     which reduces sin(pi x) exactly and so keeps its digits next to a
     negative integer; Gamma(x) has the sign (-1)^floor(x) for negative x.
     The result is a signed float; a pole (a non-positive integer) in a
@@ -67,6 +72,8 @@ def gamma_ratio_signed(numerators, denominators):
         return sign * math.inf
     if den_pole:
         return 0.0
+    if acc > _LOG_MAX:
+        raise DomainError(f"the Gamma ratio exp({acc:.6g}) leaves the double range")
     return sign * math.exp(acc)
 
 

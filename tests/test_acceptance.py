@@ -57,7 +57,7 @@ def test_criterion_04_kernel_estimate():
 
 
 def test_criterion_05_critical_ranges():
-    # case form vs unified ceiling form (1e-12, 1000 random nu + evens),
+    # ceiling form against (2 - 2/(3+n), 2 + 2/(1+n)) at nu = 2n (1e-12),
     # spot values (4/3,4), (3/2,3), (1.4,3.5)
     _drive(5, "critical exponent ranges", "critical-range")
 

@@ -246,6 +246,13 @@ class TestProjectCommand:
         assert run_cli(capsys, "project", "--nu", "0.5", "--in", str(path)) == unset
         assert unset[0] == 0 and json.loads(unset[1])["terms"]
 
+    def test_nu_beyond_the_double_range(self, capsys, tmp_path):
+        # C_nu overflows a double from about nu = 800
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": []}))
+        code, out, err = run_cli(capsys, "project", "--nu", "1000", "--in", str(path))
+        assert (code, out) == (2, "") and "leaves the double range" in err
+
 
 class TestSzegoCommand:
     def test_coefficient_mode(self, capsys, tmp_path):
@@ -378,6 +385,11 @@ class TestScanBlowupCommand:
         code, out, err = run_cli(capsys, "scan-blowup", "--nu", "0", "--p", "5", "--eps", eps)
         assert (code, out) == (2, "") and err.startswith("error: ")
 
+    def test_nu_beyond_the_double_range(self, capsys):
+        # the Gauss-Jacobi rule's scale 2^(nu+1) overflows a double from nu = 1023
+        code, out, err = run_cli(capsys, "scan-blowup", "--nu", "1e5", "--p", "2", "--eps", "1e-1,1e-2")
+        assert (code, out) == (2, "") and "leaves the double range" in err
+
 
 class TestVerifyCommand:
     def test_normalization_row(self, capsys):
@@ -399,6 +411,11 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "nonsense")
         assert code == 2 and "unknown suite" in err
+
+    @pytest.mark.parametrize("suite", ["all", "critical-range"])
+    def test_negative_seed_is_refused(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", suite, "--seed", "-1")
+        assert (code, out) == (2, "") and "non-negative" in err
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "critical-range", "--seed", "42")
@@ -452,10 +469,10 @@ class TestExitCodes:
             main(["critical-range", "--nu", "0"])
 
     def test_key_error_outside_the_readers_surfaces(self, capsys, tmp_path, monkeypatch):
-        def broken(f):
+        def broken(space, f):
             raise KeyError("bug")
 
-        monkeypatch.setattr(coeffspace, "hardy_norm_sq", broken)
+        monkeypatch.setattr(coeffspace.SpaceParam, "norm_sq", broken)
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"terms": [{"j": 0, "k": 0, "re": 1.0}]}))
         with pytest.raises(KeyError, match="bug"):
@@ -549,10 +566,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("exc", [TypeError, AttributeError, ValueError])
     def test_parse_errors_outside_the_readers_surface(self, capsys, tmp_path, monkeypatch, exc):
-        def broken(f):
+        def broken(space, f):
             raise exc("bug")
 
-        monkeypatch.setattr(coeffspace, "hardy_norm_sq", broken)
+        monkeypatch.setattr(coeffspace.SpaceParam, "norm_sq", broken)
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"terms": [{"j": 0, "k": 0, "re": 1.0}]}))
         with pytest.raises(exc, match="bug"):

@@ -14,16 +14,12 @@ from hartogs.coeffspace import (
     TorusSeries,
     _gamma_weight,
     as_mixed,
-    bergman_norm_sq,
     conj_product,
-    dirichlet_norm_sq,
     evaluate,
-    hardy_norm_sq,
     monomial_norm_sq,
     split_f123,
     star_norm,
     t_norm_sq,
-    weighted_dirichlet_norm_sq,
 )
 from hartogs.geometry import HartogsPoint
 from hartogs.specfun import DomainError
@@ -92,7 +88,7 @@ class TestSpaceParam:
                     assert quadrature.build_rule(nu, 4, 4).v_shift == 1 + sp.ceil
                     scan = projections.blowup_scan(nu, p, [0.1, 0.01])
                     assert scan.s == sp.nu - (1.0 + sp.ceil) * p + 3.0
-                    assert projections.critical_range(nu) == projections.critical_range_unified(nu)
+                    assert projections.critical_range(nu) == projections.critical_range(special)
 
 
 class TestContainers:
@@ -189,57 +185,53 @@ class TestSpaceNorms:
     def test_constant_has_unit_norm(self):
         one = LaurentCoeffs({(0, 0): 1.0})
         for nu in (-0.5, 0.0, 0.7, 2.0, 3.5):
-            assert bergman_norm_sq(nu, one) == pytest.approx(1.0, rel=1e-12)
+            assert SpaceParam(nu).norm_sq(one) == pytest.approx(1.0, rel=1e-12)
 
     def test_bergman_example(self):
         f = LaurentCoeffs({(0, 0): 1.0, (1, 1): 1.0})
-        assert bergman_norm_sq(0.0, f) == pytest.approx(1.25, rel=1e-12)
+        assert SpaceParam(0.0).norm_sq(f) == pytest.approx(1.25, rel=1e-12)
 
     def test_bergman_divergent(self):
-        assert math.isinf(bergman_norm_sq(0.0, LaurentCoeffs({(0, -2): 1.0})))
+        assert math.isinf(SpaceParam(0.0).norm_sq(LaurentCoeffs({(0, -2): 1.0})))
 
     def test_hardy_examples(self):
-        assert hardy_norm_sq(LaurentCoeffs({(2, -1): 1.0})) == 1.0
+        assert SpaceParam(-1.0).norm_sq(LaurentCoeffs({(2, -1): 1.0})) == 1.0
         f = LaurentCoeffs({(1, 0): 2.0, (0, -1): 1.0j})
-        assert hardy_norm_sq(f) == pytest.approx(5.0)
-        assert math.isinf(hardy_norm_sq(LaurentCoeffs({(0, -2): 1.0})))
+        assert SpaceParam(-1.0).norm_sq(f) == pytest.approx(5.0)
+        assert math.isinf(SpaceParam(-1.0).norm_sq(LaurentCoeffs({(0, -2): 1.0})))
 
     def test_dirichlet_examples(self):
-        assert dirichlet_norm_sq(LaurentCoeffs({(0, 0): 1.0})) == pytest.approx(1.0)
-        assert dirichlet_norm_sq(LaurentCoeffs({(1, -1): 1.0})) == pytest.approx(2.0)
+        assert SpaceParam(-2.0).norm_sq(LaurentCoeffs({(0, 0): 1.0})) == pytest.approx(1.0)
+        assert SpaceParam(-2.0).norm_sq(LaurentCoeffs({(1, -1): 1.0})) == pytest.approx(2.0)
         f = LaurentCoeffs({(1, 0): 1.0, (0, 1): 1.0})
-        assert dirichlet_norm_sq(f) == pytest.approx(6.0)
-        assert math.isinf(dirichlet_norm_sq(LaurentCoeffs({(1, -2): 1.0})))
+        assert SpaceParam(-2.0).norm_sq(f) == pytest.approx(6.0)
+        assert math.isinf(SpaceParam(-2.0).norm_sq(LaurentCoeffs({(1, -2): 1.0})))
 
     def test_weighted_dirichlet_constant(self):
         one = LaurentCoeffs({(0, 0): 1.0})
         for nu in (-1.9, -1.5, -1.1):
-            val = weighted_dirichlet_norm_sq(nu, one)
+            val = SpaceParam(nu).norm_sq(one)
             assert val == pytest.approx(1.0, rel=1e-12)
             assert val > 0.0
 
     def test_weighted_dirichlet_single_monomial(self):
         w = SpaceParam(-1.5).weight(1, 2)
         f = LaurentCoeffs({(1, 2): 2.0j})
-        assert weighted_dirichlet_norm_sq(-1.5, f) == pytest.approx(4.0 * w, rel=1e-12)
+        assert SpaceParam(-1.5).norm_sq(f) == pytest.approx(4.0 * w, rel=1e-12)
 
     def test_weighted_dirichlet_signed_weight(self):
         # below nu = -4/3 the pairing is indefinite at total degree -1;
         # the kernel coefficient is the reciprocal (cross-checked in the
         # kernels module tests)
         assert SpaceParam(-1.5).weight(0, -1) == pytest.approx(-1.0, rel=1e-12)
-        assert math.isinf(weighted_dirichlet_norm_sq(-1.5, LaurentCoeffs({(0, -2): 1.0})))
+        assert math.isinf(SpaceParam(-1.5).norm_sq(LaurentCoeffs({(0, -2): 1.0})))
 
     def test_parseval_additivity(self):
         f = LaurentCoeffs({(0, 0): 1.0, (2, 1): 0.5j})
         g = LaurentCoeffs({(1, 0): -2.0})
         fg = LaurentCoeffs({(0, 0): 1.0, (2, 1): 0.5j, (1, 0): -2.0})
-        for norm in (
-            lambda h: bergman_norm_sq(0.7, h),
-            hardy_norm_sq,
-            dirichlet_norm_sq,
-            lambda h: weighted_dirichlet_norm_sq(-1.5, h),
-        ):
+        for nu in (0.7, -1.0, -2.0, -1.5):
+            norm = SpaceParam(nu).norm_sq
             assert norm(fg) == pytest.approx(norm(f) + norm(g), rel=1e-12)
 
 

@@ -126,13 +126,13 @@ class TestWeightedKernels:
 class TestHardyKernel:
     def test_diagonal_value(self):
         q = HartogsPoint(0.0, 0.5)
-        assert kernels.hardy_kernel(q, q) == pytest.approx(1.0 / (0.25 * 0.75), rel=1e-12)
+        assert kernels.kernel(-1.0, q, q) == pytest.approx(1.0 / (0.25 * 0.75), rel=1e-12)
 
     def test_series(self):
         rng = np.random.default_rng(35)
         for _ in range(50):
             z, w = random_point(rng), random_point(rng)
-            closed = kernels.hardy_kernel(z, w)
+            closed = kernels.kernel(-1.0, z, w)
             series = kernels.kernel_series(-1.0, z, w)
             assert abs(closed - series) <= 1e-10 * abs(closed)
 
@@ -141,7 +141,7 @@ class TestHardyKernel:
         rng = np.random.default_rng(36)
         for _ in range(20):
             z, w = random_point(rng), random_point(rng)
-            target = kernels.hardy_kernel(z, w)
+            target = kernels.kernel(-1.0, z, w)
             gaps = [
                 abs(kernels.kernel_nu(nu, z, w) - target)
                 for nu in (-0.9, -0.99, -0.999)
@@ -160,7 +160,7 @@ class TestWeightedDirichletKernel:
             z = HartogsPoint(math.sqrt(x) * t, t)
             w = HartogsPoint(math.sqrt(x) * t, t)
             lead = c_nu * t**-2 * (1.0 - x) ** (-(nu + 2.0))
-            val = kernels.weighted_dirichlet_kernel(nu, z, w)
+            val = kernels.kernel(nu, z, w)
             assert val.real == pytest.approx(lead, rel=5e-3 * t / 1e-4)
 
     def test_series_oracle(self):
@@ -168,7 +168,7 @@ class TestWeightedDirichletKernel:
         for nu in (-1.2, -1.5, -1.8):
             for _ in range(30):
                 z, w = random_point(rng), random_point(rng)
-                closed = kernels.weighted_dirichlet_kernel(nu, z, w)
+                closed = kernels.kernel(nu, z, w)
                 series = kernels.kernel_series(nu, z, w)
                 assert abs(closed - series) <= 1e-8 * max(abs(closed), 1.0)
 
@@ -190,8 +190,8 @@ class TestWeightedDirichletKernel:
         rng = np.random.default_rng(38)
         for _ in range(200):
             z, w = random_point(rng), random_point(rng)
-            a = kernels.weighted_dirichlet_kernel(-1.5, z, w)
-            b = kernels.weighted_dirichlet_kernel(-1.5, w, z)
+            a = kernels.kernel(-1.5, z, w)
+            b = kernels.kernel(-1.5, w, z)
             assert abs(a - b.conjugate()) <= 1e-12 * max(abs(a), 1.0)
 
 
@@ -202,19 +202,19 @@ class TestDirichletKernel:
         z = HartogsPoint(0.0, 0.6)
         y = z.z2 * w.z2.conjugate()
         expected = -cmath.log(1.0 - y) / y
-        assert kernels.dirichlet_kernel(z, w) == pytest.approx(expected, rel=1e-13)
+        assert kernels.kernel(-2.0, z, w) == pytest.approx(expected, rel=1e-13)
 
     def test_series_oracle(self):
         rng = np.random.default_rng(39)
         for _ in range(50):
             z, w = random_point(rng), random_point(rng)
-            closed = kernels.dirichlet_kernel(z, w)
+            closed = kernels.kernel(-2.0, z, w)
             series = kernels.kernel_series(-2.0, z, w)
             assert abs(closed - series) <= 1e-9 * max(abs(closed), 1.0)
 
     def test_diagonal_positive(self):
         q = HartogsPoint(0.1, 0.5)
-        val = kernels.dirichlet_kernel(q, q)
+        val = kernels.kernel(-2.0, q, q)
         assert abs(val.imag) < 1e-14 and val.real > 0.0
 
     def test_removable_singularity_series_branch(self):

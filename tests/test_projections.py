@@ -6,13 +6,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from hartogs import projections, quadrature
+from hartogs import cli, projections, quadrature
 from hartogs.coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, TorusSeries
 from hartogs.projections import (
+    CriticalRange,
     IntegrabilityError,
     blowup_scan,
     critical_range,
-    critical_range_unified,
     lp_norm_torus,
     project_bergman,
     project_szego,
@@ -217,6 +217,26 @@ class TestLpNorm:
         assert max(vals) - min(vals) <= 1e-12
 
 
+def floor_form_range(nu):
+    """The case-dispatched floor form of the range, a reference for the
+    ceiling form of ``critical_range``:
+
+    (i)   nu > 0, nu != 2n:  (2 - x/(2+nu-floor(nu/2)), 2 + x/(2+floor(nu/2))),
+          x = nu - 2 floor(nu/2);
+    (ii)  nu = 2n, n >= 0:   (2 - 2/(3+n), 2 + 2/(1+n));
+    (iii) -1 < nu < 0:       (2 - (2+nu)/(3+nu), 4 + nu).
+    """
+    nu = SpaceParam(nu).require("bergman", "floor_form_range").nu
+    n = round(0.5 * nu)
+    if nu == 2.0 * n:
+        return CriticalRange(2.0 - 2.0 / (3.0 + n), 2.0 + 2.0 / (1.0 + n))
+    if nu > 0.0:
+        fl = math.floor(0.5 * nu)
+        x = nu - 2.0 * fl
+        return CriticalRange(2.0 - x / (2.0 + nu - fl), 2.0 + x / (2.0 + fl))
+    return CriticalRange(2.0 - (2.0 + nu) / (3.0 + nu), 4.0 + nu)
+
+
 class TestCriticalRange:
     def test_spot_values(self):
         r = critical_range(0.0)
@@ -227,18 +247,16 @@ class TestCriticalRange:
         assert (r.p_minus, r.p_plus) == pytest.approx((1.4, 3.5), rel=1e-15)
 
     def test_unified_form_examples(self):
-        r = critical_range_unified(0.0)
-        assert (r.p_minus, r.p_plus) == pytest.approx((4.0 / 3.0, 4.0), rel=1e-15)
-        r = critical_range_unified(2.6)
+        r = critical_range(2.6)
         assert (r.p_minus, r.p_plus) == pytest.approx((11.0 / 6.0, 2.2), rel=1e-12)
-        case = critical_range(2.6)
+        case = floor_form_range(2.6)
         assert (case.p_minus, case.p_plus) == pytest.approx((r.p_minus, r.p_plus), rel=1e-13)
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(52)
         for _ in range(300):
             nu = float(rng.uniform(-0.99, 15.0))
-            r = critical_range_unified(nu)
+            r = critical_range(nu)
             assert 1.0 < r.p_minus < 2.0 < r.p_plus
             assert 1.0 / r.p_minus + 1.0 / r.p_plus == pytest.approx(1.0, rel=1e-12)
 
@@ -248,9 +266,18 @@ class TestCriticalRange:
             nu = float(rng.uniform(-0.999, 25.0))
             if abs(nu - 2.0 * round(nu / 2.0)) < 1e-9:
                 continue
-            a, b = critical_range(nu), critical_range_unified(nu)
+            a, b = floor_form_range(nu), critical_range(nu)
             assert abs(a.p_minus - b.p_minus) <= 1e-12
             assert abs(a.p_plus - b.p_plus) <= 1e-12
+
+    def test_cli_prints_the_floor_form_digits(self, capsys):
+        # every printed %.12f string of the ceiling form is the floor form's
+        rng = np.random.default_rng(55)
+        nus = [float(nu) for nu in rng.uniform(-1.0, 100.0, 500)] + [2.0 * n for n in range(31)]
+        for nu in nus:
+            assert cli.main(["critical-range", "--nu", repr(nu)]) == 0
+            ref = floor_form_range(nu)
+            assert capsys.readouterr().out == f"{ref.p_minus:.12f} {ref.p_plus:.12f}\n", nu
 
 
 class TestSchur:
@@ -278,7 +305,7 @@ class TestSchur:
         for _ in range(500):
             nu = float(rng.uniform(-0.9, 8.0))
             p = float(rng.uniform(1.05, 6.0))
-            r = critical_range_unified(nu)
+            r = critical_range(nu)
             if min(abs(p - r.p_minus), abs(p - r.p_plus)) < 1e-9:
                 continue
             assert (schur_feasible(nu, p) is not None) == (p in r)

@@ -44,6 +44,14 @@ class TestGammaRatio:
         # Gamma(9000)/Gamma(9001) would overflow termwise; the log route is fine
         assert gamma_ratio_signed([9000.0], [9001.0]) == pytest.approx(1.0 / 9000.0, rel=1e-11)
 
+    def test_ratio_beyond_the_double_range_is_a_domain_error(self):
+        # Gamma(171.5) is about 9.5e307, below the largest double 1.8e308
+        assert math.isfinite(gamma_ratio_signed([171.5], []))
+        with pytest.raises(DomainError, match="leaves the double range"):
+            gamma_ratio_signed([172.0], [])
+        with pytest.raises(DomainError, match="leaves the double range"):
+            gamma_ratio_signed([-0.5, 300.0], [])  # a negative ratio too
+
     def test_signed_ratio_matches_positive_route(self):
         # against the Gamma values themselves, which do not overflow here
         rng = np.random.default_rng(3)
