@@ -7,7 +7,9 @@ Run from the root of a checkout:
 The library is imported from the checkout's ``src/``.  The file holds:
 
 - ``layers_us``: the minimum over repeats of the microseconds per call of
-  the black-box quadrature paths, the Monte Carlo oracle, the one-point
+  the black-box quadrature paths, the Monte Carlo oracle alone and right
+  after a default-rule callable ``integrate_mu`` (so a slowdown that one
+  integral leaves to the next shows beside the lone call), the one-point
   kernel, the boundary-ratio profile of the kernel-estimate suite (its
   five nu over one set of samples), the torus sampling of the Szego
   suite, one series' work in its ratio study, the Szego FFT projection,
@@ -66,10 +68,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def best_us(fn, calls, repeats):
-    """Minimum over ``repeats`` of the mean microseconds per call of fn()."""
+def best_us(fn, calls, repeats, before=None):
+    """Minimum over ``repeats`` of the mean microseconds per call of fn(),
+    each repeat timed right after an untimed before() when it is given."""
     best = float("inf")
     for _ in range(repeats):
+        if before is not None:
+            before()
         start = time.perf_counter()
         for _ in range(calls):
             fn()
@@ -132,6 +137,12 @@ def layer_times():
     }
     layers = {name: us for name, (us, _) in black_box.items()}
     layers.update({
+        "quadrature.mc_integrate_mu.1e6_after_integrate_mu_64x65": best_us(
+            lambda: quadrature.mc_integrate_mu(0.7, gaussian, 1_000_000, 3),
+            1,
+            5,
+            before=lambda: quadrature.integrate_mu(0.7, gaussian, mu_rule),
+        ),
         "kernels.kernel.nu=0.7": best_us(lambda: kernels.kernel(0.7, z, w), 2000, 5),
         "kernels.kernel.nu=3.5": best_us(lambda: kernels.kernel(3.5, z, w), 2000, 5),
         "kernels.bound_ratio_profile.5nu_1e4_samples": best_us(

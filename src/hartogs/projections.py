@@ -99,17 +99,20 @@ def projection_self_test(nu):
     Runs at the snapped nu of :class:`SpaceParam` on a fixed corpus of
     mixed monomials: for each term the oracle coefficient is
     <term, e> / ||e||^2 with e the surviving basis monomial, both sides
-    by tensor quadrature on the 32 x 33 rule.
+    by tensor quadrature with 33 angles and the fewest radial nodes, at
+    least 32, that sum the corpus exactly.
     Raises VerificationFailure on a relative disagreement beyond 1e-7.
     """
     sp = SpaceParam(nu)
     nu = sp.nu
-    rule = quadrature.build_rule(sp, 32, 33)
-    for a, b, c, d in _SELF_TEST_TERMS:
+    terms = [(a, b, c, d) for a, b, c, d in _SELF_TEST_TERMS if sp.member(a - b, c - d)]
+    # <term, e> pulls back to u^a v^(a+c) times the rule's v^(1 + ceil(nu/2)),
+    # and ||e||^2 to no higher powers; n Gauss nodes are exact to degree 2n - 1
+    degree = max(a + c for a, _, c, _ in terms) + 1 + sp.ceil
+    rule = quadrature.build_rule(sp, max(32, degree // 2 + 1), 33)
+    for a, b, c, d in terms:
         term = MixedPoly({(a, b, c, d): 1.0})
         j, k = a - b, c - d
-        if not sp.member(j, k):
-            continue
         basis = LaurentCoeffs({(j, k): 1.0})
         num = quadrature.inner_product_quad(nu, term, basis, rule)
         den = quadrature.inner_product_quad(nu, basis, basis, rule).real

@@ -35,7 +35,9 @@ Threading: ``_each`` runs the chunks of a black-box integral on every CPU
 the process may use, concurrently and in any order, the calling thread
 among them.  Each chunk writes only its own slice of the result and the
 reductions run after the last chunk, so the value is bit for bit that of
-a serial loop.  A Monte Carlo chunk also draws its own samples, from its
+a serial loop.  Those reductions are numpy's, not BLAS's, so no OpenBLAS
+worker thread is left spinning on a CPU that the chunks of the next
+integral need.  A Monte Carlo chunk also draws its own samples, from its
 own generator spawned from the seed, so the draws run on every CPU too
 and the estimate does not depend on the number of threads.  A callable
 integrand must be thread-safe; a pure numpy function is.  A callable that
@@ -232,7 +234,11 @@ def _tensor_sum(fn, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, angula
     points.  The chunks run through ``_each``.  Values are broadcast to
     each chunk's grid, so an integrand that ignores a coordinate still
     sums over it.  Plain angular sums fill an (n1, n2) table, and the
-    radial weights come last: radial_w1 @ table @ radial_w2.
+    radial weights come last, by numpy products and reductions: the table
+    times radial_w2 summed along its rows, times radial_w1, summed.  No
+    BLAS call: OpenBLAS splits the complex vector-matrix product of the
+    default 64 x 64 table over two threads, whose worker stays busy after
+    the call and slows the next black-box integral.
     """
     m = angular
     e = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
@@ -249,7 +255,7 @@ def _tensor_sum(fn, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, angula
         return vals
 
     _each(chunk, range(0, n1, rows))
-    return complex(radial_w1 @ sums @ radial_w2) * (2.0 * np.pi / m) ** 2
+    return complex(((sums * radial_w2).sum(axis=1) * radial_w1).sum()) * (2.0 * np.pi / m) ** 2
 
 
 def _separable_sum(poly, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, angular, on_triangle):
@@ -396,6 +402,12 @@ def _is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_seed(seed):
+    """Refuse, with DomainError, a seed that is not a non-negative integer."""
+    if not _is_integer(seed) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def mc_integrate_mu(nu, integrand, sample_count, seed):
     """Monte Carlo importance-sampled integral against mu_nu.
 
@@ -418,8 +430,7 @@ def mc_integrate_mu(nu, integrand, sample_count, seed):
     """
     if not _is_integer(sample_count) or sample_count < 1000:
         raise DomainError(f"sample_count must be an integer of at least 1000, got {sample_count!r}")
-    if not _is_integer(seed) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_seed(seed)
     nu = SpaceParam(nu).require("bergman", "mc_integrate_mu").nu
     fn = _on_triangle(as_grid_fn(integrand))
     chunks = -(-sample_count // _MAX_BLOCK)

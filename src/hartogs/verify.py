@@ -664,12 +664,16 @@ SUITES = {
 
 
 def run_suite(name, seed=0, **kwargs):
+    """Run one suite; DomainError if ``seed`` is not a non-negative integer."""
+    quadrature._check_seed(seed)
     return SUITES[name](seed=seed, **kwargs)
 
 
 def run_all(seed=0):
     """Run every suite at its own documented bounds; returns the list of
-    results in registry order."""
+    results in registry order.  A seed that is not a non-negative integer
+    raises DomainError before any suite runs."""
+    quadrature._check_seed(seed)
     results = []
     for name in SUITES:
         try:

@@ -246,6 +246,16 @@ class TestProjectCommand:
         assert run_cli(capsys, "project", "--nu", "0.5", "--in", str(path)) == unset
         assert unset[0] == 0 and json.loads(unset[1])["terms"]
 
+    @pytest.mark.parametrize("nu", [300.0, 600.0])
+    def test_large_nu_passes_the_self_test(self, capsys, tmp_path, nu):
+        # the self-test's radial rule grows with nu, so it stays exact; P_nu conj(z2) = lam / z2
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"a": 0, "b": 0, "c": 0, "d": 1, "re": 1.0, "im": 0.0}]}))
+        code, out, err = run_cli(capsys, "project", "--nu", str(nu), "--in", str(path))
+        assert (code, err) == (0, "")
+        lam = (0.5 * nu + 1.0) / (1.5 * nu + 2.0)
+        assert json.loads(out)["terms"] == [{"im": 0.0, "j": 0, "k": -1, "re": pytest.approx(lam, rel=1e-10)}]
+
     def test_nu_beyond_the_double_range(self, capsys, tmp_path):
         # C_nu overflows a double from about nu = 800
         path = tmp_path / "f.json"

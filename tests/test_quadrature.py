@@ -349,7 +349,7 @@ def _serial_tensor_sum(fn, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2,
         w1 = radial_nodes_1[start : start + rows, None, None, None] * e[None, :, None, None]
         vals = np.broadcast_to(fn(w1, w2), np.broadcast(w1, w2).shape)
         sums[start : start + rows] = vals.sum(axis=(1, 3))
-    return complex(radial_w1 @ sums @ radial_w2) * (2.0 * np.pi / m) ** 2
+    return complex(((sums * radial_w2).sum(axis=1) * radial_w1).sum()) * (2.0 * np.pi / m) ** 2
 
 
 def _serial_mc(nu, fn, sample_count, seed):
@@ -401,6 +401,20 @@ class TestThreadedChunks:
         fn = TestTensorSum.INTEGRANDS[name]
         threaded = quadrature._tensor_sum(fn, r1, w1, r2, w2, m)
         assert repr(threaded) == repr(_serial_tensor_sum(fn, r1, w1, r2, w2, m))
+
+    @pytest.mark.parametrize("shape", [(64, 64, 65), (37, 16, 16)])
+    def test_tensor_sum_repr_identical_without_helper_threads(self, monkeypatch, shape):
+        """With the helper pool off the caller sums every chunk alone; the
+        default rule's 64 x 64 table and a non-square one give the same bits."""
+        n1, n2, m = shape
+        rng = np.random.default_rng([29, n1, n2, m])
+        r1, r2 = np.sort(rng.uniform(0.05, 0.95, size=n1)), np.sort(rng.uniform(0.05, 0.95, size=n2))
+        w1, w2 = rng.uniform(0.1, 1.0, size=n1), rng.uniform(0.1, 1.0, size=n2)
+        fn = TestTensorSum.INTEGRANDS["full complex"]
+        threaded = quadrature._tensor_sum(fn, r1, w1, r2, w2, m)
+        monkeypatch.setattr(quadrature, "_helper_threads", lambda: (None, 0))
+        alone = quadrature._tensor_sum(fn, r1, w1, r2, w2, m)
+        assert repr(alone) == repr(threaded) == repr(_serial_tensor_sum(fn, r1, w1, r2, w2, m))
 
     def test_mc_repr_identical_to_serial_loop(self):
         fn = lambda z1, z2: np.abs(z1) ** 2 * np.exp(-np.abs(z2)) + z1 * np.conj(z2)

@@ -10,6 +10,7 @@ import pytest
 from hartogs import cli, coeffspace, quadrature, verify
 from hartogs.coeffspace import LaurentCoeffs, MixedPoly, TorusSeries
 from hartogs.geometry import HartogsPoint, random_automorphism
+from hartogs.specfun import DomainError
 from hartogs.verify import (
     _REGIMES,
     _TAU_CENTER_CAP,
@@ -228,3 +229,24 @@ def test_suites_take_only_the_seed_and_what_a_verify_flag_sets():
     settable = {"seed", *cli._VERIFY_FLAGS.values()}
     for name, suite in verify.SUITES.items():
         assert set(inspect.signature(suite).parameters) <= settable, name
+
+
+class TestSeed:
+    """The library refuses a base seed that is not a non-negative integer
+    before any suite draws from it."""
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "0"])
+    def test_run_all_refuses_before_any_suite_runs(self, monkeypatch, seed):
+        ran = []
+        monkeypatch.setattr(verify, "SUITES", {name: lambda seed, name=name: ran.append(name) for name in verify.SUITES})
+        with pytest.raises(DomainError, match="non-negative integer"):
+            verify.run_all(seed)
+        assert ran == []
+
+    @pytest.mark.parametrize("name", sorted(verify.SUITES))
+    def test_run_suite_refuses_a_negative_seed(self, name):
+        with pytest.raises(DomainError, match="non-negative integer"):
+            verify.run_suite(name, seed=-1)
+
+    def test_numpy_integer_seed_is_taken(self):
+        assert verify.run_suite("critical-range", seed=np.int64(3)).passed
