@@ -12,7 +12,8 @@ The library is imported from the checkout's ``src/``.  The file holds:
   integral leaves to the next shows beside the lone call), the one-point
   kernel, the boundary-ratio profile of the kernel-estimate suite (its
   five nu over one set of samples), the torus sampling of the Szego
-  suite, one series' work in its ratio study, the Szego FFT projection,
+  suite, one sharp-norm witness ratio of it (N = 64, a 512 x 512 grid),
+  the Szego FFT projection,
   one signed Gamma ratio of a coefficient weight, the 2F1 on 128 points
   and one random point of the suites, and the microseconds per point of
   the kernel on a 128-pair batch;
@@ -111,7 +112,7 @@ def layer_times():
     rng = np.random.default_rng([0, 300])
     mod = 1.0 - 10.0 ** rng.uniform(-6.0, -0.3, size=10_000)
     ys = np.clip(mod, 0.0, 0.998) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=10_000))
-    # one degree-32 series of the Szego suite's ratio study
+    # a degree-32 series on the N = 133 grid of the torus sampling layer
     series = verify._random_torus(np.random.default_rng([0, 642]), 32, n_terms=16)
     # the seven Gamma arguments of the weight of z1^2 z2^-3 at nu = -1.5; the last is -0.25
     w_nu, j, k = -1.5, 2, -3
@@ -152,7 +153,7 @@ def layer_times():
         f"specfun.gauss_2f1.{BATCH}_points": best_us(lambda: specfun.gauss_2f1(hyp, y128), 2000, 5),
         "verify._random_point": best_us(lambda: verify._random_point(point_rng), 20000, 5),
         "verify._torus_samples.degree32_n133": best_us(lambda: verify._torus_samples(series, 133), 200, 5),
-        "verify.szego.ratio_study.degree32": best_us(lambda: verify._szego_ratios(series, 133, (1.5, 3.0)), 200, 5),
+        "verify.szego.witness.N=64": best_us(lambda: verify._szego_witness(1.5, 0.6, 64), 20, 5),
         "projections.project_szego_grid.N=133": best_us(lambda: projections.project_szego_grid(grid), 200, 5),
     })
     return layers, {name: faults for name, (_, faults) in black_box.items()}

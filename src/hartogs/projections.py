@@ -151,8 +151,7 @@ def project_szego_grid(samples):
         raise DomainError(f"expected a square grid, got shape {samples.shape}")
     n = samples.shape[0]
     freq = np.fft.fftfreq(n, d=1.0 / n)
-    jj, kk = np.meshgrid(freq, freq, indexing="ij")
-    return np.fft.ifft2(np.fft.fft2(samples) * _HARDY.member(jj, kk))
+    return np.fft.ifft2(np.fft.fft2(samples) * _HARDY.member(freq[:, None], freq[None, :]))
 
 
 def lp_norm_torus(p, samples):

@@ -406,24 +406,68 @@ def _torus_samples(f, n):
     return out
 
 
-def _szego_ratios(f, n, ps):
-    """The discrete ratios ||P_S f||_p / ||f||_p on the n x n torus grid,
-    one per p, with P_S f synthesized from the coefficient projection and
-    each grid's modulus taken once."""
-    numer = np.abs(_torus_samples(projections.project_szego(f), n))
-    denom = np.abs(_torus_samples(f, n))
-    return [projections.lp_norm_torus(p, numer) / projections.lp_norm_torus(p, denom) for p in ps]
+def _szego_by_conjugation(samples):
+    """P_S on an M x M grid through its conjugate P+ x P+.
+
+    g(z1, z2) = z2 f(z1 z2, z2) moves z1^j z2^k to z1^j z2^(j+k+1), so the
+    index set I_-1 of P_S becomes the quadrant of P+ x P+.  On the grid the
+    map is the index permutation (p, q) -> (p + q mod M, q) times z2.  The
+    Riesz mask is applied along each axis by 1-D FFTs, then the map is undone.
+    Exact for trigonometric polynomials of degree below M / 4.
+    """
+    m = samples.shape[0]
+    idx = np.arange(m)
+    p, q = idx[:, None], idx
+    twist = np.exp(2j * np.pi * idx / m)
+    g = samples[(p + q) % m, q] * twist
+    keep = np.fft.fftfreq(m, d=1.0 / m) >= 0
+    g = np.fft.ifft(np.fft.fft(g, axis=0) * keep[:, None], axis=0)
+    g = np.fft.ifft(np.fft.fft(g, axis=1) * keep, axis=1)
+    return g[(p - q) % m, q] / twist
+
+
+def _szego_witness(p, gamma, n):
+    """The ratios ||P f||_p / ||f||_p of the sharp witness of degree n, in one
+    variable (P = P+) and in two (P = P_S), on grids of M = 8n points a side.
+
+    F = ((1+z)/(1-z))^gamma truncated at degree n convolves the binomial
+    series of (1+z)^gamma and (1-z)^(-gamma).  f1 = F - cos(gamma pi) conj(F)
+    has P+ f1 = F - cos(gamma pi), and as n grows and gamma -> 1/p the ratio
+    tends to csc(pi/p).  The 2-D witness f = z2^-1 f1(z1/z2) f1(z2) is mapped
+    by the conjugation of ``_szego_by_conjugation`` to f1 x f1, so its ratio
+    is the 1-D ratio squared; grid entry (r, s) reads f1 at (r - s) mod M and s.
+    """
+    k = np.arange(n)
+    plus = np.cumprod(np.r_[1.0, (gamma - k) / (k + 1)])
+    minus = np.cumprod(np.r_[1.0, (gamma + k) / (k + 1)])
+    m = 8 * n
+    big_f = np.fft.ifft(np.convolve(plus, minus)[: n + 1], m) * m
+    shift = math.cos(gamma * math.pi)
+    f1 = big_f - shift * big_f.conj()
+    ratio_1d = (np.sum(np.abs(big_f - shift) ** p) / np.sum(np.abs(f1) ** p)) ** (1.0 / p)
+    # row r of the circulant is f1 reversed from index r: a strided view of two copies
+    doubled = np.concatenate([f1, f1])[::-1]
+    circulant = np.lib.stride_tricks.sliding_window_view(doubled, m)[m - 1 :: -1]
+    f = circulant * (f1 * np.exp(-2j * np.pi * np.arange(m) / m))
+    ratio_2d = projections.lp_norm_torus(p, projections.project_szego_grid(f)) / projections.lp_norm_torus(p, f)
+    return float(ratio_1d), ratio_2d
+
+
+# (p, gamma) of the witness rows: gamma just below 1/p keeps f1 in L^p
+_SZEGO_WITNESSES = ((1.5, 0.6), (3.0, 0.317))
 
 
 def suite_szego(seed=0):
-    """Idempotence, L^2 contraction, FFT/grid agreement and the bounded
-    p-norm ratio study across degrees.
+    """Idempotence, L^2 contraction, FFT/grid agreement and the sharp L^p norm.
 
-    The ratio study projects by coefficients (``_szego_ratios``): on a
-    grid of N > 2 * degree the FFT route gives the same samples to
-    rounding, at about six times the cost of synthesizing them.  The FFT
-    route stays checked by the "grid vs coefficients" rows below, and at
-    the study's grid sizes N = 37 and 133 by the tests.
+    g(z1, z2) = z2 f(z1 z2, z2) is an isometry of every L^p(T^2) that maps
+    I_-1 onto the quadrant, so P_S is conjugate to P+ x P+ and
+    ||P_S||_(p->p) = csc^2(pi/p), csc(pi/p) being the norm of the Riesz
+    projection P+ (Hollenbeck and Verbitsky, J. Funct. Anal. 175 (2000)).
+    One row checks the conjugation on the grid.  Each witness row prints
+    that bound against the 2-D ratio of ``_szego_witness``, which must be
+    the 1-D ratio squared (rel. 1e-12), lie in (1, csc^2(pi/p)) and rise
+    strictly with N.
     """
     res = SuiteResult("szego", True)
     rng = _rng(seed, 600)
@@ -442,26 +486,27 @@ def suite_szego(seed=0):
         via_grid = projections.project_szego_grid(_torus_samples(f, n))
         worst = max(worst, float(np.max(np.abs(direct - via_grid))))
     res.worst("grid vs coefficients", worst, 1e-11, "grid projection mismatch")
-    ps = (1.5, 3.0)
-    ratio_stats = {}
-    for degree in (8, 32):
-        n = 4 * degree + 5
-        worst_ratio = {p: 0.0 for p in ps}
-        rng_d = _rng(seed, 610 + degree)
-        for _ in range(200):
-            f = _random_torus(rng_d, degree, n_terms=16)
-            for p, ratio in zip(ps, _szego_ratios(f, n, ps)):
-                worst_ratio[p] = max(worst_ratio[p], ratio)
-        ratio_stats[degree] = worst_ratio
-        for p in ps:
-            res.rows.append(
-                (f"degree {degree} p={p} max ratio", 0.0, worst_ratio[p], 0.0, 0.0)
-            )
-    for p in ps:
-        res.check(
-            ratio_stats[32][p] <= 1.2 * ratio_stats[8][p],
-            f"p={p} ratio grew: {ratio_stats[32][p]:.4f} vs {ratio_stats[8][p]:.4f}",
-        )
+    rng = _rng(seed, 610)
+    worst = 0.0
+    for trial in range(10):
+        f = _random_torus(rng, 7)
+        while not 0 < len(projections.project_szego(f)) < len(f):
+            f = _random_torus(rng, 7)
+        samples = _torus_samples(f, 32)
+        gap = _szego_by_conjugation(samples) - projections.project_szego_grid(samples)
+        worst = max(worst, float(np.max(np.abs(gap))))
+    res.worst("conjugation to P+ x P+", worst, 1e-12, "conjugated projection mismatch")
+    for p, gamma in _SZEGO_WITNESSES:
+        bound = 1.0 / math.sin(math.pi / p) ** 2
+        ratios = []
+        for n in (16, 32, 64):
+            ratio_1d, ratio = _szego_witness(p, gamma, n)
+            res.row(f"witness p={p} gamma={gamma} N={n}", bound, ratio)
+            squared = ratio_1d**2
+            res.check(abs(ratio - squared) <= 1e-12 * squared, f"witness p={p} N={n}: {ratio!r} != {squared!r}")
+            res.check(1.0 < ratio < bound, f"witness p={p} N={n}: ratio {ratio:.6f} outside (1, {bound:.6f})")
+            ratios.append(ratio)
+        res.check(ratios[0] < ratios[1] < ratios[2], f"witness p={p}: ratios {ratios} do not rise with N")
     return res
 
 

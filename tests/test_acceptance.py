@@ -81,8 +81,9 @@ def test_criterion_08_projection():
 
 def test_criterion_09_szego():
     # idempotence and contraction exact; FFT grid agreement (1e-11);
-    # p-norm ratios at p = 1.5 and 3 over 200 random series do not grow
-    # from degree 8 to 32 (factor <= 1.2)
+    # P_S conjugate to P+ x P+ on the grid (1e-12); sharp-norm witnesses at
+    # p = 1.5 and 3, N = 16, 32, 64: 2-D ratio = 1-D ratio squared (1e-12),
+    # inside (1, csc^2(pi/p)) and rising with N
     _drive(9, "Szego projection", "szego")
 
 

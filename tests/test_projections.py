@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartogs import cli, projections, quadrature
 from hartogs.coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, TorusSeries
@@ -21,7 +23,7 @@ from hartogs.projections import (
     szego_multiplier,
 )
 from hartogs.specfun import DomainError
-from hartogs.verify import _random_torus, _szego_ratios, _torus_samples
+from hartogs.verify import _SZEGO_WITNESSES, _random_torus, _szego_by_conjugation, _szego_witness, _torus_samples
 
 
 class TestProjectBergman:
@@ -163,8 +165,9 @@ class TestSzegoGrid:
 
     @pytest.mark.parametrize("degree, n", [(8, 37), (32, 133)])
     def test_matches_coefficient_projection_at_the_ratio_study_sizes(self, degree, n):
-        """The szego suite's ratio-study shapes: 16-term series of degree 8
-        and 32 on grids of N = 37 and 133."""
+        """FFT route against the coefficient projection on 16-term series
+        of degree 8 and 32, on odd grids of N = 37 and 133 that barely
+        exceed 4 * degree."""
         rng = np.random.default_rng(53 + degree)
         for _ in range(5):
             f = _random_torus(rng, degree, n_terms=16)
@@ -172,18 +175,16 @@ class TestSzegoGrid:
             grid = project_szego_grid(self.samples(f, n))
             assert float(np.max(np.abs(direct - grid))) <= 1e-11
 
-    def test_ratio_study_matches_the_fft_route(self):
-        rng = np.random.default_rng(54)
+    @pytest.mark.parametrize("m", [32, 33, 48])
+    def test_conjugation_to_the_riesz_tensor_square(self, m):
+        """P_S through z2 f(z1 z2, z2), the Riesz mask on each axis and back
+        equals the 2-D FFT route for degree below M / 4."""
+        rng = np.random.default_rng(55 + m)
         for _ in range(5):
-            f = _random_torus(rng, 32, n_terms=16)
-            samples = _torus_samples(f, 133)
-            fft = [lp_norm_torus(p, project_szego_grid(samples)) / lp_norm_torus(p, samples) for p in (1.5, 3.0)]
-            np.testing.assert_allclose(_szego_ratios(f, 133, (1.5, 3.0)), fft, rtol=1e-13)
-
-    def test_ratio_study_of_an_all_rejected_series_is_zero(self):
-        f = TorusSeries({(-1, 3): 1.0, (0, -2): 2.0j, (-8, -8): 1.0 - 1.0j, (4, -6): 0.5})
-        assert len(project_szego(f)) == 0
-        assert _szego_ratios(f, 37, (1.5, 3.0)) == [0.0, 0.0]
+            f = _random_torus(rng, (m - 1) // 4, n_terms=16)
+            assert 0 < len(project_szego(f)) < len(f)
+            samples = _torus_samples(f, m)
+            assert float(np.max(np.abs(_szego_by_conjugation(samples) - project_szego_grid(samples)))) <= 1e-12
 
     def test_constant_grid_unchanged(self):
         grid = np.full((8, 8), 2.5 + 0.5j)
@@ -197,6 +198,42 @@ class TestSzegoGrid:
     def test_shape_validation(self):
         with pytest.raises(DomainError):
             project_szego_grid(np.zeros((4, 5)))
+
+
+# the 2-D witness ratios at M = 8N, N = 16, 32, 64, from an independent prototype
+_WITNESS_TABLE = {1.5: (1.074682, 1.087826, 1.099254), 3.0: (1.002851, 1.030340, 1.054407)}
+
+
+class TestSzegoSharpNorm:
+    @pytest.mark.parametrize("p, gamma", _SZEGO_WITNESSES)
+    def test_witness_ratio_is_the_one_variable_ratio_squared(self, p, gamma):
+        ratios = []
+        for n, expected in zip((16, 32, 64), _WITNESS_TABLE[p]):
+            ratio_1d, ratio = _szego_witness(p, gamma, n)
+            assert abs(ratio - ratio_1d**2) <= 1e-12 * ratio_1d**2
+            assert abs(ratio - expected) <= 5e-7
+            ratios.append(ratio)
+        assert 1.0 < ratios[0] < ratios[1] < ratios[2] < 1.0 / math.sin(math.pi / p) ** 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+            st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0),
+            min_size=1,
+            max_size=12,
+        ),
+        st.floats(1.1, 6.0, exclude_min=True),
+    )
+    def test_ratio_stays_under_the_sharp_norm(self, terms, drawn_p):
+        """||P_S f||_p <= csc^2(pi/p) ||f||_p for polynomials of degree 6 read
+        on a 64 x 64 grid; the tolerance, 1e-12 relative, covers the rounding
+        of the two sums."""
+        samples = _torus_samples(TorusSeries(terms), 64)
+        projected = project_szego_grid(samples)
+        for p in (1.5, 3.0, drawn_p):
+            bound = 1.0 / math.sin(math.pi / p) ** 2
+            assert lp_norm_torus(p, projected) <= bound * lp_norm_torus(p, samples) * (1.0 + 1e-12)
 
 
 class TestLpNorm:
