@@ -369,11 +369,15 @@ def integrate_tau(integrand, rule=None, automorphism=None):
         def pulled(w1, w2):
             return fn(w2 * disc_map(w1), c * w2)
 
+    _warn_if_support_leaks(pulled, rule.r1_nodes, rule.r2_nodes, rule.angular)
+    return _tensor_sum(pulled, *_tau_radial(rule), rule.angular)
+
+
+def _tau_radial(rule):
+    """(r1, W1, r2, W2): each radial axis of ``rule`` with its tau weights
+    r w (1-r^2)^(-2), for ``integrate_tau`` and the tau-invariance suite."""
     r1, r2 = rule.r1_nodes, rule.r2_nodes
-    w1_weights = rule.r1_weights * r1 * (1.0 - r1 * r1) ** -2
-    w2_weights = rule.r2_weights * r2 * (1.0 - r2 * r2) ** -2
-    _warn_if_support_leaks(pulled, r1, r2, rule.angular)
-    return _tensor_sum(pulled, r1, w1_weights, r2, w2_weights, rule.angular)
+    return r1, rule.r1_weights * r1 * (1.0 - r1 * r1) ** -2, r2, rule.r2_weights * r2 * (1.0 - r2 * r2) ** -2
 
 
 def _warn_if_support_leaks(fn, r1, r2, angular):

@@ -617,6 +617,21 @@ def suite_tsplit(seed=0, tol=1e-7, nus=(-0.5, 0.0, 1.0)):
     return res
 
 
+def _window(s, lo, hi):
+    """[(s - lo)(hi - s)]_+ / ((hi - lo)/2)^2: 1 at the centre of (lo, hi), 0 off it."""
+    return np.maximum((s - lo) * (hi - s), 0.0) / (0.5 * (hi - lo)) ** 2
+
+
+def _twelfth(t):
+    """t^12 by multiplication: t^3, squared twice."""
+    t = t * t * t
+    t = t * t
+    return t * t
+
+
+_BUMP_X, _BUMP_Y = (0.09, 0.3025), (0.25, 0.9)  # the bump's windows in |z1/z2|^2 and in |z2|
+
+
 def _bump(z1, z2):
     """Fixed compactly supported bump in pullback coordinates, documented
     for reproducibility: with x = |z1/z2|^2 and y = |z2|,
@@ -628,34 +643,22 @@ def _bump(z1, z2):
     0.25 < |z2| < 0.9 with C^11 contact at the edges (the flat-edge
     exponential bump defeats Gauss rules; a high-order power window
     reaches the same tolerances at a fraction of the nodes).
-
-    The full-size work runs in two buffers of the broadcast shape, with
-    the operations and operand order of the plain expression, so the
-    values are bit for bit those of the formula.  It never writes into
-    z1 or z2: without an automorphism ``integrate_tau`` hands every
-    thread the same z2 array.
     """
     r2 = z2.real**2 + z2.imag**2
-    y = np.sqrt(r2)
-    w2 = np.maximum((y - 0.25) * (0.9 - y), 0.0) / (0.5 * (0.9 - 0.25)) ** 2
-    shape = np.broadcast_shapes(np.shape(z1), np.shape(z2))
-    x = np.square(z1.real, out=np.empty(shape))
-    t = np.square(z1.imag, out=np.empty(shape))
-    x += t
-    x /= r2
-    # t = [(x - 0.09)(0.3025 - x)]_+ / 0.10625^2 * w2
-    np.subtract(x, 0.09, out=t)
-    np.subtract(0.3025, x, out=x)
-    t *= x
-    np.maximum(t, 0.0, out=t)
-    t /= (0.5 * (0.3025 - 0.09)) ** 2
-    t *= w2
-    # the 12th power by multiplication: t^3, t^6, t^12
-    np.multiply(t, t, out=x)
-    x *= t
-    x *= x
-    x *= x
-    return x
+    x = (z1.real**2 + z1.imag**2) / r2
+    return _twelfth(_window(x, *_BUMP_X) * _window(np.sqrt(r2), *_BUMP_Y))
+
+
+def _factored_tau_mass(rule, automorphism=None):
+    """``integrate_tau(_bump, rule, automorphism).real`` as the product
+    S1(phi) S2 (2 pi/m)^2 of ``suite_tau_invariance``; c drops out."""
+    r1, w1_weights, r2, w2_weights = quadrature._tau_radial(rule)
+    m = rule.angular
+    w1 = r1[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+    t = w1 if automorphism is None else automorphism.disc_map(w1)
+    s1 = (w1_weights[:, None] * _twelfth(_window(t.real**2 + t.imag**2, *_BUMP_X))).sum()
+    s2 = m * (w2_weights * _twelfth(_window(r2, *_BUMP_Y))).sum()
+    return float(s1 * s2) * (2.0 * np.pi / m) ** 2
 
 
 # Moebius centers are capped at 0.2 so that automorphism images of the
@@ -666,24 +669,31 @@ _TAU_R2_RANGE = (0.24, 0.91)
 
 
 def suite_tau_invariance(seed=0, tol=1e-6):
-    """The density K(z, z) dz is unchanged by every automorphism."""
+    """The tau mass of a bump is unchanged by every automorphism of H.
+
+    In (w1, w2) = (z1/z2, z2), tau is the product (1-|w1|^2)^-2 (1-|w2|^2)^-2 dw
+    of the disc-invariant densities, an automorphism is (phi(w1), c w2) and
+    the bump is b1(|w1|^2) b2(|w2|).  So on a rule of m angles and tau
+    weights W1, W2 the mass is S1(phi) S2 (2 pi/m)^2, S2 = m sum_r2 W2 b2(r2),
+    S1(phi) = sum_(r1, theta) W1 b1(|phi(r1 e^(i theta))|^2).  Two rows tie
+    it to the 4-D ``integrate_tau`` to 1e-12 relative, at the identity and
+    at automorphism 0; ``tol`` bounds the change over 20 automorphisms.
+    """
     res = SuiteResult("tau-invariance", True)
     # Moebius harmonics of the composed integrand decay like 0.2^n, so a
     # small angular grid suffices; radial resolution is the binding side.
     rule = quadrature.build_tau_rule(
-        radial_order=56,
-        angular_count=24,
-        shell_eps=0.05,
-        r1_range=_TAU_R1_RANGE,
-        r2_range=_TAU_R2_RANGE,
+        radial_order=56, angular_count=24, shell_eps=0.05, r1_range=_TAU_R1_RANGE, r2_range=_TAU_R2_RANGE
     )
-    base = quadrature.integrate_tau(_bump, rule).real
-    res.rows.append(("bump mass", base, base, 0.0, 0.0))
     rng = _rng(seed, 1000)
+    automorphisms = [random_automorphism(rng, max_center=_TAU_CENTER_CAP) for _ in range(20)]
+    for case, psi in (("bump mass", None), ("automorphism 0 tie", automorphisms[0])):
+        full = quadrature.integrate_tau(_bump, rule, automorphism=psi).real
+        res.row(case, _factored_tau_mass(rule, psi), full, 1e-12)  # one grid, two summation orders
+    base = _factored_tau_mass(rule)
     worst = 0.0
-    for idx in range(20):
-        psi = random_automorphism(rng, max_center=_TAU_CENTER_CAP)
-        moved = quadrature.integrate_tau(_bump, rule, automorphism=psi).real
+    for idx, psi in enumerate(automorphisms):
+        moved = _factored_tau_mass(rule, psi)
         worst = max(worst, abs(moved - base))
         res.row(f"automorphism {idx}", base, moved)
     res.check(worst <= tol, f"tau invariance discrepancy {worst:.2e}")

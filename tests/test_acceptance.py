@@ -108,5 +108,8 @@ def test_criterion_12_t_split_norms():
 
 
 def test_criterion_13_tau_invariance():
-    # automorphism invariance of K(z,z) dz within 1e-6 on 20 random maps
+    # automorphism invariance of the tau mass of a bump within 1e-6 on 20
+    # random maps, each mass a product of a w1-disc sum and a w2 sum;
+    # that product tied to the 4-D integrate_tau (1e-12) at the identity
+    # and at the first map
     _drive(13, "tau invariance", "tau-invariance")

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartogs import cli, coeffspace, quadrature, verify
 from hartogs.coeffspace import LaurentCoeffs, MixedPoly, TorusSeries
-from hartogs.geometry import HartogsPoint, random_automorphism
+from hartogs.geometry import DiscAutomorphism, HartogsAutomorphism, HartogsPoint, random_automorphism
 from hartogs.specfun import DomainError
 from hartogs.verify import (
     _REGIMES,
@@ -17,6 +19,7 @@ from hartogs.verify import (
     _TAU_R1_RANGE,
     _TAU_R2_RANGE,
     _bump,
+    _factored_tau_mass,
     _random_laurent,
     _random_mixed,
     _random_point,
@@ -206,6 +209,55 @@ class TestBump:
             psi = random_automorphism(np.random.default_rng(seed), max_center=_TAU_CENTER_CAP)
             got = quadrature.integrate_tau(_bump, rule, automorphism=psi)
             assert repr(got) == repr(quadrature.integrate_tau(plain_bump, rule, automorphism=psi))
+
+
+def suite_tau_rule():
+    return quadrature.build_tau_rule(
+        radial_order=56, angular_count=24, shell_eps=0.05, r1_range=_TAU_R1_RANGE, r2_range=_TAU_R2_RANGE
+    )
+
+
+class TestFactoredTau:
+    """The tau-invariance suite's product of two disc sums against the
+    black-box 4-D sum of ``integrate_tau`` on the same rule: the same
+    grid summed in another order, so 1e-12 relative."""
+
+    @staticmethod
+    def assert_ties(rule, psi):
+        full = quadrature.integrate_tau(_bump, rule, automorphism=psi).real
+        assert _factored_tau_mass(rule, psi) == pytest.approx(full, rel=1e-12, abs=0.0)
+
+    def test_identity(self):
+        rule = suite_tau_rule()
+        self.assert_ties(rule, None)
+        self.assert_ties(rule, HartogsAutomorphism(DiscAutomorphism(0.0j, 1.0), 1.0))
+
+    def test_pure_rotation(self):
+        self.assert_ties(suite_tau_rule(), HartogsAutomorphism(DiscAutomorphism(0.0j, np.exp(0.9j)), np.exp(0.4j)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_automorphism(self, seed):
+        psi = random_automorphism(np.random.default_rng([seed, 27]), max_center=_TAU_CENTER_CAP)
+        self.assert_ties(suite_tau_rule(), psi)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.floats(0.0, _TAU_CENTER_CAP),
+        st.floats(0.0, 2.0 * math.pi),
+        st.floats(0.0, 2.0 * math.pi),
+        st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_any_automorphism_in_the_cap(self, radius, center_angle, lam_angle, c_angle):
+        psi = HartogsAutomorphism(
+            DiscAutomorphism(radius * cmath.exp(1j * center_angle), cmath.exp(1j * lam_angle)), cmath.exp(1j * c_angle)
+        )
+        self.assert_ties(suite_tau_rule(), psi)
+
+    def test_suite_fails_when_the_factored_route_skips_the_disc_map(self, monkeypatch):
+        factored = verify._factored_tau_mass
+        monkeypatch.setattr(verify, "_factored_tau_mass", lambda rule, automorphism=None: factored(rule))
+        res = verify.run_suite("tau-invariance", seed=0)
+        assert not res.passed and "automorphism 0 tie" in res.message
 
 
 class TestTorusSamples:
