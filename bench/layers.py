@@ -15,10 +15,11 @@ The library is imported from the checkout's ``src/``.  The file holds:
   suite, one sharp-norm witness ratio of it (N = 64, a 512 x 512 grid),
   the Szego FFT projection,
   one signed Gamma ratio of a coefficient weight, the 2F1 on 128 points,
-  one random point of the suites and one factored automorphism row of the
+  one random point of the suites, one factored automorphism row of the
   tau-invariance suite (its two disc sums on the suite's rule, beside the
-  full-grid ``integrate_tau`` of the same automorphism), and the
-  microseconds per point of the kernel on a 128-pair batch;
+  full-grid ``integrate_tau`` of the same automorphism), the isometry rows
+  of one nu (10 draws at nu = -1.5, each read by a 16 x 16 FFT of its
+  values), and the microseconds per point of the kernel on a 128-pair batch;
 - ``layers_minflt_per_call``: beside each black-box quadrature layer, the
   minor page faults of this process per call over all its repeats.  A
   layer that faults far more than usual is timed in another allocator
@@ -155,6 +156,11 @@ def layer_times():
         f"specfun.gauss_2f1.{BATCH}_points": best_us(lambda: specfun.gauss_2f1(hyp, y128), 2000, 5),
         "verify._random_point": best_us(lambda: verify._random_point(point_rng), 20000, 5),
         "verify.tau-invariance.factored_row": best_us(lambda: verify._factored_tau_mass(tau_rule, psi), 200, 5),
+        "verify.isometries.fft_rows": best_us(
+            lambda: verify._isometry_rows(verify.SuiteResult("isometries", True), np.random.default_rng([0, 802]), -1.5, 1),
+            50,
+            5,
+        ),
         "verify._torus_samples.degree32_n133": best_us(lambda: verify._torus_samples(series, 133), 200, 5),
         "verify.szego.witness.N=64": best_us(lambda: verify._szego_witness(1.5, 0.6, 64), 20, 5),
         "projections.project_szego_grid.N=133": best_us(lambda: projections.project_szego_grid(grid), 200, 5),

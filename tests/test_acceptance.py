@@ -94,8 +94,9 @@ def test_criterion_10_hardy_limit():
 
 
 def test_criterion_11_isometries():
-    # exact norm equality (1e-15) on 100 random inputs per isometry;
-    # pullback norm vs quadrature (1e-8) at nu = -0.5, 0, 1; image
+    # map and norm read by a 2-D FFT of function values (1e-13) on 10
+    # random inputs at each of nu = -2, -1.9, -1.5, -1.2, -1; exact round
+    # trips; pullback norm vs quadrature (1e-8) at nu = -0.5, 0, 1; image
     # support for nu <= 0
     _drive(11, "bidisc isometries", "isometries")
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs import cli, coeffspace, quadrature, verify
+from hartogs import cli, coeffspace, isometries, quadrature, verify
 from hartogs.coeffspace import LaurentCoeffs, MixedPoly, TorusSeries
 from hartogs.geometry import DiscAutomorphism, HartogsAutomorphism, HartogsPoint, random_automorphism
 from hartogs.specfun import DomainError
@@ -37,7 +37,7 @@ def three_call_point(rng, r2_range=(0.25, 0.9), ratio_max=0.85):
     return HartogsPoint(ratio * z2 * cmath.exp(1j * ang1), z2)
 
 
-def member_per_candidate_laurent(rng, nu, n_terms=6, jmax=4, kmax=4, normalize=True):
+def member_per_candidate_laurent(rng, nu, n_terms=6, jmax=4, kmax=4):
     """_random_laurent building a SpaceParam for each candidate: the
     reference for the hoisted SpaceParam."""
     terms = {}
@@ -47,10 +47,8 @@ def member_per_candidate_laurent(rng, nu, n_terms=6, jmax=4, kmax=4, normalize=T
         k = int(rng.integers(max(kmin_base - j, -jmax - 4), kmax + 1))
         if coeffspace.SpaceParam(nu).member(j, k):
             terms[(j, k)] = complex(rng.normal(), rng.normal())
-    if normalize:
-        scale = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
-        terms = {key: a / scale for key, a in terms.items()}
-    return LaurentCoeffs(terms)
+    scale = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
+    return LaurentCoeffs({key: a / scale for key, a in terms.items()})
 
 
 def member_per_candidate_mixed(rng, nu, n_terms=4, max_exp=3):
@@ -97,7 +95,7 @@ class TestRandomPolynomials:
     @pytest.mark.parametrize("nu", _REGIMES + (-1.0 + 1e-4, 1.0))
     @pytest.mark.parametrize("seed", [0, 7])
     def test_laurent_equals_the_per_candidate_reference(self, nu, seed):
-        for kwargs in ({}, {"n_terms": 5}, {"n_terms": 6, "jmax": 6, "kmax": 6}, {"normalize": False}):
+        for kwargs in ({}, {"n_terms": 5}, {"n_terms": 6, "jmax": 6, "kmax": 6}):
             got_rng, ref_rng = np.random.default_rng([seed, 200]), np.random.default_rng([seed, 200])
             for _ in range(10):
                 got = _random_laurent(got_rng, nu, **kwargs)
@@ -275,6 +273,50 @@ class TestTorusSamples:
 
     def test_empty_series_is_zero(self):
         assert np.all(_torus_samples(TorusSeries({}), 7) == 0.0)
+
+
+def shift_w2(g, by):
+    """g times w2^by, on its coefficients."""
+    return LaurentCoeffs({(j, k + by): a for (j, k), a in g.items()})
+
+
+class TestIsometryRows:
+    """The isometry suite reads w2^s f(w1 w2, w2) from its values on the torus:
+    a map row per nu ties those coefficients to ``to_bidisc``, a norm row ties
+    their bidisc weight to the norm of f."""
+
+    def test_map_row_catches_s_0_at_nu_minus_1_where_the_norm_cannot(self, monkeypatch):
+        # both maps with s = 0 at nu = -1: their round trip holds, and |w2| = 1
+        # on the torus, so the norm row cannot see the missing factor w2
+        to_bidisc, from_bidisc = isometries.to_bidisc, isometries.from_bidisc
+        monkeypatch.setattr(
+            isometries, "to_bidisc", lambda nu, f: shift_w2(to_bidisc(nu, f), -1) if nu == -1.0 else to_bidisc(nu, f)
+        )
+        monkeypatch.setattr(
+            isometries, "from_bidisc", lambda nu, g: from_bidisc(nu, shift_w2(g, 1)) if nu == -1.0 else from_bidisc(nu, g)
+        )
+        res = verify.run_suite("isometries", seed=0)
+        assert not res.passed and "nu=-1.0 map from values" in res.message
+        assert "norm from values" not in res.message
+        worst = {case: err for case, _, err, _, _ in res.rows}
+        assert worst["nu=-1.0 norm from values"] <= 1e-13
+
+    def test_norm_row_catches_s_0_at_nu_minus_1_5(self, monkeypatch):
+        # f o Phi without the factor w2 is no isometry of the weighted Dirichlet space
+        cases = tuple((nu, 0 if nu == -1.5 else s) for nu, s in verify._ISOMETRY_CASES)
+        monkeypatch.setattr(verify, "_ISOMETRY_CASES", cases)
+        res = verify.run_suite("isometries", seed=0)
+        assert not res.passed and "nu=-1.5 norm from values" in res.message
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(-2.0, -1.0, exclude_min=True), st.integers(0, 2**32 - 1))
+    def test_any_nu_from_minus_2_to_minus_1(self, nu, seed):
+        # exact round trips, map and norm from values within 1e-13; nu within
+        # 1e-12 of -2 is the Dirichlet space, s = 0
+        res = verify.SuiteResult("isometries", True)
+        s = 0 if coeffspace.SpaceParam(nu).kind == "dirichlet" else 1
+        verify._isometry_rows(res, np.random.default_rng(seed), nu, s)
+        assert res.passed, res.message
 
 
 def test_suites_take_only_the_seed_and_what_a_verify_flag_sets():
