@@ -11,7 +11,8 @@ The library is imported from the checkout's ``src/``.  The file holds:
   after a default-rule callable ``integrate_mu`` (so a slowdown that one
   integral leaves to the next shows beside the lone call), the one-point
   kernel, the boundary-ratio profile of the kernel-estimate suite (its
-  five nu over one set of samples), the torus sampling of the Szego
+  five nu over one set of samples) and its majorant constant C* at the
+  same five nu, the series oracle on one pair, the torus sampling of the Szego
   suite, one sharp-norm witness ratio of it (N = 64, a 512 x 512 grid),
   the Szego FFT projection,
   one signed Gamma ratio of a coefficient weight, the 2F1 on 128 points,
@@ -152,6 +153,10 @@ def layer_times():
         "kernels.bound_ratio_profile.5nu_1e4_samples": best_us(
             lambda: [kernels.bound_ratio_profile(nu, ys) for nu in (-1.5, -0.5, 0.7, 1.3, 3.5)], 1, 5
         ),
+        "kernels.bound_constant.5nu": best_us(
+            lambda: [kernels.bound_constant(nu) for nu in (-1.5, -0.5, 0.7, 1.3, 3.5)], 20, 5
+        ),
+        "kernels.kernel_series.one_pair.nu=0.7": best_us(lambda: kernels.kernel_series(0.7, z, w), 500, 5),
         "specfun.gamma_ratio_signed.weight_7_args": best_us(lambda: specfun.gamma_ratio_signed(*weight_args), 20000, 5),
         f"specfun.gauss_2f1.{BATCH}_points": best_us(lambda: specfun.gauss_2f1(hyp, y128), 2000, 5),
         "verify._random_point": best_us(lambda: verify._random_point(point_rng), 20000, 5),

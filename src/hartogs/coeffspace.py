@@ -33,7 +33,6 @@ __all__ = [
     "split_f123",
     "t_norm_sq",
     "star_norm",
-    "evaluate",
 ]
 
 
@@ -364,13 +363,8 @@ def star_norm(nu, f):
     return total
 
 
-def evaluate(f, q):
-    """Value of a Laurent polynomial at a point of the triangle."""
-    return evaluate_grid(f, complex(q.z1), complex(q.z2))
-
-
 def evaluate_grid(f, z1, z2):
-    """Vectorized Laurent evaluation on numpy arrays (used by quadrature)."""
+    """Laurent evaluation at scalar coordinates or elementwise over numpy arrays."""
     total = 0.0
     for (j, k), a in f.items():
         total = total + a * z1**j * z2**k

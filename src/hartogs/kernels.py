@@ -33,11 +33,12 @@ y axis the error is instead at most 1e-14 |a_nu| |y|^(-1-ceil(nu/2))
 |1-x|^(-(nu+2)).
 
 Alongside the closed forms the module carries brute-force basis-series
-oracles (per pair, sharing no code with the batched bodies), the Laurent
-coefficients of each kernel read off its closed form (the reciprocals of
-the monomial weights ``SpaceParam.weight``, reached by another route), and
-the boundary-estimate checker with its profile in y (one 2F1 call) and its
-derived majorant constant.
+oracles (per pair or batch, sharing no code with the closed-form bodies),
+the Laurent coefficients of each kernel read off its closed form (the
+reciprocals of the monomial weights ``SpaceParam.weight``, reached by
+another route), and the boundary-estimate checker with its profile in y
+(one 2F1 call) and its majorant constant, summed exactly by Gauss's
+theorem.
 """
 
 import math
@@ -46,6 +47,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .coeffspace import SNAP_TOL, SpaceParam, _space
+from .quadrature import _MAX_BLOCK
 from .specfun import DomainError, HypergeometricParams, gamma_ratio_signed, gauss_2f1
 
 __all__ = [
@@ -264,47 +266,54 @@ def kernel_coeff_closed(nu, j, k):
     gam = 0.5 * nu - c + 1.0
     front = prefactor_a(sp)
     n = j + k + 1 + c
-    binom = 1.0
-    for i in range(j):
-        binom *= (nu + 2.0 + i) / (i + 1.0)
-    ratio = 1.0
-    for i in range(n):
-        ratio *= (alpha + i) / (gam + i)
+    binom = math.prod((nu + 2.0 + i) / (i + 1.0) for i in range(j))
+    ratio = math.prod((alpha + i) / (gam + i) for i in range(n))
     return front * binom * ratio
 
 
 def _series_extent(q, growth, tol):
-    """Smallest N with q^N (N+1)^growth / (1-q)^2 below tol."""
-    if q <= 0.0:
-        return 8
-    n = max(8, int(math.log(tol * (1.0 - q) ** 2) / math.log(q)))
-    while q**n * (n + 1.0) ** growth / (1.0 - q) ** 2 > tol and n < 5000:
-        n += max(8, n // 8)
-    if n >= 5000:
-        raise DomainError(f"series truncation too deep for q = {q}")
+    """Per entry of q, as an int array: the first N from max(8, log(tol (1-q)^2) / log q)
+    on, in steps of max(8, N // 8), with q^N (N+1)^growth / (1-q)^2 below tol."""
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    n = np.maximum(8, (np.log(tol * (1.0 - q) ** 2) / np.log(q)).astype(int))
+    while (short := (q**n * (n + 1.0) ** growth / (1.0 - q) ** 2 > tol) & (n < 5000)).any():
+        n = n + short * np.maximum(8, n // 8)
+    if (n >= 5000).any():
+        raise DomainError(f"series truncation too deep for q = {q[np.argmax(n >= 5000)]}")
     return n
+
+
+def _power_sum(t, first, depth, coeffs):
+    """sum_(i < depth) coeffs_i first t^i per entry of t in np.clongdouble: a running
+    product along a row of factors first, t, t, ..., ended by a 0 at the depth."""
+    table = np.repeat(t.astype(np.clongdouble)[:, None], coeffs.size, axis=1)
+    table[:, 0] = first
+    cut = (depth < coeffs.size).nonzero()[0]
+    table[cut, depth[cut]] = 0.0
+    return np.cumprod(table, axis=1, out=table) @ coeffs
 
 
 def kernel_series(nu, z, w):
     """Brute-force kernel value: truncated sum of basis terms over I_nu.
 
-    Independent oracle for the closed forms; truncation is driven by the
-    geometric tail bound in q = max(|x|, |y|) with a polynomial-growth
-    allowance for the coefficients, cut below 1e-12.  The table is rank one
-    in (j, m = j + k), front * a_j * b_m, so the sum is a product of two
-    power series; their terms cancel by up to nine digits near the
+    Independent oracle for the closed forms, sharing no arithmetic with them,
+    for a single pair (a complex) or batches (an array of their broadcast
+    shape).  Each pair keeps its own truncation, the geometric tail bound in
+    q = max(|x|, |y|) < 1 with a polynomial-growth allowance, cut below 1e-12.
+    The table is rank one in (j, m = j + k), front * a_j * b_m: a product of
+    two power series, whose terms cancel by up to nine digits near the
     boundary, so both are summed in np.longdouble (80-bit on x86-64 Linux;
-    where it is plain double the oracle holds about 1e-12 instead of 1e-15
-    at nu = 3.5).
-    """
+    as plain double, about 1e-12 instead of 1e-15 at nu = 3.5) over power
+    tables of at most about _MAX_BLOCK entries."""
     sp = _degenerate_check(SpaceParam(nu))
     nu = sp.nu
-    x, y = _xy(z, w)
-    q = max(abs(x), abs(y))
-    if q >= 1.0:
-        raise DomainError("kernel series needs |x|, |y| < 1")
-    growth = max(nu + 1.0, 0.0) + 0.5
-    n = _series_extent(q, 2.0 * growth, 1e-12)
+    x, y = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in _xy(z, w)))
+    shape, x, y = x.shape, x.ravel(), y.ravel()
+    q = np.maximum(np.abs(x), np.abs(y))
+    if (outside := ~(q < 1.0)).any():
+        raise DomainError(f"kernel series needs |x|, |y| < 1, entry {np.argmax(outside)} has {q[outside][0]:g}")
+    extent = _series_extent(q, 2.0 * max(nu + 1.0, 0.0) + 1.0, 1e-12)
+    n = int(extent.max(initial=8))  # 8 for an empty batch
     m_min = -1 - sp.ceil
     jj = np.arange(0, n, dtype=np.longdouble)
     mm = np.arange(m_min, m_min + 2 * n, dtype=np.longdouble)
@@ -318,9 +327,14 @@ def kernel_series(nu, z, w):
         front = gamma_ratio_signed(
             [0.5 * nu + 2.0, m_min + 1.5 * nu + 3.0], [1.5 * nu + 3.0, m_min + 0.5 * nu + 2.0]
         )
-    sum_x = a_j @ np.clongdouble(x) ** np.arange(0, n)
-    sum_y = b_m @ np.clongdouble(y) ** np.arange(m_min, m_min + 2 * n)
-    return complex(front * sum_x * sum_y)
+    val = np.empty(x.size, dtype=complex)
+    step = _MAX_BLOCK // (2 * n)  # rows per block of tables, each as wide as its deepest pair needs
+    for rows in (slice(s, s + step) for s in range(0, x.size, step)):
+        width = int(extent[rows].max())
+        sum_x = _power_sum(x[rows], 1.0, extent[rows], a_j[:width])
+        sum_y = _power_sum(y[rows], y[rows].astype(np.clongdouble) ** m_min, 2 * extent[rows], b_m[: 2 * width])
+        val[rows] = front * sum_x * sum_y
+    return _result(val, shape)
 
 
 def kernel_nu_series_k(nu, z, w):
@@ -334,8 +348,7 @@ def kernel_nu_series_k(nu, z, w):
     sp = SpaceParam(nu).require("bergman", "kernel_nu_series_k")
     nu = sp.nu
     x, y = _xy(z, w)
-    q = abs(y)
-    n = _series_extent(q, 2.0 * max(nu + 1.0, 0.0) + 0.5, 1e-12)
+    n = int(_series_extent(abs(y), 2.0 * max(nu + 1.0, 0.0) + 0.5, 1e-12)[0])
     k0 = 1 - sp.ceil
     kk = np.arange(k0, k0 + n, dtype=float)
     logc = gammaln(kk + 1.5 * nu + 1.0) - gammaln(kk + 0.5 * nu)
@@ -363,33 +376,23 @@ def kernel_bound_ratio(nu, z, w):
     return val * abs(y) ** (1 + c) * abs(1.0 - x) ** (nu + 2.0) * abs(1.0 - y) ** (nu + 2.0)
 
 
-def _euler_coeffs(sp, n_terms):
-    """Taylor coefficients of F(-nu-1, b; b+1; y), b = nu/2 - ceil(nu/2).
-
-    This is the Euler transform of the kernel's hypergeometric factor;
-    its coefficient l^1 norm is finite for nu > -2 and majorizes the
-    boundary ratio.
-    """
-    b = 0.5 * sp.nu - sp.ceil
-    a = -sp.nu - 1.0
-    n = np.arange(0, n_terms, dtype=float)
-    ratios = np.ones(n_terms)
-    ratios[1:] = (a + n[:-1]) * (b + n[:-1]) / ((b + 1.0 + n[:-1]) * (1.0 + n[:-1]))
-    return np.cumprod(ratios)
-
-
 def bound_constant(nu):
-    """The majorant C*(nu) = |a_nu| sum_n |c_n| over the first 200,000 Euler
-    coefficients, padded with an integral-comparison tail allowance so the
-    returned value upper-bounds the full sum (terms decay like
-    n^(-(nu+2)-1))."""
+    """The majorant C*(nu) = |a_nu| sum_n |c_n|, exact, not padded: c_n are
+    the Taylor coefficients of F(-nu-1, b; b+1; y), b = nu/2 - ceil(nu/2),
+    the Euler transform of the kernel's 2F1.  c_(n+1)/c_n =
+    (n-nu-1)(b+n)/((b+1+n)(n+1)) >= 0 once n >= max(1, nu+1) = N, so the
+    tail from N is |F(1) - sum_(n<N) c_n|, F(1) = Gamma(b+1) Gamma(nu+2) /
+    Gamma(b+nu+2) by Gauss's theorem (DLMF 15.4.20; nu > -2)."""
     sp = SpaceParam(nu)
     if sp.kind == "dirichlet":
         raise DomainError(f"bound_constant requires nu > -2, got {nu}")
-    n_terms = 200_000
-    coeffs = np.abs(_euler_coeffs(sp, n_terms))
-    tail = coeffs[-1] * n_terms / (sp.nu + 2.0) * 1.5
-    return abs(prefactor_a(sp)) * (float(np.sum(coeffs)) + tail)
+    nu, b = sp.nu, 0.5 * sp.nu - sp.ceil
+    c, head, signed = 1.0, 0.0, 0.0
+    for n in range(max(1, math.ceil(nu + 1.0))):
+        head, signed = head + abs(c), signed + c
+        c *= (n - nu - 1.0) * (b + n) / ((b + 1.0 + n) * (n + 1.0))
+    gauss = gamma_ratio_signed([b + 1.0, nu + 2.0], [b + nu + 2.0])
+    return abs(prefactor_a(sp)) * (head + abs(gauss - signed))
 
 
 # Largest even nu up to which bound_ratio_profile held 1e-12 relative against

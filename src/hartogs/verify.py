@@ -71,7 +71,8 @@ def _random_point(rng, r2_range=(0.25, 0.9), ratio_max=0.85):
     low + (high - low) u, so the point equals the one drawn by
     ``uniform(*r2_range)``, ``uniform(0, 1)`` and ``uniform(0, 2 pi, 2)``.
     The draws are Python floats: numpy complex scalars round the later
-    products z2 conj(w2) differently from Python complex.
+    products z2 conj(w2) differently from Python complex (``_random_coords``
+    is the array form, for the reproducing suite).
     """
     u_rho, u_ratio, u_ang1, u_ang2 = rng.random(4).tolist()
     lo, hi = r2_range
@@ -81,12 +82,20 @@ def _random_point(rng, r2_range=(0.25, 0.9), ratio_max=0.85):
     return HartogsPoint(ratio * z2 * cmath.exp(1j * (2.0 * math.pi * u_ang1)), z2)
 
 
+def _random_coords(rng, count, r2_range, ratio_max):
+    """z1, z2 of count ``_random_point`` draws as complex arrays: the same uniforms
+    in the same order, read by one rng.random(4 count) call, and the same map."""
+    u_rho, u_ratio, u_ang1, u_ang2 = rng.random(4 * count).reshape(count, 4).T
+    lo, hi = r2_range
+    z2 = (lo + (hi - lo) * u_rho) * np.exp(1j * (2.0 * math.pi * u_ang2))
+    return np.sqrt(u_ratio) * ratio_max * z2 * np.exp(1j * (2.0 * math.pi * u_ang1)), z2
+
+
 def _random_pairs(rng, count):
-    """count pairs (z, w) of _random_point draws, z then w, as a list of
-    single points and as the two batched points of the same pairs."""
+    """count pairs (z, w) of _random_point draws, z then w, as two batched points."""
     pairs = [(_random_point(rng), _random_point(rng)) for _ in range(count)]
     z1, z2, w1, w2 = np.array([(z.z1, z.z2, w.z1, w.z2) for z, w in pairs], dtype=complex).T
-    return pairs, HartogsPoint(z1, z2), HartogsPoint(w1, w2)
+    return HartogsPoint(z1, z2), HartogsPoint(w1, w2)
 
 
 def _random_laurent(rng, nu, n_terms=6, jmax=4, kmax=4):
@@ -163,17 +172,13 @@ _REGIMES = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.7, 2.0, 3.5)
 
 
 def suite_kernel_agreement(seed=0, tol=1e-8, nus=_REGIMES):
-    """Closed kernels against the brute-force basis series, all regimes.
-
-    The closed form is one batched call per nu; the series oracle is
-    summed pair by pair.
-    """
+    """Closed kernels against the brute-force basis series, all regimes, one batched call each per nu."""
     res = SuiteResult("kernel-agreement", True)
     for nu in nus:
         rng = _rng(seed, 101 + _REGIMES.index(nu) if nu in _REGIMES else 100)
-        singles, z, w = _random_pairs(rng, 100)
+        z, w = _random_pairs(rng, 100)
         closed = kernels.kernel(nu, z, w)
-        series = np.array([kernels.kernel_series(nu, zi, wi) for zi, wi in singles])
+        series = kernels.kernel_series(nu, z, w)
         worst = float(np.max(np.abs(closed - series) / np.maximum(np.abs(closed), 1e-300)))
         res.worst(f"nu={nu} worst pair", worst, tol, f"kernel series mismatch at nu={nu}")
         if coeffspace.SpaceParam(nu).kind == "bergman":
@@ -189,7 +194,7 @@ def suite_kernel_agreement(seed=0, tol=1e-8, nus=_REGIMES):
     rng = _rng(seed, 160)
     for n in (0, 1, 2):
         nu = 2.0 * n
-        _, z, w = _random_pairs(rng, 40)
+        z, w = _random_pairs(rng, 40)
         y = z.z2 * w.z2.conj()
         x = z.z1 * w.z1.conj() / y
         reduced = (
@@ -218,17 +223,15 @@ def suite_reproducing(seed=0, tol=1e-8, nus=_REGIMES):
         worst = 0.0
         for _ in range(20):
             f = _random_laurent(rng, nu)
-            # weight * a and the kernel's coefficient depend on f alone
-            terms = [(j, k, space.weight(j, k) * a, kernels.kernel_coeff_closed(space, j, k)) for (j, k), a in f.items()]
-            for _ in range(20):
-                w = _random_point(rng, r2_range=(0.3, 0.8), ratio_max=0.8)
-                inner = 0.0j
-                for j, k, weighted, coeff in terms:
-                    # Laurent coefficient of K(., w) at (j, k)
-                    kern = coeff * (w.z1**j * w.z2**k).conjugate()
-                    inner += weighted * kern.conjugate()
-                direct = coeffspace.evaluate(f, w)
-                worst = max(worst, abs(inner - direct) / max(abs(direct), 1.0))
+            # the 20 points w of f, each pairing and value one array over them
+            w1, w2 = _random_coords(rng, 20, r2_range=(0.3, 0.8), ratio_max=0.8)
+            inner = 0.0j
+            for (j, k), a in f.items():
+                # Laurent coefficient of K(., w) at (j, k)
+                kern = kernels.kernel_coeff_closed(space, j, k) * np.conj(w1**j * w2**k)
+                inner = inner + space.weight(j, k) * a * np.conj(kern)
+            direct = coeffspace.evaluate_grid(f, w1, w2)
+            worst = max(worst, float(np.max(np.abs(inner - direct) / np.maximum(np.abs(direct), 1.0))))
         res.worst(f"nu={nu} reproducing worst", worst, tol, f"reproducing identity failed at nu={nu}")
     return res
 
@@ -258,8 +261,8 @@ def suite_kernel_estimate(seed=0, nus=(-1.5, -0.5, 0.7, 1.3, 3.5)):
         # spot-check the profile against the full kernel on a few pairs
         for i, (z, w) in enumerate(spots):
             res.row(f"nu={nu} ratio path {i}", kernels.kernel_bound_ratio(nu, z, w), float(profiles[i]), 1e-9)
+    z, w = _random_pairs(_rng(seed, 330), 200)
     for nu, const in ((0.0, 0.5), (-1.0, 1.0)):
-        _, z, w = _random_pairs(_rng(seed, 330), 200)
         worst = float(np.max(np.abs(kernels.kernel_bound_ratio(nu, z, w) - const)))
         res.row(f"nu={nu} constant ratio", const, const + worst, 1e-12)
     return res

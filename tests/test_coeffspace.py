@@ -15,7 +15,7 @@ from hartogs.coeffspace import (
     _gamma_weight,
     as_mixed,
     conj_product,
-    evaluate,
+    evaluate_grid,
     monomial_norm_sq,
     split_f123,
     star_norm,
@@ -367,9 +367,7 @@ class TestSplitAndTNorms:
 
 class TestEvaluationAndTorus:
     def test_evaluate_examples(self):
-        q = HartogsPoint(0.1, 0.5)
-        assert evaluate(LaurentCoeffs({(0, 0): 1.0}), q) == pytest.approx(1.0)
-        assert evaluate(LaurentCoeffs({(0, -1): 1.0}), q) == pytest.approx(2.0)
-        q2 = HartogsPoint(0.25, 0.5)
-        assert evaluate(LaurentCoeffs({(1, -1): 1.0}), q2) == pytest.approx(0.5)
+        assert evaluate_grid(LaurentCoeffs({(0, 0): 1.0}), 0.1, 0.5) == pytest.approx(1.0)
+        assert evaluate_grid(LaurentCoeffs({(0, -1): 1.0}), 0.1, 0.5) == pytest.approx(2.0)
+        assert evaluate_grid(LaurentCoeffs({(1, -1): 1.0}), 0.25, 0.5) == pytest.approx(0.5)
 

@@ -20,6 +20,7 @@ from hartogs.verify import (
     _TAU_R2_RANGE,
     _bump,
     _factored_tau_mass,
+    _random_coords,
     _random_laurent,
     _random_mixed,
     _random_point,
@@ -89,6 +90,24 @@ class TestRandomPoint:
         for kwargs in self.ARGUMENTS:
             point = _random_point(rng, **kwargs)
             assert type(point.z1) is complex and type(point.z2) is complex
+
+
+class TestRandomCoords:
+    """The reproducing suite reads its points as arrays, from the uniforms
+    that _random_point calls would draw."""
+
+    ARGUMENTS = [{"r2_range": (0.25, 0.9), "ratio_max": 0.85}] + TestRandomPoint.ARGUMENTS[1:]
+
+    @pytest.mark.parametrize("kwargs", ARGUMENTS)
+    @pytest.mark.parametrize("seed", [0, 31])
+    def test_equals_the_three_call_draws(self, kwargs, seed):
+        got_rng, ref_rng = np.random.default_rng([seed, 200]), np.random.default_rng([seed, 200])
+        for _ in range(50):
+            z1, z2 = _random_coords(got_rng, 20, **kwargs)
+            ref = [three_call_point(ref_rng, **kwargs) for _ in range(20)]
+            assert np.max(np.abs(z1 - np.array([p.z1 for p in ref]))) <= 1e-15
+            assert np.max(np.abs(z2 - np.array([p.z2 for p in ref]))) <= 1e-15
+        assert got_rng.random() == ref_rng.random()
 
 
 class TestRandomPolynomials:
