@@ -10,13 +10,15 @@ family parameter (SpaceParam, which decides the regime of nu for the
 whole library and whose ``norm_sq`` is the norm of every space of the
 family), the coefficient containers, the index set I_nu, the
 Gamma moment of a monomial that every closed norm and projection
-coefficient reads, and the three-way coefficient split feeding the
+coefficient reads (computed once per process, for at most ``_WEIGHTS_KEPT``
+keys, none at import), and the three-way coefficient split feeding the
 multiplier operator T.
 
 Out-of-space inputs produce the +inf sentinel rather than an error: the
 divergence of a norm is a mathematical outcome that callers test for.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +39,7 @@ __all__ = [
 
 
 SNAP_TOL = 1e-12
+_WEIGHTS_KEPT = 4096  # Gamma weights memoized per process; one verify pass reads 803
 _RANGES = {"bergman": "nu > -1", "weighted-dirichlet": "-2 < nu < -1"}
 
 
@@ -265,6 +268,7 @@ def conj_product(f, g):
     return MixedPoly(terms)
 
 
+@functools.lru_cache(maxsize=_WEIGHTS_KEPT)
 def _gamma_weight(nu, j, k):
     """The Gamma-form monomial weight shared by the nu > -1 and the
     weighted-Dirichlet regimes:

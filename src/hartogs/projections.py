@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import quadrature
 from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, TorusSeries, _gamma_weight
@@ -230,14 +229,14 @@ def _tail_integral(s, nu, eps):
     the outer piece through v = rho^2 against a Jacobi (1-v)^nu rule that
     absorbs the endpoint singularity for nu < 0.
     """
-    x, w = roots_legendre(64)
+    t, h = quadrature._jacobi01(64, 0.0, 0.0)  # Gauss-Legendre on (0, 1)
     total = 0.0
     cut = max(eps, 0.5)
     if eps < 0.5:
         lo, hi = math.log(eps), math.log(0.5)
-        xs = lo + (hi - lo) * 0.5 * (x + 1.0)
+        xs = lo + (hi - lo) * t
         vals = np.exp((s + 1.0) * xs) * (1.0 - np.exp(2.0 * xs)) ** nu
-        total += float(np.dot(w, vals)) * 0.5 * (hi - lo)
+        total += float(np.dot(h, vals)) * (hi - lo)
     a = cut * cut
     xj, wj = quadrature._jacobi01(64, nu, 0.0)
     v = a + (1.0 - a) * xj

@@ -11,7 +11,9 @@ w2 rule additionally carries the fractional power v^(nu/2 - ceil(nu/2))
 so that every monomial of the family's index set pulls back to a plain
 polynomial (the leftover integer power v^(1 + ceil(nu/2)) multiplies the
 integrand).  Angular directions use uniform trapezoid grids, exact for
-trigonometric polynomials below the grid frequency.
+trigonometric polynomials below the grid frequency.  ``_jacobi01`` solves
+each Gauss rule once per process (Legendre is its flat case), keeps the
+last ``_RULES_KEPT``, builds none at import and hands out read-only arrays.
 
 Integrands are summed one of two ways, chosen by their type.  A
 coefficient object (``LaurentCoeffs`` / ``MixedPoly``) goes to
@@ -56,9 +58,9 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
-# roots_jacobi / roots_legendre import scipy.linalg on their first call; load it with the package instead.
+# roots_jacobi imports scipy.linalg on its first call; load it with the package instead.
 import scipy.linalg  # noqa: F401
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi
 
 from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, _space, as_mixed, conj_product, evaluate_grid
 from .geometry import normalization_C
@@ -78,6 +80,7 @@ __all__ = [
 ]
 
 _MAX_BLOCK = 65_536  # integrand evaluations per chunk
+_RULES_KEPT = 64  # Gauss rules memoized per process; one verify pass builds 25
 _COEFF_TYPES = (LaurentCoeffs, MixedPoly)  # integrands summed by _separable_sum
 
 
@@ -110,8 +113,9 @@ class TauRule:
     angular: int
 
 
+@functools.lru_cache(maxsize=_RULES_KEPT)
 def _jacobi01(order, alpha, beta):
-    """Nodes and weights for the weight (1-t)^alpha t^beta on (0, 1).
+    """Nodes and weights for the weight (1-t)^alpha t^beta on (0, 1), read-only.
 
     Raises DomainError when the scale 2^(alpha+beta+1) of the map from
     (-1, 1) leaves the double range, at alpha + beta >= 1023.
@@ -120,7 +124,9 @@ def _jacobi01(order, alpha, beta):
     if power >= 1024.0:
         raise DomainError(f"the Gauss-Jacobi scale 2^{power:g} leaves the double range")
     x, w = roots_jacobi(order, alpha, beta)
-    return 0.5 * (x + 1.0), w / 2.0**power
+    nodes, weights = 0.5 * (x + 1.0), w / 2.0**power
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def build_rule(nu, radial_order=64, angular_count=65):
@@ -334,13 +340,13 @@ def build_tau_rule(radial_order=48, angular_count=40, shell_eps=0.05, r1_range=N
     """
     if not 0.0 < shell_eps < 0.5:
         raise DomainError(f"shell epsilon must lie in (0, 1/2), got {shell_eps}")
-    x, w = roots_legendre(radial_order)
+    t, h = _jacobi01(radial_order, 0.0, 0.0)  # Gauss-Legendre on (0, 1)
 
     def mapped(rng):
         lo, hi = rng
         if not shell_eps <= lo < hi <= 1.0 - shell_eps:
             raise DomainError(f"radial range {rng} leaves the shell")
-        return lo + (hi - lo) * 0.5 * (x + 1.0), w * 0.5 * (hi - lo)
+        return lo + (hi - lo) * t, h * (hi - lo)
 
     full = (shell_eps, 1.0 - shell_eps)
     r1, w1 = mapped(r1_range or full)

@@ -1,6 +1,7 @@
 """Coefficient containers, index sets and all space norms."""
 
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -89,6 +90,29 @@ class TestSpaceParam:
                     scan = projections.blowup_scan(nu, p, [0.1, 0.01])
                     assert scan.s == sp.nu - (1.0 + sp.ceil) * p + 3.0
                     assert projections.critical_range(nu) == projections.critical_range(special)
+
+
+class TestWeightMemo:
+    """Each Gamma weight is computed once per process; the memo returns what
+    the function computes, for every spelling of one key."""
+
+    def test_memo_equals_the_function_bit_for_bit(self):
+        _gamma_weight.cache_clear()
+        bits = lambda x: struct.pack("<d", x)
+        for nu in (0.0, -0.0, -1.5, -2.0 + 2e-12, 0.7, 3.5):
+            for j in range(4):
+                for k in range(-1 - j, 4):
+                    for key in ((j, k), (np.int64(j), np.int64(k))):
+                        for _ in range(2):
+                            assert bits(_gamma_weight(nu, *key)) == bits(_gamma_weight.__wrapped__(nu, *key))
+        assert _gamma_weight.cache_info().hits > _gamma_weight.cache_info().misses
+
+    def test_an_out_of_range_weight_is_refused_every_time(self):
+        misses = _gamma_weight.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(DomainError, match="double range"):
+                _gamma_weight(1000.0, 0, -501)
+        assert _gamma_weight.cache_info().misses == misses + 2
 
 
 class TestContainers:

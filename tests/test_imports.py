@@ -8,6 +8,7 @@ it.  What the package does load must be loaded at import, not on a first
 call inside a timed pass.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -24,6 +25,8 @@ def scipy_modules():
 
 import hartogs, hartogs.cli
 at_import = scipy_modules()
+from hartogs import coeffspace, quadrature
+memos = [memo.cache_info().currsize for memo in (quadrature._jacobi01, coeffspace._gamma_weight)]
 
 from hartogs import kernels, quadrature, verify
 from hartogs.geometry import HartogsPoint
@@ -32,10 +35,11 @@ quadrature.build_rule(0.7, 8, 5)
 quadrature.build_tau_rule()
 kernels.kernel(0.7, HartogsPoint(0.1, 0.5), HartogsPoint(0.2j, 0.4))
 assert verify.run_suite("normalization").passed
-print(json.dumps({"at_import": sorted(at_import), "later": sorted(scipy_modules() - at_import)}))
+print(json.dumps({"at_import": sorted(at_import), "later": sorted(scipy_modules() - at_import), "memos": memos}))
 """
 
 
+@functools.cache
 def _probe():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, timeout=120)
@@ -48,3 +52,9 @@ def test_import_set_and_first_calls_load_no_heavy_scipy():
     for heavy in ("scipy.integrate", "scipy.optimize", "scipy.sparse"):
         assert heavy not in loaded["at_import"], heavy
     assert loaded["later"] == []
+
+
+def test_import_builds_no_rule_and_no_weight():
+    """The Gauss rules and Gamma weights are built on first use, so the
+    set-up of every command stays free of them."""
+    assert _probe()["memos"] == [0, 0]

@@ -9,7 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.special import beta, roots_legendre
+from scipy.special import beta, roots_jacobi, roots_legendre
 
 from hartogs import quadrature
 from hartogs.coeffspace import LaurentCoeffs, MixedPoly, monomial_norm_sq
@@ -55,6 +55,46 @@ class TestBuildRule:
         monkeypatch.setenv("HARTOGS_QUAD_ORDER", "12")
         rule = quadrature.build_rule(0.0)
         assert (rule.u_nodes.size, rule.v_nodes.size, rule.angular) == (64, 64, 65)
+
+
+class TestRuleMemo:
+    """Each Gauss rule is solved once per process and handed out read-only."""
+
+    def test_cached_rules_are_the_fresh_mappings_bit_for_bit(self):
+        for order, alpha, beta_ in ((64, 0.7, 0.0), (64, 0.7, -0.65), (32, -0.5, 0.75), (16, 3.5, -0.25)):
+            for _ in range(2):  # a miss, then a hit
+                nodes, weights = quadrature._jacobi01(order, alpha, beta_)
+                x, w = roots_jacobi(order, alpha, beta_)
+                np.testing.assert_array_equal(nodes, 0.5 * (x + 1.0))
+                np.testing.assert_array_equal(weights, w / 2.0 ** (alpha + beta_ + 1.0))
+        # the tau shell rule and the blow-up tail read Gauss-Legendre as the flat Jacobi rule
+        for order in (48, 56, 64):
+            for _ in range(2):
+                nodes, weights = quadrature._jacobi01(order, 0.0, 0.0)
+                x, w = roots_legendre(order)
+                np.testing.assert_array_equal(nodes, 0.5 * (x + 1.0))
+                np.testing.assert_array_equal(weights, 0.5 * w)
+
+    def test_writing_into_a_rule_raises(self):
+        rule = quadrature.build_rule(0.7, radial_order=16, angular_count=5)
+        for array in (rule.u_nodes, rule.u_weights, rule.v_nodes, rule.v_weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+            with pytest.raises(ValueError):
+                array *= 2.0
+        np.testing.assert_array_equal(rule.u_nodes, quadrature.build_rule(0.7, radial_order=16).u_nodes)
+
+    def test_angular_counts_share_the_radial_rule(self):
+        a = quadrature.build_rule(0.7, radial_order=32, angular_count=25)
+        b = quadrature.build_rule(0.7, radial_order=32, angular_count=33)
+        assert (a.angular, b.angular) == (25, 33)
+        for name in ("u_nodes", "u_weights", "v_nodes", "v_weights"):
+            assert getattr(a, name) is getattr(b, name)
+
+    def test_an_out_of_range_scale_is_refused_every_time(self):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                quadrature._jacobi01(8, 1023.0, 0.5)
 
 
 class TestIntegrateMu:
