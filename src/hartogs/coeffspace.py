@@ -10,9 +10,8 @@ family parameter (SpaceParam, which decides the regime of nu for the
 whole library and whose ``norm_sq`` is the norm of every space of the
 family), the coefficient containers, the index set I_nu, the
 Gamma moment of a monomial that every closed norm and projection
-coefficient reads (computed once per process, for at most ``_WEIGHTS_KEPT``
-keys, none at import), and the three-way coefficient split feeding the
-multiplier operator T.
+coefficient reads (once per process, at most ``_WEIGHTS_KEPT`` keys), and
+the three-way coefficient split feeding the multiplier operator T.
 
 Out-of-space inputs produce the +inf sentinel rather than an error: the
 divergence of a norm is a mathematical outcome that callers test for.
@@ -280,10 +279,12 @@ def _gamma_weight(nu, j, k):
     argument dips below zero when j + k = -1 and nu < -4/3), so the ratio
     is evaluated with sign tracking.  For nu > -1 it is the moment
     2^(nu/2) C_nu pi^2 B(j+1, nu+1) B(j+k+nu/2+2, nu+1) = ||z1^j z2^k||^2.
+    Each argument is summed from d = nu + 2, exact for -2 <= nu <= -1.
     """
+    d = nu + 2.0
     return gamma_ratio_signed(
-        [nu + 2.0, 1.5 * nu + 3.0, j + 1.0, j + k + 0.5 * nu + 2.0],
-        [0.5 * nu + 2.0, j + nu + 2.0, j + k + 1.5 * nu + 3.0],
+        [d, 1.5 * d, j + 1.0, (j + k + 1.0) + 0.5 * d],
+        [0.5 * d + 1.0, j + d, (j + k) + 1.5 * d],
     )
 
 

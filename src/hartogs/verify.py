@@ -537,16 +537,16 @@ def _isometry_rows(res, rng, nu, s):
     of its values on the 16 x 16 torus (no image has degree above 9, so none
     aliases): the worst max |c - to_bidisc(nu, f)| and the worst
     |sum W |c|^2 - ||f||^2_nu| / sum |W| |c|^2 for the bidisc weight W of
-    ``isometries``, its Gamma arguments summed as in SpaceParam.weight (near
-    nu = -2 its condition number in nu is about 4 / (nu+2))."""
+    ``isometries``, its Gamma arguments summed from d = nu + 2 as in
+    ``coeffspace._gamma_weight``."""
     sp, m = coeffspace.SpaceParam(nu), np.arange(16.0)
     if sp.kind == "dirichlet":
         weight = np.outer(m + 1.0, m + 1.0)
     else:
-        gamma, x = special.gamma, sp.nu
-        u = gamma(m + 1.0) / gamma(m + x + 2.0)
-        v = gamma(m - 1.0 + 0.5 * x + 2.0) / gamma(m - 1.0 + 1.5 * x + 3.0)
-        weight = gamma(x + 2.0) * gamma(1.5 * x + 3.0) / gamma(0.5 * x + 2.0) * np.outer(u, v)
+        gamma, d = special.gamma, sp.nu + 2.0
+        u = gamma(m + 1.0) / gamma(m + d)
+        v = gamma(m + 0.5 * d) / gamma((m - 1.0) + 1.5 * d)
+        weight = gamma(d) * gamma(1.5 * d) / gamma(0.5 * d + 1.0) * np.outer(u, v)
     w = np.exp(2j * np.pi * m / 16)
     worst_map = worst_norm = 0.0
     for _ in range(10):

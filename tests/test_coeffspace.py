@@ -72,6 +72,20 @@ class TestSpaceParam:
                 limit = -3.0 * j if j + k == -1 else float(j * (j + k))
                 assert abs(renormalized - limit) <= 1e-5 * max(abs(limit), 1.0)
 
+    def test_gamma_weight_against_mpmath_next_to_minus_two(self):
+        """Every Gamma argument is summed from d = nu + 2, which is exact
+        for nu in [-2, -1], so none is rounded twice next to a pole.  The
+        bound 5e-14 relative was fixed before the run."""
+        with mpmath.workdps(50):
+            for nu in (-2.0 + 2e-12, -2.0 + 1e-9, -2.0 + 1e-6, -2.0 + 1e-4, -1.9, -1.5, -1.2, -0.5, 0.7, 3.5):
+                x = mpmath.mpf(nu)
+                front = mpmath.gamma(x + 2) * mpmath.gamma(1.5 * x + 3) / mpmath.gamma(0.5 * x + 2)
+                for j in range(7):
+                    for k in range(-1 - j, 7):
+                        ref = front * mpmath.gamma(j + 1) * mpmath.gamma(j + k + 0.5 * x + 2)
+                        ref /= mpmath.gamma(j + x + 2) * mpmath.gamma(j + k + 1.5 * x + 3)
+                        assert abs(_gamma_weight(nu, j, k) - ref) <= 5e-14 * abs(ref), (nu, j, k)
+
     def test_one_regime_decision_near_special_nu(self):
         """Kernel, oracle, index set, rule, blow-up and critical range all
         see the same snapped nu and the same ceil(nu/2)."""
