@@ -20,7 +20,13 @@ The library is imported from the checkout's ``src/``.  The file holds:
   tau-invariance suite (its two disc sums on the suite's rule, beside the
   full-grid ``integrate_tau`` of the same automorphism), the isometry rows
   of one nu (10 draws at nu = -1.5, each read by a 16 x 16 FFT of its
-  values), and the microseconds per point of the kernel on a 128-pair batch;
+  values), the default 64 x 65 rule for mu_nu built cold (right after its
+  Gauss rules are dropped from their per-process memo) and warm, the
+  Bergman coefficient rule on a four-term mixed polynomial (warm: its
+  Gamma weights are memoized after the first call), the separable path
+  per inner product of two five-term polynomials on a 32 x 33 rule (the
+  size the t-split and isometries suites use), and the microseconds per
+  point of the kernel on a 128-pair batch;
 - ``layers_minflt_per_call``: beside each black-box quadrature layer, the
   minor page faults of this process per call over all its repeats.  A
   layer that faults far more than usual is timed in another allocator
@@ -37,7 +43,9 @@ The library is imported from the checkout's ``src/``.  The file holds:
   ``hartogs`` command pays);
 - ``suites_s``: the wall time of each suite in one pass over the
   ``verify`` registry at seed 0, run in a fresh interpreter as
-  ``hartogs verify all`` is;
+  ``hartogs verify all`` is.  Each Gauss rule and Gamma weight is built
+  once per process, so a suite's time depends on the suites before it:
+  the first suite to need a rule or a weight pays for it;
 - ``tier1``: the wall time and summary line of the tier-1 test command;
 - ``provenance``: git SHA (``-dirty`` when the tree has uncommitted
   changes), Python, numpy and scipy versions, nproc, the precision of
@@ -100,6 +108,7 @@ def layer_times():
     import numpy as np
 
     from hartogs import geometry, kernels, projections, quadrature, specfun, verify
+    from hartogs.coeffspace import MixedPoly
     from hartogs.geometry import HartogsPoint
 
     # the tau-invariance suite's rule and integrand, composed with one of its automorphisms
@@ -129,6 +138,10 @@ def layer_times():
     y128 = pts[:, 1] * np.conj(pts[:, 3])
     hyp = specfun.HypergeometricParams(1.5 * 0.7 - 1 + 2.0, 1.0, 0.5 * 0.7 - 1 + 1.0)
     point_rng = np.random.default_rng(2)
+    # four terms of the projection self-test corpus, and two polynomials of the t-split suite's size
+    mixed = MixedPoly({key: 1.0 + 0.5j * i for i, key in enumerate(projections._SELF_TEST_TERMS[:4])})
+    pair_rule = quadrature.build_rule(0.7, radial_order=32, angular_count=33)
+    pair = [verify._random_laurent(np.random.default_rng([0, i]), 0.7, n_terms=5) for i in (1, 2)]
     black_box = {
         "quadrature.integrate_tau.tau_invariance_rule.suite_bump": best_us_faults(
             lambda: quadrature.integrate_tau(verify._bump, tau_rule, automorphism=psi), 3, 5
@@ -169,6 +182,14 @@ def layer_times():
         "verify._torus_samples.degree32_n133": best_us(lambda: verify._torus_samples(series, 133), 200, 5),
         "verify.szego.witness.N=64": best_us(lambda: verify._szego_witness(1.5, 0.6, 64), 20, 5),
         "projections.project_szego_grid.N=133": best_us(lambda: projections.project_szego_grid(grid), 200, 5),
+        "quadrature.build_rule.64x65.cold": best_us(
+            lambda: quadrature.build_rule(0.7), 1, 20, before=quadrature._jacobi01.cache_clear
+        ),
+        "quadrature.build_rule.64x65.warm": best_us(lambda: quadrature.build_rule(0.7), 2000, 5),
+        "projections.project_bergman.4_terms": best_us(lambda: projections.project_bergman(0.7, mixed), 2000, 5),
+        "quadrature.inner_product_quad.32x33.5x5_terms": best_us(
+            lambda: quadrature.inner_product_quad(0.7, *pair, pair_rule), 500, 5
+        ),
     })
     return layers, {name: faults for name, (_, faults) in black_box.items()}
 

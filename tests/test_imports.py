@@ -25,12 +25,11 @@ def scipy_modules():
 
 import hartogs, hartogs.cli
 at_import = scipy_modules()
-from hartogs import coeffspace, quadrature
-memos = [memo.cache_info().currsize for memo in (quadrature._jacobi01, coeffspace._gamma_weight)]
 
-from hartogs import kernels, quadrature, verify
+from hartogs import coeffspace, kernels, quadrature, verify
 from hartogs.geometry import HartogsPoint
 
+memos = [memo.cache_info().currsize for memo in (quadrature._jacobi01, coeffspace._gamma_weight)]
 quadrature.build_rule(0.7, 8, 5)
 quadrature.build_tau_rule()
 kernels.kernel(0.7, HartogsPoint(0.1, 0.5), HartogsPoint(0.2j, 0.4))

@@ -82,7 +82,6 @@ class TestRuleMemo:
                 array[0] = 0.5
             with pytest.raises(ValueError):
                 array *= 2.0
-        np.testing.assert_array_equal(rule.u_nodes, quadrature.build_rule(0.7, radial_order=16).u_nodes)
 
     def test_angular_counts_share_the_radial_rule(self):
         a = quadrature.build_rule(0.7, radial_order=32, angular_count=25)
@@ -93,7 +92,7 @@ class TestRuleMemo:
 
     def test_an_out_of_range_scale_is_refused_every_time(self):
         for _ in range(2):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="double range"):
                 quadrature._jacobi01(8, 1023.0, 0.5)
 
 
