@@ -307,8 +307,7 @@ def kernel_series(nu, z, w):
     tables of at most about _MAX_BLOCK entries."""
     sp = _degenerate_check(SpaceParam(nu))
     nu = sp.nu
-    x, y = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in _xy(z, w)))
-    shape, x, y = x.shape, x.ravel(), y.ravel()
+    x, y, shape = _batch_xy(z, w)
     q = np.maximum(np.abs(x), np.abs(y))
     if (outside := ~(q < 1.0)).any():
         raise DomainError(f"kernel series needs |x|, |y| < 1, entry {np.argmax(outside)} has {q[outside][0]:g}")

@@ -13,9 +13,10 @@ definition of the projection forces; the literal sgn(0) = 0 reading would
 break idempotence).  A spectral grid realization via the FFT doubles it.
 
 The boundedness range of P_nu on L^p_nu is computed in the ceiling form
-of the necessity argument, together with the Schur-test feasibility
-region and the endpoint blow-up scan that witnesses divergence outside
-the range.
+of the necessity argument.  In (w1, w2) = (z1/z2, z2) it is where the mode
+w2^(-N), N = 1 + ceil(nu/2), lies in L^p and L^p' of the radial weight
+|w2|^(nu+2) (1-|w2|^2)^nu; ``_mode_exponent`` gives the radial power of that
+mode's q-th moment, and the endpoint blow-up scan reads it.
 """
 
 import math
@@ -30,7 +31,6 @@ from .specfun import DomainError, VerificationFailure
 __all__ = [
     "IntegrabilityError",
     "CriticalRange",
-    "SchurParams",
     "BlowupScan",
     "project_bergman",
     "projection_self_test",
@@ -39,7 +39,6 @@ __all__ = [
     "project_szego_grid",
     "lp_norm_torus",
     "critical_range",
-    "schur_feasible",
     "blowup_scan",
 ]
 
@@ -187,39 +186,10 @@ def critical_range(nu):
     return CriticalRange(2.0 - (b - a) / b, 2.0 + (b - a) / a)
 
 
-@dataclass(frozen=True)
-class SchurParams:
-    """Exponents of the Schur test function
-    (1-|z1/z2|^2)^(-alpha) (1-|z2|^2)^(-beta) |z2|^(-gamma)."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-
-def schur_feasible(nu, p):
-    """Midpoints of the Schur windows when they are all nonempty, else None.
-
-    The alpha and beta windows (0, (nu+1) min(1/p, 1/p')) are never empty
-    for nu > -1; feasibility is decided by the gamma window
-
-        ( (1+ceil(nu/2)) max(1/p, 1/p'),  (3+nu-ceil(nu/2)) min(1/p, 1/p') ),
-
-    which is nonempty exactly when p lies in the critical range.
-    """
-    sp = SpaceParam(nu).require("bergman", "schur_feasible")
-    nu, c = sp.nu, sp.ceil
-    if not (math.isfinite(p) and p > 1.0):
-        raise DomainError(f"schur_feasible requires a finite p > 1, got {p}")
-    pp = p / (p - 1.0)
-    lo_inv = min(1.0 / p, 1.0 / pp)
-    hi_inv = max(1.0 / p, 1.0 / pp)
-    gamma_lo = (1.0 + c) * hi_inv
-    gamma_hi = (3.0 + nu - c) * lo_inv
-    if not gamma_lo < gamma_hi:
-        return None
-    ab_hi = (nu + 1.0) * lo_inv
-    return SchurParams(0.5 * ab_hi, 0.5 * ab_hi, 0.5 * (gamma_lo + gamma_hi))
+def _mode_exponent(sp, q):
+    """s = nu - N q + 3, N = 1 + ceil(nu/2): |w2^(-N)|^q |w2|^(nu+2) (1-|w2|^2)^nu dA
+    is 2 pi rho^s (1-rho^2)^nu drho, rho = |w2|, finite exactly when s > -1."""
+    return sp.nu - (1.0 + sp.ceil) * q + 3.0
 
 
 def _tail_integral(s, nu, eps):
@@ -278,7 +248,7 @@ def blowup_scan(nu, p, epsilons):
     inside = len(epsilons) >= 2 and 0.0 < epsilons[-1] and epsilons[0] < 1.0
     if not (inside and all(a > b for a, b in zip(epsilons, epsilons[1:]))):
         raise DomainError(f"epsilons must be at least two distinct numbers inside (0, 1), got {list(epsilons)}")
-    s = nu - (1.0 + sp.ceil) * p + 3.0
+    s = _mode_exponent(sp, p)
     values = tuple(_tail_integral(s, nu, e) for e in epsilons)
     half = len(epsilons) // 2
     if len(epsilons) - half < 2:

@@ -80,7 +80,7 @@ __all__ = [
 ]
 
 _MAX_BLOCK = 65_536  # integrand evaluations per chunk
-_RULES_KEPT = 64  # Gauss rules memoized per process; one verify pass builds 24
+_RULES_KEPT = 64  # Gauss rules memoized per process; one verify pass builds 25
 _COEFF_TYPES = (LaurentCoeffs, MixedPoly)  # integrands summed by _separable_sum
 
 

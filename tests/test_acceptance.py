@@ -63,9 +63,10 @@ def test_criterion_05_critical_ranges():
 
 
 def test_criterion_06_schur_feasibility():
-    # Schur windows nonempty iff p inside the range on a 50 x 50 grid:
-    # zero disagreements
-    _drive(6, "Schur feasibility iff range", "schur-feasibility")
+    # the mode w2^(-1-ceil(nu/2)) at nu = 0, 0.7, 2, 3.5: its Hoelder norm at
+    # p+(1 - delta) and p-(1 + delta), delta = 1e-2, 1e-3, 1e-4, by Beta
+    # moments vs quadrature (1e-12); log-log slope vs -1/p+ (2e-2)
+    _drive(6, "mode norm finite inside the range", "schur-feasibility")
 
 
 def test_criterion_07_blowup():
@@ -89,7 +90,8 @@ def test_criterion_09_szego():
 
 def test_criterion_10_hardy_limit():
     # Bergman norms of 20 random polynomials converge to the Hardy norm
-    # along nu -> -1 (1e-3 at nu = -1 + 1e-4, decreasing along m = 1..4)
+    # along nu -> -1: one worst row, 1e-3 at nu = -1 + 1e-4; every gap
+    # decreasing along m = 1..4
     _drive(10, "Hardy norm as Bergman limit", "hardy-limit")
 
 

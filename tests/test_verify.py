@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs import cli, coeffspace, isometries, quadrature, verify
+from hartogs import cli, coeffspace, isometries, projections, quadrature, verify
 from hartogs.coeffspace import LaurentCoeffs, MixedPoly, TorusSeries
 from hartogs.geometry import DiscAutomorphism, HartogsAutomorphism, HartogsPoint, random_automorphism
 from hartogs.specfun import DomainError
@@ -336,6 +336,23 @@ class TestIsometryRows:
         s = 0 if coeffspace.SpaceParam(nu).kind == "dirichlet" else 1
         verify._isometry_rows(res, np.random.default_rng(seed), nu, s)
         assert res.passed, res.message
+
+
+@pytest.mark.parametrize("shift, reason", [(1e-3, "leaves L^p"), (-1e-3, "log-log slope")])
+def test_mode_norm_suite_fails_when_the_endpoint_moves(monkeypatch, shift, reason):
+    """p+ moved by 1e-3 relative, and p- = p+' with it: outward the mode leaves
+    L^p at delta = 1e-4, inward the slope flattens, so the rows test the
+    endpoint instead of restating it."""
+    exact = projections.critical_range
+    assert verify.run_suite("schur-feasibility").passed
+
+    def moved(nu):
+        p_plus = exact(nu).p_plus * (1.0 + shift)
+        return projections.CriticalRange(p_plus / (p_plus - 1.0), p_plus)
+
+    monkeypatch.setattr(projections, "critical_range", moved)
+    res = verify.run_suite("schur-feasibility")
+    assert not res.passed and reason in res.message
 
 
 def test_suites_take_only_the_seed_and_what_a_verify_flag_sets():
