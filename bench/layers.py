@@ -25,8 +25,10 @@ The library is imported from the checkout's ``src/``.  The file holds:
   Bergman coefficient rule on a four-term mixed polynomial (warm: its
   Gamma weights are memoized after the first call), the separable path
   per inner product of two five-term polynomials on a 32 x 33 rule (the
-  size the t-split and isometries suites use), and the microseconds per
-  point of the kernel on a 128-pair batch;
+  size the t-split and isometries suites use), the star norm of one
+  six-term polynomial of the t-split suite's range draws (warm, as the
+  Bergman coefficient rule), and the microseconds per point of the kernel
+  on a 128-pair batch;
 - ``layers_minflt_per_call``: beside each black-box quadrature layer, the
   minor page faults of this process per call over all its repeats.  A
   layer that faults far more than usual is timed in another allocator
@@ -107,7 +109,7 @@ def layer_times():
     ones, and the minor faults per call of the black-box ones."""
     import numpy as np
 
-    from hartogs import geometry, kernels, projections, quadrature, specfun, verify
+    from hartogs import coeffspace, geometry, kernels, projections, quadrature, specfun, verify
     from hartogs.coeffspace import MixedPoly
     from hartogs.geometry import HartogsPoint
 
@@ -142,6 +144,7 @@ def layer_times():
     mixed = MixedPoly({key: 1.0 + 0.5j * i for i, key in enumerate(projections._SELF_TEST_TERMS[:4])})
     pair_rule = quadrature.build_rule(0.7, radial_order=32, angular_count=33)
     pair = [verify._random_laurent(np.random.default_rng([0, i]), 0.7, n_terms=5) for i in (1, 2)]
+    six = verify._random_laurent(np.random.default_rng([0, 3]), 0.7, n_terms=6, jmax=6, kmax=6)
     black_box = {
         "quadrature.integrate_tau.tau_invariance_rule.suite_bump": best_us_faults(
             lambda: quadrature.integrate_tau(verify._bump, tau_rule, automorphism=psi), 3, 5
@@ -190,6 +193,7 @@ def layer_times():
         "quadrature.inner_product_quad.32x33.5x5_terms": best_us(
             lambda: quadrature.inner_product_quad(0.7, *pair, pair_rule), 500, 5
         ),
+        "coeffspace.star_norm.6_terms": best_us(lambda: coeffspace.star_norm(0.7, six), 2000, 5),
     })
     return layers, {name: faults for name, (_, faults) in black_box.items()}
 

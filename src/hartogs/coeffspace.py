@@ -11,7 +11,7 @@ whole library and whose ``norm_sq`` is the norm of every space of the
 family), the coefficient containers, the index set I_nu, the
 Gamma moment of a monomial that every closed norm and projection
 coefficient reads (once per process, at most ``_WEIGHTS_KEPT`` keys), and
-the three-way coefficient split feeding the multiplier operator T.
+the three-way split feeding the multiplier T, with its star norm's sharp constants.
 
 Out-of-space inputs produce the +inf sentinel rather than an error: the
 divergence of a norm is a mathematical outcome that callers test for.
@@ -38,7 +38,7 @@ __all__ = [
 
 
 SNAP_TOL = 1e-12
-_WEIGHTS_KEPT = 4096  # Gamma weights memoized per process; one verify pass reads 803
+_WEIGHTS_KEPT = 4096  # Gamma weights memoized per process; one verify pass reads 788
 _RANGES = {"bergman": "nu > -1", "weighted-dirichlet": "-2 < nu < -1"}
 
 
@@ -349,8 +349,8 @@ def t_norm_sq(nu, f_i):
 def star_norm(nu, f):
     """|a00| + sum_i || T f_i ||_{L^2_nu}; +inf on any divergent part.
 
-    For nu > -1 this is the equivalent Bergman-space norm, for
-    -2 < nu < -1 it defines the weighted Dirichlet space and at nu = -2
+    For nu > -1 this is the equivalent Bergman-space norm (``_star_constants``),
+    for -2 < nu < -1 it defines the weighted Dirichlet space and at nu = -2
     the Dirichlet space.  The Hardy space nu = -1 has no such norm: r_nu
     = 0 there (see ``t_norm_sq``), so the sum would read |a00| for every
     f.  nu = -1 and nu < -2 raise DomainError.
@@ -366,6 +366,25 @@ def star_norm(nu, f):
             return math.inf
         total += math.sqrt(max(sq, 0.0))
     return total
+
+
+def _star_ratio(nu, j, n):
+    """star^2 / ||.||^2 of z1^j z2^(n-j), nu > -1, or its limit as j or n -> inf: 1 at the constant,
+    else ((nu+1)(nu+2))^2 g(j, nu+2) g(n, 3nu/2+3), g(x, s) = max(x^2, 1) / ((x+s)(x+s+1))."""
+    g = lambda x, s: 1.0 / ((1.0 + s / x) * (1.0 + (s + 1.0) / x)) if x else 1.0 / (s * (s + 1.0))
+    return 1.0 if j == n == 0 else ((nu + 1.0) * (nu + 2.0)) ** 2 * g(j, nu + 2.0) * g(n, 1.5 * nu + 3.0)
+
+
+def _star_constants(nu):
+    """(c^2, S1, S2, S3), sharp in c ||f|| <= star(f) <= (1 + S1 + S2 + S3)^(1/2) ||f|| for nu > -1.
+
+    c^2 is the least ``_star_ratio``, at z1.  S_p is its supremum on the piece f_p
+    of ``split_f123`` (Cauchy-Schwarz over a00, f1, f2, f3 gives C): g tends to 1
+    from below, but may exceed 1 at an n < 0 of I_nu, as (0, -2) attains S2 at nu = 0.1."""
+    sp = SpaceParam(nu).require("bergman", "the T-split equivalence")
+    ns = (math.inf, *range(-1, -2 - sp.ceil, -1))  # the limit and every n < 0 of I_nu
+    s1, s2 = (max(_star_ratio(sp.nu, j, n) for n in ns) for j in (math.inf, 0))
+    return _star_ratio(sp.nu, 1, 1), s1, s2, _star_ratio(sp.nu, math.inf, 0)
 
 
 def evaluate_grid(f, z1, z2):

@@ -105,8 +105,10 @@ def test_criterion_11_isometries():
 
 def test_criterion_12_t_split_norms():
     # Beta closed forms vs quadrature (1e-7, 20 polynomials per nu at
-    # nu = -0.5, 0, 1); star-norm/Bergman-norm ratio spread below 1e3
-    # over 200 polynomials
+    # nu = -0.5, 0, 1); the sharp star/Bergman constants c^2 and C^2 in
+    # closed form against the library at z1 (1e-12), at depth 1e4 (1e-9)
+    # and extrapolated from depths 1e4-4e4 (1e-6); 20 random ratios in
+    # [c, C] to 1e-12
     _drive(12, "T-split norms and equivalence", "t-split")
 
 

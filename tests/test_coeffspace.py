@@ -6,6 +6,8 @@ import struct
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartogs import coeffspace, kernels, projections, quadrature
 from hartogs.coeffspace import (
@@ -14,6 +16,8 @@ from hartogs.coeffspace import (
     SpaceParam,
     TorusSeries,
     _gamma_weight,
+    _star_constants,
+    _star_ratio,
     as_mixed,
     conj_product,
     evaluate_grid,
@@ -401,6 +405,93 @@ class TestSplitAndTNorms:
         val = star_norm(0.0, LaurentCoeffs({(1, 1): 1.0}))
         assert val == pytest.approx(math.sqrt(1.0 / 90.0), rel=1e-12)
         assert math.isinf(star_norm(-0.5, LaurentCoeffs({(0, -2): 1.0, (1, -3): 1.0})))
+
+
+def _piece_ratio(nu, j, k):
+    """star^2 / ||.||^2 of z1^j z2^k written piece by piece: sigma = ((nu+1)(nu+2))^2,
+    a = 3nu/2 + 3, n = j + k."""
+    sigma, a, n = ((nu + 1.0) * (nu + 2.0)) ** 2, 1.5 * nu + 3.0, j + k
+    if j == 0 and k == 0:
+        return 1.0
+    if j == 0:  # f2
+        return sigma / ((nu + 2.0) * (nu + 3.0)) * k * k / ((k + a) * (k + a + 1.0))
+    j_factor = j * j / ((j + nu + 2.0) * (j + nu + 3.0))
+    if n == 0:  # f3
+        return sigma / (a * (a + 1.0)) * j_factor
+    return sigma * j_factor * n * n / ((n + a) * (n + a + 1.0))  # f1
+
+
+def _piece(j, k):
+    """The index of the split_f123 piece of z1^j z2^k, 0 for the constant."""
+    return 0 if j == k == 0 else 2 if j == 0 else 3 if j + k == 0 else 1
+
+
+_STAR_NUS = (-0.95, -0.5, 0.0, 0.1, 0.7, 1.0, 2.0, 3.5)
+
+
+class TestStarConstants:
+    """The sharp constants c ||f|| <= star(f) <= C ||f|| of ``_star_constants``."""
+
+    @pytest.mark.parametrize("nu", _STAR_NUS)
+    def test_product_forms_over_a_monomial_box(self, nu):
+        space = SpaceParam(nu)
+        c2, *s = _star_constants(nu)
+        ratios = {}
+        for j in range(25):
+            for k in range(-j - 1 - space.ceil, 25):
+                f = LaurentCoeffs({(j, k): 1.0})
+                library = star_norm(nu, f) ** 2 / space.norm_sq(f)
+                closed = _piece_ratio(nu, j, k)
+                assert abs(library - closed) <= 1e-12 * closed, (j, k)
+                assert abs(_star_ratio(nu, j, j + k) - closed) <= 1e-14 * closed, (j, k)
+                ratios[(j, k)] = closed
+                if _piece(j, k):
+                    assert closed <= s[_piece(j, k) - 1] * (1.0 + 1e-15), (j, k)
+        a = 1.5 * nu + 3.0
+        assert min(ratios, key=ratios.get) == (1, 0)
+        assert c2 == pytest.approx(ratios[(1, 0)], rel=1e-15)
+        assert c2 == pytest.approx(((nu + 1.0) * (nu + 2.0)) ** 2 / ((nu + 3.0) * (nu + 4.0) * (a + 1.0) * (a + 2.0)), rel=1e-15)
+
+    def test_closed_values(self):
+        c2, *s = _star_constants(0.0)
+        assert c2 == pytest.approx(1.0 / 60.0, rel=1e-15) and 1.0 + sum(s) == pytest.approx(6.0, rel=1e-15)
+        c2, *s = _star_constants(1.0)
+        assert c2 == pytest.approx(36.0 / 715.0, rel=1e-15) and 1.0 + sum(s) == pytest.approx(456.0 / 11.0, rel=1e-15)
+        # the plain prefactors sigma, sigma / ((nu+2)(nu+3)), sigma / (a(a+1)) at nu = 1
+        assert s == pytest.approx([36.0, 3.0, 36.0 / (4.5 * 5.5)], rel=1e-15)
+
+    def test_a_negative_index_attains_s2(self):
+        # at nu = 0.1, n = -2 gives the k-factor 4 / ((a-2)(a-1)) = 1.62 > 1
+        space, (_, s1, s2, _) = SpaceParam(0.1), _star_constants(0.1)
+        f = LaurentCoeffs({(0, -2): 1.0})
+        assert star_norm(0.1, f) ** 2 / space.norm_sq(f) == pytest.approx(s2, rel=1e-12)
+        assert s2 / _star_ratio(0.1, 0, math.inf) == pytest.approx(1.618, abs=1e-3)
+        assert s1 == _star_ratio(0.1, math.inf, -2)
+
+    def test_refused_outside_the_bergman_range(self):
+        for nu in (-1.0, -1.5, -2.0):
+            with pytest.raises(DomainError, match="T-split equivalence"):
+                _star_constants(nu)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(-1.0, 4.0).filter(lambda nu: SpaceParam(nu).kind == "bergman"),
+        st.lists(
+            st.tuples(st.integers(0, 12), st.integers(-16, 12), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_equivalence_holds_for_random_polynomials(self, nu, terms):
+        """c ||f|| <= star(f) <= C ||f|| to 1e-12 relative on each side."""
+        space = SpaceParam(nu)
+        f = LaurentCoeffs({(j, k): complex(re, im) for j, k, re, im in terms if space.member(j, k)})
+        norm = math.sqrt(space.norm_sq(f))
+        if norm == 0.0:
+            return
+        c2, *s = _star_constants(nu)
+        star = star_norm(nu, f)
+        assert math.sqrt(c2) * norm * (1.0 - 1e-12) <= star <= math.sqrt(1.0 + sum(s)) * norm * (1.0 + 1e-12)
 
 
 class TestEvaluationAndTorus:

@@ -355,6 +355,25 @@ def test_mode_norm_suite_fails_when_the_endpoint_moves(monkeypatch, shift, reaso
     assert not res.passed and reason in res.message
 
 
+@pytest.mark.parametrize("shift", [1e-3, -1e-3])
+@pytest.mark.parametrize("index, reason", [(0, "c^2 = ratio at z1"), (1, "C^2 extrapolated")])
+def test_t_split_fails_when_a_star_constant_moves(monkeypatch, index, reason, shift):
+    """c^2 or S1 scaled by 1 +- 1e-3: the c^2 row and the extrapolated C^2 row
+    each catch their constant both ways, so the rows pin the sharp constants
+    rather than merely bound the random ratios."""
+    exact = coeffspace._star_constants
+    assert verify.run_suite("t-split").passed
+
+    def moved(nu):
+        constants = list(exact(nu))
+        constants[index] *= 1.0 + shift
+        return tuple(constants)
+
+    monkeypatch.setattr(coeffspace, "_star_constants", moved)
+    res = verify.run_suite("t-split")
+    assert not res.passed and reason in res.message
+
+
 def test_suites_take_only_the_seed_and_what_a_verify_flag_sets():
     settable = {"seed", *cli._VERIFY_FLAGS.values()}
     for name, suite in verify.SUITES.items():
