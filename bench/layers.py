@@ -10,11 +10,12 @@ The library is imported from the checkout's ``src/``.  The file holds:
   the black-box quadrature paths, the Monte Carlo oracle alone and right
   after a default-rule callable ``integrate_mu`` (so a slowdown that one
   integral leaves to the next shows beside the lone call), the one-point
-  kernel, the boundary-ratio profile of the kernel-estimate suite (its
-  five nu over one set of samples) and its majorant constant C* at the
-  same five nu, the series oracle on one pair, the torus sampling of the Szego
-  suite, one sharp-norm witness ratio of it (N = 64, a 512 x 512 grid),
-  the Szego FFT projection,
+  kernel, the sup of the kernel-estimate suite's boundary-ratio profile on
+  the circle |y| = 0.998 (its five nu, four refining grids of 257 angles
+  each) and its majorant constant C* at the same five nu, the series
+  oracle on one pair, the torus sampling of the Szego suite, one
+  sharp-norm witness ratio of it (N = 64, a 512 x 512 grid), the Szego
+  FFT projection,
   one signed Gamma ratio of a coefficient weight, the 2F1 on 128 points,
   one random point of the suites, one factored automorphism row of the
   tau-invariance suite (its two disc sums on the suite's rule, beside the
@@ -123,10 +124,6 @@ def layer_times():
     z = HartogsPoint(0.2 + 0.1j, 0.5 - 0.3j)
     w = HartogsPoint(-0.1 + 0.25j, 0.4 + 0.45j)
     grid = np.random.default_rng(1).normal(size=(133, 133)) + 0j
-    # the kernel-estimate suite's 10^4 boundary samples and its five nu
-    rng = np.random.default_rng([0, 300])
-    mod = 1.0 - 10.0 ** rng.uniform(-6.0, -0.3, size=10_000)
-    ys = np.clip(mod, 0.0, 0.998) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=10_000))
     # a degree-32 series on the N = 133 grid of the torus sampling layer
     series = verify._random_torus(np.random.default_rng([0, 642]), 32, n_terms=16)
     # the seven Gamma arguments of the weight of z1^2 z2^-3 at nu = -1.5; the last is -0.25
@@ -166,9 +163,7 @@ def layer_times():
         ),
         "kernels.kernel.nu=0.7": best_us(lambda: kernels.kernel(0.7, z, w), 2000, 5),
         "kernels.kernel.nu=3.5": best_us(lambda: kernels.kernel(3.5, z, w), 2000, 5),
-        "kernels.bound_ratio_profile.5nu_1e4_samples": best_us(
-            lambda: [kernels.bound_ratio_profile(nu, ys) for nu in (-1.5, -0.5, 0.7, 1.3, 3.5)], 1, 5
-        ),
+        "verify._circle_sup.5nu": best_us(lambda: [verify._circle_sup(nu) for nu in (-1.5, -0.5, 0.7, 1.3, 3.5)], 5, 5),
         "kernels.bound_constant.5nu": best_us(
             lambda: [kernels.bound_constant(nu) for nu in (-1.5, -0.5, 0.7, 1.3, 3.5)], 20, 5
         ),

@@ -280,19 +280,9 @@ def _cmd_verify(args):
     else:
         results = [verify.run_suite(args.suite, seed=args.seed, **kwargs)]
     lines = ["case,closed_form,quadrature,abs_err,rel_err"]
-    for res in results:
-        for case, closed, quad, abs_err, rel_err in res.rows:
-            lines.append(
-                f"{res.name}:{case},{_fmt(closed)},{_fmt(quad)},{_fmt(abs_err)},{_fmt(rel_err)}"
-            )
-    lines.append("")
-    lines.append("suite,status,detail")
-    failed = []
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        lines.append(f"{res.name},{status},{res.message}")
-        if not res.passed:
-            failed.append(res.name)
+    lines += [f"{r.name}:{case},{','.join(map(_fmt, values))}" for r in results for case, *values in r.rows]
+    lines += ["", "suite,status,detail"] + [f"{r.name},{'PASS' if r.passed else 'FAIL'},{r.message}" for r in results]
+    failed = [r.name for r in results if not r.passed]
     _write_text(args.out, "\n".join(lines) + "\n")
     if failed:
         print("failed suites: " + ", ".join(failed), file=sys.stderr)

@@ -122,13 +122,16 @@ class SpaceParam:
         in the space: the Gamma moments for nu > -1, the Parseval sum at
         nu = -1, the Dirichlet sum at nu = -2, and for -2 < nu < -1 the
         signed D_nu pairing, which is negative on some supports below
-        nu = -4/3.  +inf if the support leaks outside I_nu."""
+        nu = -4/3.  +inf if the support leaks outside I_nu; DomainError if an |a|^2 overflows."""
         total = 0.0
-        for (j, k), a in f.items():
-            w = self.weight(j, k)
-            if math.isinf(w):
-                return math.inf
-            total += w * abs(a) ** 2
+        try:
+            for (j, k), a in f.items():
+                w = self.weight(j, k)
+                if math.isinf(w):
+                    return math.inf
+                total += w * abs(a) ** 2
+        except OverflowError as exc:
+            raise DomainError("a squared coefficient |a|^2 leaves the double range") from exc
         return total
 
 
@@ -155,9 +158,6 @@ class _CoeffMap:
                     data[key] = val
         self.terms = data
 
-    def _check_key(self, key):
-        pass
-
     def items(self):
         """Deterministic (sorted) iteration over (key, coefficient)."""
         return sorted(self.terms.items())
@@ -176,14 +176,7 @@ class _CoeffMap:
         return f"{type(self).__name__}({{{body}}})"
 
     def to_json(self):
-        names = self._key_names
-        rows = []
-        for key, val in self.items():
-            row = {name: int(x) for name, x in zip(names, key)}
-            row["re"] = val.real
-            row["im"] = val.imag
-            rows.append(row)
-        return {"terms": rows}
+        return {"terms": [{**dict(zip(self._key_names, key)), "re": v.real, "im": v.imag} for key, v in self.items()]}
 
     @classmethod
     def from_json(cls, obj):
@@ -333,15 +326,18 @@ def t_norm_sq(nu, f_i):
     1/3 at nu = -2 and 0 at nu = -1.  So the monomial (J, K) contributes
     r_nu |c|^2 ``_gamma_weight(nu+2, J, K)``; it is finite iff
     J + K + nu/2 + 3 > 0, i.e. (J, K) lies in I_{nu+2}, else the +inf
-    sentinel is returned.  ``nu`` is a float or its SpaceParam; nu < -2
-    raises DomainError.
+    sentinel is returned.  ``nu`` is a float or its SpaceParam; nu < -2,
+    or a |c|^2 outside the double range, raises DomainError.
     """
     nu = _space(nu).nu
     total = 0.0
-    for (J, K), c in f_i.items():
-        if not J + K + 0.5 * nu + 3.0 > 0.0:
-            return math.inf
-        total += abs(c) ** 2 * _gamma_weight(nu + 2.0, J, K)
+    try:
+        for (J, K), c in f_i.items():
+            if not J + K + 0.5 * nu + 3.0 > 0.0:
+                return math.inf
+            total += abs(c) ** 2 * _gamma_weight(nu + 2.0, J, K)
+    except OverflowError as exc:
+        raise DomainError("a squared coefficient |a|^2 leaves the double range") from exc
     r = (2.0 / 3.0) * (nu + 1.0) ** 2 * (0.5 * nu + 2.0) / ((nu + 3.0) * (1.5 * nu + 4.0) * (1.5 * nu + 5.0))
     return r * total
 

@@ -99,9 +99,7 @@ class HartogsAutomorphism:
 
 def random_automorphism(rng, max_center=0.8):
     """Draw an automorphism with |a| <= max_center, uniform rotations."""
-    r = max_center * math.sqrt(rng.uniform(0.0, 1.0))
-    th = rng.uniform(0.0, 2.0 * math.pi)
-    a = r * cmath.exp(1j * th)
+    a = max_center * math.sqrt(rng.uniform(0.0, 1.0)) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     lam = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     c = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     return HartogsAutomorphism(DiscAutomorphism(a, lam), c)

@@ -264,11 +264,10 @@ def kernel_coeff_closed(nu, j, k):
     c = sp.ceil
     alpha = 1.5 * nu - c + 2.0
     gam = 0.5 * nu - c + 1.0
-    front = prefactor_a(sp)
     n = j + k + 1 + c
     binom = math.prod((nu + 2.0 + i) / (i + 1.0) for i in range(j))
     ratio = math.prod((alpha + i) / (gam + i) for i in range(n))
-    return front * binom * ratio
+    return prefactor_a(sp) * binom * ratio
 
 
 def _series_extent(q, growth, tol):

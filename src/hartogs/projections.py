@@ -250,9 +250,7 @@ def blowup_scan(nu, p, epsilons):
         raise DomainError(f"epsilons must be at least two distinct numbers inside (0, 1), got {list(epsilons)}")
     s = _mode_exponent(sp, p)
     values = tuple(_tail_integral(s, nu, e) for e in epsilons)
-    half = len(epsilons) // 2
-    if len(epsilons) - half < 2:
-        half = 0
+    half = len(epsilons) // 2 if len(epsilons) > 2 else 0  # two points at least in the fit
     xs = np.log(np.asarray(epsilons[half:]))
     ys = np.log(np.asarray(values[half:]))
     slope = float(np.polyfit(xs, ys, 1)[0])

@@ -39,8 +39,8 @@ def gamma_ratio_signed(numerators, denominators):
     """prod Gamma(n_i) / prod Gamma(d_j), evaluated in log space.
 
     Only the log-Gamma values are summed, so the arguments may be large as
-    long as the ratio is a double; a ratio above the double range raises
-    DomainError.  Every argument but a pole goes through ``math.lgamma``,
+    long as the ratio is a double; a ratio that overflows, or underflows to 0,
+    raises DomainError.  Every argument but a pole goes through ``math.lgamma``,
     which reduces sin(pi x) exactly and so keeps its digits next to a
     negative integer; Gamma(x) has the sign (-1)^floor(x) for negative x.
     The result is a signed float; a pole (a non-positive integer) in a
@@ -72,9 +72,9 @@ def gamma_ratio_signed(numerators, denominators):
         return sign * math.inf
     if den_pole:
         return 0.0
-    if acc > _LOG_MAX:
+    if acc > _LOG_MAX or (value := math.exp(acc)) == 0.0:
         raise DomainError(f"the Gamma ratio exp({acc:.6g}) leaves the double range")
-    return sign * math.exp(acc)
+    return sign * value
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,9 @@ def test_criterion_03_kernels_seed_31():
 
 
 def test_criterion_04_kernel_estimate():
-    # boundary ratio under the derived constant on 1e4 samples; exact
-    # constants 1/2 and 1 at nu = 0 and nu = -1
+    # boundary ratio under the derived constant, its sup over |y| <= 0.998 taken
+    # on the circle |y| = 0.998 (maximum modulus); exact constants 1/2 and 1 at
+    # nu = 0 and nu = -1
     _drive(4, "kernel boundary estimate", "kernel-estimate")
 
 

@@ -133,6 +133,14 @@ class TestWeightMemo:
         assert _gamma_weight.cache_info().misses == misses + 2
 
 
+    def test_a_weight_that_underflows_is_refused(self):
+        # the weight of z1^10000 at nu = 100 is about exp(-1031); it read 0.0, so the norm of z1^10000 was 0
+        with pytest.raises(DomainError, match="double range"):
+            SpaceParam(100.0).weight(10000, 0)
+        with pytest.raises(DomainError, match="double range"):
+            SpaceParam(100.0).norm_sq(LaurentCoeffs({(10000, 0): 1.0}))
+
+
 class TestContainers:
     def test_laurent_validation(self):
         with pytest.raises(DomainError):

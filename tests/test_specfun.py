@@ -52,6 +52,14 @@ class TestGammaRatio:
         with pytest.raises(DomainError, match="leaves the double range"):
             gamma_ratio_signed([-0.5, 300.0], [])  # a negative ratio too
 
+    def test_ratio_that_underflows_is_a_domain_error(self):
+        # 1/Gamma(500) is about 1e-1132, which exp rounds to 0; 1/Gamma(178), 6.6e-323, is subnormal
+        with pytest.raises(DomainError, match="leaves the double range"):
+            gamma_ratio_signed([1.0], [500.0])
+        with pytest.raises(DomainError, match="leaves the double range"):
+            gamma_ratio_signed([-0.5], [500.0])  # a negative ratio too
+        assert 0.0 < gamma_ratio_signed([1.0], [178.0]) < 1e-322
+
     def test_signed_ratio_matches_positive_route(self):
         # against the Gamma values themselves, which do not overflow here
         rng = np.random.default_rng(3)

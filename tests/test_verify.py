@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartogs import cli, coeffspace, isometries, projections, quadrature, verify
+from hartogs import cli, coeffspace, isometries, kernels, projections, quadrature, verify
 from hartogs.coeffspace import LaurentCoeffs, MixedPoly, TorusSeries
 from hartogs.geometry import DiscAutomorphism, HartogsAutomorphism, HartogsPoint, random_automorphism
 from hartogs.specfun import DomainError
@@ -19,6 +19,7 @@ from hartogs.verify import (
     _TAU_R1_RANGE,
     _TAU_R2_RANGE,
     _bump,
+    _circle_sup,
     _factored_tau_mass,
     _random_coords,
     _random_laurent,
@@ -372,6 +373,58 @@ def test_t_split_fails_when_a_star_constant_moves(monkeypatch, index, reason, sh
     monkeypatch.setattr(coeffspace, "_star_constants", moved)
     res = verify.run_suite("t-split")
     assert not res.passed and reason in res.message
+
+
+def dense_circle_sup(nu):
+    """The max of the profile over 2^16 + 1 angles of |y| = 0.998 in [0, pi], and
+    that max refined by 257 angles over +-1 step around its angle: the step,
+    4.8e-5, alone leaves 2.2e-10 relative at nu = 3.5, where the sup is interior."""
+    theta = np.linspace(0.0, math.pi, 2**16 + 1)
+    ratio = kernels.bound_ratio_profile(nu, 0.998 * np.exp(1j * theta))
+    i, step = int(np.argmax(ratio)), theta[1] - theta[0]
+    near = np.linspace(max(theta[i] - step, 0.0), min(theta[i] + step, math.pi), 257)
+    return float(ratio[i]), max(float(ratio[i]), float(np.max(kernels.bound_ratio_profile(nu, 0.998 * np.exp(1j * near)))))
+
+
+def old_sampled_sup(nu):
+    """The sup over the 10^4 boundary-concentrated samples the suite drew at seed 0."""
+    rng = verify._rng(0, 300)
+    mod = 1.0 - 10.0 ** rng.uniform(-6.0, -0.3, size=10_000)
+    y = np.clip(mod, 0.0, 0.998) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=10_000))
+    return float(np.max(kernels.bound_ratio_profile(nu, y)))
+
+
+class TestCircleSup:
+    """The kernel-estimate sup, taken on |y| = 0.998 by the maximum modulus principle."""
+
+    @pytest.mark.parametrize("nu", [-1.5, -0.5, 0.7, 1.3, 3.5, -1.9, -1.0, 0.0, 2.0, 4.0])
+    def test_against_a_dense_circle_and_the_old_samples(self, nu):
+        sup, before = _circle_sup(nu)
+        grid, refined = dense_circle_sup(nu)
+        assert abs(sup - refined) <= 1e-12 * refined, (sup, refined)
+        assert grid <= sup * (1.0 + 1e-12) and sup - before <= 1e-12 * sup
+        assert old_sampled_sup(nu) <= sup
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(-2.0 + 1e-9, 4.0).filter(lambda nu: abs(nu + 4.0 / 3.0) > 1e-3),  # -2 + 1e-12 snaps to -2
+        st.floats(0.0, 0.998),
+        st.floats(-math.pi, math.pi),
+    )
+    def test_no_point_of_the_disc_beats_the_circle(self, nu, modulus, angle):
+        sup, _ = _circle_sup(nu)
+        inside = float(kernels.bound_ratio_profile(nu, np.array([modulus * cmath.exp(1j * angle)]))[0])
+        assert inside <= sup * (1.0 + 1e-12)
+        assert sup <= kernels.bound_constant(nu)
+
+
+def test_kernel_estimate_fails_when_the_constant_shrinks(monkeypatch):
+    """C* scaled by 1 - 1e-3 falls below the sup at nu = -0.5, 4.9e-4 under C*."""
+    exact = kernels.bound_constant
+    assert verify.run_suite("kernel-estimate").passed
+    monkeypatch.setattr(kernels, "bound_constant", lambda nu: exact(nu) * (1.0 - 1e-3))
+    res = verify.run_suite("kernel-estimate")
+    assert not res.passed and "kernel estimate violated at nu=-0.5" in res.message
 
 
 def test_suites_take_only_the_seed_and_what_a_verify_flag_sets():
