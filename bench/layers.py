@@ -251,8 +251,8 @@ def grid_layers():
     for nu in GRID_NUS:
         rule = quadrature.build_rule(nu, *GRID_RULE)
         e = np.exp(2j * np.pi * np.arange(rule.angular) / rule.angular)
-        w1 = (np.sqrt(rule.u_nodes)[:, None] * e)[:, :, None, None]
-        w2 = (np.sqrt(rule.v_nodes)[:, None] * e)[None, None, :, :]
+        w1 = (rule.r1_nodes[:, None] * e)[:, :, None, None]
+        w2 = (rule.r2_nodes[:, None] * e)[None, None, :, :]
         z = HartogsPoint(w1 * w2, np.broadcast_to(w2, np.broadcast(w1, w2).shape))
         name = f"kernels.kernel.grid_{GRID_RULE[0]}x{GRID_RULE[1]}_{z.z1.size}_points.nu={nu:g}"
         times[name] = best_us(lambda: kernels.kernel(nu, z, w), 3, 5) / 1e3

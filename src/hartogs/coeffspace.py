@@ -122,7 +122,7 @@ class SpaceParam:
         in the space: the Gamma moments for nu > -1, the Parseval sum at
         nu = -1, the Dirichlet sum at nu = -2, and for -2 < nu < -1 the
         signed D_nu pairing, which is negative on some supports below
-        nu = -4/3.  +inf if the support leaks outside I_nu; DomainError if an |a|^2 overflows."""
+        nu = -4/3.  +inf if the support leaks outside I_nu; DomainError if an |a|^2 or the sum overflows."""
         total = 0.0
         try:
             for (j, k), a in f.items():
@@ -132,6 +132,8 @@ class SpaceParam:
                 total += w * abs(a) ** 2
         except OverflowError as exc:
             raise DomainError("a squared coefficient |a|^2 leaves the double range") from exc
+        if not math.isfinite(total):  # +inf is the sentinel of a support outside I_nu
+            raise DomainError("a weighted sum of |a|^2 leaves the double range")
         return total
 
 
@@ -327,7 +329,7 @@ def t_norm_sq(nu, f_i):
     r_nu |c|^2 ``_gamma_weight(nu+2, J, K)``; it is finite iff
     J + K + nu/2 + 3 > 0, i.e. (J, K) lies in I_{nu+2}, else the +inf
     sentinel is returned.  ``nu`` is a float or its SpaceParam; nu < -2,
-    or a |c|^2 outside the double range, raises DomainError.
+    or a |c|^2 or a sum outside the double range, raises DomainError.
     """
     nu = _space(nu).nu
     total = 0.0
@@ -339,6 +341,8 @@ def t_norm_sq(nu, f_i):
     except OverflowError as exc:
         raise DomainError("a squared coefficient |a|^2 leaves the double range") from exc
     r = (2.0 / 3.0) * (nu + 1.0) ** 2 * (0.5 * nu + 2.0) / ((nu + 3.0) * (1.5 * nu + 4.0) * (1.5 * nu + 5.0))
+    if not math.isfinite(r * total):
+        raise DomainError("a weighted sum of |a|^2 leaves the double range")
     return r * total
 
 

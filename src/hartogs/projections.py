@@ -166,9 +166,6 @@ class CriticalRange:
     p_minus: float
     p_plus: float
 
-    def __contains__(self, p):
-        return self.p_minus < p < self.p_plus
-
 
 def critical_range(nu):
     """Boundedness range of P_nu, nu > -1, in the ceiling form used by the

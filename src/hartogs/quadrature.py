@@ -9,8 +9,10 @@ Radial directions use Gauss-Jacobi rules in the squared radii u = r^2,
 v = rho^2, which absorb the (1-u)^nu endpoint singularity exactly; the
 w2 rule additionally carries the fractional power v^(nu/2 - ceil(nu/2))
 so that every monomial of the family's index set pulls back to a plain
-polynomial (the leftover integer power v^(1 + ceil(nu/2)) multiplies the
-integrand).  Angular directions use uniform trapezoid grids, exact for
+polynomial.  One rule type, :class:`QuadRule`, serves mu_nu, the bidisc
+weight and tau: each radial axis holds plain radii and the final weights
+of its measure, the leftover power v^(1 + ceil(nu/2)) or the tau density
+folded in.  Angular directions use uniform trapezoid grids, exact for
 trigonometric polynomials below the grid frequency.  ``_jacobi01`` solves
 each Gauss rule once per process (Legendre is its flat case), keeps the
 last ``_RULES_KEPT``, builds none at import and hands out read-only arrays.
@@ -68,7 +70,6 @@ from .specfun import DomainError
 
 __all__ = [
     "QuadRule",
-    "TauRule",
     "build_rule",
     "build_tau_rule",
     "integrate_mu",
@@ -86,26 +87,14 @@ _COEFF_TYPES = (LaurentCoeffs, MixedPoly)  # integrands summed by _separable_sum
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Tensor rule for mu_nu integrals: radial Jacobi x angular trapezoid."""
+    """Tensor rule on D x D*: two radial axes, each of plain radii and the
+    final weights of the rule's measure (read-only), x an angular trapezoid.
 
-    nu: float
-    u_nodes: np.ndarray
-    u_weights: np.ndarray
-    v_nodes: np.ndarray
-    v_weights: np.ndarray
-    v_shift: int
-    angular: int
-
-
-@dataclass(frozen=True)
-class TauRule:
-    """Plain-radius Legendre x trapezoid rule on a compact shell.
-
-    The two radial directions may carry different intervals: the tau
-    density blows up only at |w_i| = 1, so each interval just has to
-    cover the integrand's support with a margin off the outer boundary.
+    ``nu`` is the snapped nu of a mu_nu rule, or None for a tau rule, whose
+    radial intervals need only cover the integrand's support off |w_i| = 1.
     """
 
+    nu: float | None
     r1_nodes: np.ndarray
     r1_weights: np.ndarray
     r2_nodes: np.ndarray
@@ -132,16 +121,19 @@ def _jacobi01(order, alpha, beta):
 def build_rule(nu, radial_order=64, angular_count=65):
     """Gauss-Jacobi x trapezoid rule for integrals against mu_nu.
 
-    The rule carries the snapped nu of :class:`SpaceParam`; ``nu`` is a
-    float or its SpaceParam.
+    r1 = sqrt(u) with the u weights, r2 = sqrt(v) with the v weights times
+    v^(1 + ceil(nu/2)).  The rule carries the snapped nu of
+    :class:`SpaceParam`; ``nu`` is a float or its SpaceParam.
     """
     sp = _space(nu).require("bergman", "build_rule")
     nu = sp.nu
     if radial_order < 1 or angular_count < 1:
         raise DomainError("rule orders must be positive")
-    u_nodes, u_weights = _jacobi01(radial_order, nu, 0.0)
-    v_nodes, v_weights = _jacobi01(radial_order, nu, 0.5 * nu - sp.ceil)
-    return QuadRule(nu, u_nodes, u_weights, v_nodes, v_weights, 1 + sp.ceil, angular_count)
+    u, u_weights = _jacobi01(radial_order, nu, 0.0)
+    v, v_weights = _jacobi01(radial_order, nu, 0.5 * nu - sp.ceil)
+    r1, r2, r2_weights = np.sqrt(u), np.sqrt(v), v_weights * v ** (1 + sp.ceil)
+    r1.flags.writeable = r2.flags.writeable = r2_weights.flags.writeable = False
+    return QuadRule(nu, r1, u_weights, r2, r2_weights, angular_count)
 
 
 def as_grid_fn(obj):
@@ -288,18 +280,16 @@ def _separable_sum(poly, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, a
 
 def _integrate_pullback(nu, integrand, rule, on_triangle):
     """c_nu/4 times the rule's sum of the integrand over D x D*, pulled
-    through Phi when ``on_triangle``, against v^v_shift for mu_nu and one
-    power of v fewer for the bidisc weight."""
+    through Phi when ``on_triangle``.  The bidisc weight lacks the |w2|^2
+    of Phi's Jacobian, so its w2 weights are the rule's over r2^2."""
     sp = SpaceParam(nu)
     nu = sp.nu
     if rule is None:
         rule = build_rule(sp)
     if rule.nu != nu:
         raise DomainError(f"rule was built for nu = {rule.nu}, asked for {nu}")
-    # |w2|^nu rho drho pulls back to v^(nu/2) dv / 2 against the same
-    # fractional rule, so one power of v fewer is left over than for mu_nu
-    weighted_v = rule.v_weights * rule.v_nodes ** (rule.v_shift - (0 if on_triangle else 1))
-    radial = (np.sqrt(rule.u_nodes), rule.u_weights, np.sqrt(rule.v_nodes), weighted_v)
+    r2_weights = rule.r2_weights if on_triangle else rule.r2_weights / rule.r2_nodes**2
+    radial = (rule.r1_nodes, rule.r1_weights, rule.r2_nodes, r2_weights)
     if isinstance(integrand, _COEFF_TYPES):
         total = _separable_sum(integrand, *radial, rule.angular, on_triangle)
     else:
@@ -332,7 +322,8 @@ def integrate_bidisc(nu, integrand, rule=None):
 
 
 def build_tau_rule(radial_order=48, angular_count=40, shell_eps=0.05, r1_range=None, r2_range=None):
-    """Legendre x trapezoid rule on the shell eps <= |w_i| <= 1 - eps.
+    """Legendre x trapezoid rule for tau on the shell eps <= |w_i| <= 1 - eps,
+    the tau density r (1-r^2)^(-2) folded into each radial weight.
 
     ``r1_range`` / ``r2_range`` optionally trim the radial intervals to a
     tighter bracket of the integrand's support (the defaults cover the
@@ -346,12 +337,14 @@ def build_tau_rule(radial_order=48, angular_count=40, shell_eps=0.05, r1_range=N
         lo, hi = rng
         if not shell_eps <= lo < hi <= 1.0 - shell_eps:
             raise DomainError(f"radial range {rng} leaves the shell")
-        return lo + (hi - lo) * t, h * (hi - lo)
+        r = lo + (hi - lo) * t
+        return r, h * (hi - lo) * r * (1.0 - r * r) ** -2
 
     full = (shell_eps, 1.0 - shell_eps)
     r1, w1 = mapped(r1_range or full)
     r2, w2 = mapped(r2_range or full)
-    return TauRule(r1, w1, r2, w2, angular_count)
+    r1.flags.writeable = w1.flags.writeable = r2.flags.writeable = w2.flags.writeable = False
+    return QuadRule(None, r1, w1, r2, w2, angular_count)
 
 
 def integrate_tau(integrand, rule=None, automorphism=None):
@@ -366,6 +359,8 @@ def integrate_tau(integrand, rule=None, automorphism=None):
     """
     if rule is None:
         rule = build_tau_rule()
+    if rule.nu is not None:
+        raise DomainError(f"integrate_tau needs a tau rule, got one for nu = {rule.nu}")
     fn = as_grid_fn(integrand)
     if automorphism is None:
         pulled = _on_triangle(fn)
@@ -376,14 +371,7 @@ def integrate_tau(integrand, rule=None, automorphism=None):
             return fn(w2 * disc_map(w1), c * w2)
 
     _warn_if_support_leaks(pulled, rule.r1_nodes, rule.r2_nodes, rule.angular)
-    return _tensor_sum(pulled, *_tau_radial(rule), rule.angular)
-
-
-def _tau_radial(rule):
-    """(r1, W1, r2, W2): each radial axis of ``rule`` with its tau weights
-    r w (1-r^2)^(-2), for ``integrate_tau`` and the tau-invariance suite."""
-    r1, r2 = rule.r1_nodes, rule.r2_nodes
-    return r1, rule.r1_weights * r1 * (1.0 - r1 * r1) ** -2, r2, rule.r2_weights * r2 * (1.0 - r2 * r2) ** -2
+    return _tensor_sum(pulled, rule.r1_nodes, rule.r1_weights, rule.r2_nodes, rule.r2_weights, rule.angular)
 
 
 def _warn_if_support_leaks(fn, r1, r2, angular):

@@ -180,8 +180,7 @@ def suite_kernel_agreement(seed=0, tol=1e-8, nus=_REGIMES):
         res.worst(f"nu={nu} worst pair", worst, tol, f"kernel series mismatch at nu={nu}")
         if coeffspace.SpaceParam(nu).kind == "bergman":
             z, w = _random_point(_rng(seed, 150)), _random_point(_rng(seed, 151))
-            closed, series = abs(kernels.kernel_nu(nu, z, w)), abs(kernels.kernel_nu_series_k(nu, z, w))
-            res.row(f"nu={nu} k-sum oracle", closed, series, tol)
+            res.row(f"nu={nu} k-sum oracle", kernels.kernel_nu(nu, z, w), kernels.kernel_nu_series_k(nu, z, w), tol)
     # even-integer reduction of the hypergeometric factor
     rng = _rng(seed, 160)
     for n in (0, 1, 2):
@@ -586,15 +585,11 @@ def suite_isometries(seed=0):
 
 
 def _t_multiplier_rule(rule):
-    """``rule`` with |T|^2 folded into its radial weights.
-
-    T multiplies by |z2| (1 - |z1/z2|^2)(1 - |z2|^2), which pulls back to
-    the radial r2 (1 - u)(1 - v); its square v (1 - u)^2 (1 - v)^2 moves
-    into the u and v weights, so |T f|^2 integrates as |f|^2 against the
-    copy.
-    """
-    u_weights = rule.u_weights * (1.0 - rule.u_nodes) ** 2
-    return replace(rule, u_weights=u_weights, v_weights=rule.v_weights * rule.v_nodes * (1.0 - rule.v_nodes) ** 2)
+    """``rule`` with |T|^2 folded into its radial weights: T multiplies by
+    |z2| (1 - |z1/z2|^2)(1 - |z2|^2), which pulls back to r2 (1 - r1^2)(1 - r2^2),
+    so |T f|^2 integrates as |f|^2 against the copy."""
+    u, v = rule.r1_nodes**2, rule.r2_nodes**2
+    return replace(rule, r1_weights=rule.r1_weights * (1.0 - u) ** 2, r2_weights=rule.r2_weights * v * (1.0 - v) ** 2)
 
 
 def suite_tsplit(seed=0, tol=1e-7, nus=(-0.5, 0.0, 1.0)):
@@ -676,12 +671,11 @@ def _bump(z1, z2):
 def _factored_tau_mass(rule, automorphism=None):
     """``integrate_tau(_bump, rule, automorphism).real`` as the product
     S1(phi) S2 (2 pi/m)^2 of ``suite_tau_invariance``; c drops out."""
-    r1, w1_weights, r2, w2_weights = quadrature._tau_radial(rule)
-    m = rule.angular
+    r1, r2, m = rule.r1_nodes, rule.r2_nodes, rule.angular
     w1 = r1[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
     t = w1 if automorphism is None else automorphism.disc_map(w1)
-    s1 = (w1_weights[:, None] * _twelfth(_window(t.real**2 + t.imag**2, *_BUMP_X))).sum()
-    s2 = m * (w2_weights * _twelfth(_window(r2, *_BUMP_Y))).sum()
+    s1 = (rule.r1_weights[:, None] * _twelfth(_window(t.real**2 + t.imag**2, *_BUMP_X))).sum()
+    s2 = m * (rule.r2_weights * _twelfth(_window(r2, *_BUMP_Y))).sum()
     return float(s1 * s2) * (2.0 * np.pi / m) ** 2
 
 

@@ -219,6 +219,15 @@ class TestNormCommand:
         code, out, err = run_cli(capsys, "norm", "--space", space, "--nu", "0", "--in", str(path))
         assert (code, out, err) == (2, "", "error: a squared coefficient |a|^2 leaves the double range\n")
 
+    @pytest.mark.parametrize("space", ["star", "bergman"])
+    def test_a_weighted_sum_beyond_the_double_range_exits_2(self, capsys, tmp_path, space):
+        # |1e154|^2 is finite but its weighted sum is not; it printed inf, the
+        # sentinel of a support outside the space, and exit 0
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": 0, "k": -1, "re": 1e154, "im": 0}]}))
+        code, out, err = run_cli(capsys, "norm", "--space", space, "--nu", "0", "--in", str(path))
+        assert (code, out, err) == (2, "", "error: a weighted sum of |a|^2 leaves the double range\n")
+
     @pytest.mark.parametrize("nu", ["-1", "-1.0000000000001"])
     def test_star_refuses_the_hardy_space(self, capsys, tmp_path, nu):
         # r_nu = 0 at nu = -1, so the T-split sum would read |a00| = 0 for z1 + z2^2

@@ -104,7 +104,10 @@ class TestSpaceParam:
                 assert abs(closed - kernels.kernel_series(nu, z, w)) <= 1e-10 * abs(closed)
                 assert sp.member(0, -1 - sp.ceil) and not sp.member(0, -2 - sp.ceil)
                 if special > -1.0:
-                    assert quadrature.build_rule(nu, 4, 4).v_shift == 1 + sp.ceil
+                    rule, exact = quadrature.build_rule(nu, 4, 4), quadrature.build_rule(special, 4, 4)
+                    assert rule.nu == special
+                    for name in ("r1_nodes", "r1_weights", "r2_nodes", "r2_weights"):
+                        np.testing.assert_array_equal(getattr(rule, name), getattr(exact, name))
                     scan = projections.blowup_scan(nu, p, [0.1, 0.01])
                     assert scan.s == sp.nu - (1.0 + sp.ceil) * p + 3.0
                     assert projections.critical_range(nu) == projections.critical_range(special)
@@ -276,6 +279,18 @@ class TestSpaceNorms:
         assert SpaceParam(-1.5).weight(0, -1) == pytest.approx(-1.0, rel=1e-12)
         assert math.isinf(SpaceParam(-1.5).norm_sq(LaurentCoeffs({(0, -2): 1.0})))
 
+    def test_a_weighted_sum_beyond_the_double_range_is_refused(self):
+        # each |a|^2 is finite; the weighted sum is not, and read +inf, the
+        # sentinel of a support outside I_nu, though z2^-1 lies in the space
+        for nu, f in (
+            (0.0, {(0, -1): 1e154}),  # weight 2
+            (0.0, {(0, 0): 1.3e154, (0, 1): 1.3e154}),  # two finite terms
+            (-1.5, {(0, -1): 1.3e154, (1, -2): 1.3e154}),  # negative weights, -inf
+        ):
+            with pytest.raises(DomainError, match="weighted sum of"):
+                SpaceParam(nu).norm_sq(LaurentCoeffs(f))
+        assert SpaceParam(0.0).norm_sq(LaurentCoeffs({(0, -1): 1e153})) == pytest.approx(2e306, rel=1e-12)
+
     def test_parseval_additivity(self):
         f = LaurentCoeffs({(0, 0): 1.0, (2, 1): 0.5j})
         g = LaurentCoeffs({(1, 0): -2.0})
@@ -380,6 +395,16 @@ class TestSplitAndTNorms:
         good = LaurentCoeffs({(0, -2): 1.0})  # 0 - 2 - 0.25 + 3 = 0.75
         assert math.isinf(t_norm_sq(nu, bad))
         assert math.isfinite(t_norm_sq(nu, good))
+
+    def test_a_t_norm_beyond_the_double_range_is_refused(self):
+        # z2^-1 at nu = 0: its f2 part -1e154 z2^-2 has a finite |c|^2 and an
+        # overflowing T-norm, which read +inf, the divergence sentinel
+        f = LaurentCoeffs({(0, -1): 1e154})
+        with pytest.raises(DomainError, match="weighted sum of"):
+            t_norm_sq(0.0, split_f123(f)[1])
+        with pytest.raises(DomainError, match="weighted sum of"):
+            star_norm(0.0, f)
+        assert math.isfinite(star_norm(0.0, LaurentCoeffs({(0, -1): 1e150})))
 
     def test_star_norm_and_projection_build_space_param_once(self, monkeypatch):
         built = []

@@ -20,31 +20,46 @@ from hartogs.verify import _bump
 
 
 class TestBuildRule:
+    """``build_rule`` holds plain radii r1 = sqrt(u), r2 = sqrt(v) and the
+    final weights: the u weights, and the v weights times v^(1 + ceil(nu/2))."""
+
     def test_flat_case_is_legendre(self):
         rule = quadrature.build_rule(0.0, radial_order=16, angular_count=8)
         x, w = roots_legendre(16)
-        np.testing.assert_allclose(rule.u_nodes, 0.5 * (x + 1.0), atol=1e-14)
-        np.testing.assert_allclose(rule.u_weights, 0.5 * w, atol=1e-14)
+        np.testing.assert_allclose(rule.r1_nodes**2, 0.5 * (x + 1.0), atol=1e-14)
+        np.testing.assert_allclose(rule.r1_weights, 0.5 * w, atol=1e-14)
+
+    def test_axes_are_the_jacobi_rules_with_the_integer_power_folded_in(self):
+        for nu in (-0.5, 0.0, 0.7, 2.0, 3.5):
+            rule = quadrature.build_rule(nu, radial_order=16, angular_count=4)
+            ceil = math.ceil(0.5 * nu)
+            u, u_weights = quadrature._jacobi01(16, nu, 0.0)
+            v, v_weights = quadrature._jacobi01(16, nu, 0.5 * nu - ceil)
+            np.testing.assert_array_equal(rule.r1_nodes, np.sqrt(u))
+            assert rule.r1_weights is u_weights
+            np.testing.assert_array_equal(rule.r2_nodes, np.sqrt(v))
+            np.testing.assert_array_equal(rule.r2_weights, v_weights * v ** (1 + ceil))
 
     def test_gauss_exactness_against_beta(self):
+        """sum W1 r1^(2m) = B(m+1, nu+1) and sum W2 r2^(2m) = B(m + nu/2 + 2, nu+1):
+        the w2 weights carry the whole power v^(nu/2 + 1) of |w2|^(nu+2) dA."""
         for nu in (-0.5, 0.7, 2.0):
             rule = quadrature.build_rule(nu, radial_order=16, angular_count=4)
             for m in range(0, 31, 5):
-                val = float(np.dot(rule.u_weights, rule.u_nodes**m))
+                val = float(np.dot(rule.r1_weights, rule.r1_nodes ** (2 * m)))
                 assert val == pytest.approx(beta(m + 1.0, nu + 1.0), rel=1e-13)
+                val = float(np.dot(rule.r2_weights, rule.r2_nodes ** (2 * m)))
+                assert val == pytest.approx(beta(m + 0.5 * nu + 2.0, nu + 1.0), rel=1e-12)
 
     def test_singular_weight_mass(self):
         rule = quadrature.build_rule(-0.5, radial_order=8, angular_count=4)
-        assert float(np.sum(rule.u_weights)) == pytest.approx(2.0, rel=1e-13)
+        assert float(np.sum(rule.r1_weights)) == pytest.approx(2.0, rel=1e-13)
 
     def test_nodes_interior_weights_positive(self):
-        rule = quadrature.build_rule(0.7, radial_order=32, angular_count=8)
-        for nodes, weights in (
-            (rule.u_nodes, rule.u_weights),
-            (rule.v_nodes, rule.v_weights),
-        ):
-            assert np.all(nodes > 0.0) and np.all(nodes < 1.0)
-            assert np.all(weights > 0.0)
+        for rule in (quadrature.build_rule(0.7, radial_order=32, angular_count=8), quadrature.build_tau_rule()):
+            for nodes, weights in ((rule.r1_nodes, rule.r1_weights), (rule.r2_nodes, rule.r2_weights)):
+                assert np.all(nodes > 0.0) and np.all(nodes < 1.0)
+                assert np.all(weights > 0.0)
 
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
@@ -55,7 +70,44 @@ class TestBuildRule:
     def test_environment_does_not_change_the_default_rule(self, monkeypatch):
         monkeypatch.setenv("HARTOGS_QUAD_ORDER", "12")
         rule = quadrature.build_rule(0.0)
-        assert (rule.u_nodes.size, rule.v_nodes.size, rule.angular) == (64, 64, 65)
+        assert (rule.nu, rule.r1_nodes.size, rule.r2_nodes.size, rule.angular) == (0.0, 64, 64, 65)
+
+    def test_tau_rule_folds_the_tau_density_into_the_legendre_weights(self):
+        rule = quadrature.build_tau_rule(radial_order=12, angular_count=8, shell_eps=0.1, r2_range=(0.3, 0.6))
+        t, h = quadrature._jacobi01(12, 0.0, 0.0)
+        assert rule.nu is None and rule.angular == 8
+        for (lo, hi), nodes, weights in (
+            ((0.1, 0.9), rule.r1_nodes, rule.r1_weights),
+            ((0.3, 0.6), rule.r2_nodes, rule.r2_weights),
+        ):
+            r = lo + (hi - lo) * t
+            np.testing.assert_array_equal(nodes, r)
+            np.testing.assert_array_equal(weights, h * (hi - lo) * r * (1.0 - r * r) ** -2)
+
+
+class TestOneRuleType:
+    """One rule type serves all three integrals; each refuses a rule of another measure."""
+
+    def test_integrate_tau_refuses_a_mu_rule(self):
+        with pytest.raises(DomainError, match="tau rule"):
+            quadrature.integrate_tau(_bump, quadrature.build_rule(0.0, 8, 8))
+
+    @pytest.mark.parametrize("integrate", [quadrature.integrate_mu, quadrature.integrate_bidisc])
+    def test_mu_and_bidisc_refuse_a_tau_rule(self, integrate):
+        one = LaurentCoeffs({(0, 0): 1.0})
+        with pytest.raises(DomainError, match="nu = None"):
+            integrate(0.0, one, quadrature.build_tau_rule())
+        with pytest.raises(DomainError, match="nu = None"):
+            integrate(0.0, lambda z1, z2: np.ones_like(z2), quadrature.build_tau_rule())
+
+    def test_bidisc_weight_is_the_mu_weight_over_the_jacobian(self):
+        """integrate_bidisc of |w2|^2 g is integrate_mu of g pulled through Phi:
+        the bidisc w2 weights are the rule's over r2^2."""
+        for nu in (-0.5, 0.0, 0.7, 3.5):
+            rule = quadrature.build_rule(nu, radial_order=24, angular_count=9)
+            bidisc = quadrature.integrate_bidisc(nu, lambda w1, w2: abs(w2) ** 2 * abs(w1) ** 2, rule)
+            mu = quadrature.integrate_mu(nu, lambda z1, z2: abs(z1 / z2) ** 2, rule)
+            assert bidisc == pytest.approx(mu, rel=1e-13)
 
 
 class TestRuleMemo:
@@ -77,19 +129,23 @@ class TestRuleMemo:
                 np.testing.assert_array_equal(weights, 0.5 * w)
 
     def test_writing_into_a_rule_raises(self):
-        rule = quadrature.build_rule(0.7, radial_order=16, angular_count=5)
-        for array in (rule.u_nodes, rule.u_weights, rule.v_nodes, rule.v_weights):
-            with pytest.raises(ValueError):
-                array[0] = 0.5
-            with pytest.raises(ValueError):
-                array *= 2.0
+        for rule in (quadrature.build_rule(0.7, radial_order=16, angular_count=5), quadrature.build_tau_rule()):
+            for array in (rule.r1_nodes, rule.r1_weights, rule.r2_nodes, rule.r2_weights):
+                with pytest.raises(ValueError):
+                    array[0] = 0.5
+                with pytest.raises(ValueError):
+                    array *= 2.0
 
     def test_angular_counts_share_the_radial_rule(self):
         a = quadrature.build_rule(0.7, radial_order=32, angular_count=25)
+        info = quadrature._jacobi01.cache_info()
         b = quadrature.build_rule(0.7, radial_order=32, angular_count=33)
+        after = quadrature._jacobi01.cache_info()
         assert (a.angular, b.angular) == (25, 33)
-        for name in ("u_nodes", "u_weights", "v_nodes", "v_weights"):
-            assert getattr(a, name) is getattr(b, name)
+        assert (after.hits, after.misses) == (info.hits + 2, info.misses)
+        assert a.r1_weights is b.r1_weights
+        for name in ("r1_nodes", "r1_weights", "r2_nodes", "r2_weights"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_an_out_of_range_scale_is_refused_every_time(self):
         for _ in range(2):

@@ -427,6 +427,17 @@ def test_kernel_estimate_fails_when_the_constant_shrinks(monkeypatch):
     assert not res.passed and "kernel estimate violated at nu=-0.5" in res.message
 
 
+@pytest.mark.parametrize("alter", [np.conj, np.negative], ids=["conjugated", "negated"])
+def test_k_sum_row_fails_an_altered_oracle(monkeypatch, alter):
+    """The k-sum oracle row compares complex values; on |K| alone a conjugated
+    or negated oracle passed."""
+    series = kernels.kernel_nu_series_k
+    assert verify.run_suite("kernel-agreement").passed
+    monkeypatch.setattr(kernels, "kernel_nu_series_k", lambda nu, z, w: alter(series(nu, z, w)))
+    res = verify.run_suite("kernel-agreement")
+    assert not res.passed and "k-sum oracle" in res.message
+
+
 def test_suites_take_only_the_seed_and_what_a_verify_flag_sets():
     settable = {"seed", *cli._VERIFY_FLAGS.values()}
     for name, suite in verify.SUITES.items():
