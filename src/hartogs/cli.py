@@ -7,7 +7,6 @@ Subcommands map one-to-one onto the library layers:
     project         weighted Bergman projection of a mixed polynomial
     szego           Szego projection (coefficient or FFT grid mode)
     critical-range  the L^p boundedness interval of P_nu
-    scan-blowup     endpoint blow-up scan, CSV (epsilon, integral, slope)
     isometry        the re-indexing isometry onto the bidisc, forward or inverse
     verify          cross-validation suites, CSV + summary table
 
@@ -202,7 +201,10 @@ def _szego_input(data):
             raise ValueError("true and false are not numbers")  # int() and complex() read them as 1, 0
         if int(n) != n:  # 2.5 or "2" would pass int() silently
             raise ValueError(f"n = {n!r} is not an integer")
-        return int(n), np.array([complex(re, im) for re, im in values])
+        flat = np.array([complex(re, im) for re, im in values])
+        if not np.isfinite(flat).all():
+            raise ValueError(f"values[{int(np.argmin(np.isfinite(flat)))}] is not finite")
+        return int(n), flat
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"a grid file needs an integer n and [re, im] values: {exc}") from exc
 
@@ -228,20 +230,6 @@ def _cmd_szego(args):
 def _cmd_critical_range(args):
     r = projections.critical_range(args.nu)
     _write_text(args.out, f"{r.p_minus:.12f} {r.p_plus:.12f}\n")
-    return EXIT_OK
-
-
-def _cmd_scan_blowup(args):
-    try:
-        epsilons = [float(tok) for tok in args.eps.split(",")]
-    except ValueError as exc:
-        raise DomainError(f"--eps needs comma-separated numbers: {exc}") from exc
-    scan = projections.blowup_scan(args.nu, args.p, epsilons)
-    rows = ["epsilon,integral,fitted_slope"]
-    for eps, val in zip(scan.epsilons, scan.values):
-        rows.append(f"{_fmt(eps)},{_fmt(val)},{_fmt(scan.fitted_slope)}")
-    rows.append(f"# regime={scan.regime} s={_fmt(scan.s)} expected_slope={_fmt(scan.s + 1.0)}")
-    _write_text(args.out, "\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -329,13 +317,6 @@ def build_parser():
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_critical_range)
-
-    p = sub.add_parser("scan-blowup", help="endpoint blow-up scan")
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--eps", required=True, help="comma-separated decreasing epsilons")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_scan_blowup)
 
     p = sub.add_parser("isometry", help="re-indexing isometries onto bidisc spaces")
     p.add_argument("--space", choices=(*_SPACE_NU, "bergman"), required=True)

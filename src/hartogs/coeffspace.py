@@ -17,6 +17,7 @@ Out-of-space inputs produce the +inf sentinel rather than an error: the
 divergence of a norm is a mathematical outcome that callers test for.
 """
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -156,6 +157,8 @@ class _CoeffMap:
                 key = tuple(map(int, key))
                 self._check_key(key)
                 val = complex(val)
+                if not cmath.isfinite(val):
+                    raise DomainError(f"coefficient {dict(zip(self._key_names, key))} is not finite: {val}")
                 if val != 0.0:
                     data[key] = val
         self.terms = data
@@ -187,7 +190,7 @@ class _CoeffMap:
         A missing key raises KeyError and a container of the wrong kind
         (``terms`` not a list, say) TypeError or AttributeError; an index
         that is not an integral number or a coefficient part that is not a
-        number, a boolean included, raises DomainError.
+        finite number, a boolean included, raises DomainError.
         """
         names = cls._key_names
         terms = {}

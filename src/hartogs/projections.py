@@ -16,7 +16,8 @@ The boundedness range of P_nu on L^p_nu is computed in the ceiling form
 of the necessity argument.  In (w1, w2) = (z1/z2, z2) it is where the mode
 w2^(-N), N = 1 + ceil(nu/2), lies in L^p and L^p' of the radial weight
 |w2|^(nu+2) (1-|w2|^2)^nu; ``_mode_exponent`` gives the radial power of that
-mode's q-th moment, and the endpoint blow-up scan reads it.
+mode's q-th moment, and ``_tail_integral`` its truncated integral, which the
+mode-norm and blow-up rows of ``verify`` read.
 """
 
 import math
@@ -31,7 +32,6 @@ from .specfun import DomainError, VerificationFailure
 __all__ = [
     "IntegrabilityError",
     "CriticalRange",
-    "BlowupScan",
     "project_bergman",
     "projection_self_test",
     "szego_multiplier",
@@ -39,7 +39,6 @@ __all__ = [
     "project_szego_grid",
     "lp_norm_torus",
     "critical_range",
-    "blowup_scan",
 ]
 
 class IntegrabilityError(DomainError):
@@ -210,51 +209,3 @@ def _tail_integral(s, nu, eps):
     vals = 0.5 * v ** (0.5 * (s - 1.0))
     total += float(np.dot(wj, vals)) * (1.0 - a) ** (nu + 1.0)
     return total
-
-
-@dataclass(frozen=True)
-class BlowupScan:
-    """Result of the endpoint blow-up scan for P_nu at exponent p."""
-
-    nu: float
-    p: float
-    s: float
-    epsilons: tuple
-    values: tuple
-    fitted_slope: float
-    regime: str
-
-
-def blowup_scan(nu, p, epsilons):
-    """Truncated-integral scan of the necessity-proof blow-up.
-
-    With s = nu - (1 + ceil(nu/2)) p + 3, the integral T(eps) =
-    int_eps^1 rho^s (1-rho^2)^nu drho diverges like eps^(s+1) when
-    s < -1 (p beyond the critical endpoint (4+nu)/(1+ceil(nu/2))),
-    logarithmically at s = -1, and converges for s > -1.  The slope of
-    log T against log eps is fitted on the last half of the epsilon list
-    (the asymptotic regime).  The epsilons, taken in decreasing order,
-    must be at least two distinct numbers inside (0, 1), else DomainError.
-    """
-    sp = SpaceParam(nu).require("bergman", "blowup_scan")
-    nu = sp.nu
-    if not (math.isfinite(p) and p > 1.0):
-        raise DomainError(f"blowup_scan requires a finite p > 1, got {p}")
-    epsilons = tuple(sorted((float(e) for e in epsilons), reverse=True))
-    # every comparison with nan is false, so a nan fails one of these wherever it sorts
-    inside = len(epsilons) >= 2 and 0.0 < epsilons[-1] and epsilons[0] < 1.0
-    if not (inside and all(a > b for a, b in zip(epsilons, epsilons[1:]))):
-        raise DomainError(f"epsilons must be at least two distinct numbers inside (0, 1), got {list(epsilons)}")
-    s = _mode_exponent(sp, p)
-    values = tuple(_tail_integral(s, nu, e) for e in epsilons)
-    half = len(epsilons) // 2 if len(epsilons) > 2 else 0  # two points at least in the fit
-    xs = np.log(np.asarray(epsilons[half:]))
-    ys = np.log(np.asarray(values[half:]))
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    if s < -1.0 - 1e-9:
-        regime = "divergent"
-    elif s <= -1.0 + 1e-9:
-        regime = "marginal"
-    else:
-        regime = "convergent"
-    return BlowupScan(nu, p, s, epsilons, values, slope, regime)

@@ -316,22 +316,21 @@ def suite_mode_norm(seed=0):
 
 
 def suite_blowup(seed=0):
-    """Endpoint blow-up exponents match the fitted truncation slopes."""
+    """The truncated integral T(eps) of the mode w2^(-N) (``projections._tail_integral``)
+    grows like eps^(s+1) when s = ``projections._mode_exponent`` < -1, p beyond the endpoint,
+    and settles when s > -1: its log-log slope over eps = 1e-6..1e-4 is s + 1 (5%) or 0 (0.02)."""
     res = SuiteResult("blowup", True)
-    epsilons = [10.0 ** (-m) for m in range(1, 7)]
-    for nu, p in ((0.0, 5.0), (0.7, 5.0), (2.0, 4.0)):
-        scan = projections.blowup_scan(nu, p, epsilons)
-        expected = scan.s + 1.0
-        res.row(f"nu={nu},p={p} slope", expected, scan.fitted_slope)
-        slope_ok = abs(scan.fitted_slope - expected) <= 0.05 * abs(expected)
-        res.check(slope_ok, f"blow-up slope off at (nu={nu}, p={p}): {scan.fitted_slope} vs {expected}")
-        res.check(scan.regime == "divergent", f"(nu={nu}, p={p}) should be divergent")
-    # interior exponents: p below the endpoint (4+nu)/(1+ceil(nu/2))
-    for nu, p in ((0.0, 2.0), (0.7, 2.0), (2.0, 2.5)):
-        scan = projections.blowup_scan(nu, p, epsilons)
-        res.row(f"nu={nu},p={p} convergent slope", 0.0, scan.fitted_slope)
-        res.check(scan.regime == "convergent", f"(nu={nu}, p={p}) should be convergent")
-        res.check(abs(scan.fitted_slope) < 0.02, f"(nu={nu}, p={p}) slope {scan.fitted_slope}")
+    eps = np.array([1e-4, 1e-5, 1e-6])
+    for nu, p in ((0.0, 5.0), (0.7, 5.0), (2.0, 4.0), (0.0, 2.0), (0.7, 2.0), (2.0, 2.5)):
+        s = projections._mode_exponent(coeffspace.SpaceParam(nu), p)
+        tails = [projections._tail_integral(s, nu, e) for e in eps]
+        slope = float(np.polyfit(np.log(eps), np.log(tails), 1)[0])
+        if s < -1.0:
+            res.row(f"nu={nu},p={p} slope", s + 1.0, slope)
+            res.check(abs(slope - (s + 1.0)) <= 0.05 * abs(s + 1.0), f"(nu={nu}, p={p}) slope {slope} vs {s + 1.0}")
+        else:
+            res.row(f"nu={nu},p={p} convergent slope", 0.0, slope)
+            res.check(abs(slope) < 0.02, f"(nu={nu}, p={p}) slope {slope}")
     return res
 
 
@@ -737,8 +736,10 @@ SUITES = {
 
 
 def run_suite(name, seed=0, **kwargs):
-    """Run one suite; DomainError if ``seed`` is not a non-negative integer."""
+    """Run one suite; DomainError for a seed not a non-negative integer, or a tol not finite > 0."""
     quadrature._check_seed(seed)
+    if "tol" in kwargs and not (math.isfinite(kwargs["tol"]) and kwargs["tol"] > 0.0):
+        raise DomainError(f"tolerance must be a finite number > 0, got {kwargs['tol']!r}")
     return SUITES[name](seed=seed, **kwargs)
 
 

@@ -71,8 +71,10 @@ def test_criterion_06_schur_feasibility():
 
 
 def test_criterion_07_blowup():
-    # fitted truncation exponents within 5%, interior exponents convergent
-    _drive(7, "endpoint blow-up scan", "blowup")
+    # log-log slope of the truncated mode integral _tail_integral over
+    # eps = 1e-4, 1e-5, 1e-6: s + 1 within 5% beyond the endpoint, 0 within
+    # 0.02 inside it
+    _drive(7, "endpoint blow-up", "blowup")
 
 
 def test_criterion_08_projection():

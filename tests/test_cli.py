@@ -228,6 +228,15 @@ class TestNormCommand:
         code, out, err = run_cli(capsys, "norm", "--space", space, "--nu", "0", "--in", str(path))
         assert (code, out, err) == (2, "", "error: a weighted sum of |a|^2 leaves the double range\n")
 
+    @pytest.mark.parametrize("space", ["star", "bergman"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_non_finite_coefficient_exits_2(self, capsys, tmp_path, space, value):
+        # a NaN printed star_norm nan and exit 0; bergman blamed the double range
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": 0, "k": 0, "re": value, "im": 0}]}))
+        code, out, err = run_cli(capsys, "norm", "--space", space, "--nu", "0", "--in", str(path))
+        assert (code, out) == (2, "") and "error: coefficient {'j': 0, 'k': 0} is not finite" in err
+
     @pytest.mark.parametrize("nu", ["-1", "-1.0000000000001"])
     def test_star_refuses_the_hardy_space(self, capsys, tmp_path, nu):
         # r_nu = 0 at nu = -1, so the T-split sum would read |a00| = 0 for z1 + z2^2
@@ -273,6 +282,14 @@ class TestProjectCommand:
         lam = (0.5 * nu + 1.0) / (1.5 * nu + 2.0)
         assert json.loads(out)["terms"] == [{"im": 0.0, "j": 0, "k": -1, "re": pytest.approx(lam, rel=1e-10)}]
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_non_finite_coefficient_exits_2(self, capsys, tmp_path, value):
+        # it exited 0 and wrote the non-JSON tokens Infinity and NaN
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"a": 1, "b": 0, "c": 0, "d": 1, "re": value, "im": 0.0}]}))
+        code, out, err = run_cli(capsys, "project", "--nu", "0", "--in", str(path))
+        assert (code, out) == (2, "") and "is not finite" in err
+
     def test_nu_beyond_the_double_range(self, capsys, tmp_path):
         # C_nu overflows a double from about nu = 800
         path = tmp_path / "f.json"
@@ -302,6 +319,13 @@ class TestSzegoCommand:
         assert code == 0
         result = json.loads(out)
         assert max(abs(complex(re, im)) for re, im in result["values"]) <= 1e-12
+
+    @pytest.mark.parametrize("value", [[math.nan, 0.0], [0.0, -math.inf]])
+    def test_grid_mode_refuses_a_non_finite_value(self, capsys, tmp_path, value):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 2, "values": [[0.0, 0.0], [1.0, 0.0], value, [0.0, 0.0]]}))
+        code, out, err = run_cli(capsys, "szego", "--in", str(path))
+        assert (code, out) == (2, "") and "values[2] is not finite" in err
 
     def test_grid_size_mismatch(self, capsys, tmp_path):
         path = tmp_path / "g.json"
@@ -391,33 +415,6 @@ class TestIsometryCommand:
         assert (code, out) == (2, "") and err.startswith("error: ")
 
 
-class TestScanBlowupCommand:
-    def test_csv_shape(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "scan-blowup", "--nu", "0", "--p", "5", "--eps", "1e-1,1e-2,1e-3,1e-4"
-        )
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "epsilon,integral,fitted_slope"
-        assert lines[-1].startswith("# regime=divergent")
-        assert float(lines[1].split(",")[1]) == pytest.approx(9.0, rel=1e-9)
-
-    def test_rejects_non_finite_p(self, capsys):
-        for p in ("inf", "nan"):
-            code, out, err = run_cli(capsys, "scan-blowup", "--nu", "0", "--p", p, "--eps", "1e-1,1e-2")
-            assert code == 2 and out == "" and "finite p > 1" in err
-
-    @pytest.mark.parametrize("eps", ["1e-1,abc", "", "1e-1,nan,1e-3", "1e-1,1e-1,1e-3"])
-    def test_rejects_bad_epsilons(self, capsys, eps):
-        code, out, err = run_cli(capsys, "scan-blowup", "--nu", "0", "--p", "5", "--eps", eps)
-        assert (code, out) == (2, "") and err.startswith("error: ")
-
-    def test_nu_beyond_the_double_range(self, capsys):
-        # the Gauss-Jacobi rule's scale 2^(nu+1) overflows a double from nu = 1023
-        code, out, err = run_cli(capsys, "scan-blowup", "--nu", "1e5", "--p", "2", "--eps", "1e-1,1e-2")
-        assert (code, out) == (2, "") and "leaves the double range" in err
-
-
 class TestVerifyCommand:
     def test_normalization_row(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "normalization", "--nu", "0.7")
@@ -434,6 +431,12 @@ class TestVerifyCommand:
         assert code == 3
         assert "normalization,FAIL" in out
         assert "normalization" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        # nan, -1 and 0 exited 3, a verification failure for an invalid input
+        code, out, err = run_cli(capsys, "verify", "normalization", "--tolerance", tol)
+        assert (code, out) == (2, "") and "tolerance must be a finite number > 0" in err
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "nonsense")

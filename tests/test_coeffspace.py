@@ -91,7 +91,7 @@ class TestSpaceParam:
                         assert abs(_gamma_weight(nu, j, k) - ref) <= 5e-14 * abs(ref), (nu, j, k)
 
     def test_one_regime_decision_near_special_nu(self):
-        """Kernel, oracle, index set, rule, blow-up and critical range all
+        """Kernel, oracle, index set, rule, mode exponent and critical range all
         see the same snapped nu and the same ceil(nu/2)."""
         z = HartogsPoint(0.1 + 0.2j, 0.5 + 0.1j)
         w = HartogsPoint(0.05 - 0.1j, 0.6 - 0.2j)
@@ -108,8 +108,8 @@ class TestSpaceParam:
                     assert rule.nu == special
                     for name in ("r1_nodes", "r1_weights", "r2_nodes", "r2_weights"):
                         np.testing.assert_array_equal(getattr(rule, name), getattr(exact, name))
-                    scan = projections.blowup_scan(nu, p, [0.1, 0.01])
-                    assert scan.s == sp.nu - (1.0 + sp.ceil) * p + 3.0
+                    exponent = special - (1.0 + math.ceil(special / 2.0)) * p + 3.0
+                    assert projections._mode_exponent(SpaceParam(nu), p) == exponent
                     assert projections.critical_range(nu) == projections.critical_range(special)
 
 
@@ -155,6 +155,17 @@ class TestContainers:
         with pytest.raises(DomainError):
             MixedPoly({(0, -1, 0, 0): 1.0})
         MixedPoly({(1, 2, -3, 0): 1.0})  # negative c is allowed
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+    @pytest.mark.parametrize("cls, key", [(LaurentCoeffs, (0, -1)), (TorusSeries, (-2, 5)), (MixedPoly, (1, 0, -2, 3))])
+    def test_non_finite_coefficient_is_refused(self, cls, key, value):
+        # a NaN coefficient gave star_norm nan; an infinite one reached the JSON output
+        named = dict(zip(cls._key_names, key))
+        with pytest.raises(DomainError) as info:
+            cls({key: value})
+        assert f"coefficient {named} is not finite" in str(info.value)
+        with pytest.raises(DomainError, match="is not finite"):
+            cls.from_json({"terms": [{**named, "re": value.real, "im": value.imag}]})
 
     def test_json_round_trip(self):
         f = LaurentCoeffs({(0, -1): 1.0 + 2.0j, (3, 2): -0.5})

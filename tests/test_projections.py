@@ -1,4 +1,4 @@
-"""Bergman and Szego projections, critical ranges, mode moments, scans."""
+"""Bergman and Szego projections, critical ranges, mode moments, truncated integrals."""
 
 import math
 
@@ -13,7 +13,6 @@ from hartogs.coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, TorusSeries
 from hartogs.projections import (
     CriticalRange,
     IntegrabilityError,
-    blowup_scan,
     critical_range,
     lp_norm_torus,
     project_bergman,
@@ -345,49 +344,38 @@ class TestModeMoments:
         assert _mode_moments(SpaceParam(0.7), r.p_plus * (1.0 + 1e-9)) == (math.inf, math.inf)
 
 
-class TestBlowupScan:
+class TestTailIntegral:
+    """T(eps) = int_eps^1 rho^s (1-rho^2)^nu drho, s = _mode_exponent(nu, p),
+    grows like eps^(s+1) when s < -1, like log(1/eps) at s = -1, and settles
+    when s > -1."""
+
+    @staticmethod
+    def slope(nu, p, eps):
+        s = projections._mode_exponent(SpaceParam(nu), p)
+        tails = [projections._tail_integral(s, nu, e) for e in eps]
+        return s, float(np.polyfit(np.log(eps), np.log(tails), 1)[0])
+
     def test_divergent_slopes(self):
-        eps = [10.0**-m for m in range(1, 7)]
         for nu, p in ((0.0, 5.0), (0.7, 5.0), (2.0, 4.0)):
-            scan = blowup_scan(nu, p, eps)
-            expected = scan.s + 1.0
-            assert scan.regime == "divergent"
-            assert scan.fitted_slope == pytest.approx(expected, rel=0.05)
+            s, slope = self.slope(nu, p, [1e-4, 1e-5, 1e-6])
+            assert s < -1.0
+            assert slope == pytest.approx(s + 1.0, rel=0.05)
 
     def test_marginal_case_detected(self):
         # nu = 0, p = 4 sits exactly on the endpoint: T(eps) ~ log(1/eps)
+        s = projections._mode_exponent(SpaceParam(0.0), 4.0)
+        assert s == -1.0
         eps = [10.0**-m for m in range(1, 7)]
-        scan = blowup_scan(0.0, 4.0, eps)
-        assert scan.regime == "marginal"
-        growth = np.diff([v for v in scan.values])
-        log_steps = np.diff([math.log(1.0 / e) for e in scan.epsilons])
-        ratios = growth / log_steps
+        growth = np.diff([projections._tail_integral(s, 0.0, e) for e in eps])
+        ratios = growth / np.diff([math.log(1.0 / e) for e in eps])
         assert np.allclose(ratios, ratios[0], rtol=0.05)
 
     def test_convergent_case(self):
-        eps = [10.0**-m for m in range(1, 7)]
-        scan = blowup_scan(0.0, 2.0, eps)
-        assert scan.regime == "convergent"
-        assert abs(scan.fitted_slope) <= 1e-4
+        s, slope = self.slope(0.0, 2.0, [1e-4, 1e-5, 1e-6])
+        assert s > -1.0
+        assert abs(slope) <= 1e-4
 
     def test_tail_integral_exact_case(self):
         # s = -2, nu = 0: T(eps) = 1/eps - 1 exactly
-        scan = blowup_scan(0.0, 5.0, [0.1, 0.01])
-        assert scan.values[0] == pytest.approx(9.0, rel=1e-10)
-        assert scan.values[1] == pytest.approx(99.0, rel=1e-10)
-
-    def test_exponent_must_be_finite_and_above_one(self):
-        for p in (math.inf, math.nan, 1.0):
-            with pytest.raises(DomainError, match="finite p > 1"):
-                blowup_scan(0.0, p, [0.1, 0.01])
-
-    def test_epsilon_validation(self):
-        with pytest.raises(DomainError):
-            blowup_scan(0.0, 5.0, [0.1])
-        with pytest.raises(DomainError):
-            blowup_scan(0.0, 5.0, [0.1, 1.5])
-
-    @pytest.mark.parametrize("eps", [[0.1, math.nan, 1e-3], [math.nan, 0.1], [0.1, 0.1, 1e-3]])
-    def test_refuses_nan_and_repeated_epsilons(self, eps):
-        with pytest.raises(DomainError, match="distinct numbers inside"):
-            blowup_scan(0.0, 5.0, eps)
+        for eps in (0.1, 0.01):
+            assert projections._tail_integral(-2.0, 0.0, eps) == pytest.approx(1.0 / eps - 1.0, rel=1e-10)

@@ -438,6 +438,21 @@ def test_k_sum_row_fails_an_altered_oracle(monkeypatch, alter):
     assert not res.passed and "k-sum oracle" in res.message
 
 
+def test_blowup_rows_are_pinned():
+    """The quadrature column of the six blowup rows at 12 significant digits,
+    as ``hartogs verify blowup`` prints it."""
+    res = verify.run_suite("blowup")
+    assert res.passed
+    assert [(case, cli._fmt(quad)) for case, _, quad, *_ in res.rows] == [
+        ("nu=0.0,p=5.0 slope", "-1.00002149866"),
+        ("nu=0.7,p=5.0 slope", "-5.30000000244"),
+        ("nu=2.0,p=4.0 slope", "-2.00000007999"),
+        ("nu=0.0,p=2.0 convergent slope", "-2.17125590331e-09"),
+        ("nu=0.7,p=2.0 convergent slope", "-0.000417587683288"),
+        ("nu=2.0,p=2.5 convergent slope", "-4.03117734676e-05"),
+    ]
+
+
 def test_suites_take_only_the_seed_and_what_a_verify_flag_sets():
     settable = {"seed", *cli._VERIFY_FLAGS.values()}
     for name, suite in verify.SUITES.items():
