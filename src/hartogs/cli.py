@@ -199,8 +199,8 @@ def _szego_input(data):
     try:
         if any(isinstance(x, bool) for x in [n, *(part for pair in values for part in pair)]):
             raise ValueError("true and false are not numbers")  # int() and complex() read them as 1, 0
-        if int(n) != n:  # 2.5 or "2" would pass int() silently
-            raise ValueError(f"n = {n!r} is not an integer")
+        if int(n) != n or n < 1:  # 2.5 or "2" would pass int() silently
+            raise ValueError(f"n = {n!r} is not an integer >= 1")
         flat = np.array([complex(re, im) for re, im in values])
         if not np.isfinite(flat).all():
             raise ValueError(f"values[{int(np.argmin(np.isfinite(flat)))}] is not finite")
@@ -242,13 +242,9 @@ def _cmd_isometry(args):
     return EXIT_OK
 
 
-# verify flag -> the suite keyword it sets
-_VERIFY_FLAGS = {"nu": "nus", "jmax": "jmax", "kmax": "kmax", "tolerance": "tol"}
-
-
 def _cmd_verify(args):
     if args.suite == "all":
-        accepted = ()  # every suite runs at its own documented bounds
+        accepted = ()  # every suite runs at its own fixed bounds
     elif args.suite in verify.SUITES:
         accepted = inspect.signature(verify.SUITES[args.suite]).parameters
     else:
@@ -256,13 +252,10 @@ def _cmd_verify(args):
             f"unknown suite {args.suite!r}; choices: all, {', '.join(verify.SUITES)}"
         )
     kwargs = {}
-    for flag, key in _VERIFY_FLAGS.items():
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        if key not in accepted:
-            raise DomainError(f"verify {args.suite} takes no --{flag}")
-        kwargs[key] = (value,) if flag == "nu" else value
+    if args.nu is not None:
+        if "nus" not in accepted:
+            raise DomainError(f"verify {args.suite} takes no --nu")
+        kwargs["nus"] = (args.nu,)
     if args.suite == "all":
         results = verify.run_all(seed=args.seed)
     else:
@@ -329,10 +322,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run cross-validation suites")
     p.add_argument("suite", help="suite name or 'all'")
     p.add_argument("--nu", type=float)
-    p.add_argument("--jmax", type=int)
-    p.add_argument("--kmax", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_verify)
 

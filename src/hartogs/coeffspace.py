@@ -319,6 +319,12 @@ def split_f123(f):
     return LaurentCoeffs(t1), LaurentCoeffs(t2), LaurentCoeffs(t3), a00
 
 
+@functools.lru_cache(maxsize=64)
+def _space_above(nu):
+    """SpaceParam(nu + 2), the space whose norm ``t_norm_sq`` reads, built once per nu."""
+    return SpaceParam(nu + 2.0)
+
+
 def t_norm_sq(nu, f_i):
     """Exact squared L^2_nu norm of T f_i, any of the three split parts.
 
@@ -328,24 +334,18 @@ def t_norm_sq(nu, f_i):
 
         r_nu = c_nu / c_{nu+2} = (2/3) (nu+1)^2 (nu/2+2) / ((nu+3)(3nu/2+4)(3nu/2+5)),
 
-    1/3 at nu = -2 and 0 at nu = -1.  So the monomial (J, K) contributes
-    r_nu |c|^2 ``_gamma_weight(nu+2, J, K)``; it is finite iff
-    J + K + nu/2 + 3 > 0, i.e. (J, K) lies in I_{nu+2}, else the +inf
-    sentinel is returned.  ``nu`` is a float or its SpaceParam; nu < -2,
-    or a |c|^2 or a sum outside the double range, raises DomainError.
+    1/3 at nu = -2 and 0 at nu = -1.  So ||T f_i||^2 is r_nu times the
+    squared A^2_{nu+2} norm, +inf if the support leaks outside I_{nu+2}.
+    ``nu`` is a float or its SpaceParam; nu < -2, nu > 1e102 on a nonempty
+    part, or a |c|^2 or a sum outside the double range, raises DomainError.
     """
     nu = _space(nu).nu
-    total = 0.0
-    try:
-        for (J, K), c in f_i.items():
-            if not J + K + 0.5 * nu + 3.0 > 0.0:
-                return math.inf
-            total += abs(c) ** 2 * _gamma_weight(nu + 2.0, J, K)
-    except OverflowError as exc:
-        raise DomainError("a squared coefficient |a|^2 leaves the double range") from exc
+    total = _space_above(nu).norm_sq(f_i)
+    if total in (0.0, math.inf):  # an empty part or the sentinel, read before r_nu
+        return total
+    if nu > 1e102:  # the denominator of r_nu overflows from nu = 4.3e102
+        raise DomainError(f"the T-norm of a nonempty part needs nu <= 1e102, got {nu:g}")
     r = (2.0 / 3.0) * (nu + 1.0) ** 2 * (0.5 * nu + 2.0) / ((nu + 3.0) * (1.5 * nu + 4.0) * (1.5 * nu + 5.0))
-    if not math.isfinite(r * total):
-        raise DomainError("a weighted sum of |a|^2 leaves the double range")
     return r * total
 
 

@@ -261,21 +261,21 @@ def kernel_coeff_closed(nu, j, k):
     if kind == "hardy":
         # y^(-1) (1-x)^(-1) (1-y)^(-1): every surviving coefficient is 1
         return 1.0
-    c = sp.ceil
+    a, c = prefactor_a(sp), sp.ceil  # first: a nu it refuses would run ceil(nu/2) products before it
     alpha = 1.5 * nu - c + 2.0
     gam = 0.5 * nu - c + 1.0
     n = j + k + 1 + c
     binom = math.prod((nu + 2.0 + i) / (i + 1.0) for i in range(j))
     ratio = math.prod((alpha + i) / (gam + i) for i in range(n))
-    return prefactor_a(sp) * binom * ratio
+    return a * binom * ratio
 
 
-def _series_extent(q, growth, tol):
-    """Per entry of q, as an int array: the first N from max(8, log(tol (1-q)^2) / log q)
-    on, in steps of max(8, N // 8), with q^N (N+1)^growth / (1-q)^2 below tol."""
+def _series_extent(q, growth):
+    """Per entry of q, as an int array: the first N from max(8, log(1e-12 (1-q)^2) / log q)
+    on, in steps of max(8, N // 8), with q^N (N+1)^growth / (1-q)^2 below 1e-12."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    n = np.maximum(8, (np.log(tol * (1.0 - q) ** 2) / np.log(q)).astype(int))
-    while (short := (q**n * (n + 1.0) ** growth / (1.0 - q) ** 2 > tol) & (n < 5000)).any():
+    n = np.maximum(8, (np.log(1e-12 * (1.0 - q) ** 2) / np.log(q)).astype(int))
+    while (short := (q**n * (n + 1.0) ** growth / (1.0 - q) ** 2 > 1e-12) & (n < 5000)).any():
         n = n + short * np.maximum(8, n // 8)
     if (n >= 5000).any():
         raise DomainError(f"series truncation too deep for q = {q[np.argmax(n >= 5000)]}")
@@ -310,7 +310,7 @@ def kernel_series(nu, z, w):
     q = np.maximum(np.abs(x), np.abs(y))
     if (outside := ~(q < 1.0)).any():
         raise DomainError(f"kernel series needs |x|, |y| < 1, entry {np.argmax(outside)} has {q[outside][0]:g}")
-    extent = _series_extent(q, 2.0 * max(nu + 1.0, 0.0) + 1.0, 1e-12)
+    extent = _series_extent(q, 2.0 * max(nu + 1.0, 0.0) + 1.0)
     n = int(extent.max(initial=8))  # 8 for an empty batch
     m_min = -1 - sp.ceil
     jj = np.arange(0, n, dtype=np.longdouble)
@@ -346,7 +346,7 @@ def kernel_nu_series_k(nu, z, w):
     sp = SpaceParam(nu).require("bergman", "kernel_nu_series_k")
     nu = sp.nu
     x, y = _xy(z, w)
-    n = int(_series_extent(abs(y), 2.0 * max(nu + 1.0, 0.0) + 0.5, 1e-12)[0])
+    n = int(_series_extent(abs(y), 2.0 * max(nu + 1.0, 0.0) + 0.5)[0])
     k0 = 1 - sp.ceil
     kk = np.arange(k0, k0 + n, dtype=float)
     logc = gammaln(kk + 1.5 * nu + 1.0) - gammaln(kk + 0.5 * nu)
@@ -385,12 +385,13 @@ def bound_constant(nu):
     if sp.kind == "dirichlet":
         raise DomainError(f"bound_constant requires nu > -2, got {nu}")
     nu, b = sp.nu, 0.5 * sp.nu - sp.ceil
+    a = abs(prefactor_a(sp))  # first: a nu it refuses would run ceil(nu + 1) steps before it
     c, head, signed = 1.0, 0.0, 0.0
     for n in range(max(1, math.ceil(nu + 1.0))):
         head, signed = head + abs(c), signed + c
         c *= (n - nu - 1.0) * (b + n) / ((b + 1.0 + n) * (n + 1.0))
     gauss = gamma_ratio_signed([b + 1.0, nu + 2.0], [b + nu + 2.0])
-    return abs(prefactor_a(sp)) * (head + abs(gauss - signed))
+    return a * (head + abs(gauss - signed))
 
 
 # Largest even nu up to which bound_ratio_profile held 1e-12 relative against

@@ -144,16 +144,18 @@ def project_szego_grid(samples):
     trigonometric polynomials of degree below N/2.
     """
     samples = np.asarray(samples, dtype=complex)
-    if samples.ndim != 2 or samples.shape[0] != samples.shape[1]:
-        raise DomainError(f"expected a square grid, got shape {samples.shape}")
+    if samples.ndim != 2 or samples.shape[0] != samples.shape[1] or samples.size == 0:
+        raise DomainError(f"expected a non-empty square grid, got shape {samples.shape}")
     n = samples.shape[0]
     freq = np.fft.fftfreq(n, d=1.0 / n)
     return np.fft.ifft2(np.fft.fft2(samples) * _HARDY.member(freq[:, None], freq[None, :]))
 
 
 def lp_norm_torus(p, samples):
-    """Discrete L^p norm on the torus: (sum |v|^p (2 pi / N)^2)^(1/p)."""
+    """Discrete L^p norm on the torus: (sum |v|^p (2 pi / N)^2)^(1/p); DomainError on an empty grid."""
     samples = np.asarray(samples)
+    if samples.size == 0:
+        raise DomainError(f"the L^p norm needs a non-empty grid, got shape {samples.shape}")
     n = samples.shape[0]
     return float(np.sum(np.abs(samples) ** p) * (2.0 * np.pi / n) ** 2) ** (1.0 / p)
 

@@ -40,38 +40,30 @@ def gamma_ratio_signed(numerators, denominators):
 
     Only the log-Gamma values are summed, so the arguments may be large as
     long as the ratio is a double; a ratio that overflows, or underflows to 0,
-    raises DomainError.  Every argument but a pole goes through ``math.lgamma``,
+    or an argument whose log-Gamma overflows (beyond about 2.55e305) raises
+    DomainError.  Every argument but a pole goes through ``math.lgamma``,
     which reduces sin(pi x) exactly and so keeps its digits next to a
     negative integer; Gamma(x) has the sign (-1)^floor(x) for negative x.
     The result is a signed float; a pole (a non-positive integer) in a
     denominator yields 0.0 and a pole in a numerator a signed infinity.
     """
-    sign = 1.0
-    acc = 0.0
-    num_pole = False
-    for a in numerators:
-        if a <= 0.0:
-            if a == math.floor(a):
-                num_pole = True
-                continue
-            if math.floor(a) % 2:
-                sign = -sign
-        acc += math.lgamma(a)
-    den_pole = False
-    for b in denominators:
-        if b <= 0.0:
-            if b == math.floor(b):
-                den_pole = True
-                continue
-            if math.floor(b) % 2:
-                sign = -sign
-        acc -= math.lgamma(b)
-    if num_pole and den_pole:
+    sign, acc, poles = 1.0, 0.0, set()
+    try:
+        for side, args in ((1.0, numerators), (-1.0, denominators)):
+            for a in args:
+                if a <= 0.0:
+                    if a == math.floor(a):
+                        poles.add(side)
+                        continue
+                    if math.floor(a) % 2:
+                        sign = -sign
+                acc += side * math.lgamma(a)
+    except OverflowError as exc:  # math.lgamma past about 2.55e305
+        raise DomainError("the Gamma ratio leaves the double range: a log-Gamma overflows") from exc
+    if len(poles) == 2:
         raise DomainError("gamma_ratio_signed: pole over pole is ambiguous")
-    if num_pole:
-        return sign * math.inf
-    if den_pole:
-        return 0.0
+    if poles:
+        return sign * math.inf if 1.0 in poles else 0.0
     if acc > _LOG_MAX or (value := math.exp(acc)) == 0.0:
         raise DomainError(f"the Gamma ratio exp({acc:.6g}) leaves the double range")
     return sign * value

@@ -2,14 +2,14 @@
 
 Each suite compares a family of exact values (Gamma/Beta closed forms,
 coefficient algebra, interval arithmetic) against an independent oracle
-(tensor quadrature, Monte Carlo, brute-force series, FFT grids) and
+(tensor quadrature, brute-force series, FFT grids) and
 returns a :class:`SuiteResult` whose rows all share the CSV schema
 
     (case, closed_form, quadrature, abs_err, rel_err).
 
 The suites double as the acceptance battery: the CLI ``verify`` command
-and the acceptance test module both run them with their documented
-tolerances.  All randomness is drawn from seeds derived from a single
+and the acceptance test module both run them, each at the fixed bounds
+written in it.  All randomness is drawn from seeds derived from a single
 base seed, so repeated runs are byte-identical.
 """
 
@@ -23,7 +23,7 @@ from scipy import special
 from . import coeffspace, isometries, kernels, projections, quadrature
 from .coeffspace import LaurentCoeffs, MixedPoly, TorusSeries
 from .geometry import HartogsPoint, random_automorphism
-from .specfun import DomainError, gamma_ratio_signed
+from .specfun import gamma_ratio_signed
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_all"]
 
@@ -112,16 +112,16 @@ def _random_laurent(rng, nu, n_terms=6, jmax=4, kmax=4):
     return LaurentCoeffs({key: a / scale for key, a in terms.items()})
 
 
-def _random_mixed(rng, nu, n_terms=4, max_exp=3):
-    """Random mixed polynomial with c >= -2.
+def _random_mixed(rng):
+    """Random mixed polynomial of 4 terms, exponents at most 3 and c >= -2.
 
     For nu > -1, c >= -2 keeps the Beta moment a + c + nu/2 + 2 of every
     term that P_nu keeps positive: a moment <= 0 needs a = b = 0 and
     c = -2, and then z2^(-2-d) is outside I_nu.
     """
     terms = {}
-    while len(terms) < n_terms:
-        key = tuple(int(rng.integers(low, max_exp + 1)) for low in (0, 0, -2, 0))
+    while len(terms) < 4:
+        key = tuple(int(rng.integers(low, 4)) for low in (0, 0, -2, 0))
         terms[key] = complex(rng.normal(), rng.normal())
     return MixedPoly(terms)
 
@@ -131,34 +131,31 @@ def _random_mixed(rng, nu, n_terms=4, max_exp=3):
 # ----------------------------------------------------------------------
 
 
-def suite_normalization(seed=0, tol=1e-10, nus=(-0.5, -0.1, 0.0, 0.7, 2.0, 3.5)):
+def suite_normalization(seed=0, nus=(-0.5, -0.1, 0.0, 0.7, 2.0, 3.5)):
     """integral of 1 against mu_nu must be exactly 1."""
     res = SuiteResult("normalization", True)
     for nu in nus:
         rule = quadrature.build_rule(nu, radial_order=48, angular_count=4)
         val = quadrature.integrate_mu(nu, lambda z1, z2: np.ones_like(z2), rule)
-        res.row(f"nu={nu}", 1.0, val.real, tol)
+        res.row(f"nu={nu}", 1.0, val.real, 1e-10)
     return res
 
 
-def suite_monomials(seed=0, tol=1e-8, nus=(-0.5, 0.0, 0.7, 2.0), jmax=4, kmax=4):
+def suite_monomials(seed=0, nus=(-0.5, 0.0, 0.7, 2.0)):
     """Gamma closed form of the monomial norms against tensor quadrature,
-    over 0 <= j <= jmax and |k| <= kmax; a negative bound, which would check
-    nothing, raises DomainError."""
-    if jmax < 0 or kmax < 0:
-        raise DomainError(f"monomials needs jmax, kmax >= 0, got {jmax}, {kmax}")
+    over 0 <= j <= 4 and |k| <= 4."""
     res = SuiteResult("monomials", True)
     for nu in nus:
         rule = quadrature.build_rule(nu, radial_order=48, angular_count=4)
         space = coeffspace.SpaceParam(nu)
-        for j in range(jmax + 1):
-            for k in range(-kmax, kmax + 1):
+        for j in range(5):
+            for k in range(-4, 5):
                 if not space.member(j, k):
                     continue
                 closed = coeffspace.monomial_norm_sq(nu, j, k)
                 mono = LaurentCoeffs({(j, k): 1.0})
                 quad = quadrature.inner_product_quad(nu, mono, mono, rule).real
-                res.row(f"nu={nu},j={j},k={k}", closed, quad, tol)
+                res.row(f"nu={nu},j={j},k={k}", closed, quad, 1e-8)
                 if nu == 0.0:
                     exact = 2.0 / ((j + 1.0) * (j + k + 2.0))
                     res.row(f"nu=0 exact,j={j},k={k}", closed, exact, 1e-12)
@@ -168,7 +165,7 @@ def suite_monomials(seed=0, tol=1e-8, nus=(-0.5, 0.0, 0.7, 2.0), jmax=4, kmax=4)
 _REGIMES = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.7, 2.0, 3.5)
 
 
-def suite_kernel_agreement(seed=0, tol=1e-8, nus=_REGIMES):
+def suite_kernel_agreement(seed=0, nus=_REGIMES):
     """Closed kernels against the brute-force basis series, all regimes, one batched call each per nu."""
     res = SuiteResult("kernel-agreement", True)
     for nu in nus:
@@ -177,10 +174,10 @@ def suite_kernel_agreement(seed=0, tol=1e-8, nus=_REGIMES):
         closed = kernels.kernel(nu, z, w)
         series = kernels.kernel_series(nu, z, w)
         worst = float(np.max(np.abs(closed - series) / np.maximum(np.abs(closed), 1e-300)))
-        res.worst(f"nu={nu} worst pair", worst, tol, f"kernel series mismatch at nu={nu}")
+        res.worst(f"nu={nu} worst pair", worst, 1e-8, f"kernel series mismatch at nu={nu}")
         if coeffspace.SpaceParam(nu).kind == "bergman":
             z, w = _random_point(_rng(seed, 150)), _random_point(_rng(seed, 151))
-            res.row(f"nu={nu} k-sum oracle", kernels.kernel_nu(nu, z, w), kernels.kernel_nu_series_k(nu, z, w), tol)
+            res.row(f"nu={nu} k-sum oracle", kernels.kernel_nu(nu, z, w), kernels.kernel_nu_series_k(nu, z, w), 1e-8)
     # even-integer reduction of the hypergeometric factor
     rng = _rng(seed, 160)
     for n in (0, 1, 2):
@@ -193,7 +190,7 @@ def suite_kernel_agreement(seed=0, tol=1e-8, nus=_REGIMES):
     return res
 
 
-def suite_reproducing(seed=0, tol=1e-8, nus=_REGIMES):
+def suite_reproducing(seed=0, nus=_REGIMES):
     """<f, K(., w)> = f(w) through the coefficient pairing, all regimes.
 
     The kernel side is expanded from the closed form (binomial times
@@ -217,7 +214,7 @@ def suite_reproducing(seed=0, tol=1e-8, nus=_REGIMES):
                 inner = inner + space.weight(j, k) * a * np.conj(kern)
             direct = coeffspace.evaluate_grid(f, w1, w2)
             worst = max(worst, float(np.max(np.abs(inner - direct) / np.maximum(np.abs(direct), 1.0))))
-        res.worst(f"nu={nu} reproducing worst", worst, tol, f"reproducing identity failed at nu={nu}")
+        res.worst(f"nu={nu} reproducing worst", worst, 1e-8, f"reproducing identity failed at nu={nu}")
     return res
 
 
@@ -261,19 +258,19 @@ def suite_kernel_estimate(seed=0, nus=(-1.5, -0.5, 0.7, 1.3, 3.5)):
     return res
 
 
-def suite_critical_range(seed=0, tol=1e-12):
+def suite_critical_range(seed=0):
     """The ceiling-form range against its closed values at the even nu = 2n,
     (2 - 2/(3+n), 2 + 2/(1+n)), and at three spot nu."""
     res = SuiteResult("critical-range", True)
     for n in range(6):
         nu = 2.0 * n
         r = projections.critical_range(nu)
-        res.row(f"even nu={nu} p-", 2.0 - 2.0 / (3.0 + n), r.p_minus, tol)
-        res.row(f"even nu={nu} p+", 2.0 + 2.0 / (1.0 + n), r.p_plus, tol)
+        res.row(f"even nu={nu} p-", 2.0 - 2.0 / (3.0 + n), r.p_minus, 1e-12)
+        res.row(f"even nu={nu} p+", 2.0 + 2.0 / (1.0 + n), r.p_plus, 1e-12)
     for nu, lo, hi in ((0.0, 4.0 / 3.0, 4.0), (2.0, 1.5, 3.0), (-0.5, 1.4, 3.5)):
         r = projections.critical_range(nu)
-        res.row(f"spot nu={nu} p-", lo, r.p_minus, tol)
-        res.row(f"spot nu={nu} p+", hi, r.p_plus, tol)
+        res.row(f"spot nu={nu} p-", lo, r.p_minus, 1e-12)
+        res.row(f"spot nu={nu} p+", hi, r.p_plus, 1e-12)
     return res
 
 
@@ -334,7 +331,7 @@ def suite_blowup(seed=0):
     return res
 
 
-def suite_projection(seed=0, tol=1e-7, nus=(-0.5, 0.0, 0.7, 2.0)):
+def suite_projection(seed=0, nus=(-0.5, 0.0, 0.7, 2.0)):
     """P_nu fixes the basis, maps conj(z2)-powers per the necessity
     computation, and is self-adjoint under the quadrature pairing."""
     res = SuiteResult("projection", True)
@@ -357,17 +354,17 @@ def suite_projection(seed=0, tol=1e-7, nus=(-0.5, 0.0, 0.7, 2.0)):
         basis = LaurentCoeffs({(0, -m): 1.0})
         num = quadrature.inner_product_quad(nu, f, basis, rule)
         den = quadrature.inner_product_quad(nu, basis, basis, rule).real
-        res.row(f"nu={nu} d_nu", d_beta.real, (num / den).real, tol)
+        res.row(f"nu={nu} d_nu", d_beta.real, (num / den).real, 1e-7)
     rng = _rng(seed, 500)
     nu = 0.7
     rule = quadrature.build_rule(nu, radial_order=24, angular_count=33)
     worst = 0.0
     for _ in range(50):
-        f, g = _random_mixed(rng, nu), _random_mixed(rng, nu)
+        f, g = _random_mixed(rng), _random_mixed(rng)
         lhs = quadrature.inner_product_quad(nu, projections.project_bergman(nu, f), g, rule)
         rhs = quadrature.inner_product_quad(nu, f, projections.project_bergman(nu, g), rule)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
-    res.worst(f"self-adjointness nu={nu}", worst, tol, "self-adjointness broke")
+    res.worst(f"self-adjointness nu={nu}", worst, 1e-7, "self-adjointness broke")
     return res
 
 
@@ -511,10 +508,10 @@ def suite_szego(seed=0):
     return res
 
 
-def suite_hardy_limit(seed=0, tol=1e-3):
+def suite_hardy_limit(seed=0):
     """Bergman norms of 20 random polynomials converge to the Hardy norm:
     each gap falls along nu = -1 + 10^-m, m = 1..4, and the largest at m = 4
-    is at most tol."""
+    is at most 1e-3."""
     res = SuiteResult("hardy-limit", True)
     rng = _rng(seed, 700)
     worst = 0.0
@@ -524,7 +521,7 @@ def suite_hardy_limit(seed=0, tol=1e-3):
         diffs = [abs(coeffspace.SpaceParam(-1.0 + 10.0**-m).norm_sq(f) - target) for m in (1, 2, 3, 4)]
         res.check(all(b < a for a, b in zip(diffs, diffs[1:])), f"function {idx}: differences not decreasing {diffs}")
         worst = max(worst, diffs[-1])
-    res.worst("worst gap at nu=-1+1e-4", worst, tol, "Hardy limit gap")
+    res.worst("worst gap at nu=-1+1e-4", worst, 1e-3, "Hardy limit gap")
     return res
 
 
@@ -591,8 +588,8 @@ def _t_multiplier_rule(rule):
     return replace(rule, r1_weights=rule.r1_weights * (1.0 - u) ** 2, r2_weights=rule.r2_weights * v * (1.0 - v) ** 2)
 
 
-def suite_tsplit(seed=0, tol=1e-7, nus=(-0.5, 0.0, 1.0)):
-    """Gamma closed form of the T-split norms against quadrature, and the sharp
+def suite_tsplit(seed=0, nus=(-0.5, 0.0, 1.0)):
+    """Gamma closed form of the T-split norms against quadrature (1e-7), and the sharp
     constants c^2 <= R(f) = star(f)^2 / ||f||^2 <= C^2 of ``_star_constants``
     against the library's R: at z1 (1e-12); for nu <= 20 the closed R of a
     near-extremal f at depth 1e4 (1e-9, the digits log-Gamma keeps near 1e5),
@@ -612,7 +609,7 @@ def suite_tsplit(seed=0, tol=1e-7, nus=(-0.5, 0.0, 1.0)):
                 if abs(closed) < 1e-14 and abs(quad) < 1e-12:
                     continue
                 worst = max(worst, abs(closed - quad) / max(abs(closed), abs(quad)))
-        res.worst(f"nu={nu} T-norm worst rel err", worst, tol, f"T-norm mismatch at nu={nu}")
+        res.worst(f"nu={nu} T-norm worst rel err", worst, 1e-7, f"T-norm mismatch at nu={nu}")
         space, (c2, *s) = coeffspace.SpaceParam(nu), coeffspace._star_constants(nu)
         ratio, big = lambda f: coeffspace.star_norm(nu, f) ** 2 / space.norm_sq(f), 1.0 + sum(s)
         res.row(f"nu={nu} c^2 = ratio at z1", c2, ratio(LaurentCoeffs({(1, 0): 1.0})), 1e-12)
@@ -685,7 +682,7 @@ _TAU_R1_RANGE = (0.08, 0.80)
 _TAU_R2_RANGE = (0.24, 0.91)
 
 
-def suite_tau_invariance(seed=0, tol=1e-6):
+def suite_tau_invariance(seed=0):
     """The tau mass of a bump is unchanged by every automorphism of H.
 
     In (w1, w2) = (z1/z2, z2), tau is the product (1-|w1|^2)^-2 (1-|w2|^2)^-2 dw
@@ -694,7 +691,7 @@ def suite_tau_invariance(seed=0, tol=1e-6):
     weights W1, W2 the mass is S1(phi) S2 (2 pi/m)^2, S2 = m sum_r2 W2 b2(r2),
     S1(phi) = sum_(r1, theta) W1 b1(|phi(r1 e^(i theta))|^2).  Two rows tie
     it to the 4-D ``integrate_tau`` to 1e-12 relative, at the identity and
-    at automorphism 0; ``tol`` bounds the change over 20 automorphisms.
+    at automorphism 0; 1e-6 bounds the change over 20 automorphisms.
     """
     res = SuiteResult("tau-invariance", True)
     # Moebius harmonics of the composed integrand decay like 0.2^n, so a
@@ -713,7 +710,7 @@ def suite_tau_invariance(seed=0, tol=1e-6):
         moved = _factored_tau_mass(rule, psi)
         worst = max(worst, abs(moved - base))
         res.row(f"automorphism {idx}", base, moved)
-    res.check(worst <= tol, f"tau invariance discrepancy {worst:.2e}")
+    res.check(worst <= 1e-6, f"tau invariance discrepancy {worst:.2e}")
     return res
 
 
@@ -736,15 +733,13 @@ SUITES = {
 
 
 def run_suite(name, seed=0, **kwargs):
-    """Run one suite; DomainError for a seed not a non-negative integer, or a tol not finite > 0."""
+    """Run one suite; DomainError for a seed not a non-negative integer."""
     quadrature._check_seed(seed)
-    if "tol" in kwargs and not (math.isfinite(kwargs["tol"]) and kwargs["tol"] > 0.0):
-        raise DomainError(f"tolerance must be a finite number > 0, got {kwargs['tol']!r}")
     return SUITES[name](seed=seed, **kwargs)
 
 
 def run_all(seed=0):
-    """Run every suite at its own documented bounds; returns the list of
+    """Run every suite at its own fixed bounds; returns the list of
     results in registry order.  A seed that is not a non-negative integer
     raises DomainError before any suite runs."""
     quadrature._check_seed(seed)

@@ -2,13 +2,14 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hartogs import cli, coeffspace, kernels, projections
+from hartogs import cli, coeffspace, kernels, projections, quadrature
 from hartogs.cli import main
 from hartogs.geometry import HartogsPoint
 from hartogs.specfun import VerificationFailure
@@ -228,6 +229,20 @@ class TestNormCommand:
         code, out, err = run_cli(capsys, "norm", "--space", space, "--nu", "0", "--in", str(path))
         assert (code, out, err) == (2, "", "error: a weighted sum of |a|^2 leaves the double range\n")
 
+    def test_a_log_gamma_beyond_the_double_range_exits_2(self, capsys, tmp_path):
+        # math.lgamma overflows past 2.55e305; the OverflowError was blamed on |a|^2
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": 0, "k": 0, "re": 1.0}]}))
+        code, out, err = run_cli(capsys, "norm", "--space", "bergman", "--nu", "1e306", "--in", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: the Gamma ratio leaves the double range")
+
+    def test_star_norm_of_the_constant_at_a_huge_nu(self, capsys, tmp_path):
+        # every split part is empty, so no r_nu is formed; (nu + 1)^2 raised OverflowError
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": 0, "k": 0, "re": 1.0}]}))
+        code, out, err = run_cli(capsys, "norm", "--space", "star", "--nu", "1e306", "--in", str(path))
+        assert (code, out, err) == (0, "star_norm 1\n", "")
+
     @pytest.mark.parametrize("space", ["star", "bergman"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_a_non_finite_coefficient_exits_2(self, capsys, tmp_path, space, value):
@@ -327,6 +342,14 @@ class TestSzegoCommand:
         code, out, err = run_cli(capsys, "szego", "--in", str(path))
         assert (code, out) == (2, "") and "values[2] is not finite" in err
 
+    @pytest.mark.parametrize("n, values", [(0, []), (-1, [[1.0, 0.0]])])
+    def test_grid_size_below_one_exits_2(self, capsys, tmp_path, n, values):
+        # n = 0 divided by zero and n = -1 failed in reshape, each with a traceback
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": n, "values": values}))
+        code, out, err = run_cli(capsys, "szego", "--in", str(path))
+        assert (code, out) == (2, "") and f"n = {n} is not an integer >= 1" in err
+
     def test_grid_size_mismatch(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"n": 4, "values": [[0.0, 0.0]] * 16}))
@@ -424,19 +447,21 @@ class TestVerifyCommand:
         assert rel_err < 1e-10
         assert "normalization,PASS" in out
 
-    def test_tightened_tolerance_fails(self, capsys):
-        code, out, err = run_cli(
-            capsys, "verify", "normalization", "--nu", "0.7", "--tolerance", "1e-15"
-        )
+    def test_a_failing_suite_exits_3(self, capsys, monkeypatch):
+        # a mass off by 1e-9 exceeds the normalization bound, 1e-10
+        exact = quadrature.integrate_mu
+        monkeypatch.setattr(quadrature, "integrate_mu", lambda nu, f, rule: exact(nu, f, rule) * (1.0 + 1e-9))
+        code, out, err = run_cli(capsys, "verify", "normalization", "--nu", "0.7")
         assert code == 3
-        assert "normalization,FAIL" in out
-        assert "normalization" in err
+        assert "normalization,FAIL,nu=0.7: rel err" in out
+        assert err == "failed suites: normalization\n"
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
-    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
-        # nan, -1 and 0 exited 3, a verification failure for an invalid input
-        code, out, err = run_cli(capsys, "verify", "normalization", "--tolerance", tol)
-        assert (code, out) == (2, "") and "tolerance must be a finite number > 0" in err
+    @pytest.mark.parametrize("argv", [("--tolerance", "1"), ("--jmax", "4"), ("--kmax", "4")])
+    def test_a_removed_bound_flag_is_a_usage_error(self, capsys, argv):
+        # every bound is a constant of its suite; no flag loosens one
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "monomials", *argv])
+        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "nonsense")
@@ -456,11 +481,11 @@ class TestVerifyCommand:
         "argv",
         [
             ("critical-range", "--nu", "3"),
-            ("critical-range", "--jmax", "2"),
-            ("normalization", "--kmax", "2"),
-            ("schur-feasibility", "--tolerance", "1e-300"),
+            ("blowup", "--nu", "0.7"),
+            ("szego", "--nu", "0"),
+            ("schur-feasibility", "--nu", "2"),
             ("all", "--nu", "0"),
-            ("all", "--tolerance", "1e-9"),
+            ("tau-invariance", "--nu", "1"),
         ],
     )
     def test_flag_the_suite_cannot_take(self, capsys, argv):
@@ -468,11 +493,12 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert f"takes no {argv[1]}" in err
 
-    @pytest.mark.parametrize("flag", ["--jmax", "--kmax"])
-    def test_monomials_refuses_a_negative_bound(self, capsys, flag):
-        # a bound of -1 leaves no monomial to check, and an empty suite must not pass
-        code, out, err = run_cli(capsys, "verify", "monomials", "--nu", "0", flag, "-1")
-        assert (code, out) == (2, "") and "jmax, kmax >= 0" in err
+    def test_reproducing_refuses_a_huge_nu_at_once(self, capsys):
+        # the kernel coefficient looped over ceil(nu/2) factors before a_nu refused nu
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "reproducing", "--nu", "1e306")
+        assert (code, out) == (2, "") and "leaves the double range" in err
+        assert time.perf_counter() - start < 10.0
 
 
 class TestExitCodes:

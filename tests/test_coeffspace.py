@@ -185,7 +185,7 @@ class TestContainers:
         rng = np.random.default_rng(22)
         z2 = 0.8 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=20))
         z1 = z2 * 0.7 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=20))
-        f = _random_mixed(rng, 0.0)
+        f = _random_mixed(rng)
         g = _random_laurent(rng, 0.0)
         for left, right in ((f, g), (g, f), (f, f), (g, g)):
             prod = quadrature.as_grid_fn(conj_product(left, right))(z1, z2)
@@ -416,6 +416,13 @@ class TestSplitAndTNorms:
         with pytest.raises(DomainError, match="weighted sum of"):
             star_norm(0.0, f)
         assert math.isfinite(star_norm(0.0, LaurentCoeffs({(0, -1): 1e150})))
+
+    def test_t_norm_at_a_huge_nu(self):
+        # an empty part is 0 before r_nu, whose (nu + 1)^2 overflowed; a nonempty one is refused
+        assert t_norm_sq(1e306, LaurentCoeffs()) == 0.0
+        assert star_norm(1e306, LaurentCoeffs({(0, 0): 1.0})) == 1.0
+        with pytest.raises(DomainError, match="needs nu <= 1e102"):
+            t_norm_sq(1e150, LaurentCoeffs({(0, 0): 1.0}))
 
     def test_star_norm_and_projection_build_space_param_once(self, monkeypatch):
         built = []

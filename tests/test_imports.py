@@ -29,7 +29,7 @@ at_import = scipy_modules()
 from hartogs import coeffspace, kernels, quadrature, verify
 from hartogs.geometry import HartogsPoint
 
-memos = [memo.cache_info().currsize for memo in (quadrature._jacobi01, coeffspace._gamma_weight)]
+memos = [memo.cache_info().currsize for memo in (quadrature._jacobi01, coeffspace._gamma_weight, coeffspace._space_above)]
 quadrature.build_rule(0.7, 8, 5)
 quadrature.build_tau_rule()
 kernels.kernel(0.7, HartogsPoint(0.1, 0.5), HartogsPoint(0.2j, 0.4))
@@ -56,4 +56,4 @@ def test_import_set_and_first_calls_load_no_heavy_scipy():
 def test_import_builds_no_rule_and_no_weight():
     """The Gauss rules and Gamma weights are built on first use, so the
     set-up of every command stays free of them."""
-    assert _probe()["memos"] == [0, 0]
+    assert _probe()["memos"] == [0, 0, 0]

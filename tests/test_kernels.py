@@ -628,6 +628,12 @@ class TestBoundConstant:
         # the two sums round differently where the pad is below an ulp (nu >= 0.7)
         assert kernels.bound_constant(nu) <= padded_bound_constant(nu) * (1.0 + 1e-14)
 
+    @pytest.mark.parametrize("routine", [kernels.bound_constant, lambda nu: kernels.kernel_coeff_closed(nu, 0, 0)])
+    def test_a_huge_nu_is_refused_before_the_loop(self, routine):
+        # both looped O(nu) times before a_nu refused nu; at 1e300 neither returned
+        with pytest.raises(DomainError, match="leaves the double range"):
+            routine(1e300)
+
     @pytest.mark.parametrize("nu, value", [(-1.0, 1.0), (0.0, 0.5)])
     def test_constant_ratio_spaces(self, nu, value):
         # F(-nu-1, b; b+1; y) is 1 at nu = -1 (a = 0) and at nu = 0 (b = 0)

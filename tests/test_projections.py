@@ -204,6 +204,13 @@ class TestSzegoGrid:
         with pytest.raises(DomainError):
             project_szego_grid(np.zeros((4, 5)))
 
+    def test_empty_grid_is_refused(self):
+        # 1 / N in the frequencies and (2 pi / N)^2 in the norm divided by zero
+        with pytest.raises(DomainError, match="non-empty"):
+            project_szego_grid(np.zeros((0, 0)))
+        with pytest.raises(DomainError, match="non-empty"):
+            lp_norm_torus(2.0, np.zeros((0, 0)))
+
 
 # the 2-D witness ratios at M = 8N, N = 16, 32, 64, from an independent prototype
 _WITNESS_TABLE = {1.5: (1.074682, 1.087826, 1.099254), 3.0: (1.002851, 1.030340, 1.054407)}

@@ -52,6 +52,13 @@ class TestGammaRatio:
         with pytest.raises(DomainError, match="leaves the double range"):
             gamma_ratio_signed([-0.5, 300.0], [])  # a negative ratio too
 
+    def test_log_gamma_beyond_the_double_range_is_a_domain_error(self):
+        # math.lgamma raises OverflowError past about 2.55e305, though the ratio here is 1
+        assert gamma_ratio_signed([2e305], [2e305]) == 1.0
+        for nums, dens in (([3e305], [3e305]), ([1.0], [1e308]), ([-0.5, 3e305], [])):
+            with pytest.raises(DomainError, match="leaves the double range: a log-Gamma overflows"):
+                gamma_ratio_signed(nums, dens)
+
     def test_ratio_that_underflows_is_a_domain_error(self):
         # 1/Gamma(500) is about 1e-1132, which exp rounds to 0; 1/Gamma(178), 6.6e-323, is subnormal
         with pytest.raises(DomainError, match="leaves the double range"):
