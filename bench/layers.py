@@ -7,9 +7,11 @@ Run from the root of a checkout:
 The library is imported from the checkout's ``src/``.  The file holds:
 
 - ``layers_us``: the minimum over repeats of the microseconds per call of
-  the black-box quadrature paths, the Monte Carlo oracle alone and right
-  after a default-rule callable ``integrate_mu`` (so a slowdown that one
-  integral leaves to the next shows beside the lone call), the one-point
+  the black-box quadrature paths, the Monte Carlo oracle alone (at
+  nu = 0.7 and at each nu of ``MC_NUS``, since the cost of its Beta draws
+  depends on nu) and right after a default-rule callable ``integrate_mu``
+  (so a slowdown that one integral leaves to the next shows beside the
+  lone call), the one-point
   kernel, the sup of the kernel-estimate suite's boundary-ratio profile on
   the circle |y| = 0.998 (its five nu, four refining grids of 257 angles
   each) and its majorant constant C* at the same five nu, the series
@@ -153,6 +155,11 @@ def layer_times():
             lambda: quadrature.mc_integrate_mu(0.7, gaussian, 1_000_000, 3), 1, 5
         ),
     }
+    # the Beta sampler's cost depends on nu; the layer above is at nu = 0.7
+    for nu in MC_NUS:
+        black_box[f"quadrature.mc_integrate_mu.1e6_samples.nu={nu:g}"] = best_us_faults(
+            lambda: quadrature.mc_integrate_mu(nu, gaussian, 1_000_000, 3), 1, 5
+        )
     layers = {name: us for name, (us, _) in black_box.items()}
     layers.update({
         "quadrature.mc_integrate_mu.1e6_after_integrate_mu_64x65": best_us(
@@ -193,6 +200,7 @@ def layer_times():
     return layers, {name: faults for name, (_, faults) in black_box.items()}
 
 
+MC_NUS = (-0.9, 20.0)  # the Monte Carlo layer's further nu, beside 0.7
 BATCH = 128
 # Dirichlet, weighted Dirichlet, Hardy, Bergman with one 2F1 step, Bergman with four
 BATCH_NUS = (-2.0, -1.5, -1.0, 0.7, 3.5)

@@ -257,9 +257,9 @@ def conj_product(f, g):
     the pair of terms (a, b, c, d), (a', b', c', d') lands on the key
     (a + b', b + a', c + d', d + c').
     """
-    terms = {}
+    terms, g_terms = {}, as_mixed(g).items()
     for (a, b, c, d), x in as_mixed(f).items():
-        for (a2, b2, c2, d2), y in as_mixed(g).items():
+        for (a2, b2, c2, d2), y in g_terms:
             key = (a + b2, b + a2, c + d2, d + c2)
             terms[key] = terms.get(key, 0.0j) + x * y.conjugate()
     return MixedPoly(terms)

@@ -148,7 +148,9 @@ def project_szego_grid(samples):
         raise DomainError(f"expected a non-empty square grid, got shape {samples.shape}")
     n = samples.shape[0]
     freq = np.fft.fftfreq(n, d=1.0 / n)
-    return np.fft.ifft2(np.fft.fft2(samples) * _HARDY.member(freq[:, None], freq[None, :]))
+    spectrum = np.fft.fft2(samples)
+    spectrum *= _HARDY.member(freq[:, None], freq[None, :])
+    return np.fft.ifft2(spectrum, out=spectrum)
 
 
 def lp_norm_torus(p, samples):

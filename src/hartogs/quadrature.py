@@ -37,17 +37,18 @@ structurally different oracle.
 
 Threading: ``_each`` runs the chunks of a black-box integral on every CPU
 the process may use, concurrently and in any order, the calling thread
-among them.  Each chunk writes only its own slice of the result and the
-reductions run after the last chunk, so the value is bit for bit that of
-a serial loop.  Those reductions are numpy's, not BLAS's, so no OpenBLAS
-worker thread is left spinning on a CPU that the chunks of the next
-integral need.  A Monte Carlo chunk also draws its own samples, from its
-own generator spawned from the seed, so the draws run on every CPU too
-and the estimate does not depend on the number of threads.  A callable
-integrand must be thread-safe; a pure numpy function is.  A callable that
-calls threaded BLAS runs it from several threads at once.  A callable may
-itself integrate, and numpy's ``errstate`` around the outer call applies
-in every chunk.
+among them.  Each chunk writes only its own slot of the result and the
+last reductions run after the last chunk, in chunk order, so the value
+is bit for bit that of a serial loop.  Those reductions are numpy's, not
+BLAS's, so no OpenBLAS worker thread is left spinning on a CPU that the
+chunks of the next integral need.  A Monte Carlo chunk also draws its own
+samples, from its own generator spawned from the seed, and reduces them
+to their count, mean and sum of squared deviations, so the draws and the
+sums run on every CPU too and the estimate does not depend on the number
+of threads.  A callable integrand must be thread-safe; a pure numpy
+function is.  A callable that calls threaded BLAS runs it from several
+threads at once.  A callable may itself integrate, and numpy's
+``errstate`` around the outer call applies in every chunk.
 """
 
 import contextvars
@@ -185,7 +186,9 @@ def _each(fn, items):
     starts another, and the first exception raised is re-raised here.
 
     Each thread holds what fn returned until its next call returns, as
-    the variables of a plain loop do.  A chunk that frees all its memory
+    the variables of a plain loop do; a chunk stores its result in its own
+    slot and returns an array to hold: ``_tensor_sum``'s its values, the
+    Monte Carlo chunk its Gaussian draws.  A chunk that frees all its memory
     lets glibc trim the heap, and the next chunk page-faults its
     temporaries afresh: in a fresh process, 20,000 faults per
     tau-invariance integral against 850 with the previous values held.
@@ -410,21 +413,25 @@ def mc_integrate_mu(nu, integrand, sample_count, seed):
     """Monte Carlo importance-sampled integral against mu_nu.
 
     The squared radii are drawn from the exact radial laws of the
-    pullback weight: u ~ Beta(1, nu+1) by inversion of its distribution
-    function, u = 1 - (1 - U)^(1/(nu+1)) with U uniform on [0, 1), and
-    v ~ Beta(nu/2+2, nu+1).  Each angle is that of a standard complex
-    Gaussian g, e^(i theta) = g/|g|, which is uniform on the circle.
+    pullback weight, u ~ Beta(1, nu+1) and v ~ Beta(nu/2+2, nu+1), and
+    each angle is that of a standard complex Gaussian g, uniform on the
+    circle.  u comes from w1's own Gaussian g1: |g1|^2/2 ~ Exp(1) is
+    independent of g1/|g1|, so u = 1 - exp(-|g1|^2/(2(nu+1))) has the
+    law of u exactly, and w1 = g1 sqrt(u/|g1|^2), w2 = g2 sqrt(v/|g2|^2).
     Since mu_nu is a probability measure the estimator is the plain
     sample mean.
 
     The samples come in near-equal chunks of at most ``_MAX_BLOCK``,
-    which depend on ``sample_count`` alone.  Chunk i draws its u, then
-    its v, then its 2n Gaussians (w1's angles before w2's) from its own
-    generator, seeded by child i of ``SeedSequence(seed).spawn(chunks)``,
-    so the chunks draw on every CPU at once.  ``sample_count`` is an
-    integer of at least 1000 and ``seed`` a non-negative integer.
-    Returns (estimate, standard_error); bit-identical under a fixed
-    seed, whatever the number of threads.
+    which depend on ``sample_count`` alone.  Chunk i draws its v, then
+    its 2n Gaussians (w1's before w2's), from an SFC64 generator seeded
+    by child i of ``SeedSequence(seed).spawn(chunks)``, so the chunks draw
+    on every CPU at once.  Each chunk reduces its values to their count,
+    mean and sum of squared deviations M2; these are combined in chunk
+    order by the pairwise update of Chan, Golub & LeVeque (1979), and the
+    standard error is sqrt(M2/(N-1)/N).  ``sample_count`` is an integer
+    of at least 1000 and ``seed`` a non-negative integer.  Returns
+    (estimate, standard_error); bit-identical under a fixed seed,
+    whatever the number of threads.
     """
     if not _is_integer(sample_count) or sample_count < 1000:
         raise DomainError(f"sample_count must be an integer of at least 1000, got {sample_count!r}")
@@ -434,24 +441,30 @@ def mc_integrate_mu(nu, integrand, sample_count, seed):
     chunks = -(-sample_count // _MAX_BLOCK)
     bounds = [sample_count * i // chunks for i in range(chunks + 1)]
     streams = np.random.SeedSequence(seed).spawn(chunks)
-    vals = np.empty(sample_count, dtype=complex)
+    moments = [None] * chunks
 
     def chunk(i):
-        lo, n = bounds[i], bounds[i + 1] - bounds[i]
-        rng = np.random.default_rng(streams[i])
-        u = -np.expm1(np.log1p(-rng.random(n)) / (nu + 1.0))
+        n = bounds[i + 1] - bounds[i]
+        rng = np.random.Generator(np.random.SFC64(streams[i]))
         v = rng.beta(0.5 * nu + 2.0, nu + 1.0, size=n)
-        angles = rng.standard_normal(4 * n).view(complex)
-        angles /= np.abs(angles)
-        w1 = np.sqrt(u) * angles[:n]
-        w2 = np.sqrt(v) * angles[n:]
-        vals[lo : lo + n] = fn(w1, w2)
-        return angles
+        g = rng.standard_normal(4 * n).view(complex)
+        scale = np.square(np.abs(g))
+        scale[:n] = np.expm1(scale[:n] * (-0.5 / (nu + 1.0))) / -scale[:n]  # u / |g1|^2
+        scale[n:] = v / scale[n:]
+        g *= np.sqrt(scale, out=scale)
+        vals = np.broadcast_to(fn(g[:n], g[n:]), (n,))
+        mean = vals.mean()
+        moments[i] = n, complex(mean), float(np.sum(np.square(np.abs(vals - mean))))
+        return g
 
     _each(chunk, range(chunks))
-    est = complex(np.mean(vals))
-    var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
-    return est, math.sqrt(var / sample_count)
+    count, est, m2 = 0, 0j, 0.0
+    for n, mean, chunk_m2 in moments:
+        delta, total = mean - est, count + n
+        est += delta * (n / total)
+        m2 += chunk_m2 + abs(delta) ** 2 * (count * n / total)
+        count = total
+    return est, math.sqrt(m2 / (sample_count - 1) / sample_count)
 
 
 def inner_product_quad(nu, f, g, rule=None):

@@ -191,6 +191,20 @@ class TestSzegoGrid:
             samples = _torus_samples(f, m)
             assert float(np.max(np.abs(_szego_by_conjugation(samples) - project_szego_grid(samples)))) <= 1e-12
 
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_bit_identical_to_masking_a_fresh_spectrum(self, n):
+        """Masking the spectrum in place and inverting into it gives the bits
+        of ifft2(fft2(x) * mask), with the Hardy mask j >= 0, j + k >= -1,
+        and leaves the input as it was."""
+        rng = np.random.default_rng([57, n])
+        samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        before = samples.copy()
+        freq = np.fft.fftfreq(n, d=1.0 / n)
+        mask = (freq[:, None] >= 0) & (freq[:, None] + freq[None, :] >= -1)
+        expected = np.fft.ifft2(np.fft.fft2(samples) * mask)
+        assert np.array_equal(project_szego_grid(samples).view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(samples.view(np.uint64), before.view(np.uint64))
+
     def test_constant_grid_unchanged(self):
         grid = np.full((8, 8), 2.5 + 0.5j)
         np.testing.assert_allclose(project_szego_grid(grid), grid, atol=1e-13)

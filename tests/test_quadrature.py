@@ -437,13 +437,25 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("count", [200_003, 1_000_000])
     def test_repr_identical_to_per_chunk_streams(self, count):
         """The estimate is that of a serial loop over the chunks, each
-        drawing from its own spawned stream; the reductions run on the
-        whole value array."""
+        drawing from its own spawned stream and reducing its own values;
+        the chunk moments combine in chunk order."""
         integrands = (lambda z1, z2: np.abs(z1) ** 2 * np.exp(-np.abs(z2)) + z1 * np.conj(z2), lambda z1, z2: 1.5)
         for fn in integrands:
             assert repr(quadrature.mc_integrate_mu(0.7, fn, count, 12)) == repr(_serial_mc(0.7, fn, count, 12))
 
-    @pytest.mark.parametrize("nu", [-0.9, 0.0, 3.5, 20.0])
+    def test_chunk_moments_combine_to_the_whole_sample_moments(self):
+        """200,003 samples are four chunks of unequal size; the combined
+        moments are the mean and the unbiased variance of all the values."""
+        fn = lambda z1, z2: np.abs(z1) ** 2 * np.exp(-np.abs(z2)) + z1 * np.conj(z2)
+        chunks = list(_serial_values(0.7, fn, 200_003, 13))
+        assert len({vals.size for vals in chunks}) > 1
+        vals = np.concatenate(chunks)
+        est, se = quadrature.mc_integrate_mu(0.7, fn, 200_003, 13)
+        var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
+        assert abs(est - np.mean(vals)) <= 1e-12 * abs(np.mean(vals))
+        assert abs(se**2 * vals.size - var) <= 1e-12 * var
+
+    @pytest.mark.parametrize("nu", [-0.99, -0.9, 0.0, 3.5, 20.0])
     def test_sample_law_matches_closed_forms(self, nu):
         """|z1^j z2^k|^2 averages to its closed-form norm, and a monomial of
         nonzero angular frequency to 0, each within 5 standard errors.  The
@@ -473,26 +485,37 @@ def _serial_tensor_sum(fn, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2,
     return complex(((sums * radial_w2).sum(axis=1) * radial_w1).sum()) * (2.0 * np.pi / m) ** 2
 
 
-def _serial_mc(nu, fn, sample_count, seed):
-    """``quadrature.mc_integrate_mu`` as a plain loop over its chunks, in order,
-    chunk i drawing u by inversion, v, then w1's and w2's Gaussian angles
-    from child i of the seed's SeedSequence."""
+def _serial_values(nu, fn, sample_count, seed):
+    """The integrand values of ``quadrature.mc_integrate_mu``, one array per
+    chunk, as a plain loop over its chunks in order: chunk i draws v, then
+    w1's and w2's Gaussians, from an SFC64 generator seeded by child i of
+    the seed's SeedSequence, and takes u from the modulus of w1's Gaussian."""
     chunks = -(-sample_count // quadrature._MAX_BLOCK)
     bounds = [sample_count * i // chunks for i in range(chunks + 1)]
     streams = np.random.SeedSequence(seed).spawn(chunks)
-    vals = np.empty(sample_count, dtype=complex)
     for stream, lo, hi in zip(streams, bounds, bounds[1:]):
-        rng = np.random.default_rng(stream)
+        rng = np.random.Generator(np.random.SFC64(stream))
         n = hi - lo
-        u = -np.expm1(np.log1p(-rng.random(n)) / (nu + 1.0))
         v = rng.beta(0.5 * nu + 2.0, nu + 1.0, size=n)
         g = rng.standard_normal(4 * n).view(complex)
-        g = g / np.abs(g)
-        w1 = np.sqrt(u) * g[:n]
-        w2 = np.sqrt(v) * g[n:]
-        vals[lo:hi] = fn(w1 * w2, w2)
-    var = np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)
-    return complex(np.mean(vals)), math.sqrt(var / sample_count)
+        s = np.abs(g) ** 2
+        w1 = g[:n] * np.sqrt(np.expm1(s[:n] * (-0.5 / (nu + 1.0))) / -s[:n])
+        w2 = g[n:] * np.sqrt(v / s[n:])
+        yield np.broadcast_to(fn(w1 * w2, w2), (n,))
+
+
+def _serial_mc(nu, fn, sample_count, seed):
+    """``quadrature.mc_integrate_mu`` as a plain loop: each chunk's count,
+    mean and sum of squared deviations, combined in chunk order."""
+    count, est, m2 = 0, 0j, 0.0
+    for vals in _serial_values(nu, fn, sample_count, seed):
+        mean = vals.mean()
+        n, chunk_m2 = vals.size, float(np.sum(np.abs(vals - mean) ** 2))
+        delta, total = complex(mean) - est, count + n
+        est += delta * (n / total)
+        m2 += chunk_m2 + abs(delta) ** 2 * (count * n / total)
+        count = total
+    return est, math.sqrt(m2 / (sample_count - 1) / sample_count)
 
 
 def _finishes(call, timeout=120.0):
