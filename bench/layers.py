@@ -19,7 +19,8 @@ The library is imported from the checkout's ``src/``.  The file holds:
   sharp-norm witness ratio of it (N = 64, a 512 x 512 grid), the Szego
   FFT projection,
   one signed Gamma ratio of a coefficient weight, the 2F1 on 128 points,
-  one random point of the suites, one factored automorphism row of the
+  one point pair of the suites' draw (per pair of a 100-pair
+  ``_random_pairs`` call), one factored automorphism row of the
   tau-invariance suite (its two disc sums on the suite's rule, beside the
   full-grid ``integrate_tau`` of the same automorphism), the isometry rows
   of one nu (10 draws at nu = -1.5, each read by a 16 x 16 FFT of its
@@ -177,7 +178,7 @@ def layer_times():
         "kernels.kernel_series.one_pair.nu=0.7": best_us(lambda: kernels.kernel_series(0.7, z, w), 500, 5),
         "specfun.gamma_ratio_signed.weight_7_args": best_us(lambda: specfun.gamma_ratio_signed(*weight_args), 20000, 5),
         f"specfun.gauss_2f1.{BATCH}_points": best_us(lambda: specfun.gauss_2f1(hyp, y128), 2000, 5),
-        "verify._random_point": best_us(lambda: verify._random_point(point_rng), 20000, 5),
+        "verify._random_pairs.per_pair": best_us(lambda: verify._random_pairs(point_rng, 100), 2000, 5) / 100,
         "verify.tau-invariance.factored_row": best_us(lambda: verify._factored_tau_mass(tau_rule, psi), 200, 5),
         "verify.isometries.fft_rows": best_us(
             lambda: verify._isometry_rows(verify.SuiteResult("isometries", True), np.random.default_rng([0, 802]), -1.5, 1),

@@ -67,13 +67,6 @@ __all__ = [
 _MAX_NU = 100.0
 
 
-def _xy(z, w):
-    """The two invariants x = z1 conj(w1)/(z2 conj(w2)) and y = z2 conj(w2)."""
-    y = z.z2 * w.z2.conjugate()
-    x = z.z1 * w.z1.conjugate() / y
-    return x, y
-
-
 def _batch_xy(z, w):
     """x and y as flat complex arrays, and the batch shape, that of the
     coordinates of z and w broadcast together (() for a single pair).  Any
@@ -109,9 +102,9 @@ def prefactor_a(nu):
 
     Positive for nu > -1; below that the ratio is evaluated with sign
     tracking, and its modulus scales the boundary-estimate majorant.
-    ``nu`` is a float or its SpaceParam.
+    ``nu`` is a float or its SpaceParam; DomainError at nu = -4/3, a pole.
     """
-    sp = _space(nu)
+    sp = _degenerate_check(_space(nu))
     nu, c = sp.nu, sp.ceil
     return gamma_ratio_signed(
         [0.5 * nu + 2.0, 1.5 * nu - c + 2.0],
@@ -236,7 +229,7 @@ def kernel(nu, z, w):
     if kind == "bergman":
         return kernel_nu(sp, z, w)
     if kind == "weighted-dirichlet":
-        return _hypergeometric_kernel(_degenerate_check(sp), z, w)
+        return _hypergeometric_kernel(sp, z, w)
     x, y, shape = _batch_xy(z, w)
     if kind == "hardy":
         return _result(1.0 / (y * (1.0 - x) * (1.0 - y)), shape)
@@ -341,18 +334,18 @@ def kernel_nu_series_k(nu, z, w):
         K_nu = [Gamma(nu/2+2)/Gamma(3nu/2+3)] y^(-2) (1-x)^(-(nu+2))
                * sum_{k > -nu/2} Gamma(k+3nu/2+1)/Gamma(k+nu/2) y^k,
 
-    truncated as :func:`kernel_series` is, below 1e-12.
+    truncated below 1e-12 as :func:`kernel_series` is, at the batch's largest |y|.
     """
     sp = SpaceParam(nu).require("bergman", "kernel_nu_series_k")
     nu = sp.nu
-    x, y = _xy(z, w)
-    n = int(_series_extent(abs(y), 2.0 * max(nu + 1.0, 0.0) + 0.5)[0])
+    x, y, shape = _batch_xy(z, w)
+    n = int(_series_extent(np.abs(y), 2.0 * max(nu + 1.0, 0.0) + 0.5).max(initial=8))
     k0 = 1 - sp.ceil
     kk = np.arange(k0, k0 + n, dtype=float)
     logc = gammaln(kk + 1.5 * nu + 1.0) - gammaln(kk + 0.5 * nu)
-    ksum = np.sum(np.exp(logc) * y ** np.arange(k0, k0 + n))
+    ksum = np.sum(np.exp(logc) * y[:, None] ** np.arange(k0, k0 + n), axis=1)
     front = gamma_ratio_signed([0.5 * nu + 2.0], [1.5 * nu + 3.0])
-    return complex(front * y ** (-2) * (1.0 - x) ** (-(nu + 2.0)) * ksum)
+    return _result(front * y ** (-2) * (1.0 - x) ** (-(nu + 2.0)) * ksum, shape)
 
 
 def kernel_bound_ratio(nu, z, w):
@@ -363,15 +356,16 @@ def kernel_bound_ratio(nu, z, w):
     Bounded by the derived constant of :func:`bound_constant` for every
     nu in (-2, inf); identically 1/2 at nu = 0 and 1 at nu = -1.  The
     nu = -2 kernel is logarithmic and has no bound of this shape, so it
-    is excluded.
+    is excluded.  A float for one pair, an array of the batch's shape.
     """
     sp = SpaceParam(nu)
     if sp.kind == "dirichlet":
         raise DomainError(f"the kernel estimate concerns nu > -2, got {nu}")
     nu, c = sp.nu, sp.ceil
-    x, y = _xy(z, w)
-    val = abs(kernel(sp, z, w))
-    return val * abs(y) ** (1 + c) * abs(1.0 - x) ** (nu + 2.0) * abs(1.0 - y) ** (nu + 2.0)
+    x, y, shape = _batch_xy(z, w)
+    val = np.abs(kernel(sp, z, w)).ravel()
+    ratio = val * np.abs(y) ** (1 + c) * np.abs(1.0 - x) ** (nu + 2.0) * np.abs(1.0 - y) ** (nu + 2.0)
+    return float(ratio[0]) if shape == () else ratio.reshape(shape)
 
 
 def bound_constant(nu):
@@ -414,7 +408,7 @@ def bound_ratio_profile(nu, y):
     Raises DomainError at nu = -2 (no estimate of this shape), at
     nu = -4/3 (a pole of a_nu) and above nu = 4.
     """
-    sp = _degenerate_check(SpaceParam(nu))
+    sp = SpaceParam(nu)
     if sp.kind == "dirichlet" or sp.nu > _MAX_PROFILE_NU:
         raise DomainError(f"bound_ratio_profile is resolved only for -2 < nu <= {_MAX_PROFILE_NU:g}, got {nu}")
     b = 0.5 * sp.nu - sp.ceil

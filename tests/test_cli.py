@@ -500,6 +500,12 @@ class TestVerifyCommand:
         assert (code, out) == (2, "") and "leaves the double range" in err
         assert time.perf_counter() - start < 10.0
 
+    @pytest.mark.parametrize("nu", ["-1.3333333333333333", "-1.33333333333333"])
+    def test_reproducing_refuses_nu_minus_four_thirds(self, capsys, nu):
+        # a pole of a_nu: the coefficients were nan, and the row printed 0 and passed
+        code, out, err = run_cli(capsys, "verify", "reproducing", "--nu", nu)
+        assert (code, out) == (2, "") and "-4/3" in err
+
 
 class TestExitCodes:
     """Exit 3 is a verification failure and exit 1 an input fault; any

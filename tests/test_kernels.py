@@ -279,6 +279,16 @@ class TestKernelEstimate:
             prof = float(kernels.bound_ratio_profile(nu, np.array([y]))[0])
             assert kernels.kernel_bound_ratio(nu, z, w) == pytest.approx(prof, rel=1e-9)
 
+    @pytest.mark.parametrize("nu", [-1.5, -0.5, 0.7, 1.3, 3.5])
+    def test_a_batch_equals_its_one_pair_calls(self, nu):
+        rng = np.random.default_rng(45)
+        pairs = [(random_point(rng, r2=(0.8, 0.95), ratio=0.95), random_point(rng, r2=(0.8, 0.95), ratio=0.95)) for _ in range(5)]
+        z, w = (HartogsPoint(*np.array([(p.z1, p.z2) for p in points]).T) for points in zip(*pairs))
+        batch = kernels.kernel_bound_ratio(nu, z, w)
+        singles = [kernels.kernel_bound_ratio(nu, p, q) for p, q in pairs]
+        assert batch.shape == (5,) and all(type(s) is float for s in singles)
+        np.testing.assert_allclose(batch, singles, rtol=1e-15, atol=0.0)
+
     def test_excludes_dirichlet_regime(self):
         q = HartogsPoint(0.1, 0.5)
         with pytest.raises(DomainError):
@@ -633,6 +643,22 @@ class TestBoundConstant:
         # both looped O(nu) times before a_nu refused nu; at 1e300 neither returned
         with pytest.raises(DomainError, match="leaves the double range"):
             routine(1e300)
+
+    @pytest.mark.parametrize("nu", [-4.0 / 3.0, -4.0 / 3.0 + 1e-13])
+    @pytest.mark.parametrize(
+        "routine",
+        [
+            lambda nu: kernels.kernel(nu, HartogsPoint(0.1, 0.5), HartogsPoint(0.2j, 0.6)),
+            lambda nu: kernels.kernel_coeff_closed(nu, 0, 0),
+            kernels.bound_constant,
+            lambda nu: kernels.bound_ratio_profile(nu, np.array([0.5 + 0.1j])),
+        ],
+        ids=["kernel", "kernel_coeff_closed", "bound_constant", "bound_ratio_profile"],
+    )
+    def test_nu_minus_four_thirds_is_refused(self, routine, nu):
+        # a pole of a_nu: kernel_coeff_closed returned nan and bound_constant inf
+        with pytest.raises(DomainError, match="-4/3"):
+            routine(nu)
 
     @pytest.mark.parametrize("nu, value", [(-1.0, 1.0), (0.0, 0.5)])
     def test_constant_ratio_spaces(self, nu, value):

@@ -24,14 +24,14 @@ from hartogs.verify import (
     _random_coords,
     _random_laurent,
     _random_mixed,
-    _random_point,
+    _random_pairs,
     _torus_samples,
 )
 
 
 def three_call_point(rng, r2_range=(0.25, 0.9), ratio_max=0.85):
-    """_random_point by three Generator.uniform calls: the reference its
-    one-call form must equal, draw for draw."""
+    """A point by three Generator.uniform calls: the reference that the one-call
+    draws of _random_coords and _random_pairs must equal, draw for draw."""
     rho = rng.uniform(*r2_range)
     ratio = math.sqrt(rng.uniform(0.0, 1.0)) * ratio_max
     ang1, ang2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
@@ -71,7 +71,25 @@ def member_per_candidate_mixed(rng, nu, n_terms=4, max_exp=3):
     return MixedPoly(terms)
 
 
+class TestRandomPairs:
+    @pytest.mark.parametrize("seed", [0, 31])
+    def test_equals_z_then_w_three_call_draws(self, seed):
+        """_random_pairs(rng, n) reads the uniforms of n z-then-w point draws, in order."""
+        got_rng, ref_rng = np.random.default_rng([seed, 101]), np.random.default_rng([seed, 101])
+        for count in (1, 7, 100):
+            z, w = _random_pairs(got_rng, count)
+            ref = [three_call_point(ref_rng) for _ in range(2 * count)]
+            for got, points in ((z, ref[::2]), (w, ref[1::2])):
+                assert np.max(np.abs(got.z1 - np.array([p.z1 for p in points]))) <= 1e-15
+                assert np.max(np.abs(got.z2 - np.array([p.z2 for p in points]))) <= 1e-15
+        # both streams end at the same state
+        assert got_rng.random() == ref_rng.random()
+
+
 class TestRandomPoint:
+    """The one-point draws of the k-sum oracle and the kernel-estimate spots,
+    _random_coords(rng, 1, ...), point by point."""
+
     # the three argument sets of the suites: kernel-agreement, reproducing, kernel-estimate
     ARGUMENTS = [{}, {"r2_range": (0.3, 0.8), "ratio_max": 0.8}, {"r2_range": (0.8, 0.95), "ratio_max": 0.95}]
 
@@ -80,22 +98,15 @@ class TestRandomPoint:
     def test_equals_the_three_call_draw(self, kwargs, seed):
         got_rng, ref_rng = np.random.default_rng([seed, 101]), np.random.default_rng([seed, 101])
         for _ in range(1000):
-            got, ref = _random_point(got_rng, **kwargs), three_call_point(ref_rng, **kwargs)
-            assert (got.z1, got.z2) == (ref.z1, ref.z2)
+            (z1,), (z2,) = _random_coords(got_rng, 1, **kwargs)
+            ref = three_call_point(ref_rng, **kwargs)
+            assert abs(z1 - ref.z1) <= 1e-15 and abs(z2 - ref.z2) <= 1e-15
         # both streams end at the same state
         assert got_rng.random() == ref_rng.random()
 
-    def test_coordinates_are_python_complex(self):
-        """numpy complex scalars would round the suites' z2 conj(w2) products differently."""
-        rng = np.random.default_rng(3)
-        for kwargs in self.ARGUMENTS:
-            point = _random_point(rng, **kwargs)
-            assert type(point.z1) is complex and type(point.z2) is complex
-
 
 class TestRandomCoords:
-    """The reproducing suite reads its points as arrays, from the uniforms
-    that _random_point calls would draw."""
+    """The reproducing suite reads its points as arrays, 20 a call."""
 
     ARGUMENTS = [{"r2_range": (0.25, 0.9), "ratio_max": 0.85}] + TestRandomPoint.ARGUMENTS[1:]
 
@@ -279,17 +290,15 @@ class TestFactoredTau:
 
 
 class TestTorusSamples:
-    def test_matches_per_term_evaluation(self):
+    def test_monomials_match_the_root_table(self):
+        """z1^j z2^k, |j|, |k| <= 32, on the 133-point grid against the exact
+        table roots[(j p) % n] roots[(k q) % n]."""
         degree, n = 32, 133
-        rng = np.random.default_rng(5)
-        keys = rng.integers(-degree, degree + 1, size=(16, 2))
-        keys[:3] = [(-degree, -degree), (degree, -1), (-7, degree)]
-        f = TorusSeries({tuple(key): complex(*rng.normal(size=2)) for key in keys.tolist()})
-        theta = 2.0 * np.pi * np.arange(n) / n
-        z1 = np.exp(1j * theta)[:, None]
-        z2 = np.exp(1j * theta)[None, :]
-        ref = sum(a * z1**j * z2**k for (j, k), a in f.items())
-        assert np.max(np.abs(_torus_samples(f, n) - ref)) <= 1e-12
+        roots, grid = np.exp(2j * np.pi * np.arange(n) / n), np.arange(n)
+        for j in range(-degree, degree + 1):
+            for k in range(-degree, degree + 1):
+                ref = roots[(j * grid[:, None]) % n] * roots[(k * grid) % n]
+                assert np.max(np.abs(_torus_samples(TorusSeries({(j, k): 1.0}), n) - ref)) <= 1e-12
 
     def test_empty_series_is_zero(self):
         assert np.all(_torus_samples(TorusSeries({}), 7) == 0.0)
@@ -436,6 +445,19 @@ def test_k_sum_row_fails_an_altered_oracle(monkeypatch, alter):
     monkeypatch.setattr(kernels, "kernel_nu_series_k", lambda nu, z, w: alter(series(nu, z, w)))
     res = verify.run_suite("kernel-agreement")
     assert not res.passed and "k-sum oracle" in res.message
+
+
+def test_a_nan_error_fails_its_worst_row():
+    """Python's max(0.0, nan) is 0.0, so a worst-of fold dropped a NaN error."""
+    res = verify.SuiteResult("any", True)
+    res.worst("case", [1e-16, math.nan, 2e-16], 1e-12, "worst row")
+    assert not res.passed and math.isnan(res.rows[0][2])
+
+
+def test_nan_values_fail_the_reproducing_suite(monkeypatch):
+    monkeypatch.setattr(coeffspace, "evaluate_grid", lambda f, z1, z2: np.full_like(z1, np.nan))
+    res = verify.run_suite("reproducing", nus=(0.7,))
+    assert not res.passed and "reproducing identity failed at nu=0.7" in res.message
 
 
 def test_blowup_rows_are_pinned():
