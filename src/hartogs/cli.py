@@ -24,8 +24,10 @@ digits; identical configuration and seed produce byte-identical output.
 """
 
 import argparse
+import csv
 import functools
 import inspect
+import io
 import itertools
 import json
 import sys
@@ -260,11 +262,13 @@ def _cmd_verify(args):
         results = verify.run_all(seed=args.seed)
     else:
         results = [verify.run_suite(args.suite, seed=args.seed, **kwargs)]
-    lines = ["case,closed_form,quadrature,abs_err,rel_err"]
-    lines += [f"{r.name}:{case},{','.join(map(_fmt, values))}" for r in results for case, *values in r.rows]
-    lines += ["", "suite,status,detail"] + [f"{r.name},{'PASS' if r.passed else 'FAIL'},{r.message}" for r in results]
+    table = csv.writer(text := io.StringIO(), lineterminator="\n")  # quotes a label or detail holding a comma
+    table.writerow(["case", "closed_form", "quadrature", "abs_err", "rel_err"])
+    table.writerows([f"{r.name}:{case}", *map(_fmt, values)] for r in results for case, *values in r.rows)
+    table.writerows([[], ["suite", "status", "detail"]])
+    table.writerows([r.name, "PASS" if r.passed else "FAIL", r.message] for r in results)
     failed = [r.name for r in results if not r.passed]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, text.getvalue())
     if failed:
         print("failed suites: " + ", ".join(failed), file=sys.stderr)
         return EXIT_VERIFY

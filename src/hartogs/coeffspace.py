@@ -39,7 +39,7 @@ __all__ = [
 
 
 SNAP_TOL = 1e-12
-_WEIGHTS_KEPT = 4096  # Gamma weights memoized per process; one verify pass reads 788
+_WEIGHTS_KEPT = 4096  # Gamma weights memoized per process; one verify pass reads 1,475
 _RANGES = {"bergman": "nu > -1", "weighted-dirichlet": "-2 < nu < -1"}
 
 
@@ -82,6 +82,12 @@ class SpaceParam:
     def ceil(self):
         """ceil(nu/2); every closed form carries the shift 1 + ceil(nu/2)."""
         return math.ceil(0.5 * self.nu)
+
+    @property
+    def b1(self):
+        """nu/2 + 1 - ceil(nu/2) in (0, 1], the kernel 2F1's gamma and the w2 axis's beta + 1, once
+        rounded: (nu/2 - ceil(nu/2)) + 1 drops a small nu's digits, nu/2 + (1 - ceil(nu/2)) reads 0 at 2^54."""
+        return math.fsum((0.5 * self.nu, 1.0, -self.ceil))
 
     def require(self, kind, who):
         """Return self, or raise DomainError naming ``who`` if nu is not in

@@ -31,13 +31,18 @@ from .specfun import DomainError
 __all__ = ["to_bidisc", "from_bidisc"]
 
 
+def _jacobian_power(sp):
+    """The power s of the Jacobian w2 in f -> w2^s (f o Phi): 0 at nu = -2, else 1."""
+    return 0 if sp.kind == "dirichlet" else 1
+
+
 def to_bidisc(nu, f):
     """w2^s (f o Phi) of a Laurent polynomial in the nu space: (j, k) -> (j, j+k+s).
 
     A term outside I_nu raises DomainError.
     """
     sp = SpaceParam(nu)
-    s = 0 if sp.kind == "dirichlet" else 1
+    s = _jacobian_power(sp)
     for (j, k), _ in f.items():
         if not sp.member(j, k):
             raise DomainError(f"term ({j}, {k}) lies outside I_nu for nu = {nu}")
@@ -50,7 +55,7 @@ def from_bidisc(nu, g):
     A term that no term of I_nu maps to raises DomainError.
     """
     sp = SpaceParam(nu)
-    s = 0 if sp.kind == "dirichlet" else 1
+    s = _jacobian_power(sp)
     for (j, k), _ in g.items():
         if not sp.member(j, k - j - s):
             raise DomainError(f"term ({j}, {k}) does not come from I_nu for nu = {nu}")

@@ -1,4 +1,4 @@
-"""Reproducing kernels of the whole family, closed forms and series oracles.
+"""Reproducing kernels of the whole family, closed forms and a series oracle.
 
 Every space in the family is a reproducing kernel Hilbert space on the
 triangle, and ``kernel(nu, z, w)`` is the one entry for all of them; the
@@ -32,8 +32,9 @@ DomainError outside that range.  Near the real zeros of F on the negative
 y axis the error is instead at most 1e-14 |a_nu| |y|^(-1-ceil(nu/2))
 |1-x|^(-(nu+2)).
 
-Alongside the closed forms the module carries brute-force basis-series
-oracles (per pair or batch, sharing no code with the closed-form bodies),
+Alongside the closed forms the module carries the brute-force basis-series
+oracle ``kernel_series`` (per pair or batch; it enters neither the
+prefactor a_nu nor the 2F1 of the closed-form bodies),
 the Laurent coefficients of each kernel read off its closed form (the
 reciprocals of the monomial weights ``SpaceParam.weight``, reached by
 another route), and the boundary-estimate checker with its profile in y
@@ -44,7 +45,6 @@ theorem.
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .coeffspace import SNAP_TOL, SpaceParam, _space
 from .quadrature import _MAX_BLOCK
@@ -55,7 +55,6 @@ __all__ = [
     "kernel",
     "kernel_coeff_closed",
     "kernel_series",
-    "kernel_nu_series_k",
     "kernel_bound_ratio",
     "bound_constant",
     "bound_ratio_profile",
@@ -108,7 +107,7 @@ def prefactor_a(nu):
     nu, c = sp.nu, sp.ceil
     return gamma_ratio_signed(
         [0.5 * nu + 2.0, 1.5 * nu - c + 2.0],
-        [1.5 * nu + 3.0, 0.5 * nu - c + 1.0],
+        [1.5 * nu + 3.0, sp.b1],
     )
 
 
@@ -173,7 +172,7 @@ def _hypergeometric_kernel(sp, z, w):
         raise DomainError(f"the kernel is resolved to 1e-12 only for nu <= {_MAX_NU:g}, got {nu}")
     x, y, shape = _batch_xy(z, w)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # reported just below
-        hyp = _kernel_2f1(1.5 * nu - c + 2.0, 0.5 * nu - c + 1.0, y)
+        hyp = _kernel_2f1(1.5 * nu - c + 2.0, sp.b1, y)
         val = prefactor_a(sp) * y ** (-1 - c) * (1.0 - x) ** (-(nu + 2.0)) * hyp
     finite = np.isfinite(val)
     if not finite.all():
@@ -255,8 +254,7 @@ def kernel_coeff_closed(nu, j, k):
         # y^(-1) (1-x)^(-1) (1-y)^(-1): every surviving coefficient is 1
         return 1.0
     a, c = prefactor_a(sp), sp.ceil  # first: a nu it refuses would run ceil(nu/2) products before it
-    alpha = 1.5 * nu - c + 2.0
-    gam = 0.5 * nu - c + 1.0
+    alpha, gam = 1.5 * nu - c + 2.0, sp.b1
     n = j + k + 1 + c
     binom = math.prod((nu + 2.0 + i) / (i + 1.0) for i in range(j))
     ratio = math.prod((alpha + i) / (gam + i) for i in range(n))
@@ -328,26 +326,6 @@ def kernel_series(nu, z, w):
     return _result(val, shape)
 
 
-def kernel_nu_series_k(nu, z, w):
-    """Second oracle for nu > -1: the one-dimensional k-sum form
-
-        K_nu = [Gamma(nu/2+2)/Gamma(3nu/2+3)] y^(-2) (1-x)^(-(nu+2))
-               * sum_{k > -nu/2} Gamma(k+3nu/2+1)/Gamma(k+nu/2) y^k,
-
-    truncated below 1e-12 as :func:`kernel_series` is, at the batch's largest |y|.
-    """
-    sp = SpaceParam(nu).require("bergman", "kernel_nu_series_k")
-    nu = sp.nu
-    x, y, shape = _batch_xy(z, w)
-    n = int(_series_extent(np.abs(y), 2.0 * max(nu + 1.0, 0.0) + 0.5).max(initial=8))
-    k0 = 1 - sp.ceil
-    kk = np.arange(k0, k0 + n, dtype=float)
-    logc = gammaln(kk + 1.5 * nu + 1.0) - gammaln(kk + 0.5 * nu)
-    ksum = np.sum(np.exp(logc) * y[:, None] ** np.arange(k0, k0 + n), axis=1)
-    front = gamma_ratio_signed([0.5 * nu + 2.0], [1.5 * nu + 3.0])
-    return _result(front * y ** (-2) * (1.0 - x) ** (-(nu + 2.0)) * ksum, shape)
-
-
 def kernel_bound_ratio(nu, z, w):
     """|K_nu| stripped of the boundary-estimate shape:
 
@@ -378,13 +356,13 @@ def bound_constant(nu):
     sp = SpaceParam(nu)
     if sp.kind == "dirichlet":
         raise DomainError(f"bound_constant requires nu > -2, got {nu}")
-    nu, b = sp.nu, 0.5 * sp.nu - sp.ceil
+    nu, b1 = sp.nu, sp.b1
     a = abs(prefactor_a(sp))  # first: a nu it refuses would run ceil(nu + 1) steps before it
     c, head, signed = 1.0, 0.0, 0.0
     for n in range(max(1, math.ceil(nu + 1.0))):
         head, signed = head + abs(c), signed + c
-        c *= (n - nu - 1.0) * (b + n) / ((b + 1.0 + n) * (n + 1.0))
-    gauss = gamma_ratio_signed([b + 1.0, nu + 2.0], [b + nu + 2.0])
+        c *= (n - nu - 1.0) * (b1 - 1.0 + n) / ((b1 + n) * (n + 1.0))
+    gauss = gamma_ratio_signed([b1, nu + 2.0], [b1 + nu + 1.0])
     return a * (head + abs(gauss - signed))
 
 
@@ -411,5 +389,4 @@ def bound_ratio_profile(nu, y):
     sp = SpaceParam(nu)
     if sp.kind == "dirichlet" or sp.nu > _MAX_PROFILE_NU:
         raise DomainError(f"bound_ratio_profile is resolved only for -2 < nu <= {_MAX_PROFILE_NU:g}, got {nu}")
-    b = 0.5 * sp.nu - sp.ceil
-    return abs(prefactor_a(sp)) * np.abs(gauss_2f1(HypergeometricParams(-sp.nu - 1.0, b, b + 1.0), y))
+    return abs(prefactor_a(sp)) * np.abs(gauss_2f1(HypergeometricParams(-sp.nu - 1.0, sp.b1 - 1.0, sp.b1), y))

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import special
 
 from . import coeffspace, isometries, kernels, projections, quadrature
 from .coeffspace import LaurentCoeffs, MixedPoly, TorusSeries
@@ -157,9 +156,6 @@ def suite_kernel_agreement(seed=0, nus=_REGIMES):
         series = kernels.kernel_series(nu, z, w)
         worst = float(np.max(np.abs(closed - series) / np.maximum(np.abs(closed), 1e-300)))
         res.worst(f"nu={nu} worst pair", worst, 1e-8, f"kernel series mismatch at nu={nu}")
-        if coeffspace.SpaceParam(nu).kind == "bergman":
-            z, w = (HartogsPoint(*(v[0] for v in _random_coords(_rng(seed, salt), 1))) for salt in (150, 151))
-            res.row(f"nu={nu} k-sum oracle", kernels.kernel_nu(nu, z, w), kernels.kernel_nu_series_k(nu, z, w), 1e-8)
     # even-integer reduction of the hypergeometric factor
     rng = _rng(seed, 160)
     for n in (0, 1, 2):
@@ -490,17 +486,13 @@ def _isometry_rows(res, rng, nu, s):
     """Rows of f -> w2^s f(w1 w2, w2) at nu over 10 draws f, from the 2-D FFT c
     of its values on the 16 x 16 torus (no image has degree above 9, so none
     aliases): the worst max |c - to_bidisc(nu, f)| and the worst
-    |sum W |c|^2 - ||f||^2_nu| / sum |W| |c|^2 for the bidisc weight W of
-    ``isometries``, its Gamma arguments summed from d = nu + 2 as in
-    ``coeffspace._gamma_weight``."""
+    |sum W |c|^2 - ||f||^2_nu| / sum |W| |c|^2 for the bidisc weight W[j, n] =
+    weight(j, n - j - s_nu), s_nu the Jacobian power of ``isometries``, not s;
+    and the relative distance of W from W[:, 1] W[0, :] / W[0, 1] (its n = 0
+    column is 0 at nu = -4/3): the bidisc weight is a product in (j, n)."""
     sp, m = coeffspace.SpaceParam(nu), np.arange(16.0)
-    if sp.kind == "dirichlet":
-        weight = np.outer(m + 1.0, m + 1.0)
-    else:
-        gamma, d = special.gamma, sp.nu + 2.0
-        u = gamma(m + 1.0) / gamma(m + d)
-        v = gamma(m + 0.5 * d) / gamma((m - 1.0) + 1.5 * d)
-        weight = gamma(d) * gamma(1.5 * d) / gamma(0.5 * d + 1.0) * np.outer(u, v)
+    s_nu = isometries._jacobian_power(sp)
+    weight = np.array([[sp.weight(j, n - j - s_nu) for n in range(16)] for j in range(16)])
     w = np.exp(2j * np.pi * m / 16)
     map_errors, norm_errors = [], []
     for _ in range(10):
@@ -516,6 +508,9 @@ def _isometry_rows(res, rng, nu, s):
         map_errors.append(np.max(np.abs(c)))
     res.worst(f"nu={nu} map from values", map_errors, 1e-13, f"nu={nu} map from values")
     res.worst(f"nu={nu} norm from values", norm_errors, 1e-13, f"nu={nu} norm from values")
+    rank_one = np.outer(weight[:, 1], weight[0, :]) / weight[0, 1]
+    rank_errors = np.abs(weight - rank_one) / np.maximum(np.abs(weight), 1e-300)
+    res.worst(f"nu={nu} bidisc weight rank one", rank_errors, 1e-13, f"nu={nu} bidisc weight rank one")
 
 
 _ISOMETRY_CASES = ((-2.0, 0), (-1.9, 1), (-1.5, 1), (-1.2, 1), (-1.0, 1))

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import csv
 import json
 import math
 import time
@@ -455,6 +456,23 @@ class TestVerifyCommand:
         assert code == 3
         assert "normalization,FAIL,nu=0.7: rel err" in out
         assert err == "failed suites: normalization\n"
+
+    @pytest.mark.parametrize("failing", [False, True], ids=["passing", "failing"])
+    def test_stdout_is_csv(self, capsys, monkeypatch, failing):
+        # the labels nu=0.7,j=0,k=0 and, in a failing suite, the detail hold commas
+        if failing:
+            exact = quadrature.inner_product_quad
+            monkeypatch.setattr(quadrature, "inner_product_quad", lambda *args: exact(*args) * (1.0 + 1e-6))
+        code, out, _ = run_cli(capsys, "verify", "monomials", "--nu", "0.7")
+        assert code == (3 if failing else 0)
+        rows, summary = out.split("\n\n")
+        for table, header in ((rows, "case,closed_form,quadrature,abs_err,rel_err"), (summary, "suite,status,detail")):
+            assert table.startswith(header + "\n")
+            assert {len(record) for record in csv.reader(table.splitlines())} == {header.count(",") + 1}
+        assert '\n"monomials:nu=0.7,j=0,k=0",1,' in rows
+        [[name, status, detail]] = list(csv.reader(summary.splitlines()))[1:]
+        assert (name, status) == ("monomials", "FAIL" if failing else "PASS")
+        assert detail.startswith("nu=0.7,j=0,k=-2: rel err") if failing else detail == ""
 
     @pytest.mark.parametrize("argv", [("--tolerance", "1"), ("--jmax", "4"), ("--kmax", "4")])
     def test_a_removed_bound_flag_is_a_usage_error(self, capsys, argv):

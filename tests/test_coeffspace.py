@@ -2,6 +2,7 @@
 
 import math
 import struct
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -89,6 +90,14 @@ class TestSpaceParam:
                         ref = front * mpmath.gamma(j + 1) * mpmath.gamma(j + k + 0.5 * x + 2)
                         ref /= mpmath.gamma(j + x + 2) * mpmath.gamma(j + k + 1.5 * x + 3)
                         assert abs(_gamma_weight(nu, j, k) - ref) <= 5e-14 * abs(ref), (nu, j, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(-2.0, 1e300), st.sampled_from([1e-9, 1e-6, 0.3, 2.0**54 + 4.0, 1e300])))
+    def test_b1_is_the_correctly_rounded_difference(self, nu):
+        # (nu/2 - ceil(nu/2)) + 1 misses it at nu = 1e-9, nu/2 + (1 - ceil(nu/2)) at 2^54 + 4
+        sp = SpaceParam(nu)
+        assert sp.b1 == float(Fraction(sp.nu) / 2 + 1 - sp.ceil)
+        assert 0.0 < sp.b1 <= 1.0
 
     def test_one_regime_decision_near_special_nu(self):
         """Kernel, oracle, index set, rule, mode exponent and critical range all

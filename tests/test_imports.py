@@ -8,6 +8,7 @@ it.  What the package does load must be loaded at import, not on a first
 call inside a timed pass.
 """
 
+import ast
 import functools
 import json
 import os
@@ -57,3 +58,20 @@ def test_import_builds_no_rule_and_no_weight():
     """The Gauss rules and Gamma weights are built on first use, so the
     set-up of every command stays free of them."""
     assert _probe()["memos"] == [0, 0, 0]
+
+
+def test_only_specfun_and_quadrature_import_scipy():
+    """SciPy stays in its two call sites, hyp2f1 in ``specfun`` and the Gauss
+    rules' roots_jacobi (with scipy.linalg) in ``quadrature``."""
+    importers = set()
+    for path in (SRC / "hartogs").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                importers.add(path.name)
+    assert importers == {"specfun.py", "quadrature.py"}
