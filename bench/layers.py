@@ -7,7 +7,9 @@ Run from the root of a checkout:
 The library is imported from the checkout's ``src/``.  The file holds:
 
 - ``layers_us``: the minimum over repeats of the microseconds per call of
-  the black-box quadrature paths, the Monte Carlo oracle alone (at
+  the black-box quadrature paths (a callable ``integrate_mu`` on the
+  default 64 x 65 rule both for a Gaussian in z2 times |z1|^2 and for
+  |z1^3 z2^-1|^2 at nu = 0.7), the Monte Carlo oracle alone (at
   nu = 0.7 and at each nu of ``MC_NUS``, since the cost of its Beta draws
   depends on nu) and right after a default-rule callable ``integrate_mu``
   (so a slowdown that one integral leaves to the next shows beside the
@@ -124,6 +126,8 @@ def layer_times():
     psi = geometry.random_automorphism(np.random.default_rng(0), max_center=verify._TAU_CENTER_CAP)
     mu_rule = quadrature.build_rule(0.7)  # the default 64 x 65 rule
     gaussian = lambda z1, z2: np.exp(-0.8 * np.abs(z2) ** 2) * np.abs(z1) ** 2
+    # |z1^3 z2^-1|^2, a monomial of the oracle-callable workload
+    monomial = lambda z1, z2: np.abs(z1) ** 6 * np.abs(z2) ** -2
     z = HartogsPoint(0.2 + 0.1j, 0.5 - 0.3j)
     w = HartogsPoint(-0.1 + 0.25j, 0.4 + 0.45j)
     grid = np.random.default_rng(1).normal(size=(133, 133)) + 0j
@@ -151,6 +155,9 @@ def layer_times():
         ),
         "quadrature.integrate_mu.callable_64x65": best_us_faults(
             lambda: quadrature.integrate_mu(0.7, gaussian, mu_rule), 2, 5
+        ),
+        "quadrature.integrate_mu.monomial_64x65": best_us_faults(
+            lambda: quadrature.integrate_mu(0.7, monomial, mu_rule), 2, 5
         ),
         "quadrature.mc_integrate_mu.1e6_samples": best_us_faults(
             lambda: quadrature.mc_integrate_mu(0.7, gaussian, 1_000_000, 3), 1, 5

@@ -96,6 +96,15 @@ class SpaceParam:
             raise DomainError(f"{who} requires {_RANGES[kind]}, got {self.nu}")
         return self
 
+    def nondegenerate(self):
+        """Return self, or raise DomainError at nu = -4/3 (within SNAP_TOL), where
+        the weighted Dirichlet pairing degenerates: every weight at j + k = -1
+        is 0 there (a pole of Gamma(j+k+3nu/2+3)), and the kernel's Gamma
+        constant a_nu has a pole."""
+        if abs(self.nu + 4.0 / 3.0) < SNAP_TOL:
+            raise DomainError(f"the weighted Dirichlet pairing degenerates at nu = -4/3, got {self.nu}")
+        return self
+
     def member(self, j, k):
         """Membership of (j, k) in I_nu = {j >= 0, j + k + nu/2 + 2 > 0},
         i.e. j >= 0 and j + k >= -1 - ceil(nu/2); elementwise on arrays."""
@@ -107,8 +116,10 @@ class SpaceParam:
         The Gamma form of ``_gamma_weight`` for nu > -1 and -2 < nu < -1,
         1 at nu = -1 and (j+1)(j+k+1) at nu = -2; +inf outside I_nu.  Below
         nu = -4/3 the weights at j + k = -1 are negative and the pairing is
-        indefinite.  The kernel's Laurent coefficient of
-        (z1 conj(w1))^j (z2 conj(w2))^k is 1 / weight(j, k), signed alike.
+        indefinite; at nu = -4/3 (within SNAP_TOL) it degenerates and
+        DomainError is raised (``nondegenerate``).  The kernel's Laurent
+        coefficient of (z1 conj(w1))^j (z2 conj(w2))^k is 1 / weight(j, k),
+        signed alike.
 
         nu = -2 is not a continuity point: Gamma(nu+2) Gamma(3nu/2+3) has a
         double pole there, and (3/2) eps^2 weight(j, k) at nu = -2 + eps
@@ -122,14 +133,16 @@ class SpaceParam:
             return 1.0
         if kind == "dirichlet":
             return (j + 1.0) * (j + k + 1.0)
-        return _gamma_weight(self.nu, j, k)
+        return _gamma_weight(self.nondegenerate().nu, j, k)
 
     def norm_sq(self, f):
         """The squared norm sum weight(j, k) |a_jk|^2 of a Laurent polynomial
         in the space: the Gamma moments for nu > -1, the Parseval sum at
         nu = -1, the Dirichlet sum at nu = -2, and for -2 < nu < -1 the
         signed D_nu pairing, which is negative on some supports below
-        nu = -4/3.  +inf if the support leaks outside I_nu; DomainError if an |a|^2 or the sum overflows."""
+        nu = -4/3.  +inf if the support leaks outside I_nu; DomainError at
+        nu = -4/3, where the pairing degenerates, or if an |a|^2 or the sum overflows."""
+        self.nondegenerate()
         total = 0.0
         try:
             for (j, k), a in f.items():

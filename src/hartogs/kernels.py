@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .coeffspace import SNAP_TOL, SpaceParam, _space
+from .coeffspace import SpaceParam, _space
 from .quadrature import _MAX_BLOCK
 from .specfun import DomainError, HypergeometricParams, gamma_ratio_signed, gauss_2f1
 
@@ -84,15 +84,6 @@ def _result(val, shape):
     return complex(val[0]) if shape == () else val.reshape(shape)
 
 
-def _degenerate_check(sp):
-    """Return sp, or raise DomainError at nu = -4/3 (within SNAP_TOL), where
-    the weighted Dirichlet pairing degenerates and the kernel's Gamma
-    constant has a pole."""
-    if abs(sp.nu + 4.0 / 3.0) < SNAP_TOL:
-        raise DomainError(f"the weighted Dirichlet pairing degenerates at nu = -4/3, got {sp.nu}")
-    return sp
-
-
 def prefactor_a(nu):
     """The constant a_nu of the hypergeometric closed form:
 
@@ -103,7 +94,7 @@ def prefactor_a(nu):
     tracking, and its modulus scales the boundary-estimate majorant.
     ``nu`` is a float or its SpaceParam; DomainError at nu = -4/3, a pole.
     """
-    sp = _degenerate_check(_space(nu))
+    sp = _space(nu).nondegenerate()
     nu, c = sp.nu, sp.ceil
     return gamma_ratio_signed(
         [0.5 * nu + 2.0, 1.5 * nu - c + 2.0],
@@ -295,7 +286,7 @@ def kernel_series(nu, z, w):
     boundary, so both are summed in np.longdouble (80-bit on x86-64 Linux;
     as plain double, about 1e-12 instead of 1e-15 at nu = 3.5) over power
     tables of at most about _MAX_BLOCK entries."""
-    sp = _degenerate_check(SpaceParam(nu))
+    sp = SpaceParam(nu).nondegenerate()
     nu = sp.nu
     x, y, shape = _batch_xy(z, w)
     q = np.maximum(np.abs(x), np.abs(y))

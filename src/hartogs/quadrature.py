@@ -26,14 +26,19 @@ term -- the same nodes, weights and aliasing as the point-by-point sum,
 with no closed form in the loop.  ``inner_product_quad`` first pairs two
 coefficient objects into one MixedPoly f conj(g).  Every other integrand
 is a numpy-vectorized callable (z1_array, z2_array) -> values, summed
-point by point by ``_tensor_sum`` in the product coordinates (w1, w2):
-Phi is applied once, by ``_on_triangle``, and an automorphism of H is
-composed in product coordinates.  ``integrate_tau`` and
-``mc_integrate_mu`` take only this black-box route.  Both evaluate the
-callable in chunks of about ``_MAX_BLOCK`` points, so temporaries stay
-near cache size; a ``_tensor_sum`` chunk is whole rule rows, so it can
-be larger.  A Monte Carlo importance sampler doubles as a second,
-structurally different oracle.
+by ``_tensor_sum`` over the grid of the product coordinates (w1, w2).
+The callable receives two arrays that broadcast to the grid, not two
+full-grid arrays.  ``integrate_mu`` re-indexes the angles: the two axes
+share one angular grid, so z1 = w1 w2 varies along (r1, r2, c) with
+c = theta + gamma on that grid, and z2 along (r2, gamma); what the
+callable does to z1 alone runs on m times fewer points.
+``integrate_tau`` and ``mc_integrate_mu`` instead form the triangle's
+points at every grid point or sample, by ``_on_triangle``, and
+``integrate_tau`` composes an automorphism of H in product coordinates.
+All evaluate the callable in chunks of about ``_MAX_BLOCK`` points, so
+temporaries stay near cache size; a ``_tensor_sum`` chunk is whole rule
+rows, so it can be larger.  A Monte Carlo importance sampler doubles as
+a second, structurally different oracle.
 
 Threading: ``_each`` runs the chunks of a black-box integral on every CPU
 the process may use, concurrently and in any order, the calling thread
@@ -225,9 +230,18 @@ def _each(fn, items):
         raise errors[0]
 
 
-def _tensor_sum(fn, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, angular):
+def _tensor_sum(fn, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, angular, on_triangle=False):
     """Deterministic weighted sum of fn(w1, w2) over the 4D tensor grid of
-    product coordinates w1 = r1 e^(i theta), w2 = r2 e^(i gamma).
+    product coordinates w1 = r1 e^(i theta), w2 = r2 e^(i gamma), or with
+    ``on_triangle`` of fn(z1, z2) at their images (w1 w2, w2) under Phi.
+
+    Both angles run over the same m-point grid, so z1 = r1 r2 e^(2 pi i c/m)
+    with c = (a + b) mod m at theta_a, gamma_b, and for each b the map
+    a -> c is a bijection: the sum over (theta, gamma) is the same sum over
+    (c, gamma), at the same points.  On that grid z1 is the (rows, m, n2, 1)
+    array (r1 r2) e[c], built without the angle gamma, and z2 = w2 the
+    (1, 1, n2, m) array r2 e[b]; what fn computes on z1 alone runs on m times
+    fewer points than the full grid.
 
     fn is evaluated on chunks of whole r1 rows, as many rows as fit in
     _MAX_BLOCK points and at least one, so a row larger than the budget is
@@ -245,12 +259,16 @@ def _tensor_sum(fn, radial_nodes_1, radial_w1, radial_nodes_2, radial_w2, angula
     e = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
     n1 = radial_nodes_1.size
     rows = max(1, _MAX_BLOCK // (m * m * radial_nodes_2.size))
-    # axes: (i1, theta, i2, gamma)
+    # axes: (i1, theta, i2, gamma), or (i1, c, i2, gamma) on the triangle
     w2 = radial_nodes_2[None, None, :, None] * e[None, None, None, :]
     sums = np.empty((n1, radial_nodes_2.size), dtype=complex)
 
     def chunk(start):
-        w1 = radial_nodes_1[start : start + rows, None, None, None] * e[None, :, None, None]
+        r1 = radial_nodes_1[start : start + rows]
+        if on_triangle:
+            w1 = (r1[:, None] * radial_nodes_2)[:, None, :, None] * e[None, :, None, None]
+        else:
+            w1 = r1[:, None, None, None] * e[None, :, None, None]
         vals = np.broadcast_to(fn(w1, w2), np.broadcast(w1, w2).shape)
         sums[start : start + rows] = vals.sum(axis=(1, 3))
         return vals
@@ -296,8 +314,7 @@ def _integrate_pullback(nu, integrand, rule, on_triangle):
     if isinstance(integrand, _COEFF_TYPES):
         total = _separable_sum(integrand, *radial, rule.angular, on_triangle)
     else:
-        fn = as_grid_fn(integrand)
-        total = _tensor_sum(_on_triangle(fn) if on_triangle else fn, *radial, rule.angular)
+        total = _tensor_sum(as_grid_fn(integrand), *radial, rule.angular, on_triangle)
     return normalization_C(sp) * 2.0 ** (0.5 * nu) / 4.0 * total
 
 
@@ -305,9 +322,10 @@ def integrate_mu(nu, integrand, rule=None):
     """Integral of a coefficient object or black-box function against the
     probability measure mu_nu.
 
-    A callable is evaluated at full complex points of the triangle (built
-    from the pullback grid), so it needs no knowledge of the
-    parametrization; a coefficient object is summed separably.
+    A callable gets the points (z1, z2) of the triangle as two arrays
+    that broadcast to the pullback grid, z1 varying along (r1, r2, c) and
+    z2 along (r2, gamma) (see ``_tensor_sum``), so it needs no knowledge of
+    the parametrization; a coefficient object is summed separably.
     """
     return _integrate_pullback(nu, integrand, rule, True)
 

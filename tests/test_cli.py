@@ -253,6 +253,14 @@ class TestNormCommand:
         code, out, err = run_cli(capsys, "norm", "--space", space, "--nu", "0", "--in", str(path))
         assert (code, out) == (2, "") and "error: coefficient {'j': 0, 'k': 0} is not finite" in err
 
+    @pytest.mark.parametrize("nu", ["-1.3333333333333333", "-1.3333333333333"])
+    def test_weighted_dirichlet_refuses_nu_minus_four_thirds(self, capsys, tmp_path, nu):
+        # every weight at j + k = -1 vanishes there: z2^-1 printed 0 and 1.5e-13, exit 0
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": 0, "k": -1, "re": 1.0}]}))
+        code, out, err = run_cli(capsys, "norm", "--space", "weighted-dirichlet", "--nu", nu, "--in", str(path))
+        assert (code, out) == (2, "") and "-4/3" in err
+
     @pytest.mark.parametrize("nu", ["-1", "-1.0000000000001"])
     def test_star_refuses_the_hardy_space(self, capsys, tmp_path, nu):
         # r_nu = 0 at nu = -1, so the T-split sum would read |a00| = 0 for z1 + z2^2

@@ -299,6 +299,15 @@ class TestSpaceNorms:
         assert SpaceParam(-1.5).weight(0, -1) == pytest.approx(-1.0, rel=1e-12)
         assert math.isinf(SpaceParam(-1.5).norm_sq(LaurentCoeffs({(0, -2): 1.0})))
 
+    @pytest.mark.parametrize("nu", [-4.0 / 3.0, -4.0 / 3.0 + 1e-13, -4.0 / 3.0 - 1e-13])
+    def test_weighted_dirichlet_refuses_nu_minus_four_thirds(self, nu):
+        # the weight at j + k = -1 is 0 there; the empty polynomial is refused too
+        sp = SpaceParam(nu)
+        for call in (lambda: sp.weight(0, -1), lambda: sp.weight(2, 3), lambda: sp.norm_sq(LaurentCoeffs())):
+            with pytest.raises(DomainError, match="-4/3"):
+                call()
+        assert SpaceParam(nu - 1e-11).weight(0, -1) < 0.0 < SpaceParam(nu + 1e-11).weight(0, -1)
+
     def test_a_weighted_sum_beyond_the_double_range_is_refused(self):
         # each |a|^2 is finite; the weighted sum is not, and read +inf, the
         # sentinel of a support outside I_nu, though z2^-1 lies in the space

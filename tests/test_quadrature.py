@@ -14,7 +14,7 @@ from scipy.special import beta, roots_jacobi, roots_legendre
 
 from hartogs import quadrature
 from hartogs.coeffspace import LaurentCoeffs, MixedPoly, monomial_norm_sq
-from hartogs.geometry import DiscAutomorphism, HartogsAutomorphism
+from hartogs.geometry import DiscAutomorphism, HartogsAutomorphism, normalization_C
 from hartogs.specfun import DomainError
 from hartogs.verify import _bump
 
@@ -222,6 +222,62 @@ class TestIntegrateMu:
             quadrature.integrate_mu(0.7, lambda z1, z2: z2, rule)
 
 
+def _full_grid_pullback(nu, fn, rule):
+    """integrate_mu of a callable as a serial loop over r1 rows of the full
+    (theta, r2, gamma) grid, fn evaluated at (w1 w2, w2) point by point, with
+    the rule's weights and mu_nu's constant."""
+    m = rule.angular
+    e = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+    w2 = rule.r2_nodes[None, :, None] * e[None, None, :]
+    total = 0.0
+    for r1, weight in zip(rule.r1_nodes, rule.r1_weights):
+        vals = np.broadcast_to(fn((r1 * e[:, None, None]) * w2, w2), (m, rule.r2_nodes.size, m))
+        total += weight * np.sum(vals.sum(axis=(0, 2)) * rule.r2_weights)
+    return normalization_C(nu) * 2.0 ** (0.5 * nu) / 4.0 * (2.0 * np.pi / m) ** 2 * total
+
+
+class TestReindexedPullback:
+    """A callable integrate_mu gets z1 = (r1 r2) e[c] on the re-indexed
+    angle c = (theta + gamma) mod 2 pi, not w1 w2 on the full grid; the sum
+    is the full-grid sum over the same points."""
+
+    RULES = ((64, 65), (20, 24), (16, 16))  # odd and even angular counts
+    LAURENT = LaurentCoeffs({(1, -1): 1.0 - 0.5j, (0, 2): 2.0, (3, 0): 0.25j})
+    INTEGRANDS = {
+        "mixes z1 and z2": lambda z1, z2: z1 / z2 + np.conj(z1) * z2**2 + np.abs(z1 * z2) ** 2,
+        "ignores z1": lambda z1, z2: np.exp(z2) * (2.0 + np.conj(z2)),
+        "python scalar": lambda z1, z2: 2.5,
+        "non-polynomial": lambda z1, z2: np.exp(np.abs(z1)),
+        "laurent grid fn": quadrature.as_grid_fn(LAURENT),
+    }
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.7, 3.5])
+    @pytest.mark.parametrize("size", RULES)
+    def test_matches_the_full_grid_sum(self, nu, size):
+        rule = quadrature.build_rule(nu, *size)
+        for name, fn in self.INTEGRANDS.items():
+            # relative to the integral of |fn|: the angular terms of some integrate to 0
+            scale = quadrature.integrate_mu(nu, lambda z1, z2: np.abs(fn(z1, z2)), rule).real
+            error = abs(quadrature.integrate_mu(nu, fn, rule) - _full_grid_pullback(nu, fn, rule))
+            assert error <= 1e-13 * scale, name
+
+    def test_z1_never_spans_the_gamma_axis(self):
+        rule = quadrature.build_rule(0.7)
+        n2, m = rule.r2_nodes.size, rule.angular
+        rows = max(1, quadrature._MAX_BLOCK // (m * m * n2))
+        shapes = []
+
+        def recording(z1, z2):
+            shapes.append((z1.shape, z2.shape))
+            return np.abs(z1) ** 2 * np.abs(z2)
+
+        quadrature.integrate_mu(0.7, recording, rule)
+        assert len(shapes) == -(-rule.r1_nodes.size // rows)
+        for z1_shape, z2_shape in shapes:
+            assert z1_shape[3] == 1 and math.prod(z1_shape) <= rows * m * n2
+            assert z2_shape == (1, 1, n2, m)
+
+
 class TestIntegrateBidisc:
     def test_integrand_ignoring_w2_sums_over_w2(self):
         rule = quadrature.build_rule(0.0, radial_order=16, angular_count=4)
@@ -298,8 +354,8 @@ def _modulus_fn(poly, on_triangle):
 
 
 class TestSeparablePath:
-    """Coefficient objects take the separable sum, callables the point-by-
-    point tensor sum; on one rule the two agree to rounding."""
+    """Coefficient objects take the separable sum, callables the tensor
+    sum; on one rule the two agree to rounding."""
 
     INTEGRATORS = ((quadrature.integrate_mu, True), (quadrature.integrate_bidisc, False))
 
