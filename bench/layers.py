@@ -20,14 +20,17 @@ The library is imported from the checkout's ``src/``.  The file holds:
   oracle on one pair, the torus sampling of the Szego suite, one
   sharp-norm witness ratio of it (N = 64, a 512 x 512 grid), the Szego
   FFT projection,
-  one signed Gamma ratio of a coefficient weight, the 2F1 on 128 points,
+  one signed Gamma ratio of a coefficient weight, the 2F1 on 128 points (on
+  the batch layers' pairs and on kernel-stream's distribution of y) and its
+  Euler transform G on the profile's 257-angle circle |y| = 0.998,
   one point pair of the suites' draw (per pair of a 100-pair
   ``_random_pairs`` call), one factored automorphism row of the
   tau-invariance suite (its two disc sums on the suite's rule, beside the
   full-grid ``integrate_tau`` of the same automorphism), the isometry rows
   of one nu (10 draws at nu = -1.5, each read by a 16 x 16 FFT of its
   values), the default 64 x 65 rule for mu_nu built cold (right after its
-  Gauss rules are dropped from their per-process memo) and warm, the
+  Gauss rules are dropped from their per-process memo) and warm, one
+  Gauss-Jacobi rule of 64 and of 256 nodes built cold, the
   Bergman coefficient rule on a four-term mixed polynomial (warm: its
   Gamma weights are memoized after the first call), the separable path
   per inner product of two five-term polynomials on a 32 x 33 rule (the
@@ -61,7 +64,7 @@ The library is imported from the checkout's ``src/``.  The file holds:
   ``OPENBLAS_NUM_THREADS`` as found, whether every module of the
   package had up-to-date bytecode before this run imported it, and the
   number of threads that evaluate the chunks of a black-box integral
-  (the caller and its helpers), the SciPy subpackages that
+  (the caller and its helpers), the SciPy package and subpackages that
   ``import hartogs, hartogs.cli`` loads, and ``src_lines``, the number of
   lines of ``src/hartogs/*.py``.
 
@@ -143,6 +146,11 @@ def layer_times():
     pts = random_pairs(BATCH)
     y128 = pts[:, 1] * np.conj(pts[:, 3])
     hyp = specfun.HypergeometricParams(1.5 * 0.7 - 1 + 2.0, 1.0, 0.5 * 0.7 - 1 + 1.0)
+    # kernel-stream's y (1 - |y| log-uniform on [1e-3, 0.75]) and the profile's circle |y| = 0.998
+    stream_rng = np.random.default_rng(3)
+    y_stream = (1.0 - 10.0 ** stream_rng.uniform(-3.0, np.log10(0.75), BATCH)) * np.exp(2j * np.pi * stream_rng.random(BATCH))
+    y_circle = 0.998 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 257))
+    hyp_g = specfun.HypergeometricParams(-1.7, hyp.gamma - 1.0, hyp.gamma)  # bound_ratio_profile's G at nu = 0.7
     point_rng = np.random.default_rng(2)
     # four terms of the projection self-test corpus, and two polynomials of the t-split suite's size
     mixed = MixedPoly({key: 1.0 + 0.5j * i for i, key in enumerate(projections._SELF_TEST_TERMS[:4])})
@@ -185,6 +193,8 @@ def layer_times():
         "kernels.kernel_series.one_pair.nu=0.7": best_us(lambda: kernels.kernel_series(0.7, z, w), 500, 5),
         "specfun.gamma_ratio_signed.weight_7_args": best_us(lambda: specfun.gamma_ratio_signed(*weight_args), 20000, 5),
         f"specfun.gauss_2f1.{BATCH}_points": best_us(lambda: specfun.gauss_2f1(hyp, y128), 2000, 5),
+        f"specfun.gauss_2f1.kernel_stream_{BATCH}_points": best_us(lambda: specfun.gauss_2f1(hyp, y_stream), 2000, 5),
+        "specfun.gauss_2f1.G.circle_257_points": best_us(lambda: specfun.gauss_2f1(hyp_g, y_circle), 1000, 5),
         "verify._random_pairs.per_pair": best_us(lambda: verify._random_pairs(point_rng, 100), 2000, 5) / 100,
         "verify.tau-invariance.factored_row": best_us(lambda: verify._factored_tau_mass(tau_rule, psi), 200, 5),
         "verify.isometries.fft_rows": best_us(
@@ -199,6 +209,8 @@ def layer_times():
             lambda: quadrature.build_rule(0.7), 1, 20, before=quadrature._jacobi01.cache_clear
         ),
         "quadrature.build_rule.64x65.warm": best_us(lambda: quadrature.build_rule(0.7), 2000, 5),
+        "quadrature._jacobi01.64.cold": best_us(lambda: quadrature._jacobi01.__wrapped__(64, 1.7, 0.35), 50, 5),
+        "quadrature._jacobi01.256.cold": best_us(lambda: quadrature._jacobi01.__wrapped__(256, 1.7, 0.35), 5, 5),
         "projections.project_bergman.4_terms": best_us(lambda: projections.project_bergman(0.7, mixed), 2000, 5),
         "quadrature.inner_product_quad.32x33.5x5_terms": best_us(
             lambda: quadrature.inner_product_quad(0.7, *pair, pair_rule), 500, 5
@@ -276,11 +288,11 @@ def grid_layers():
 
 
 IMPORT_PROBES = 7
-# prints the SciPy subpackages loaded once the package and its CLI are imported
+# prints the SciPy package and subpackages loaded once the package and its CLI are imported (none)
 _IMPORT_PROBE = (
     "import sys\n"
     "import hartogs, hartogs.cli\n"
-    "names = [m for m, mod in sys.modules.items() if m.count('.') == 1 and m.startswith('scipy.')"
+    "names = [m for m, mod in sys.modules.items() if m == 'scipy' or m.count('.') == 1 and m.startswith('scipy.')"
     " and hasattr(mod, '__path__')]\n"
     "print(' '.join(sorted(names)), flush=True)\n"
 )
@@ -289,7 +301,7 @@ _IMPORT_PROBE = (
 def import_time():
     """The median seconds from starting a fresh interpreter until
     ``import hartogs, hartogs.cli`` has finished, over IMPORT_PROBES probes
-    after one warm-up, and the SciPy subpackages that import loads."""
+    after one warm-up, and the SciPy package and subpackages that import loads."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     times = []
     for _ in range(IMPORT_PROBES + 1):

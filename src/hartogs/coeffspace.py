@@ -285,9 +285,9 @@ def conj_product(f, g):
 
 
 @functools.lru_cache(maxsize=_WEIGHTS_KEPT)
-def _gamma_weight(nu, j, k):
-    """The Gamma-form monomial weight shared by the nu > -1 and the
-    weighted-Dirichlet regimes:
+def _gamma_weight(nu, j, k, lift=0):
+    """The Gamma-form monomial weight of the space nu + 2 lift, shared by the
+    nu > -1 and the weighted-Dirichlet regimes (at lift = 0):
 
         Gamma(nu+2) Gamma(3nu/2+3) / Gamma(nu/2+2)
         * Gamma(j+1) Gamma(j+k+nu/2+2) / (Gamma(j+nu+2) Gamma(j+k+3nu/2+3)).
@@ -296,11 +296,14 @@ def _gamma_weight(nu, j, k):
     argument dips below zero when j + k = -1 and nu < -4/3), so the ratio
     is evaluated with sign tracking.  For nu > -1 it is the moment
     2^(nu/2) C_nu pi^2 B(j+1, nu+1) B(j+k+nu/2+2, nu+1) = ||z1^j z2^k||^2.
-    Each argument is summed from d = nu + 2, exact for -2 <= nu <= -1.
+    Each argument is summed from d = nu + 2 (+ 2 lift), exact for -2 <= nu <= -1, but
+    j+k+nu/2+2 (+ lift), next to a pole as nu comes down to an even integer, reads
+    ``SpaceParam(nu).b1``, keeping the digits that d drops (8.3e-8 of the weight of z2^-2
+    at nu = 1e-9): so ``t_norm_sq`` lifts nu.
     """
-    d = nu + 2.0
+    d, sp = (nu + 2.0) + 2.0 * lift, SpaceParam(nu)
     return gamma_ratio_signed(
-        [d, 1.5 * d, j + 1.0, (j + k + 1.0) + 0.5 * d],
+        [d, 1.5 * d, j + 1.0, (j + k + 1.0 + sp.ceil + lift) + sp.b1],
         [0.5 * d + 1.0, j + d, (j + k) + 1.5 * d],
     )
 
@@ -338,10 +341,20 @@ def split_f123(f):
     return LaurentCoeffs(t1), LaurentCoeffs(t2), LaurentCoeffs(t3), a00
 
 
+@dataclass(frozen=True)
+class _SpaceAbove(SpaceParam):
+    """SpaceParam(base + 2), a Bergman space, whose weights are read from base at lift 1."""
+
+    base: float = 0.0
+
+    def weight(self, j, k):
+        return _gamma_weight(self.base, j, k, 1) if self.member(j, k) else math.inf
+
+
 @functools.lru_cache(maxsize=64)
 def _space_above(nu):
     """SpaceParam(nu + 2), the space whose norm ``t_norm_sq`` reads, built once per nu."""
-    return SpaceParam(nu + 2.0)
+    return _SpaceAbove(nu + 2.0, nu)
 
 
 def t_norm_sq(nu, f_i):

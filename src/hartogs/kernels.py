@@ -102,41 +102,33 @@ def prefactor_a(nu):
     )
 
 
-# Largest alpha at which the kernel's 2F1 is one SciPy call.  Against
-# 30-digit mpmath, at nu in steps of 0.01 over (2/3, 20/3] and at 2n +- 1e-4
-# (|y| from 1e-4 to 1 - 1e-6, 13 angles in [0, pi]), the call held 1.5e-14
-# relative where |F| >= 1e-2 and 1.2e-16 absolute below, against 5.9e-14 and
-# 5.7e-16 for the recursion; on the same grid it lost 4e-14 at alpha = 16.5,
-# 1.3e-12 at alpha = 22.5 and 1e-8 at alpha = 43.
+# Largest alpha of one gauss_2f1 call (resolved for q <= 9).  Against 30-digit mpmath at
+# nu in steps of 0.05 over (2/3, 20/3] and at 2n +- 1e-4 (|y| from 1e-4 to 1 - 1e-6, 13
+# angles in [0, pi]) it held 4.8e-14 relative where |F| >= 1e-2, 7e-17 absolute below.
 _MAX_DIRECT_ALPHA = 8.0
 
 
 def _kernel_2f1(alpha, gam, y):
     """F(alpha, 1; gam; y) over an array of y, gam in (0, 1].
 
-    Up to alpha = _MAX_DIRECT_ALPHA = 8 (every weighted Dirichlet nu and
-    every Bergman nu <= 20/3; the sweep that sets it is recorded beside it)
-    and at gam = 1 this is one SciPy hyp2f1 call.  SciPy's complex hyp2f1
-    loses digits as alpha grows (1.3e-12 relative at alpha = 22.5, and 0.2
-    at nu = 41.3, alpha = 43, near Re y = 0, |y| -> 1), so above the
-    threshold it is called only at a - 1 and a, with a in (1, 2] and
-    alpha - a an integer, and a is stepped up to alpha by the contiguous
-    relation (DLMF 15.5.11)
+    At gam = 1 (even nu) F = (1-y)^(-alpha), one power; up to alpha = 8 (every
+    weighted Dirichlet nu and every Bergman nu <= 20/3) one ``gauss_2f1`` call.
+    Above, gauss_2f1 is called once, on a column of the seeds a - 1 and a, with
+    a in (1, 2] and alpha - a an integer, and a is stepped up to alpha by the
+    contiguous relation (DLMF 15.5.11)
 
         (gam - a) F(a-1) + (2a - gam + (1-a) y) F(a) + a (y-1) F(a+1) = 0.
 
-    F is a part like (1-y)^(-a) with weight Gamma(gam) plus an algebraic
-    part with weight 1 - gam (Gil, Segura & Temme, Math. Comp. 76, 2007).
-    Where |1-y| > 1 the first part is the minimal solution, so the forward
-    recursion amplifies rounding by up to about 1/min(gam, 1-gam).  Against
-    mpmath, F held 3e-13 relative for nu <= 100 where min(gam, 1-gam) >= 0.05
-    or the recursion takes at most 8 steps, and lost up to 10 digits at
-    gam = 1 (even nu) otherwise.  So gam = 1, where F = (1-y)^(-alpha) and
-    SciPy's call is exact, keeps the direct call, and more than 8 steps at
-    min(gam, 1-gam) < 0.05 (nu within 0.1 of an even integer) raise
-    DomainError.
+    F is a part like (1-y)^(-a) with weight Gamma(gam) plus an algebraic part
+    with weight 1 - gam (Gil, Segura & Temme, Math. Comp. 76, 2007).  Where
+    |1-y| > 1 the first part is the minimal solution, so the recursion amplifies
+    rounding by up to about 1/min(gam, 1-gam): F held 3e-13 relative for nu <=
+    100 where min(gam, 1-gam) >= 0.05 or at most 8 steps are taken, and more
+    steps at min(gam, 1-gam) < 0.05 (within 0.1 of an even nu) raise DomainError.
     """
-    if alpha <= _MAX_DIRECT_ALPHA or gam == 1.0:
+    if gam == 1.0:
+        return (1.0 - y) ** -alpha
+    if alpha <= _MAX_DIRECT_ALPHA:
         return gauss_2f1(HypergeometricParams(alpha, 1.0, gam), y)
     steps = math.ceil(alpha) - 2
     if steps > 8 and min(gam, 1.0 - gam) < 0.05:
@@ -161,10 +153,11 @@ def _hypergeometric_kernel(sp, z, w):
     nu, c = sp.nu, sp.ceil
     if nu > _MAX_NU:
         raise DomainError(f"the kernel is resolved to 1e-12 only for nu <= {_MAX_NU:g}, got {nu}")
+    a = prefactor_a(sp)  # first: it refuses nu = -4/3, where the 2F1's K has a pole
     x, y, shape = _batch_xy(z, w)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # reported just below
         hyp = _kernel_2f1(1.5 * nu - c + 2.0, sp.b1, y)
-        val = prefactor_a(sp) * y ** (-1 - c) * (1.0 - x) ** (-(nu + 2.0)) * hyp
+        val = a * y ** (-1 - c) * (1.0 - x) ** (-(nu + 2.0)) * hyp
     finite = np.isfinite(val)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -359,7 +352,7 @@ def bound_constant(nu):
 
 # Largest even nu up to which bound_ratio_profile held 1e-12 relative against
 # mpmath (nu in steps of 0.05 and at 2n - 0.01, |y| up to 1 - 1e-6 at the
-# angles 0, +-pi/3 and pi); SciPy's 2F1 lost 2e-12 at nu = 5.95 and 3e-9 at 22.01.
+# angles 0, +-pi/3 and pi), when the 2F1 was SciPy's; it lost 2e-12 at nu = 5.95.
 _MAX_PROFILE_NU = 4.0
 
 

@@ -199,7 +199,7 @@ def _tail_integral(s, nu, eps):
     the outer piece through v = rho^2 against a Jacobi (1-v)^nu rule that
     absorbs the endpoint singularity for nu < 0.
     """
-    t, h = quadrature._jacobi01(64, 0.0, 0.0)  # Gauss-Legendre on (0, 1)
+    t, h = quadrature._jacobi01(64, 1.0, 1.0)  # Gauss-Legendre on (0, 1)
     total = 0.0
     cut = max(eps, 0.5)
     if eps < 0.5:
@@ -208,7 +208,7 @@ def _tail_integral(s, nu, eps):
         vals = np.exp((s + 1.0) * xs) * (1.0 - np.exp(2.0 * xs)) ** nu
         total += float(np.dot(h, vals)) * (hi - lo)
     a = cut * cut
-    xj, wj = quadrature._jacobi01(64, nu, 0.0)
+    xj, wj = quadrature._jacobi01(64, nu + 1.0, 1.0)
     v = a + (1.0 - a) * xj
     vals = 0.5 * v ** (0.5 * (s - 1.0))
     total += float(np.dot(wj, vals)) * (1.0 - a) ** (nu + 1.0)

@@ -66,13 +66,10 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
-# roots_jacobi imports scipy.linalg on its first call; load it with the package instead.
-import scipy.linalg  # noqa: F401
-from scipy.special import roots_jacobi
 
 from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, _space, as_mixed, conj_product, evaluate_grid
 from .geometry import normalization_C
-from .specfun import DomainError
+from .specfun import DomainError, gamma_ratio_signed
 
 __all__ = [
     "QuadRule",
@@ -109,17 +106,42 @@ class QuadRule:
 
 
 @functools.lru_cache(maxsize=_RULES_KEPT)
-def _jacobi01(order, alpha, beta):
-    """Nodes and weights for the weight (1-t)^alpha t^beta on (0, 1), read-only.
-
-    Raises DomainError when the scale 2^(alpha+beta+1) of the map from
-    (-1, 1) leaves the double range, at alpha + beta >= 1023.
-    """
-    power = alpha + beta + 1.0
-    if power >= 1024.0:
-        raise DomainError(f"the Gauss-Jacobi scale 2^{power:g} leaves the double range")
-    x, w = roots_jacobi(order, alpha, beta)
-    nodes, weights = 0.5 * (x + 1.0), w / 2.0**power
+def _jacobi01(order, a1, b1):
+    """Gauss rule (ascending, read-only) of ``order`` nodes for the weight (1-t)^(a1-1)
+    t^(b1-1) on (0, 1), the exponents plus one, so that b1 = beta + 1 (``SpaceParam.b1``)
+    comes unrounded.  Golub & Welsch (Math. Comp. 23, 1969): the eigenvalues of the
+    Jacobi matrix, its entries formed as (n-1) + b1, never n + beta, and the Christoffel
+    numbers 1 / sum_k p_k(t)^2 of one recurrence pass, scaled to sum to B(a1, b1); for
+    a1 < b1 the mirror rule, t = 1 - s.  DomainError for exponents <= -1, or a mass or
+    weight out of range."""
+    if order < 1 or not (a1 > 0.0 and b1 > 0.0):
+        raise DomainError(f"a Gauss-Jacobi rule needs order >= 1 and exponents above -1, got {order}, {a1 - 1.0}, {b1 - 1.0}")
+    try:  # math.gamma holds a few ulps, the summed log-Gammas 1.4e-15 at B(4.5, 0.75)
+        mass = math.gamma(a1) * math.gamma(b1) / math.gamma(a1 + b1)
+    except OverflowError:
+        mass = math.inf
+    if not 0.0 < mass < math.inf:  # the log route, which refuses a mass out of range
+        mass = gamma_ratio_signed([a1, b1], [a1 + b1])
+    flip, (a1, b1), ab = a1 < b1, sorted((a1, b1), reverse=True), a1 + b1
+    n = np.arange(1.0, order)
+    m = 2.0 * (n - 1.0) + ab  # 2n + alpha + beta
+    diag = np.concatenate([[b1 / ab], 0.5 + (b1 - a1) * (ab - 2.0) / (2.0 * m * (m + 2.0))])
+    # n (n+alpha) (n+beta) (n+alpha+beta) / ((2n+alpha+beta)^2 (2n+alpha+beta+1) (2n+alpha+beta-1)),
+    # whose factors (n+alpha+beta) / (2n+alpha+beta-1) cancel at n = 1
+    last = np.concatenate([[1.0], ((n[1:] - 2.0) + ab) / (m[1:] - 1.0)])
+    off = np.sqrt(n * ((n - 1.0) + a1) * ((n - 1.0) + b1) * last / (m * m * (m + 1.0)))
+    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))  # it reads the lower triangle
+    p_prev, p, norm = np.zeros(order), np.ones(order), np.ones(order)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+        for k in range(order - 1):
+            p_prev, p = p, ((nodes - diag[k]) * p - (off[k - 1] if k else 0.0) * p_prev) / off[k]
+            norm += p * p
+    weights = 1.0 / norm
+    if not (weights > 0.0).all():  # a sum of squares overflowed
+        raise DomainError(f"a Gauss-Jacobi weight of order {order} at ({a1 - 1.0}, {b1 - 1.0}) leaves the double range")
+    if flip:
+        nodes, weights = 1.0 - nodes[::-1], weights[::-1]
+    weights = weights * (mass / weights.sum())
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -135,8 +157,8 @@ def build_rule(nu, radial_order=64, angular_count=65):
     nu = sp.nu
     if radial_order < 1 or angular_count < 1:
         raise DomainError("rule orders must be positive")
-    u, u_weights = _jacobi01(radial_order, nu, 0.0)
-    v, v_weights = _jacobi01(radial_order, nu, 0.5 * nu - sp.ceil)
+    u, u_weights = _jacobi01(radial_order, nu + 1.0, 1.0)
+    v, v_weights = _jacobi01(radial_order, nu + 1.0, sp.b1)
     r1, r2, r2_weights = np.sqrt(u), np.sqrt(v), v_weights * v ** (1 + sp.ceil)
     r1.flags.writeable = r2.flags.writeable = r2_weights.flags.writeable = False
     return QuadRule(nu, r1, u_weights, r2, r2_weights, angular_count)
@@ -352,7 +374,7 @@ def build_tau_rule(radial_order=48, angular_count=40, shell_eps=0.05, r1_range=N
     """
     if not 0.0 < shell_eps < 0.5:
         raise DomainError(f"shell epsilon must lie in (0, 1/2), got {shell_eps}")
-    t, h = _jacobi01(radial_order, 0.0, 0.0)  # Gauss-Legendre on (0, 1)
+    t, h = _jacobi01(radial_order, 1.0, 1.0)  # Gauss-Legendre on (0, 1)
 
     def mapped(rng):
         lo, hi = rng
@@ -388,8 +410,8 @@ def integrate_tau(integrand, rule=None, automorphism=None):
     else:
         disc_map, c = automorphism.disc_map, automorphism.c
 
-        def pulled(w1, w2):
-            return fn(w2 * disc_map(w1), c * w2)
+        def pulled(w1, w2):  # disc_map(w1) * w2, as _on_triangle's w1 * w2: numpy's complex product is not commutative bit for bit
+            return fn(disc_map(w1) * w2, c * w2)
 
     _warn_if_support_leaks(pulled, rule.r1_nodes, rule.r2_nodes, rule.angular)
     return _tensor_sum(pulled, rule.r1_nodes, rule.r1_weights, rule.r2_nodes, rule.r2_weights, rule.angular)

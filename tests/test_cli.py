@@ -465,6 +465,21 @@ class TestVerifyCommand:
         assert "normalization,FAIL,nu=0.7: rel err" in out
         assert err == "failed suites: normalization\n"
 
+    @pytest.mark.parametrize(
+        "suite, nu",
+        [("monomials", nu) for nu in ("1e-11", "1e-9", "1e-6", "1e-4", "2.000001", "4.000001", "8.000001", "20.000001")]
+        + [("t-split", "1e-9"), ("t-split", "1e-6")],
+    )
+    def test_passes_just_above_an_even_nu(self, capsys, suite, nu):
+        # the w2 rule's beta + 1 and a Gamma argument come down to nu/2 - ceil(nu/2) + 1;
+        # each exited 3 on SciPy's Gauss rule, monomials by up to 8.2e-3 against 1e-8
+        code, out, err = run_cli(capsys, "verify", suite, "--nu", nu)
+        assert (code, err) == (0, ""), out
+
+    @pytest.mark.xfail(strict=True, reason="order 48 is exact to degree 95, below the 151 of the folded v^(1+ceil(nu/2)): 3.3e-4")
+    def test_monomials_at_nu_300(self, capsys):
+        assert run_cli(capsys, "verify", "monomials", "--nu", "300")[0] == 0
+
     @pytest.mark.parametrize("failing", [False, True], ids=["passing", "failing"])
     def test_stdout_is_csv(self, capsys, monkeypatch, failing):
         # the labels nu=0.7,j=0,k=0 and, in a failing suite, the detail hold commas

@@ -423,7 +423,7 @@ class TestBoundaryAccuracy:
 
 
 class TestDirectRange:
-    """The kernel's 2F1 is one SciPy call up to alpha = 8 and the contiguous
+    """The kernel's 2F1 is one gauss_2f1 call up to alpha = 8 and the contiguous
     recursion from two seeds above it."""
 
     Z, W = HartogsPoint(0.2 + 0.1j, 0.5 - 0.3j), HartogsPoint(-0.1 + 0.25j, 0.4 + 0.45j)

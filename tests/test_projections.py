@@ -349,16 +349,27 @@ class TestModeMoments:
     def test_quadrature_matches_the_beta_moment(self, nu, delta):
         """The q-th moment of the mode w2^(-N) at q = p+(1 - delta) and at the
         conjugate of p-(1 + delta), both inside the range: _tail_integral plus
-        its head against B((s+1)/2, nu+1)/2.  The bound is 1e-11 relative: a
-        6,000-draw sweep reached 5.3e-12 as nu -> -1, where
-        the Gauss-Jacobi rule (1-v)^nu of the quadrature route is least
-        accurate, and stayed under 4e-13 for nu >= -0.9."""
+        its head against B((s+1)/2, nu+1)/2.  The bound is 5e-14 relative: a
+        sweep of 2,700 nu and two delta each reached 8.8e-15.  It was 1e-11 on
+        SciPy's Gauss-Jacobi rule (1-v)^nu, which reached 3.8e-12 as nu -> -1."""
         r = critical_range(nu)
         p = r.p_minus * (1.0 + delta)
         for q in (r.p_plus * (1.0 - delta), p / (p - 1.0)):
             closed, quad = _mode_moments(SpaceParam(nu), q)
             assert 0.0 < closed < math.inf
-            assert abs(quad - closed) <= 1e-11 * closed
+            assert abs(quad - closed) <= 5e-14 * closed
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6])
+    def test_next_to_nu_minus_1(self, gap):
+        """At nu + 1 = 1e-3 and 1e-6, over 25 delta from 1e-4 to 0.3 at both ends,
+        the moments held 2.7e-15 and 4.0e-15 (SciPy's rule: 1.5e-12, 3.5e-12)."""
+        nu = -1.0 + gap
+        r = critical_range(nu)
+        for delta in np.geomspace(1e-4, 0.3, 25):
+            p = r.p_minus * (1.0 + delta)
+            for q in (r.p_plus * (1.0 - delta), p / (p - 1.0)):
+                closed, quad = _mode_moments(SpaceParam(nu), q)
+                assert abs(quad - closed) <= 1e-14 * closed, (delta, q)
 
     def test_diverges_outside_the_range(self):
         r = critical_range(0.7)

@@ -10,10 +10,10 @@ import weakref
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import beta, roots_jacobi, roots_legendre
+from scipy.special import beta, roots_legendre
 
 from hartogs import quadrature
-from hartogs.coeffspace import LaurentCoeffs, MixedPoly, monomial_norm_sq
+from hartogs.coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, monomial_norm_sq
 from hartogs.geometry import DiscAutomorphism, HartogsAutomorphism, normalization_C
 from hartogs.specfun import DomainError
 from hartogs.verify import _bump
@@ -33,8 +33,8 @@ class TestBuildRule:
         for nu in (-0.5, 0.0, 0.7, 2.0, 3.5):
             rule = quadrature.build_rule(nu, radial_order=16, angular_count=4)
             ceil = math.ceil(0.5 * nu)
-            u, u_weights = quadrature._jacobi01(16, nu, 0.0)
-            v, v_weights = quadrature._jacobi01(16, nu, 0.5 * nu - ceil)
+            u, u_weights = quadrature._jacobi01(16, nu + 1.0, 1.0)
+            v, v_weights = quadrature._jacobi01(16, nu + 1.0, SpaceParam(nu).b1)
             np.testing.assert_array_equal(rule.r1_nodes, np.sqrt(u))
             assert rule.r1_weights is u_weights
             np.testing.assert_array_equal(rule.r2_nodes, np.sqrt(v))
@@ -74,7 +74,7 @@ class TestBuildRule:
 
     def test_tau_rule_folds_the_tau_density_into_the_legendre_weights(self):
         rule = quadrature.build_tau_rule(radial_order=12, angular_count=8, shell_eps=0.1, r2_range=(0.3, 0.6))
-        t, h = quadrature._jacobi01(12, 0.0, 0.0)
+        t, h = quadrature._jacobi01(12, 1.0, 1.0)
         assert rule.nu is None and rule.angular == 8
         for (lo, hi), nodes, weights in (
             ((0.1, 0.9), rule.r1_nodes, rule.r1_weights),
@@ -114,19 +114,15 @@ class TestRuleMemo:
     """Each Gauss rule is solved once per process and handed out read-only."""
 
     def test_cached_rules_are_the_fresh_mappings_bit_for_bit(self):
-        for order, alpha, beta_ in ((64, 0.7, 0.0), (64, 0.7, -0.65), (32, -0.5, 0.75), (16, 3.5, -0.25)):
+        # (a1, b1) = (alpha + 1, beta + 1); the flat (1, 1) is the Gauss-Legendre rule
+        # that the tau shell rule and the blow-up tail read
+        cases = [(64, 1.7, 1.0), (64, 1.7, 0.35), (32, 0.5, 1.75), (16, 4.5, 0.75)] + [(n, 1.0, 1.0) for n in (48, 56, 64)]
+        for order, a1, b1 in cases:
             for _ in range(2):  # a miss, then a hit
-                nodes, weights = quadrature._jacobi01(order, alpha, beta_)
-                x, w = roots_jacobi(order, alpha, beta_)
-                np.testing.assert_array_equal(nodes, 0.5 * (x + 1.0))
-                np.testing.assert_array_equal(weights, w / 2.0 ** (alpha + beta_ + 1.0))
-        # the tau shell rule and the blow-up tail read Gauss-Legendre as the flat Jacobi rule
-        for order in (48, 56, 64):
-            for _ in range(2):
-                nodes, weights = quadrature._jacobi01(order, 0.0, 0.0)
-                x, w = roots_legendre(order)
-                np.testing.assert_array_equal(nodes, 0.5 * (x + 1.0))
-                np.testing.assert_array_equal(weights, 0.5 * w)
+                nodes, weights = quadrature._jacobi01(order, a1, b1)
+                fresh_nodes, fresh_weights = quadrature._jacobi01.__wrapped__(order, a1, b1)
+                np.testing.assert_array_equal(nodes, fresh_nodes)
+                np.testing.assert_array_equal(weights, fresh_weights)
 
     def test_writing_into_a_rule_raises(self):
         for rule in (quadrature.build_rule(0.7, radial_order=16, angular_count=5), quadrature.build_tau_rule()):
@@ -148,34 +144,55 @@ class TestRuleMemo:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_an_out_of_range_scale_is_refused_every_time(self):
+        # the mass B(2001, 2001) of the weight underflows; an exception is not memoized
         for _ in range(2):
             with pytest.raises(DomainError, match="double range"):
-                quadrature._jacobi01(8, 1023.0, 0.5)
+                quadrature._jacobi01(8, 2001.0, 2001.0)
+
+
+def _worst_moment_error(order, a1, b1, degrees):
+    """Worst relative error of sum w t^k, k in degrees, of the (a1, b1) rule against
+    B(b1 + k, a1), all at 40 digits."""
+    nodes, weights = quadrature._jacobi01(order, a1, b1)
+    with mpmath.workdps(40):
+        a1, b1 = mpmath.mpf(a1), mpmath.mpf(b1)
+        pairs = [(mpmath.mpf(w), mpmath.mpf(x)) for w, x in zip(weights.tolist(), nodes.tolist())]
+        return max(float(abs(mpmath.fsum(w * x**k for w, x in pairs) / mpmath.beta(b1 + k, a1) - 1)) for k in degrees)
 
 
 class TestRuleMoments:
     @pytest.mark.parametrize("order", [32, 64])
     @pytest.mark.parametrize("nu", [-0.99, -0.5, 0.0, 0.7, 2.0, 3.5])
     def test_low_moments_against_the_beta_function(self, order, nu):
-        """sum w t^k of the u rule (nu, 0) and the v rule (nu, nu/2 - ceil(nu/2))
-        of ``build_rule`` against B(beta + k + 1, nu + 1), k = 0..3, 40 digits.
+        """sum w t^k of the u rule (nu, 0) and the v rule (nu, b1 - 1) of
+        ``build_rule`` against B(b1 + k, nu + 1), k = 0..3, 40 digits.
 
-        The weight sums hold 4.4e-16.  With both exponents integers the
-        moments hold 7.4e-15; with a fractional one they drift from k = 1 on,
-        growing with the order and as nu -> -1: at order 64, 2.3e-12 at
-        (0.7, -0.65), 1.9e-12 at (-0.99, 0) and 9.2e-12 at (-0.99, -0.495).
-        So the floor of the ``integrate_mu`` oracle near nu = -1 comes from
-        the nodes ``roots_jacobi`` places at fractional exponents, not from
-        the weight sums.  The bounds, 1e-15, 2e-14 and 2e-11, were set from
-        that measurement; a node polish would tighten the last."""
-        for alpha, beta_ in ((nu, 0.0), (nu, 0.5 * nu - math.ceil(0.5 * nu))):
-            nodes, weights = quadrature._jacobi01(order, alpha, beta_)
-            exact = alpha == int(alpha) and beta_ == int(beta_)
-            with mpmath.workdps(40):
-                for k in range(4):
-                    total = mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(x) ** k for w, x in zip(weights.tolist(), nodes.tolist()))
-                    err = float(abs(total / mpmath.beta(beta_ + k + 1, alpha + 1) - 1))
-                    assert err <= (1e-15 if k == 0 else 2e-14 if exact else 2e-11), (alpha, beta_, k, err)
+        The weights are scaled to sum to the mass, so the weight sums hold
+        4.4e-16.  The bounds, 1e-15 for k = 0, 2e-14 with both exponents
+        integers and 2e-11 with a fractional one, were set on the SciPy rules
+        this one replaced, whose moments drifted at fractional exponents
+        (2.3e-12 at order 64 and (0.7, -0.65)); the numpy rule holds 3.4e-15
+        there."""
+        b1 = SpaceParam(nu).b1
+        for a1, b1 in ((nu + 1.0, 1.0), (nu + 1.0, b1)):
+            exact = a1 == int(a1) and b1 == int(b1)
+            assert _worst_moment_error(order, a1, b1, [0]) <= 1e-15, (a1, b1)
+            assert _worst_moment_error(order, a1, b1, [1, 2, 3]) <= (2e-14 if exact else 2e-11), (a1, b1)
+
+    @pytest.mark.parametrize("order", [20, 64])
+    @pytest.mark.parametrize(
+        "a1, b1",
+        [(1.0, 1e-12), (1.0 + 1e-9, 5e-10), (3.0 + 1e-9, 5e-10), (1.7, 1e-6), (21.0, 1e-3)]
+        + [(1e-12, 1.0), (1e-9, 1.0), (1e-3, 1.0), (301.0, 1.0), (301.0, 0.5)],
+    )
+    def test_moments_next_to_the_degenerate_exponents(self, order, a1, b1):
+        """Moments t^k, k = 0, 3, ..., 60 below 2 order, against the Beta function at 40 digits,
+        with beta + 1 or alpha + 1 down to 1e-12 (the w2 axis just above an even nu,
+        the tail rule as nu -> -1) and alpha = 300: within 1e-13, and 3e-13 at
+        alpha = 300.  SciPy's roots_jacobi, which this rule replaced, was off by a
+        factor of 17 at beta + 1 = 1e-12."""
+        bound = 3e-13 if a1 > 100.0 else 1e-13
+        assert _worst_moment_error(order, a1, b1, range(0, min(61, 2 * order), 3)) <= bound
 
 
 class TestIntegrateMu:
