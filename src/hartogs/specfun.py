@@ -187,9 +187,8 @@ def _kernel_family(q, gam, y, euler):
     w, at = y / -one_minus, np.arange(y.size)
     variables = np.stack([y, one_minus, w, w, (y - _CENTRE) / abs(_CENTRE)])
     moduli = np.abs(variables)
-    region = moduli[[0, 1, 3, 4]].argmin(axis=0)  # 0 Maclaurin, 1 Beta, 2 Pfaff of G, 3 Taylor
-    region += region >= 3  # 4 Taylor
-    region[(region == 2) & (moduli[2] > _G_PFAFF_RADIUS)] = 3  # Pfaff of F
+    moduli[2] += moduli[2] > _G_PFAFF_RADIUS  # Pfaff's series of G up to |w| = 0.55, of F beyond
+    region = moduli.argmin(axis=0)  # 0 Maclaurin, 1 Beta, 2 and 3 Pfaff, 4 Taylor
     inner, top = _powers(variables[region, at], _SERIES_BLOCK)
     outer, _ = _powers(top, _SERIES_BLOCKS)
     # at the full chunk width every column is summed alike: a narrower product is not
