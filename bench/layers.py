@@ -145,12 +145,12 @@ def layer_times():
     # the kernel's 2F1 at nu = 0.7 on 128 points of the batch layers' pairs
     pts = random_pairs(BATCH)
     y128 = pts[:, 1] * np.conj(pts[:, 3])
-    hyp = specfun.HypergeometricParams(1.5 * 0.7 - 1 + 2.0, 1.0, 0.5 * 0.7 - 1 + 1.0)
+    alpha, gam = 1.5 * 0.7 - 1 + 2.0, 0.5 * 0.7 - 1 + 1.0
+    q = (alpha + 1.0) - gam  # as the kernel forms it
     # kernel-stream's y (1 - |y| log-uniform on [1e-3, 0.75]) and the profile's circle |y| = 0.998
     stream_rng = np.random.default_rng(3)
     y_stream = (1.0 - 10.0 ** stream_rng.uniform(-3.0, np.log10(0.75), BATCH)) * np.exp(2j * np.pi * stream_rng.random(BATCH))
     y_circle = 0.998 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 257))
-    hyp_g = specfun.HypergeometricParams(-1.7, hyp.gamma - 1.0, hyp.gamma)  # bound_ratio_profile's G at nu = 0.7
     point_rng = np.random.default_rng(2)
     # four terms of the projection self-test corpus, and two polynomials of the t-split suite's size
     mixed = MixedPoly({key: 1.0 + 0.5j * i for i, key in enumerate(projections._SELF_TEST_TERMS[:4])})
@@ -192,9 +192,10 @@ def layer_times():
         ),
         "kernels.kernel_series.one_pair.nu=0.7": best_us(lambda: kernels.kernel_series(0.7, z, w), 500, 5),
         "specfun.gamma_ratio_signed.weight_7_args": best_us(lambda: specfun.gamma_ratio_signed(*weight_args), 20000, 5),
-        f"specfun.gauss_2f1.{BATCH}_points": best_us(lambda: specfun.gauss_2f1(hyp, y128), 2000, 5),
-        f"specfun.gauss_2f1.kernel_stream_{BATCH}_points": best_us(lambda: specfun.gauss_2f1(hyp, y_stream), 2000, 5),
-        "specfun.gauss_2f1.G.circle_257_points": best_us(lambda: specfun.gauss_2f1(hyp_g, y_circle), 1000, 5),
+        f"specfun.gauss_2f1.{BATCH}_points": best_us(lambda: specfun.gauss_2f1(q, gam, y128), 2000, 5),
+        f"specfun.gauss_2f1.kernel_stream_{BATCH}_points": best_us(lambda: specfun.gauss_2f1(q, gam, y_stream), 2000, 5),
+        # bound_ratio_profile's G at nu = 0.7, q = nu + 2
+        "specfun.gauss_2f1.G.circle_257_points": best_us(lambda: specfun.gauss_2f1(0.7 + 2.0, gam, y_circle, euler=True), 1000, 5),
         "verify._random_pairs.per_pair": best_us(lambda: verify._random_pairs(point_rng, 100), 2000, 5) / 100,
         "verify.tau-invariance.factored_row": best_us(lambda: verify._factored_tau_mass(tau_rule, psi), 200, 5),
         "verify.isometries.fft_rows": best_us(

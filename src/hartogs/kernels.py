@@ -48,7 +48,7 @@ import numpy as np
 
 from .coeffspace import SpaceParam, _space
 from .quadrature import _MAX_BLOCK
-from .specfun import DomainError, HypergeometricParams, gamma_ratio_signed, gauss_2f1
+from .specfun import DomainError, gamma_ratio_signed, gauss_2f1
 
 __all__ = [
     "kernel_nu",
@@ -111,11 +111,10 @@ _MAX_DIRECT_ALPHA = 8.0
 def _kernel_2f1(alpha, gam, y):
     """F(alpha, 1; gam; y) over an array of y, gam in (0, 1].
 
-    At gam = 1 (even nu) F = (1-y)^(-alpha), one power; up to alpha = 8 (every
-    weighted Dirichlet nu and every Bergman nu <= 20/3) one ``gauss_2f1`` call.
-    Above, gauss_2f1 is called once, on a column of the seeds a - 1 and a, with
-    a in (1, 2] and alpha - a an integer, and a is stepped up to alpha by the
-    contiguous relation (DLMF 15.5.11)
+    At gam = 1 (even nu) and up to alpha = 8 (every weighted Dirichlet nu and every
+    Bergman nu <= 20/3) one ``gauss_2f1`` call.  Above, gauss_2f1 is called at the two
+    seeds a - 1 and a, with a in (1, 2] and alpha - a an integer, and a is stepped up to
+    alpha by the contiguous relation (DLMF 15.5.11)
 
         (gam - a) F(a-1) + (2a - gam + (1-a) y) F(a) + a (y-1) F(a+1) = 0.
 
@@ -125,11 +124,10 @@ def _kernel_2f1(alpha, gam, y):
     rounding by up to about 1/min(gam, 1-gam): F held 3e-13 relative for nu <=
     100 where min(gam, 1-gam) >= 0.05 or at most 8 steps are taken, and more
     steps at min(gam, 1-gam) < 0.05 (within 0.1 of an even nu) raise DomainError.
+    gauss_2f1's q is (alpha + 1) - gam: alpha + 1 is exact next to alpha = -1.
     """
-    if gam == 1.0:
-        return (1.0 - y) ** -alpha
-    if alpha <= _MAX_DIRECT_ALPHA:
-        return gauss_2f1(HypergeometricParams(alpha, 1.0, gam), y)
+    if gam == 1.0 or alpha <= _MAX_DIRECT_ALPHA:
+        return gauss_2f1((alpha + 1.0) - gam, gam, y)
     steps = math.ceil(alpha) - 2
     if steps > 8 and min(gam, 1.0 - gam) < 0.05:
         raise DomainError(
@@ -137,7 +135,7 @@ def _kernel_2f1(alpha, gam, y):
             "to 1e-12 within 0.1 of an even nu above 8"
         )
     a = alpha - steps
-    f_prev, f = gauss_2f1(HypergeometricParams(np.array([[a - 1.0], [a]]), 1.0, gam), y)
+    f_prev, f = (gauss_2f1((b + 1.0) - gam, gam, y) for b in (a - 1.0, a))
     for _ in range(steps):
         f_prev, f = f, ((gam - a) * f_prev + (2.0 * a - gam + (1.0 - a) * y) * f) / (a * (1.0 - y))
         a += 1.0
@@ -350,27 +348,22 @@ def bound_constant(nu):
     return a * (head + abs(gauss - signed))
 
 
-# Largest even nu up to which bound_ratio_profile held 1e-12 relative against
-# mpmath (nu in steps of 0.05 and at 2n - 0.01, |y| up to 1 - 1e-6 at the
-# angles 0, +-pi/3 and pi), when the 2F1 was SciPy's; it lost 2e-12 at nu = 5.95.
-_MAX_PROFILE_NU = 4.0
-
-
 def bound_ratio_profile(nu, y):
     """Vectorized kernel_bound_ratio as a function of y = z2 conj(w2) alone.
 
     The (1 - x) factors of the kernel cancel exactly against the estimate
     shape, so the ratio is |a_nu| |F(-nu-1, b; b+1; y)|, b = nu/2 - ceil(nu/2),
-    the Euler transform (DLMF 15.8.1) of the kernel's 2F1: one 2F1 call
-    over an array of y, returning y's shape.
+    the Euler transform (DLMF 15.8.1) of the kernel's 2F1: one gauss_2f1 call,
+    q = nu + 2, over an array of y, returning y's shape.
 
-    Resolved to 1e-12 relative for |y| < 1 and -2 < nu <= 4, except near the
-    real zeros of F on (-1, 0) (at nu = 0.57, 1.5 and 3.86, for instance),
-    where |F| falls below 1e-2 and the error is 1e-14 |a_nu| instead.
-    Raises DomainError at nu = -2 (no estimate of this shape), at
-    nu = -4/3 (a pole of a_nu) and above nu = 4.
+    Resolved to 1e-12 relative for |y| < 1 and -2 < nu <= 7 (exact at even nu,
+    where F = 1), except near the real zeros of F on (-1, 0) (at nu = 0.57, 1.5
+    and 3.86, for instance), where |F| falls below 1e-2 and the error is
+    1e-14 |a_nu| instead.  Raises DomainError at nu = -2 (no estimate of this
+    shape), at nu = -4/3 (a pole of a_nu) and above nu = 7 but at even nu
+    (gauss_2f1's q <= 9).
     """
     sp = SpaceParam(nu)
-    if sp.kind == "dirichlet" or sp.nu > _MAX_PROFILE_NU:
-        raise DomainError(f"bound_ratio_profile is resolved only for -2 < nu <= {_MAX_PROFILE_NU:g}, got {nu}")
-    return abs(prefactor_a(sp)) * np.abs(gauss_2f1(HypergeometricParams(-sp.nu - 1.0, sp.b1 - 1.0, sp.b1), y))
+    if sp.kind == "dirichlet":
+        raise DomainError(f"bound_ratio_profile requires nu > -2, got {nu}")
+    return abs(prefactor_a(sp)) * np.abs(gauss_2f1(sp.nu + 2.0, sp.b1, y, euler=True))

@@ -1,19 +1,17 @@
 """Real/complex special functions used by every closed form in the library: one
 Gamma-ratio routine, summed in log space with sign tracking (``math.lgamma`` on every
 argument but the poles), through which every Beta integral goes; and the kernel
-family's Gauss function F(alpha, 1; gamma; z) and its Euler transform on the open unit
-disc, in numpy (``gauss_2f1``)."""
+family's Gauss function F(q+gamma-1, 1; gamma; z) and its Euler transform G = (1-z)^q F
+on the open unit disc, in numpy (``gauss_2f1``)."""
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DomainError",
     "VerificationFailure",
-    "HypergeometricParams",
     "gamma_ratio_signed",
     "gauss_2f1",
 ]
@@ -65,20 +63,6 @@ def gamma_ratio_signed(numerators, denominators):
     return sign * value
 
 
-@dataclass(frozen=True)
-class HypergeometricParams:
-    """Parameter triple (alpha, beta; gamma) of the Gauss series; gamma is not zero or a
-    negative integer.  alpha may be an array, which gauss_2f1 broadcasts against z."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.gamma <= 0.0 and self.gamma == math.floor(self.gamma):
-            raise DomainError(f"gamma must not be a non-positive integer, got {self.gamma}")
-
-
 # Over the disc the smallest of |y|, |1-y|, |y/(y-1)| and |y - z0|/|z0| stays below 0.65
 # (0.65^112 = 1e-21).  42 x 16 x 2 _SERIES_CHUNK = 172,032 < 262,144, OpenBLAS's bound for
 # one thread: a complex product that it split over two threads stalled for 15 ms a call.
@@ -86,11 +70,12 @@ _CENTRE, _G_PFAFF_RADIUS = 0.5 + 0.95j, 0.55
 _SERIES_BLOCK, _SERIES_BLOCKS, _SERIES_CHUNK = 16, 7, 128
 
 
-def gauss_2f1(params, z):
-    """The kernel family's F(alpha, 1; gamma; z), or its Euler transform G = F(1-q, gamma-1;
-    gamma; z) = (1-z)^q F, q = alpha - gamma + 1, for |z| < 1, 0 < gamma <= 1 and 0 < q
-    <= 9 (every kernel triple up to alpha = 8 and every profile triple), else DomainError.
-    At gamma = 1, F = (1-z)^(-alpha) and G = 1; otherwise each point sums one series:
+def gauss_2f1(q, gam, z, euler=False):
+    """The kernel family's F(alpha, 1; gamma; z), alpha = q + gamma - 1, or with ``euler`` its
+    Euler transform G = F(1-q, gamma-1; gamma; z) = (1-z)^q F, for |z| < 1, 0 < gamma <= 1
+    and 0 < q <= 9 (every kernel triple up to alpha = 8 and every profile triple up to nu =
+    7), else DomainError.  At gamma = 1 (any q > 0) or q = 1, G = 1 and F = (1-z)^(-q),
+    numpy's power, on the whole array; otherwise each point sums one series:
 
         z        G's Maclaurin series;
         1-z      the incomplete-Beta symmetry (DLMF 8.17.4), F = z^(1-gamma) [K (1-z)^(-q)
@@ -102,21 +87,16 @@ def gauss_2f1(params, z):
         z - z0   G's Taylor series about z0 (``_centre_taylor``).
 
     Against 40-digit mpmath at the same parameters F holds 5e-15 relative for -2 < nu < 4,
-    5.2e-14 up to alpha = 8.  An array z gives an array of its shape, a scalar a complex,
-    a column (m, 1) of alphas m rows; a point's value does not depend on its batch."""
+    5.2e-14 up to alpha = 8.  An array z gives an array of its shape, a scalar a complex;
+    a point's value does not depend on its batch."""
     z = np.asarray(z, dtype=complex)
     if not (np.abs(z) < 1.0).all():
         raise DomainError(f"gauss_2f1 requires |z| < 1, got |z| = {np.max(np.abs(z))}")
-    alpha, beta, gam = params.alpha, params.beta, params.gamma
-    euler = beta == gam - 1.0 and np.ndim(alpha) == 0
-    if not (0.0 < gam <= 1.0 and (beta == 1.0 or euler)):
-        raise DomainError(f"gauss_2f1 evaluates F(alpha, 1; gamma; z) and its Euler transform, 0 < gamma <= 1, got {params}")
-    if np.ndim(alpha):
-        rows = np.stack([gauss_2f1(HypergeometricParams(float(a), beta, gam), z) for a in np.ravel(alpha)])
-        return rows.reshape(np.broadcast_shapes(np.shape(alpha), z.shape))
-    q = 1.0 - alpha if euler else (alpha + 1.0) - gam  # alpha + 1 is exact next to alpha = -1
-    if gam < 1.0 and not 0.0 < q <= 9.0:
-        raise DomainError(f"gauss_2f1 is resolved for 0 < q = alpha - gamma + 1 <= 9, got {q}")
+    if not (0.0 < gam <= 1.0 and 0.0 < q and (q <= 9.0 or gam == 1.0)):
+        raise DomainError(f"gauss_2f1 is resolved for 0 < gamma <= 1 and 0 < q <= 9, got q = {q}, gamma = {gam}")
+    if gam == 1.0 or q == 1.0:  # G = F(1-q, 0; 1; z) or F(0, gamma-1; gamma; z)
+        val = np.ones_like(z) if euler else (1.0 - z) ** -q
+        return complex(val) if z.ndim == 0 else val
     parts = [_kernel_family(q, gam, z.ravel()[i : i + _SERIES_CHUNK], euler) for i in range(0, z.size, _SERIES_CHUNK)]
     val = parts[0] if len(parts) == 1 else np.concatenate([z.ravel()[:0]] + parts)
     return complex(val[0]) if z.ndim == 0 else val.reshape(z.shape)
@@ -178,9 +158,7 @@ def _centre_taylor(q, gam, count):
 
 def _kernel_family(q, gam, y, euler):
     """F(q + gamma - 1, 1; gamma; y), or with ``euler`` G = (1-y)^q F, on a 1-D array,
-    summed in the upper half plane: F(conj y) = conj F(y)."""
-    if gam == 1.0:
-        return np.ones_like(y) if euler else _polar_power(np.abs(1.0 - y), np.angle(1.0 - y), -q)
+    gamma < 1, summed in the upper half plane: F(conj y) = conj F(y)."""
     coeffs, k = _family_constants(q, gam)
     mirror, y = y.imag < 0.0, y.real + 1j * np.abs(y.imag)
     one_minus = 1.0 - y

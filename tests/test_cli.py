@@ -476,6 +476,12 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", suite, "--nu", nu)
         assert (code, err) == (0, ""), out
 
+    @pytest.mark.parametrize("nu, code", [("-1", 0), ("6.5", 0), ("7", 0), ("8", 0), ("7.5", 2)])
+    def test_kernel_estimate_up_to_the_profile_ceiling(self, capsys, nu, code):
+        # at nu = -1 the profile's series read 1 + 6.7e-16 above C* = 1 and the suite exited 3;
+        # above nu = 7 the profile's q = nu + 2 passes gauss_2f1's 9, except at even nu, where G = 1
+        assert run_cli(capsys, "verify", "kernel-estimate", f"--nu={nu}")[0] == code
+
     @pytest.mark.xfail(strict=True, reason="order 48 is exact to degree 95, below the 151 of the folded v^(1+ceil(nu/2)): 3.3e-4")
     def test_monomials_at_nu_300(self, capsys):
         assert run_cli(capsys, "verify", "monomials", "--nu", "300")[0] == 0

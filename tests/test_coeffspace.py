@@ -91,6 +91,20 @@ class TestSpaceParam:
                         ref /= mpmath.gamma(j + x + 2) * mpmath.gamma(j + k + 1.5 * x + 3)
                         assert abs(_gamma_weight(nu, j, k) - ref) <= 5e-14 * abs(ref), (nu, j, k)
 
+    def test_gamma_weight_against_mpmath_just_above_an_even_nu(self):
+        """At nu = 2m + 10^-p the argument j+k+nu/2+2 of the lowest members sits 10^-p / 2
+        above a pole and reads b1, which keeps the digits that nu + 2 drops: 5e-14 relative
+        over every member with j, k <= 3, m = 0..4 and p = 3..11."""
+        with mpmath.workdps(50):
+            for nu in (2.0 * m + 10.0**-p for m in range(5) for p in range(3, 12)):
+                x = mpmath.mpf(nu)
+                front = mpmath.gamma(x + 2) * mpmath.gamma(1.5 * x + 3) / mpmath.gamma(0.5 * x + 2)
+                for j in range(4):
+                    for k in range(-1 - math.ceil(nu / 2) - j, 4):
+                        ref = front * mpmath.gamma(j + 1) * mpmath.gamma(j + k + 0.5 * x + 2)
+                        ref /= mpmath.gamma(j + x + 2) * mpmath.gamma(j + k + 1.5 * x + 3)
+                        assert abs(_gamma_weight(nu, j, k) - ref) <= 5e-14 * abs(ref), (nu, j, k)
+
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.floats(-2.0, 1e300), st.sampled_from([1e-9, 1e-6, 0.3, 2.0**54 + 4.0, 1e300])))
     def test_b1_is_the_correctly_rounded_difference(self, nu):

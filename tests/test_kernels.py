@@ -318,11 +318,11 @@ class TestBoundRatioProfile:
         assert max(errs) <= tol
 
     def test_against_mpmath_over_nu_and_modulus(self):
-        """1e-12 relative over nu in steps of 0.05 and at 2n - 0.01 up to the
-        cap nu = 4, |y| up to 1 - 1e-6 at the angles 0, +-pi/3 and pi.  The
-        reference at -pi/3 is that at pi/3: |F(conj y)| = |F(y)| for real
-        parameters."""
-        nus = [round(-1.95 + 0.05 * i, 10) for i in range(120)] + [-0.01, 1.99, 3.99]
+        """1e-12 relative over nu in steps of 0.05 and at 2n - 0.01 up to
+        gauss_2f1's ceiling nu = 7 (q = nu + 2 <= 9), |y| up to 1 - 1e-6 at the
+        angles 0, +-pi/3 and pi.  The reference at -pi/3 is that at pi/3:
+        |F(conj y)| = |F(y)| for real parameters."""
+        nus = [round(-1.95 + 0.05 * i, 10) for i in range(180)] + [-0.01, 1.99, 3.99, 5.99]
         moduli, angles = (0.5, 0.9, 0.998, 1.0 - 1e-6), (0.0, math.pi / 3, math.pi)
         half = np.array([m * np.exp(1j * a) for m in moduli for a in angles])
         y = np.concatenate([half, np.conj(half)])
@@ -341,7 +341,7 @@ class TestBoundRatioProfile:
         assert ref < 2e-3 * abs(kernels.prefactor_a(nu))
         assert err <= 1e-14 * abs(kernels.prefactor_a(nu))
 
-    @pytest.mark.parametrize("nu", [4.01, 5.95, 60.7, 99.0, -2.0, -4.0 / 3.0, -4.0 / 3.0 + 1e-13])
+    @pytest.mark.parametrize("nu", [7.01, 60.7, 99.0, -2.0, -4.0 / 3.0, -4.0 / 3.0 + 1e-13])
     def test_refuses_unresolved_and_excluded_nu(self, nu):
         with pytest.raises(DomainError):
             kernels.bound_ratio_profile(nu, np.array([0.5, 0.9j]))
@@ -423,36 +423,37 @@ class TestBoundaryAccuracy:
 
 
 class TestDirectRange:
-    """The kernel's 2F1 is one gauss_2f1 call up to alpha = 8 and the contiguous
-    recursion from two seeds above it."""
+    """The kernel's 2F1 is one gauss_2f1 call at even nu and up to alpha = 8, and the
+    contiguous recursion from two seed calls above it; each call's q is (b + 1) - gamma."""
 
     Z, W = HartogsPoint(0.2 + 0.1j, 0.5 - 0.3j), HartogsPoint(-0.1 + 0.25j, 0.4 + 0.45j)
 
-    def _alphas(self, nu, monkeypatch):
-        """The first parameters of the gauss_2f1 calls of one kernel evaluation."""
-        alphas = []
+    def _calls(self, nu, monkeypatch):
+        """The (q, gamma, euler) of the gauss_2f1 calls of one kernel evaluation."""
+        calls = []
 
-        def counting(params, y):
-            alphas.append(params.alpha)
-            return specfun.gauss_2f1(params, y)
+        def counting(q, gam, y, euler=False):
+            calls.append((q, gam, euler))
+            return specfun.gauss_2f1(q, gam, y, euler)
 
         monkeypatch.setattr(kernels, "gauss_2f1", counting)
         kernels.kernel(nu, self.Z, self.W)
-        return alphas
+        return calls
 
-    @pytest.mark.parametrize("nu", [0.67, 1.3, 2.001, 3.5, 4.0001, 5.3, 6.66, 20.0 / 3.0])
+    @pytest.mark.parametrize("nu", [0.67, 1.3, 2.001, 3.5, 4.0001, 5.3, 6.66, 20.0 / 3.0, 8.0, 40.0])
     def test_one_direct_call_up_to_alpha_8(self, nu, monkeypatch):
-        alpha = 1.5 * nu - math.ceil(nu / 2) + 2.0
-        assert 2.0 < alpha <= 8.0
-        assert self._alphas(nu, monkeypatch) == [alpha]
+        sp = SpaceParam(nu)
+        alpha = 1.5 * nu - sp.ceil + 2.0
+        assert 2.0 < alpha <= 8.0 or sp.b1 == 1.0
+        assert self._calls(nu, monkeypatch) == [((alpha + 1.0) - sp.b1, sp.b1, False)]
 
     @pytest.mark.parametrize("nu", [6.67, 7.3, 20.7])
     def test_recursion_above_alpha_8(self, nu, monkeypatch):
+        gam = SpaceParam(nu).b1
         alpha = 1.5 * nu - math.ceil(nu / 2) + 2.0
-        (seeds,) = self._alphas(nu, monkeypatch)
         a = alpha - (math.ceil(alpha) - 2)
         assert alpha > 8.0 and 1.0 < a <= 2.0
-        assert np.array_equal(seeds, [[a - 1.0], [a]])
+        assert self._calls(nu, monkeypatch) == [(((a - 1.0) + 1.0) - gam, gam, False), ((a + 1.0) - gam, gam, False)]
 
 
 # one strategy per regime of the kernel: Dirichlet, weighted Dirichlet,

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from hartogs.coeffspace import SpaceParam
 from hartogs.specfun import (
     DomainError,
-    HypergeometricParams,
     gamma_ratio_signed,
     gauss_2f1,
 )
@@ -181,80 +180,94 @@ class TestBeta:
 
 
 def _kernel_triples(rng, count):
-    """(nu, F's triple (alpha, 1; gamma), G's triple (1-q, gamma-1; gamma)) of the
-    kernel family at random nu in (-2, 20/3), alpha = 3nu/2 - c + 2, gamma = b1."""
+    """(nu, q, gamma) of the kernel family at random nu in (-2, 20/3): q = (alpha + 1) - gamma
+    as the kernel forms it, alpha = 3nu/2 - c + 2, gamma = b1."""
     for nu in rng.uniform(-1.999, 20.0 / 3.0, size=count):
         sp = SpaceParam(float(nu))
-        yield sp.nu, HypergeometricParams(1.5 * sp.nu - sp.ceil + 2.0, 1.0, sp.b1), HypergeometricParams(-sp.nu - 1.0, sp.b1 - 1.0, sp.b1)
+        yield sp.nu, (1.5 * sp.nu - sp.ceil + 3.0) - sp.b1, sp.b1
+
+
+def _mp_family(q, gam, z, euler):
+    """40-digit mpmath F(q+gamma-1, 1; gamma; z), or G = F(1-q, gamma-1; gamma; z), its
+    parameters formed exactly from the doubles q and gamma."""
+    with mpmath.workdps(40):
+        q, gam = mpmath.mpf(q), mpmath.mpf(gam)
+        return _mp_2f1(1 - q, gam - 1, gam, z) if euler else _mp_2f1(q + gam - 1, 1, gam, z)
 
 
 class TestGauss2F1:
     def test_binomial_identity(self):
-        # F(a, b; b; z) = (1-z)^(-a)
-        params = HypergeometricParams(3.0, 1.0, 1.0)
-        assert gauss_2f1(params, 0.5) == pytest.approx(8.0, rel=1e-12)
+        # F(a, 1; 1; z) = (1-z)^(-a), q = a at gamma = 1
+        assert gauss_2f1(3.0, 1.0, 0.5) == pytest.approx(8.0, rel=1e-12)
 
     def test_value_at_zero(self):
         rng = np.random.default_rng(5)
-        for _, f, g in _kernel_triples(rng, 50):
-            assert gauss_2f1(f, 0.0) == pytest.approx(1.0)
-            assert gauss_2f1(g, 0.0) == pytest.approx(1.0)
+        for _, q, gam in _kernel_triples(rng, 50):
+            assert gauss_2f1(q, gam, 0.0) == pytest.approx(1.0)
+            assert gauss_2f1(q, gam, 0.0, euler=True) == pytest.approx(1.0)
 
     def test_even_weight_reduction(self):
         # the nu = 2 kernel factor: F(4, 1; 1; z) = (1-z)^(-4)
-        val = gauss_2f1(HypergeometricParams(4.0, 1.0, 1.0), 0.3)
+        val = gauss_2f1(4.0, 1.0, 0.3)
         assert val == pytest.approx(0.7**-4, rel=1e-12)
         assert val == pytest.approx(4.16493128, rel=1e-8)
+
+    def test_at_gamma_one_f_is_numpys_power_and_g_is_one(self):
+        """The collapse is decided on the whole array: every q > 0, also above 9."""
+        rng = np.random.default_rng(10)
+        z = rng.uniform(0.0, 0.999, 300) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 300))
+        for q in (0.5, 2.0, 9.0, 10.0, 42.0, 102.0):
+            np.testing.assert_array_equal(gauss_2f1(q, 1.0, z), (1.0 - z) ** -q)
+            np.testing.assert_array_equal(gauss_2f1(q, 1.0, z, euler=True), np.ones_like(z))
+
+    @pytest.mark.parametrize("gam", [0.05, 0.35, 0.5, 0.999])
+    def test_at_q_one_g_is_one_on_a_dense_circle(self, gam):
+        # G = F(0, gamma-1; gamma; z) = 1 exactly; the series read 1 + 6.7e-16 at nu = -1
+        y = 0.998 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 4097))
+        np.testing.assert_array_equal(gauss_2f1(1.0, gam, y, euler=True), np.ones_like(y))
+        np.testing.assert_array_equal(gauss_2f1(1.0, gam, y), (1.0 - y) ** -1.0)
 
     def test_parameter_symmetry(self):
         """Euler's map of the parameters (a, b; c) -> (c-a, c-b; c) takes F's triple
         to G's, with F = (1-z)^(-q) G, q = a + b - c: one identity per region."""
         rng = np.random.default_rng(6)
-        for nu, f, g in _kernel_triples(rng, 100):
+        for nu, q, gam in _kernel_triples(rng, 100):
             z = rng.uniform(-0.7, 0.7) + 1j * rng.uniform(-0.3, 0.3)
-            lhs = gauss_2f1(f, z)
-            rhs = (1.0 - z) ** (-(nu + 2.0)) * gauss_2f1(g, z)
+            lhs = gauss_2f1(q, gam, z)
+            rhs = (1.0 - z) ** (-(nu + 2.0)) * gauss_2f1(q, gam, z, euler=True)
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     def test_against_mpmath(self):
         rng = np.random.default_rng(8)
-        for _, f, g in _kernel_triples(rng, 100):
-            for params in (f, g):
+        for _, q, gam in _kernel_triples(rng, 100):
+            for euler in (False, True):
                 z = rng.uniform(-0.95, 0.95)
-                mine = gauss_2f1(params, z)
-                ref = _mp_2f1(params.alpha, params.beta, params.gamma, z)
+                mine = gauss_2f1(q, gam, z, euler)
+                ref = _mp_family(q, gam, z, euler)
                 assert abs(mine - ref) <= 1e-9 * max(abs(ref), 1.0)
 
     def test_near_boundary_accuracy(self):
         # kernel-shaped parameters stay accurate out to |z| = 0.999
         nu = 0.7
         c = math.ceil(nu / 2)
-        params = HypergeometricParams(1.5 * nu - c + 2.0, 1.0, 0.5 * nu - c + 1.0)
+        gam = 0.5 * nu - c + 1.0
+        q = (1.5 * nu - c + 3.0) - gam
         for z in (0.95, 0.99, 0.999):
-            mine = gauss_2f1(params, z)
-            ref = _mp_2f1(params.alpha, params.beta, params.gamma, z)
+            mine = gauss_2f1(q, gam, z)
+            ref = _mp_family(q, gam, z, False)
             assert abs(mine - ref) <= 1e-10 * abs(ref)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            HypergeometricParams(1.0, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            HypergeometricParams(1.0, 1.0, -3.0)
-        with pytest.raises(DomainError):
-            gauss_2f1(HypergeometricParams(1.0, 1.0, 2.0), 1.0 + 0.0j)
+        for z in (1.0 + 0.0j, np.array([0.5, -1.0]), 0.8 + 0.6j):
+            with pytest.raises(DomainError, match=r"\|z\| < 1"):
+                gauss_2f1(2.0, 0.5, z)
 
-    @pytest.mark.parametrize("params", [(1.0, 2.0, 0.5), (0.5, 1.0, 1.5), (12.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (0.5, -0.25, 0.5)])
+    # q <= 0, q > 9 at gamma < 1, gamma outside (0, 1]
+    @pytest.mark.parametrize("params", [(0.0, 0.5), (-1.0, 0.5), (9.5, 0.5), (1.0, 0.0), (1.0, 1.5), (1.0, -3.0)])
     def test_a_triple_outside_the_kernel_family_is_refused(self, params):
-        # not (alpha, 1; gamma) or (1-q, gamma-1; gamma) with 0 < gamma <= 1, or q outside (0, 9]
-        with pytest.raises(DomainError):
-            gauss_2f1(HypergeometricParams(*params), np.array([0.5, 0.9j]))
-
-    def test_a_column_of_alphas_gives_one_row_each(self):
-        y = np.array([0.5, -0.9, 0.95j, 0.2 + 0.7j])
-        rows = gauss_2f1(HypergeometricParams(np.array([[0.6], [1.6]]), 1.0, 0.35), y)
-        assert rows.shape == (2, 4)
-        for alpha, row in zip((0.6, 1.6), rows):
-            np.testing.assert_array_equal(row, gauss_2f1(HypergeometricParams(alpha, 1.0, 0.35), y))
+        for euler in (False, True):
+            with pytest.raises(DomainError, match="resolved for"):
+                gauss_2f1(*params, np.array([0.5, 0.9j]), euler)
 
     @pytest.mark.parametrize("nu", [-1.5, 0.7, 3.5])
     def test_every_series_region_against_mpmath(self, nu):
@@ -266,11 +279,12 @@ class TestGauss2F1:
         sp = SpaceParam(nu)
         y = np.array([0.3 + 0.1j, -0.5 + 0.2j, 0.999 + 0.02j, 0.9 - 0.3j, -0.9, -0.6 + 0.75j, -0.2 + 0.95j])
         y = np.concatenate([y, 0.99 * np.exp(1j * np.pi / 3) * np.array([1.0, 0.95, 0.9j ** 0.1])])
-        for params in (HypergeometricParams(1.5 * nu - sp.ceil + 2.0, 1.0, sp.b1), HypergeometricParams(-nu - 1.0, sp.b1 - 1.0, sp.b1)):
-            got = gauss_2f1(params, np.concatenate([y, y.conj()]))
+        q = (1.5 * nu - sp.ceil + 3.0) - sp.b1
+        for euler in (False, True):
+            got = gauss_2f1(q, sp.b1, np.concatenate([y, y.conj()]), euler)
             np.testing.assert_array_equal(got[y.size :], got[: y.size].conj())
             for v, mine in zip(y, got):
-                ref = _mp_2f1(params.alpha, params.beta, params.gamma, v)
+                ref = _mp_family(q, sp.b1, v, euler)
                 assert abs(mine - ref) <= 1e-13 * abs(ref), (v, mine, ref)
 
     def test_a_point_is_the_same_alone_and_in_any_batch(self):
@@ -278,7 +292,7 @@ class TestGauss2F1:
         no point's value depends on the others it is evaluated with, bit for bit."""
         rng = np.random.default_rng(9)
         y = rng.uniform(0.0, 0.999, 300) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 300))
-        for params in (HypergeometricParams(2.05, 1.0, 0.35), HypergeometricParams(-2.7, -0.65, 0.35)):
-            batch = gauss_2f1(params, y)
-            assert [complex(v) for v in batch[::20]] == [gauss_2f1(params, v) for v in y[::20]]
-            np.testing.assert_array_equal(batch[37:200], gauss_2f1(params, y[37:200]))
+        for euler in (False, True):
+            batch = gauss_2f1(2.7, 0.35, y, euler)
+            assert [complex(v) for v in batch[::20]] == [gauss_2f1(2.7, 0.35, v, euler) for v in y[::20]]
+            np.testing.assert_array_equal(batch[37:200], gauss_2f1(2.7, 0.35, y[37:200], euler))

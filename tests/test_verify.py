@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hartogs import cli, coeffspace, isometries, kernels, projections, quadrature, verify
@@ -415,7 +415,10 @@ def old_sampled_sup(nu):
 class TestCircleSup:
     """The kernel-estimate sup, taken on |y| = 0.998 by the maximum modulus principle."""
 
-    @pytest.mark.parametrize("nu", [-1.5, -0.5, 0.7, 1.3, 3.5, -1.9, -1.0, 0.0, 2.0, 4.0])
+    def test_at_nu_minus_one_the_profile_is_one_everywhere(self):
+        assert _circle_sup(-1.0) == (1.0, 1.0) and kernels.bound_constant(-1.0) == 1.0
+
+    @pytest.mark.parametrize("nu", [-1.5, -0.5, 0.7, 1.3, 3.5, -1.9, -1.0, 0.0, 2.0, 4.0, 5.95, 6.99])
     def test_against_a_dense_circle_and_the_old_samples(self, nu):
         sup, before = _circle_sup(nu)
         grid, refined = dense_circle_sup(nu)
@@ -425,10 +428,11 @@ class TestCircleSup:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.floats(-2.0 + 1e-9, 4.0).filter(lambda nu: abs(nu + 4.0 / 3.0) > 1e-3),  # -2 + 1e-12 snaps to -2
+        st.floats(-2.0 + 1e-9, 7.0).filter(lambda nu: abs(nu + 4.0 / 3.0) > 1e-3),  # -2 + 1e-12 snaps to -2
         st.floats(0.0, 0.998),
         st.floats(-math.pi, math.pi),
     )
+    @example(-1.0, 0.0, 0.0)  # G = 1 exactly at q = nu + 2 = 1; its series read 1 + 6.7e-16 above C* = 1
     def test_no_point_of_the_disc_beats_the_circle(self, nu, modulus, angle):
         sup, _ = _circle_sup(nu)
         inside = float(kernels.bound_ratio_profile(nu, np.array([modulus * cmath.exp(1j * angle)]))[0])
