@@ -44,7 +44,9 @@ The library is imported from the checkout's ``src/``.  The file holds:
   state (glibc's heap trimming and mmap threshold move with what ran
   before), which can move its time by more than the code does;
 - ``layers_ms``: the milliseconds of one ``hartogs kernel --in`` call on a
-  128-pair file, run in process through ``cli.main``, and of one kernel
+  128-pair file, run in process through ``cli.main``, on the batch layers'
+  pairs at nu = 0.7 and on a kernel-stream-like batch (``stream_pairs``) at
+  nu = 0.7 and 0, and of one kernel
   call on the 115,600 pullback points of a 20 x 17 rule against one fixed
   w near the origin (the kernel grid of a kernel-integral oracle) at
   nu = 0, 0.7 and 3.5;
@@ -238,9 +240,23 @@ def random_pairs(count):
     return np.stack([z1, z2, w1, w2], axis=1)
 
 
+def stream_pairs(count):
+    """count seeded point pairs drawn as perfbench's kernel-stream draws them, as an
+    (count, 4) complex array of z1, z2, w1, w2: 1 - |y| log-uniform on [1e-3, 0.75],
+    y = z2 conj(w2), |y| split between |z2| and |w2| by a uniform power in [0.05, 0.95],
+    |z1/z2| and |w1/w2| uniform below 0.95, uniform angles."""
+    import numpy as np
+
+    rng = np.random.default_rng(3)
+    abs_y, split = 1.0 - 10.0 ** rng.uniform(-3.0, np.log10(0.75), count), rng.uniform(0.05, 0.95, count)
+    z2, w2 = (abs_y**e * np.exp(2j * np.pi * rng.random(count)) for e in (split, 1.0 - split))
+    z1, w1 = (v * rng.uniform(0.0, 0.95, count) * np.exp(2j * np.pi * rng.random(count)) for v in (z2, w2))
+    return np.stack([z1, z2, w1, w2], axis=1)
+
+
 def batch_layers():
     """The batched kernel in microseconds per point and one ``kernel --in``
-    CLI batch in milliseconds, both on BATCH pairs."""
+    CLI batch in milliseconds, all on BATCH pairs."""
     from hartogs import cli, kernels
     from hartogs.geometry import HartogsPoint
 
@@ -251,12 +267,15 @@ def batch_layers():
         for nu in BATCH_NUS
     }
     point = lambda a, b: {"z1": [a.real, a.imag], "z2": [b.real, b.imag]}
-    records = [{"z": point(z1, z2), "w": point(w1, w2)} for z1, z2, w1, w2 in pts.tolist()]
+    cli_ms = {}
     with tempfile.TemporaryDirectory() as tmp:
-        infile, outfile = Path(tmp) / "pairs.json", Path(tmp) / "out.csv"
-        infile.write_text(json.dumps(records))
-        argv = ["kernel", "--nu", "0.7", "--in", str(infile), "--out", str(outfile)]
-        cli_ms = {f"cli.main.kernel_in_batch{BATCH}.nu=0.7": best_us(lambda: cli.main(argv), 50, 5) / 1e3}
+        outfile = Path(tmp) / "out.csv"
+        stream = stream_pairs(BATCH)
+        for name, batch, nu in (("batch", pts, 0.7), ("stream", stream, 0.7), ("stream", stream, 0.0)):
+            infile = Path(tmp) / f"{name}.json"
+            infile.write_text(json.dumps([{"z": point(z1, z2), "w": point(w1, w2)} for z1, z2, w1, w2 in batch.tolist()]))
+            argv = ["kernel", "--nu", repr(nu), "--in", str(infile), "--out", str(outfile)]
+            cli_ms[f"cli.main.kernel_in_{name}{BATCH}.nu={nu:g}"] = best_us(lambda: cli.main(argv), 50, 5) / 1e3
     return per_point, cli_ms
 
 

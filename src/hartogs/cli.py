@@ -28,7 +28,6 @@ import csv
 import functools
 import inspect
 import io
-import itertools
 import json
 import sys
 
@@ -104,36 +103,43 @@ def _write_json(path, obj):
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _pair_coords(records):
-    """The z1, z2, w1, w2 coordinates of each {z, w} record of a list."""
+def _pair_numbers(records):
+    """The re, im of z1, z2, w1, w2 of each {z, w} record of a list, in one flat list; a
+    coordinate that does not unpack as an [re, im] pair raises DomainError."""
     if not isinstance(records, list):
         raise TypeError(f"kernel --in needs a list of records, got {type(records).__name__}")
-    return [[r["z"]["z1"], r["z"]["z2"], r["w"]["z1"], r["w"]["z2"]] for r in records]
+    flat = []
+    for r in records:
+        z, w = r["z"], r["w"]
+        coords = z["z1"], z["z2"], w["z1"], w["z2"]
+        try:
+            (a, b), (c, d), (e, f), (g, h) = coords
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"kernel --in records need [re, im] coordinates, got {coords!r}") from exc
+        flat += a, b, c, d, e, f, g, h
+    return flat
 
 
 def _read_pairs(path):
-    """The --in records as an (n, 4) complex array of z1, z2, w1, w2.
+    """The --in records as a (4, n) complex array, rows z1, z2, w1, w2, each contiguous.
 
     A record missing a key or a document that is not a list of records
     raises InputError (an i/o error); coordinates that are not [re, im]
-    pairs of numbers, booleans included, raise DomainError.
+    pairs of numbers, booleans included, raise DomainError.  One flat list
+    of numbers converts to an array faster than nested ones.
     """
-    coords = _read_json(path, _pair_coords)
+    flat = _read_json(path, _pair_numbers)
     try:
-        values = np.array(coords)
-        # strings infer as kind "U", null as "O" and an all-boolean batch as "b"
-        if values.dtype.kind not in "iuf":
-            raise TypeError(f"coordinates must be numbers, got {values.dtype}")
-        values = values.astype(float)
+        values = np.array(flat)
+        # strings infer as kind "U", null as "O", a list as a second axis and an all-boolean batch as "b"
+        if values.dtype.kind not in "iuf" or values.ndim != 1:
+            raise TypeError(f"coordinates must be numbers, got {values.ndim}-D {values.dtype}")
+        values = values.astype(float, copy=False)
         # among numbers true and false read as 1 and 0, so only a batch holding a 0 or 1 needs the scan of types
-        if ((values == 0.0) | (values == 1.0)).any():
-            leaves = coords
-            for _ in range(values.ndim - 1):
-                leaves = itertools.chain.from_iterable(leaves)
-            if bool in set(map(type, leaves)):
-                raise ValueError("true and false are not numbers")
+        if ((values == 0.0) | (values == 1.0)).any() and bool in set(map(type, flat)):
+            raise ValueError("true and false are not numbers")
         # the complex view keeps each (re, im) pair bit for bit, signed zeros included
-        return values.reshape(len(coords), 4, 2).view(complex)[..., 0]
+        return values.view(complex).reshape(-1, 4).T.copy()
     except (TypeError, ValueError) as exc:
         raise DomainError(f"kernel --in records need [re, im] coordinates: {exc}") from exc
 
@@ -142,18 +148,16 @@ def _cmd_kernel(args):
     if args.infile:
         if any(v is not None for v in (args.z1, args.z2, args.w1, args.w2)):
             raise DomainError("kernel --in takes no --z1 --z2 --w1 --w2")
-        pts = _read_pairs(args.infile)
+        coords = _read_pairs(args.infile)
     else:
         if None in (args.z1, args.z2, args.w1, args.w2):
             raise DomainError("kernel needs either --in or all of --z1 --z2 --w1 --w2")
-        pts = np.array([[_parse_complex(text) for text in (args.z1, args.z2, args.w1, args.w2)]])
-    z = HartogsPoint(pts[:, 0], pts[:, 1])
-    w = HartogsPoint(pts[:, 2], pts[:, 3])
-    vals = kernels.kernel(args.nu, z, w)
+        coords = np.array([[_parse_complex(text)] for text in (args.z1, args.z2, args.w1, args.w2)])
+    vals = kernels.kernel(args.nu, HartogsPoint(coords[0], coords[1]), HartogsPoint(coords[2], coords[3]))
     # one template for the whole output, the header and then a row per pair,
     # filled from every row's real and imaginary parts as Python floats in field order
-    template = "\n".join(["nu,z1,z2,w1,w2,re,im"] + [_fmt(args.nu) + "," + _KERNEL_FIELDS] * len(pts)) + "\n"
-    _write_text(args.out, template % tuple(np.column_stack([pts, vals]).view(float).ravel().tolist()))
+    template = "\n".join(["nu,z1,z2,w1,w2,re,im"] + [_fmt(args.nu) + "," + _KERNEL_FIELDS] * len(vals)) + "\n"
+    _write_text(args.out, template % tuple(np.column_stack([*coords, vals]).view(float).ravel().tolist()))
     return EXIT_OK
 
 

@@ -155,7 +155,11 @@ def _hypergeometric_kernel(sp, z, w):
     x, y, shape = _batch_xy(z, w)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # reported just below
         hyp = _kernel_2f1(1.5 * nu - c + 2.0, sp.b1, y)
-        val = a * y ** (-1 - c) * (1.0 - x) ** (-(nu + 2.0)) * hyp
+        # (1-x)^p: numpy's power at an integer p (products), else |t|^p e^(i p arg t), twice as fast as
+        # numpy's complex power: 1.4e-15 from 40-digit mpmath on kernel-stream's 1 - x (numpy's 9.7e-16)
+        t, p = 1.0 - x, -(nu + 2.0)
+        power = t**p if p.is_integer() else np.abs(t) ** p * np.exp(1j * (p * np.arctan2(t.imag, t.real)))
+        val = a * y ** (-1 - c) * power * hyp
     finite = np.isfinite(val)
     if not finite.all():
         i = int(np.argmin(finite))

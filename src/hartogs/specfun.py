@@ -63,11 +63,21 @@ def gamma_ratio_signed(numerators, denominators):
     return sign * value
 
 
-# Over the disc the smallest of |y|, |1-y|, |y/(y-1)| and |y - z0|/|z0| stays below 0.65
-# (0.65^112 = 1e-21).  42 x 16 x 2 _SERIES_CHUNK = 172,032 < 262,144, OpenBLAS's bound for
-# one thread: a complex product that it split over two threads stalled for 15 ms a call.
-_CENTRE, _G_PFAFF_RADIUS = 0.5 + 0.95j, 0.55
-_SERIES_BLOCK, _SERIES_BLOCKS, _SERIES_CHUNK = 16, 7, 128
+# Over the disc the smallest of |y|, |1-y|, |y/(y-1)| and |y - z0|/|z0| (or |y - conj z0|/|z0|)
+# stays below 0.65 (0.65^112 = 1e-21).  42 x 16 x 2 _SERIES_CHUNK = 172,032 < 262,144,
+# OpenBLAS's bound for one thread: a complex product that it split over two threads stalled
+# for 15 ms a call.
+_CENTRE, _F_PFAFF_FROM = 0.5 + 0.95j, np.nextafter(0.55, 1.0)
+_SERIES_BLOCK, _SERIES_BLOCKS, _SERIES_CHUNK, _SERIES_ROW = 16, 7, 128, 8
+# y minus these is each region's variable before its last step: y, y-1, y (twice; w = y/(y-1)
+# goes there), y - z0 and y - conj z0 (over |z0|)
+_POLES = np.array([[0.0], [1.0], [0.0], [0.0], [_CENTRE], [_CENTRE.conjugate()]])
+# the flat index, in the product of a chunk, of block b of region 0's sums at point p
+_BLOCK_AT = np.arange(_SERIES_BLOCKS)[:, None] * _SERIES_CHUNK + np.arange(_SERIES_CHUNK)
+# a chunk's powers are rows v^0 .. v^15, then t^0 .. t^6, t = v^16, filled from v by doubling:
+# rows out .. out+hi-lo-1 are rows lo .. hi-1 times row r, (lo, hi, r, out) for v^2, v^3 v^4,
+# v^5 .. v^8, v^9 .. v^15, then t = v^8 v^8, t^2, t^3 t^4, t^5 t^6
+_POWER_PRODUCTS = ((1, 2, 1, 2), (1, 3, 2, 3), (1, 5, 4, 5), (1, 8, 8, 9), (8, 9, 8, 17), (17, 18, 17, 18), (17, 19, 18, 19), (17, 19, 20, 21))
 
 
 def gauss_2f1(q, gam, z, euler=False):
@@ -84,7 +94,8 @@ def gauss_2f1(q, gam, z, euler=False):
         w        Pfaff: G = (1-z)^(1-gamma) F(alpha, gamma-1; gamma; w) up to |w| = 0.55,
                  its terms of one sign next to G's zeros on (-1, 0); F = F(1-q, 1;
                  gamma; w) / (1-z) beyond;
-        z - z0   G's Taylor series about z0 (``_centre_taylor``).
+        z - z0   G's Taylor series about z0 (``_centre_taylor``), below the real axis about
+                 conj z0 with the conjugate coefficients.
 
     Against 40-digit mpmath at the same parameters F holds 5e-15 relative for -2 < nu < 4,
     5.2e-14 up to alpha = 8.  An array z gives an array of its shape, a scalar a complex;
@@ -97,42 +108,41 @@ def gauss_2f1(q, gam, z, euler=False):
     if gam == 1.0 or q == 1.0:  # G = F(1-q, 0; 1; z) or F(0, gamma-1; gamma; z)
         val = np.ones_like(z) if euler else (1.0 - z) ** -q
         return complex(val) if z.ndim == 0 else val
-    parts = [_kernel_family(q, gam, z.ravel()[i : i + _SERIES_CHUNK], euler) for i in range(0, z.size, _SERIES_CHUNK)]
-    val = parts[0] if len(parts) == 1 else np.concatenate([z.ravel()[:0]] + parts)
+    # zero-padded to whole rows of _SERIES_ROW: no numpy loop runs over one column, where it
+    # would run strided and round some complex products otherwise, so a value is its batch's
+    flat = np.zeros(-(-z.size // _SERIES_ROW) * _SERIES_ROW, dtype=complex)
+    flat[: z.size] = z.ravel()
+    parts = [_kernel_family(q, gam, flat[i : i + _SERIES_CHUNK], euler) for i in range(0, flat.size, _SERIES_CHUNK)]
+    val = np.concatenate([flat[:0]] + parts)[: z.size]
     return complex(val[0]) if z.ndim == 0 else val.reshape(z.shape)
-
-
-def _polar_power(r, theta, p):
-    """(r e^(i theta))^p by a real power and a real angle, for r > 0."""
-    return r**p * np.exp(1j * (p * theta))
-
-
-def _powers(v, count):
-    """Rows v^0 .. v^(count-1), by doubling, and v^m for the first power m >= count."""
-    out = np.empty((count, v.size), dtype=complex)
-    out[0], filled, p = 1.0, 1, v
-    while filled < count:
-        np.multiply(out[: min(filled, count - filled)], p, out=out[filled : 2 * filled])
-        filled, p = 2 * filled, p * p
-    return out, p
 
 
 @functools.lru_cache(maxsize=64)
 def _family_constants(q, gam):
-    """Coefficients, in rows of _SERIES_BLOCK, of the series of G, S, G (Pfaff), F (Pfaff)
-    and G (Taylor, real then imaginary parts); and K, as Gamma(gamma) Gamma(q) alpha /
-    Gamma(q + gamma), 0 at alpha = 0 (nu = -4/3).  gamma - 1 + n is (n - 1) + gamma."""
+    """Coefficients, in rows of _SERIES_BLOCK, of the series of G, S, F (Pfaff), G (Pfaff) and
+    G (Taylor, real then imaginary parts), K = Gamma(gamma) Gamma(q) alpha / Gamma(q + gamma)
+    (0 at alpha = 0, nu = -4/3) among them; and, for F and for G, each region's (s, a, b) of
+    the factor s y^a (1-y)^b of its series and of the term it adds, in the order the regions
+    of ``_kernel_family`` take them.  gamma - 1 + n is (n - 1) + gamma."""
     n = np.arange(_SERIES_BLOCK * _SERIES_BLOCKS - 1.0)
     ratios = (
         ((n + 1.0) - q) * ((n - 1.0) + gam) / ((n + gam) * (n + 1.0)),
         (n + q) * ((n + 1.0) + (1.0 - gam)) / ((n + 1.0 + q) * (n + 1.0)),
-        ((n + q) + (gam - 1.0)) * ((n - 1.0) + gam) / ((n + gam) * (n + 1.0)),
         ((n + 1.0) - q) / (n + gam),
+        ((n + q) + (gam - 1.0)) * ((n - 1.0) + gam) / ((n + gam) * (n + 1.0)),
     )
     coeffs, taylor = np.cumprod(np.concatenate([np.ones((4, 1)), ratios], axis=1), axis=1), _centre_taylor(q, gam, n.size + 1)
     coeffs = np.concatenate([coeffs, [taylor.real, taylor.imag]]).reshape(-1, _SERIES_BLOCK)
-    coeffs.flags.writeable = False
-    return coeffs, gamma_ratio_signed([gam, q], [q + gam]) * ((q + gam) - 1.0)
+    k, s, e, none = gamma_ratio_signed([gam, q], [q + gam]) * ((q + gam) - 1.0), (1.0 - gam) / q, 1.0 - gam, (0.0, 0.0, 0.0)
+    # F = (1-y)^(-q) G about 0 and z0; y^(1-gam) [s S + K (1-y)^(-q)]; F(w) / (1-y); (1-y)^(1-gam-q) G(w)
+    f = [((1.0, 0.0, -q), none), ((s, e, 0.0), (k, e, -q)), ((1.0, 0.0, -1.0), none), ((1.0, 0.0, e - q), none)]
+    # G about 0 and z0; y^(1-gam) [s (1-y)^q S + K]; (1-y)^(q-1) F(w); (1-y)^(1-gam) G(w)
+    g = [((1.0, 0.0, 0.0), none), ((s, e, q), (k, e, 0.0)), ((1.0, 0.0, q - 1.0), none), ((1.0, 0.0, e), none)]
+    # indexed [euler][s, a, b][series, added term][region]
+    factors = np.array([f + f[:1] * 2, g + g[:1] * 2]).transpose(0, 3, 2, 1).copy()
+    for table in (coeffs, factors):
+        table.flags.writeable = False
+    return coeffs, factors
 
 
 def _centre_taylor(q, gam, count):
@@ -157,32 +167,35 @@ def _centre_taylor(q, gam, count):
 
 
 def _kernel_family(q, gam, y, euler):
-    """F(q + gamma - 1, 1; gamma; y), or with ``euler`` G = (1-y)^q F, on a 1-D array,
-    gamma < 1, summed in the upper half plane: F(conj y) = conj F(y)."""
-    coeffs, k = _family_constants(q, gam)
-    mirror, y = y.imag < 0.0, y.real + 1j * np.abs(y.imag)
-    one_minus = 1.0 - y
-    w, at = y / -one_minus, np.arange(y.size)
-    variables = np.stack([y, one_minus, w, w, (y - _CENTRE) / abs(_CENTRE)])
-    moduli = np.abs(variables)
-    moduli[2] += moduli[2] > _G_PFAFF_RADIUS  # Pfaff's series of G up to |w| = 0.55, of F beyond
-    region = moduli.argmin(axis=0)  # 0 Maclaurin, 1 Beta, 2 and 3 Pfaff, 4 Taylor
-    inner, top = _powers(variables[region, at], _SERIES_BLOCK)
-    outer, _ = _powers(top, _SERIES_BLOCKS)
-    # at the full chunk width every column is summed alike: a narrower product is not
-    table = np.zeros((_SERIES_BLOCK, _SERIES_CHUNK), dtype=complex)
-    table[:, : y.size] = inner
-    sums = (coeffs @ table.view(float)).view(complex)[:, : y.size].reshape(6, _SERIES_BLOCKS, -1)
-    sums[4] += 1j * sums[5]
-    series = np.einsum("pb,bp->p", sums[region, :, at], outer)
-    # out = m series + a: G's series times (1-y)^(-q) for F, F's over it for G
-    beta, angles = region == 1, np.angle(variables[:2])
-    x = _polar_power(np.where(beta, moduli[0], moduli[1]), np.where(beta, angles[0], angles[1]), 1.0 - gam)
-    power = _polar_power(moduli[1], angles[1], -q)
-    if euler:
-        ones = np.ones_like(y)
-        m, a = np.stack([ones, (1.0 - gam) / q * x / power, x, 1.0 / (power * one_minus), ones]), k * x
-    else:
-        m, a = np.stack([power, (1.0 - gam) / q * x, x * power, 1.0 / one_minus, power]), k * x * power
-    out = m[region, at] * series + np.where(beta, a, 0.0)
-    return np.conjugate(out, out=out, where=mirror)
+    """F(q + gamma - 1, 1; gamma; y), or with ``euler`` G = (1-y)^q F, on a chunk of whole rows,
+    at most _SERIES_CHUNK points, gamma < 1.  Each point sums one series, of the region whose variable
+    has the smallest modulus (``gauss_2f1``); its value is s y^a (1-y)^b times that series plus
+    s' y^a' (1-y)^b', with its region's factors (``_family_constants``), each power in polar
+    form.  Only the variable of each point's own region enters the powers."""
+    coeffs, factors = _family_constants(q, gam)
+    v = y - _POLES
+    np.divide(v[0], v[1], out=v[2:4])
+    np.negative(v[1], out=v[1])
+    v[4:] /= abs(_CENTRE)
+    moduli = np.abs(v)
+    # F's Pfaff series beyond |w| = 0.55, G's up to it: row 2 ties row 3 only beyond, and a tie
+    # goes to the first row
+    np.maximum(moduli[2], _F_PFAFF_FROM, out=moduli[2])
+    region = moduli.argmin(axis=0)  # 0 Maclaurin, 1 Beta, 2 and 3 Pfaff, 4 and 5 Taylor
+    # the product runs at the full chunk width, where every column is summed alike
+    powers = np.zeros((_SERIES_BLOCK + _SERIES_BLOCKS, _SERIES_CHUNK), dtype=complex)
+    powers[::_SERIES_BLOCK] = 1.0  # v^0 and t^0
+    table = powers[:, : y.size]
+    table[1] = v[region, _BLOCK_AT[0, : y.size]]
+    for lo, hi, r, out in _POWER_PRODUCTS:
+        np.multiply(table[lo:hi], table[r], out=table[out : out + hi - lo])
+    sums = (coeffs @ powers[:_SERIES_BLOCK].view(float)).view(complex).reshape(6, _SERIES_BLOCKS, _SERIES_CHUNK)
+    imag = 1j * sums[5]  # rows 4 and 5 become the Taylor sums about z0 and conj z0
+    np.subtract(sums[4], imag, out=sums[5])
+    sums[4] += imag
+    series = (sums.reshape(-1).take(region * sums[0].size + _BLOCK_AT[:, : y.size]) * table[_SERIES_BLOCK:]).sum(axis=0)
+    per_point = factors[int(euler)].take(region, axis=-1)
+    scale, exponents = per_point[0], per_point[1:]
+    size = moduli[:2, None] ** exponents
+    m = scale * size[0] * size[1] * np.exp(1j * (exponents * np.arctan2(v[:2].imag, v[:2].real)[:, None]).sum(axis=0))
+    return m[0] * series + m[1]

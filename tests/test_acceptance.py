@@ -38,8 +38,9 @@ def test_criterion_02_monomial_norms():
 
 
 def test_criterion_03_kernels():
-    # series vs closed form (1e-8, 100 pairs x 8 regimes), even reduction
-    # (1e-10), reproducing identity (1e-8, 20 polynomials x 20 points)
+    # series vs closed form (1e-8, 100 pairs x 8 regimes), the closed form at
+    # nu = 0, 2, 4, where F reduces to (1-y)^(-nu-2), vs the series (1e-10, 40
+    # pairs each), reproducing identity (1e-8, 20 polynomials x 20 points)
     _drive(3, "kernel series agreement", "kernel-agreement")
     _drive(3, "reproducing identity", "reproducing")
 

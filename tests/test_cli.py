@@ -96,6 +96,18 @@ class TestKernelCommand:
         code, out, err = run_cli(capsys, "kernel", "--nu", "0.7", "--in", path)
         assert code == 2 and out == "" and "[re, im]" in err
 
+    def test_coordinates_of_three_and_one_numbers_are_a_validation_error(self, capsys, tmp_path):
+        """Eight numbers, as a valid record holds, but not as four [re, im] pairs."""
+        good = ([0.1, 0.0], [0.5, 0.0], [0.0, 0.2], [0.4, -0.1])
+        path = self._write_pairs(tmp_path, [good, ([0.1, 0.0, 0.5], [0.0], [0.0, 0.2], [0.4, -0.1])])
+        code, out, err = run_cli(capsys, "kernel", "--nu", "0.7", "--in", path)
+        assert code == 2 and out == "" and "[re, im]" in err
+
+    def test_bare_number_coordinate_is_a_validation_error(self, capsys, tmp_path):
+        path = self._write_pairs(tmp_path, [(0.1, [0.5, 0.0], [0.0, 0.2], [0.4, -0.1])])
+        code, out, err = run_cli(capsys, "kernel", "--nu", "0.7", "--in", path)
+        assert code == 2 and out == "" and "[re, im]" in err
+
     @pytest.mark.parametrize("nu", ["-2", "-1.5", "-1", "0.7", "3.5"])
     def test_flags_and_one_pair_file_give_the_same_row(self, capsys, tmp_path, nu):
         path = self._write_pairs(tmp_path, [([0.1, 0.05], [0.5, -0.2], [-0.0, 0.2], [0.4, -0.1])])

@@ -289,10 +289,20 @@ class TestGauss2F1:
 
     def test_a_point_is_the_same_alone_and_in_any_batch(self):
         """Every chunk's product with the coefficients runs at the full chunk width, so
-        no point's value depends on the others it is evaluated with, bit for bit."""
+        no point's value depends on the others it is evaluated with, bit for bit: 300
+        points over three chunks of 128, each chunk holding points of every series."""
         rng = np.random.default_rng(9)
         y = rng.uniform(0.0, 0.999, 300) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 300))
+        for start in (10, 138, 266):
+            y[start : start + 6] = [0.2 + 0.1j, 0.97 + 0.05j, 0.99 * np.exp(2j * math.pi / 3), -0.7 + 0.3j, -0.1 + 0.9j, -0.1 - 0.9j]
+        # the series each point takes: Maclaurin, Beta, F's and G's Pfaff, Taylor about z0 and conj z0
+        w = np.abs(y / (y - 1.0))
+        moduli = [np.abs(y), np.abs(1.0 - y), np.where(w > 0.55, w, 2.0), np.where(w > 0.55, 2.0, w)]
+        moduli += [np.abs(y - z0) / abs(z0) for z0 in (0.5 + 0.95j, 0.5 - 0.95j)]
+        series = np.argmin(moduli, axis=0)
+        assert all(set(series[i : i + 128]) == set(range(6)) for i in (0, 128, 256))
         for euler in (False, True):
             batch = gauss_2f1(2.7, 0.35, y, euler)
-            assert [complex(v) for v in batch[::20]] == [gauss_2f1(2.7, 0.35, v, euler) for v in y[::20]]
-            np.testing.assert_array_equal(batch[37:200], gauss_2f1(2.7, 0.35, y[37:200], euler))
+            assert [complex(v) for v in batch] == [gauss_2f1(2.7, 0.35, v, euler) for v in y]
+            for part in (slice(37, 200), slice(250, None), slice(None, None, -1)):
+                np.testing.assert_array_equal(batch[part], gauss_2f1(2.7, 0.35, y[part], euler))
