@@ -38,8 +38,9 @@ The library is imported from the checkout's ``src/``.  The file holds:
   six-term polynomial of the t-split suite's range draws (warm, as the
   Bergman coefficient rule), and the microseconds per point of the kernel
   on a 128-pair batch;
-- ``layers_minflt_per_call``: beside each black-box quadrature layer, the
-  minor page faults of this process per call over all its repeats.  A
+- ``layers_minflt_per_call``: beside each black-box quadrature layer and
+  the Szego witness, the minor page faults of this process per call over
+  all its repeats.  A
   layer that faults far more than usual is timed in another allocator
   state (glibc's heap trimming and mmap threshold move with what ran
   before), which can move its time by more than the code does;
@@ -54,11 +55,14 @@ The library is imported from the checkout's ``src/``.  The file holds:
   of the seconds from starting the interpreter until
   ``import hartogs, hartogs.cli`` has finished (the set-up every
   ``hartogs`` command pays);
-- ``suites_s``: the wall time of each suite in one pass over the
-  ``verify`` registry at seed 0, run in a fresh interpreter as
-  ``hartogs verify all`` is.  Each Gauss rule and Gamma weight is built
-  once per process, so a suite's time depends on the suites before it:
-  the first suite to need a rule or a weight pays for it;
+- ``suites_s`` and ``suites_minflt``: the wall time and the minor page
+  faults of each suite in one pass over the ``verify`` registry at seed 0,
+  run in a fresh interpreter as ``hartogs verify all`` is.  Each Gauss
+  rule and Gamma weight is built once per process, so a suite's time
+  depends on the suites before it: the first suite to need a rule or a
+  weight pays for it.  ``run_all_minflt`` is the sum of ``suites_minflt``,
+  and ``second_pass_minflt`` the faults of a second ``run_all(0)`` in the
+  same interpreter, where every rule and weight is already built;
 - ``tier1``: the wall time and summary line of the tier-1 test command;
 - ``provenance``: git SHA (``-dirty`` when the tree has uncommitted
   changes), Python, numpy and scipy versions, nproc, the precision of
@@ -160,6 +164,8 @@ def layer_times():
     pair = [verify._random_laurent(np.random.default_rng([0, i]), 0.7, n_terms=5) for i in (1, 2)]
     six = verify._random_laurent(np.random.default_rng([0, 3]), 0.7, n_terms=6, jmax=6, kmax=6)
     black_box = {
+        # the one 512 x 512 grid of a call: a layer that faults thousands of times mmaps its temporaries afresh
+        "verify.szego.witness.N=64": best_us_faults(lambda: verify._szego_witness(1.5, 0.6, 64), 20, 5),
         "quadrature.integrate_tau.tau_invariance_rule.suite_bump": best_us_faults(
             lambda: quadrature.integrate_tau(verify._bump, tau_rule, automorphism=psi), 3, 5
         ),
@@ -206,7 +212,6 @@ def layer_times():
             5,
         ),
         "verify._torus_samples.degree32_n133": best_us(lambda: verify._torus_samples(series, 133), 200, 5),
-        "verify.szego.witness.N=64": best_us(lambda: verify._szego_witness(1.5, 0.6, 64), 20, 5),
         "projections.project_szego_grid.N=133": best_us(lambda: projections.project_szego_grid(grid), 200, 5),
         "quadrature.build_rule.64x65.cold": best_us(
             lambda: quadrature.build_rule(0.7), 1, 20, before=quadrature._jacobi01.cache_clear
@@ -336,25 +341,31 @@ def import_time():
 
 
 def suite_pass():
-    """Time each suite of one seed-0 pass in this process; print the JSON."""
+    """Time each suite of one seed-0 pass in this process and count its
+    minor page faults, then count those of a second pass; print the JSON."""
     from hartogs import verify
 
-    times, passed = {}, {}
+    times, faults, passed = {}, {}, {}
     for name in verify.SUITES:
+        start_faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         res = verify.run_suite(name, seed=0)
         times[name] = time.perf_counter() - start
+        faults[name] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start_faults
         passed[name] = res.passed
-    print(json.dumps({"suites_s": times, "suites_passed": passed}))
+    start_faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    verify.run_all(0)
+    second = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start_faults
+    print(json.dumps({"suites_s": times, "suites_minflt": faults, "second_pass_minflt": second, "suites_passed": passed}))
 
 
 def suite_times():
-    """The per-suite times and verdicts of ``suite_pass`` in a fresh interpreter."""
+    """The per-suite times, faults and verdicts of ``suite_pass`` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     cmd = [sys.executable, str(Path(__file__).resolve()), "--suite-pass"]
     proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, check=True)
     record = json.loads(proc.stdout.strip().splitlines()[-1])
-    return record["suites_s"], record["suites_passed"]
+    return record["suites_s"], record["suites_minflt"], record["second_pass_minflt"], record["suites_passed"]
 
 
 def tier1_time():
@@ -424,14 +435,16 @@ def main(argv=None):
     per_point, record["layers_ms"] = batch_layers()
     record["layers_us"].update(per_point)
     record["layers_ms"].update(grid_layers())
-    record["suites_s"], record["suites_passed"] = suite_times()
+    record["suites_s"], record["suites_minflt"], record["second_pass_minflt"], record["suites_passed"] = suite_times()
     record["run_all_s"] = sum(record["suites_s"].values())
+    record["run_all_minflt"] = sum(record["suites_minflt"].values())
     record["tier1"] = tier1_time()
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
-    for section in ("layers_us", "layers_minflt_per_call", "layers_ms", "suites_s"):
+    for section in ("layers_us", "layers_minflt_per_call", "layers_ms", "suites_s", "suites_minflt"):
         for name, value in record[section].items():
             print(f"{section:10s} {name:48s} {value:12.4g}")
     print(f"import_s   {record['import_s']:.3f}   run_all_s  {record['run_all_s']:.3f}", end="   ")
+    print(f"run_all_minflt {record['run_all_minflt']} then {record['second_pass_minflt']}", end="   ")
     print(f"tier1 {record['tier1']['wall_s']:.2f} s: {record['tier1']['summary']}")
     return 0
 

@@ -141,16 +141,28 @@ def project_szego_grid(samples):
 
     Forward FFT, multiplier mask in the signed frequency convention
     (frequencies in [-floor(N/2), ceil(N/2) - 1]), inverse FFT.  Exact on
-    trigonometric polynomials of degree below N/2.
+    trigonometric polynomials of degree below N/2.  Allocates the result alone.
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim != 2 or samples.shape[0] != samples.shape[1] or samples.size == 0:
         raise DomainError(f"expected a non-empty square grid, got shape {samples.shape}")
+    return _szego_fft(samples)
+
+
+def _szego_fft(samples, out=None):
+    """P_S of a complex N x N grid into ``out`` (new when None, or ``samples``):
+    numpy's fft2 and ifft2 one axis at a time, in their order, with no second grid
+    for glibc to mmap afresh.  The inverse row pass skips the rows j < 0, zero
+    after the mask: ifft2(fft2(samples) * mask) bit for bit, up to a zero's sign."""
     n = samples.shape[0]
     freq = np.fft.fftfreq(n, d=1.0 / n)
-    spectrum = np.fft.fft2(samples)
-    spectrum *= _HARDY.member(freq[:, None], freq[None, :])
-    return np.fft.ifft2(spectrum, out=spectrum)
+    mask = _HARDY.member(freq[:, None], freq[None, :])  # before the result grid: its temporaries add nothing to the peak
+    out = np.fft.fft(samples, axis=1, out=out)
+    np.fft.fft(out, axis=0, out=out)
+    out *= mask
+    kept = out[: (n + 1) // 2]  # j >= 0
+    np.fft.ifft(kept, axis=1, out=kept)
+    return np.fft.ifft(out, axis=0, out=out)
 
 
 def lp_norm_torus(p, samples):
@@ -158,8 +170,9 @@ def lp_norm_torus(p, samples):
     samples = np.asarray(samples)
     if samples.size == 0:
         raise DomainError(f"the L^p norm needs a non-empty grid, got shape {samples.shape}")
-    n = samples.shape[0]
-    return float(np.sum(np.abs(samples) ** p) * (2.0 * np.pi / n) ** 2) ** (1.0 / p)
+    powers = np.abs(samples, dtype=float)
+    powers **= p
+    return float(np.sum(powers) * (2.0 * np.pi / samples.shape[0]) ** 2) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,9 @@ full-grid arrays.  ``integrate_mu`` re-indexes the angles: the two axes
 share one angular grid, so z1 = w1 w2 varies along (r1, r2, c) with
 c = theta + gamma on that grid, and z2 along (r2, gamma); what the
 callable does to z1 alone runs on m times fewer points.
-``integrate_tau`` and ``mc_integrate_mu`` instead form the triangle's
-points at every grid point or sample, by ``_on_triangle``, and
-``integrate_tau`` composes an automorphism of H in product coordinates.
+``integrate_tau`` sums an automorphism of H that fixes the origin on the
+same grid and composes any other in product coordinates at every grid
+point; ``mc_integrate_mu`` forms the triangle's points at every sample.
 All evaluate the callable in chunks of about ``_MAX_BLOCK`` points, so
 temporaries stay near cache size; a ``_tensor_sum`` chunk is whole rule
 rows, so it can be larger.  A Monte Carlo importance sampler doubles as
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, _space, as_mixed, conj_product, evaluate_grid
-from .geometry import normalization_C
+from .geometry import DiscAutomorphism, normalization_C
 from .specfun import DomainError, gamma_ratio_signed
 
 __all__ = [
@@ -180,11 +180,6 @@ def as_grid_fn(obj):
     if callable(obj):
         return obj
     raise DomainError(f"cannot integrate object of type {type(obj)!r}")
-
-
-def _on_triangle(fn):
-    """Pull an integrand on H back to D x D* through Phi(w1, w2) = (w1 w2, w2)."""
-    return lambda w1, w2: fn(w1 * w2, w2)
 
 
 @functools.cache
@@ -399,43 +394,43 @@ def integrate_tau(integrand, rule=None, automorphism=None):
     ``automorphism`` is given, integrand o automorphism is integrated
     instead; it acts in product coordinates as (w1, w2) ->
     (disc_map(w1), c w2), so the composition never divides z1 by z2.
+    With disc_map.a == 0 (a rotation, the identity, or no automorphism)
+    it runs on ``integrate_mu``'s re-indexed grid as fn(lam z1, c z2),
+    lam z1 on m times fewer points; otherwise disc_map(w1) w2 is formed
+    at every point of the grid.
     """
     if rule is None:
         rule = build_tau_rule()
     if rule.nu is not None:
         raise DomainError(f"integrate_tau needs a tau rule, got one for nu = {rule.nu}")
     fn = as_grid_fn(integrand)
-    if automorphism is None:
-        pulled = _on_triangle(fn)
-    else:
-        disc_map, c = automorphism.disc_map, automorphism.c
+    phi, c = (DiscAutomorphism(0.0, 1.0), 1.0) if automorphism is None else (automorphism.disc_map, automorphism.c)
+    reindexed = phi.a == 0  # fixes the origin: w1 is z1 on the re-indexed grid
 
-        def pulled(w1, w2):  # disc_map(w1) * w2, as _on_triangle's w1 * w2: numpy's complex product is not commutative bit for bit
-            return fn(disc_map(w1) * w2, c * w2)
+    def pulled(w1, w2):  # phi(w1) * w2 as Phi's w1 * w2: numpy's complex product is not commutative bit for bit
+        return fn(phi.lam * w1 if reindexed else phi(w1) * w2, c * w2)
 
-    _warn_if_support_leaks(pulled, rule.r1_nodes, rule.r2_nodes, rule.angular)
-    return _tensor_sum(pulled, rule.r1_nodes, rule.r1_weights, rule.r2_nodes, rule.r2_weights, rule.angular)
+    _warn_if_support_leaks(pulled, rule.r1_nodes, rule.r2_nodes, rule.angular, reindexed)
+    return _tensor_sum(pulled, rule.r1_nodes, rule.r1_weights, rule.r2_nodes, rule.r2_weights, rule.angular, reindexed)
 
 
-def _warn_if_support_leaks(fn, r1, r2, angular):
-    """Warn when the product-coordinate integrand is non-negligible at the
-    radial edges of the shell (its mass there would be silently dropped)."""
+def _warn_if_support_leaks(fn, r1, r2, angular, on_triangle):
+    """Warn when the integrand, in product coordinates or through Phi as
+    ``_tensor_sum`` reads it, is non-negligible at the radial edges of the
+    shell (its mass there would be silently dropped)."""
     ang = np.exp(2j * np.pi * np.arange(angular) / angular)
     mid1 = r1[r1.size // 2]
     mid2 = r2[r2.size // 2]
 
     def peak(s1, s2):
-        return float(np.max(np.abs(fn(s1 * ang[:, None], s2 * ang[None, :]))))
+        w1, w2 = s1 * ang[:, None], s2 * ang[None, :]
+        return float(np.max(np.abs(fn(w1 * w2 if on_triangle else w1, w2))))
 
     scale = max(peak(mid1, mid2), 1e-30)
-    for edge1 in (r1[0], r1[-1]):
-        if peak(edge1, mid2) > 1e-9 * scale:
-            warnings.warn(f"tau integrand is non-negligible at the |w1| = {edge1:.3f} shell edge")
-            break
-    for edge2 in (r2[0], r2[-1]):
-        if peak(mid1, edge2) > 1e-9 * scale:
-            warnings.warn(f"tau integrand is non-negligible at the |w2| = {edge2:.3f} shell edge")
-            break
+    for axis, points in ((1, [(r1[0], mid2), (r1[-1], mid2)]), (2, [(mid1, r2[0]), (mid1, r2[-1])])):
+        leak = next((point for point in points if peak(*point) > 1e-9 * scale), None)
+        if leak is not None:  # one warning per axis, naming its first leaking edge
+            warnings.warn(f"tau integrand is non-negligible at the |w{axis}| = {leak[axis - 1]:.3f} shell edge")
 
 
 def _is_integer(value):
@@ -477,7 +472,7 @@ def mc_integrate_mu(nu, integrand, sample_count, seed):
         raise DomainError(f"sample_count must be an integer of at least 1000, got {sample_count!r}")
     _check_seed(seed)
     nu = SpaceParam(nu).require("bergman", "mc_integrate_mu").nu
-    fn = _on_triangle(as_grid_fn(integrand))
+    fn = as_grid_fn(integrand)
     chunks = -(-sample_count // _MAX_BLOCK)
     bounds = [sample_count * i // chunks for i in range(chunks + 1)]
     streams = np.random.SeedSequence(seed).spawn(chunks)
@@ -492,7 +487,7 @@ def mc_integrate_mu(nu, integrand, sample_count, seed):
         scale[:n] = np.expm1(scale[:n] * (-0.5 / (nu + 1.0))) / -scale[:n]  # u / |g1|^2
         scale[n:] = v / scale[n:]
         g *= np.sqrt(scale, out=scale)
-        vals = np.broadcast_to(fn(g[:n], g[n:]), (n,))
+        vals = np.broadcast_to(fn(g[:n] * g[n:], g[n:]), (n,))  # (w1 w2, w2) = Phi(w1, w2)
         mean = vals.mean()
         moments[i] = n, complex(mean), float(np.sum(np.square(np.abs(vals - mean))))
         return g

@@ -390,6 +390,7 @@ def _szego_witness(p, gamma, n):
     tends to csc(pi/p).  The 2-D witness f = z2^-1 f1(z1/z2) f1(z2) is mapped
     by the conjugation of ``_szego_by_conjugation`` to f1 x f1, so its ratio
     is the 1-D ratio squared; grid entry (r, s) reads f1 at (r - s) mod M and s.
+    ||f||_p is read first, then f is projected in place: one M x M grid a call.
     """
     k = np.arange(n)
     plus = np.cumprod(np.r_[1.0, (gamma - k) / (k + 1)])
@@ -403,8 +404,8 @@ def _szego_witness(p, gamma, n):
     doubled = np.concatenate([f1, f1])[::-1]
     circulant = np.lib.stride_tricks.sliding_window_view(doubled, m)[m - 1 :: -1]
     f = circulant * (f1 * np.exp(-2j * np.pi * np.arange(m) / m))
-    ratio_2d = projections.lp_norm_torus(p, projections.project_szego_grid(f)) / projections.lp_norm_torus(p, f)
-    return float(ratio_1d), ratio_2d
+    norm = projections.lp_norm_torus(p, f)
+    return float(ratio_1d), projections.lp_norm_torus(p, projections._szego_fft(f, f)) / norm
 
 
 # (p, gamma) of the witness rows: gamma just below 1/p keeps f1 in L^p

@@ -1,6 +1,7 @@
 """Bergman and Szego projections, critical ranges, mode moments, truncated integrals."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -191,11 +192,12 @@ class TestSzegoGrid:
             samples = _torus_samples(f, m)
             assert float(np.max(np.abs(_szego_by_conjugation(samples) - project_szego_grid(samples)))) <= 1e-12
 
-    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 255, 256, 257, 512])
     def test_bit_identical_to_masking_a_fresh_spectrum(self, n):
-        """Masking the spectrum in place and inverting into it gives the bits
-        of ifft2(fft2(x) * mask), with the Hardy mask j >= 0, j + k >= -1,
-        and leaves the input as it was."""
+        """The 1-D passes into one grid, the inverse row pass on the (n + 1) // 2
+        rows j >= 0 alone, give the bits of ifft2(fft2(x) * mask), with the
+        Hardy mask j >= 0, j + k >= -1, and leave the input as it was; odd and
+        tiny n move the boundary of the kept rows."""
         rng = np.random.default_rng([57, n])
         samples = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         before = samples.copy()
@@ -204,6 +206,19 @@ class TestSzegoGrid:
         expected = np.fft.ifft2(np.fft.fft2(samples) * mask)
         assert np.array_equal(project_szego_grid(samples).view(np.uint64), expected.view(np.uint64))
         assert np.array_equal(samples.view(np.uint64), before.view(np.uint64))
+
+    def test_one_call_allocates_one_grid(self):
+        """On a 512 x 512 grid (4 MiB) the call peaks at 1.25 grids at most:
+        its result, the mask and 1-D buffers, and no spectrum grid beside it."""
+        n = 512
+        samples = np.random.default_rng(58).normal(size=(n, n)) + 0j
+        tracemalloc.start()
+        try:
+            project_szego_grid(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * samples.nbytes, peak
 
     def test_constant_grid_unchanged(self):
         grid = np.full((8, 8), 2.5 + 0.5j)

@@ -754,7 +754,55 @@ class TestThreadedChunks:
             assert sorted(seen) == list(range(500))
 
 
+def _full_grid_tau(fn, rule, automorphism):
+    """integrate_tau of a callable composed with an automorphism, as a serial
+    loop over r1 rows of the full (theta, r2, gamma) grid, fn evaluated at
+    (disc_map(w1) w2, c w2) point by point, with the rule's weights."""
+    m = rule.angular
+    e = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+    w2 = rule.r2_nodes[None, :, None] * e[None, None, :]
+    total = 0.0
+    for r1, weight in zip(rule.r1_nodes, rule.r1_weights):
+        vals = fn(automorphism.disc_map(r1 * e[:, None, None]) * w2, automorphism.c * w2)
+        total += weight * np.sum(vals.sum(axis=(0, 2)) * rule.r2_weights)
+    return (2.0 * np.pi / m) ** 2 * total
+
+
 class TestTau:
+    ROTATION = HartogsAutomorphism(DiscAutomorphism(0.0j, np.exp(0.9j)), np.exp(0.4j))
+
+    @pytest.mark.parametrize("automorphism", [None, HartogsAutomorphism(DiscAutomorphism(0.0j, 1.0), 1.0), ROTATION])
+    def test_origin_fixing_maps_never_span_the_gamma_axis(self, automorphism):
+        """No automorphism, the identity and a rotation run on integrate_mu's
+        re-indexed grid: z1 has no gamma axis (the support-leak probe's 2-D
+        calls aside)."""
+        rule = quadrature.build_tau_rule(radial_order=32, angular_count=16)
+        n2, m = rule.r2_nodes.size, rule.angular
+        rows = max(1, quadrature._MAX_BLOCK // (m * m * n2))
+        shapes = []
+
+        def recording(z1, z2):
+            shapes.append((z1.shape, z2.shape))
+            return _bump(z1, z2)
+
+        quadrature.integrate_tau(recording, rule, automorphism=automorphism)
+        grid_calls = [shape for shape in shapes if len(shape[1]) == 4]
+        assert len(grid_calls) == -(-rule.r1_nodes.size // rows)
+        for z1_shape, z2_shape in grid_calls:
+            assert z1_shape[3] == 1 and math.prod(z1_shape) <= rows * m * n2
+            assert z2_shape == (1, 1, n2, m)
+
+    def test_rotation_matches_the_full_grid_sum(self):
+        rule = quadrature.build_tau_rule(radial_order=32, angular_count=16)
+
+        def fn(z1, z2):  # frequency 16 aliases on the 16 angles, so lam^16 and c^16 move the sum
+            return _bump(z1, z2) * (2.0 + (z1 / np.abs(z1)) ** 16 + np.conj(z2 / np.abs(z2)) ** 16 + z1.real * z2.imag)
+
+        scale = quadrature.integrate_tau(lambda z1, z2: np.abs(fn(z1, z2)), rule, automorphism=self.ROTATION).real
+        moved = quadrature.integrate_tau(fn, rule, automorphism=self.ROTATION)
+        assert abs(moved - quadrature.integrate_tau(fn, rule)) > 1e-3 * scale
+        assert abs(moved - _full_grid_tau(fn, rule, self.ROTATION)) <= 1e-13 * scale
+
     def test_identity_automorphism_exact(self):
         rule = quadrature.build_tau_rule(radial_order=32, angular_count=16)
         ident = HartogsAutomorphism(DiscAutomorphism(0.0j, 1.0), 1.0)
