@@ -20,7 +20,11 @@ The library is imported from the checkout's ``src/``.  The file holds:
   oracle on one pair, the torus sampling of the Szego suite, one
   sharp-norm witness ratio of it (N = 64, a 512 x 512 grid), the Szego
   FFT projection,
-  one signed Gamma ratio of a coefficient weight, the 2F1 on 128 points (on
+  one signed Gamma ratio of the seven arguments that the log-Gamma route
+  formed for a coefficient weight, the monomial weight's two Pochhammer
+  tables built cold (``_pochhammer_weight`` at nu = 0.7, read at j = n = 16
+  and at t-split's deepest read j = 40,000; absent from a tree without the
+  tables) and one warm ``SpaceParam(0.7).weight`` read, the 2F1 on 128 points (on
   the batch layers' pairs and on kernel-stream's distribution of y) and its
   Euler transform G on the profile's 257-angle circle |y| = 0.998,
   one point pair of the suites' draw (per pair of a 100-pair
@@ -32,7 +36,7 @@ The library is imported from the checkout's ``src/``.  The file holds:
   Gauss rules are dropped from their per-process memo) and warm, one
   Gauss-Jacobi rule of 64 and of 256 nodes built cold, the
   Bergman coefficient rule on a four-term mixed polynomial (warm: its
-  Gamma weights are memoized after the first call), the separable path
+  weight tables are built by the first call), the separable path
   per inner product of two five-term polynomials on a 32 x 33 rule (the
   size the t-split and isometries suites use), the star norm of one
   six-term polynomial of the t-split suite's range draws (warm, as the
@@ -58,7 +62,7 @@ The library is imported from the checkout's ``src/``.  The file holds:
 - ``suites_s`` and ``suites_minflt``: the wall time and the minor page
   faults of each suite in one pass over the ``verify`` registry at seed 0,
   run in a fresh interpreter as ``hartogs verify all`` is.  Each Gauss
-  rule and Gamma weight is built once per process, so a suite's time
+  rule and weight table is built once per process, so a suite's time
   depends on the suites before it: the first suite to need a rule or a
   weight pays for it.  ``run_all_minflt`` is the sum of ``suites_minflt``,
   and ``second_pass_minflt`` the faults of a second ``run_all(0)`` in the
@@ -142,7 +146,7 @@ def layer_times():
     grid = np.random.default_rng(1).normal(size=(133, 133)) + 0j
     # a degree-32 series on the N = 133 grid of the torus sampling layer
     series = verify._random_torus(np.random.default_rng([0, 642]), 32, n_terms=16)
-    # the seven Gamma arguments of the weight of z1^2 z2^-3 at nu = -1.5; the last is -0.25
+    # the seven Gamma arguments of the weight of z1^2 z2^-3 at nu = -1.5 on the log-Gamma route; the last is -0.25
     w_nu, j, k = -1.5, 2, -3
     weight_args = (
         [w_nu + 2.0, 1.5 * w_nu + 3.0, j + 1.0, j + k + 0.5 * w_nu + 2.0],
@@ -163,6 +167,8 @@ def layer_times():
     pair_rule = quadrature.build_rule(0.7, radial_order=32, angular_count=33)
     pair = [verify._random_laurent(np.random.default_rng([0, i]), 0.7, n_terms=5) for i in (1, 2)]
     six = verify._random_laurent(np.random.default_rng([0, 3]), 0.7, n_terms=6, jmax=6, kmax=6)
+    space = coeffspace.SpaceParam(0.7)
+    space.weight(3, 1)
     black_box = {
         # the one 512 x 512 grid of a call: a layer that faults thousands of times mmaps its temporaries afresh
         "verify.szego.witness.N=64": best_us_faults(lambda: verify._szego_witness(1.5, 0.6, 64), 20, 5),
@@ -200,6 +206,7 @@ def layer_times():
         ),
         "kernels.kernel_series.one_pair.nu=0.7": best_us(lambda: kernels.kernel_series(0.7, z, w), 500, 5),
         "specfun.gamma_ratio_signed.weight_7_args": best_us(lambda: specfun.gamma_ratio_signed(*weight_args), 20000, 5),
+        "coeffspace.SpaceParam.weight.warm": best_us(lambda: space.weight(3, 1), 20000, 5),
         f"specfun.gauss_2f1.{BATCH}_points": best_us(lambda: specfun.gauss_2f1(q, gam, y128), 2000, 5),
         f"specfun.gauss_2f1.kernel_stream_{BATCH}_points": best_us(lambda: specfun.gauss_2f1(q, gam, y_stream), 2000, 5),
         # bound_ratio_profile's G at nu = 0.7, q = nu + 2
@@ -225,6 +232,11 @@ def layer_times():
         ),
         "coeffspace.star_norm.6_terms": best_us(lambda: coeffspace.star_norm(0.7, six), 2000, 5),
     })
+    tables = getattr(coeffspace, "_pochhammer_weight", None)  # None on a tree with the log-Gamma weights
+    if tables is not None:
+        key = (space.nu + 2.0, space.ceil, space.b1)
+        layers["coeffspace._pochhammer_weight.cold.j=n=16"] = best_us(lambda: tables.__wrapped__(*key)(16, -1), 200, 5)
+        layers["coeffspace._pochhammer_weight.cold.j=40000"] = best_us(lambda: tables.__wrapped__(*key)(40_000, -40_000), 20, 5)
     return layers, {name: faults for name, (_, faults) in black_box.items()}
 
 

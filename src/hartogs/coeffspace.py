@@ -10,7 +10,7 @@ family parameter (SpaceParam, which decides the regime of nu for the
 whole library and whose ``norm_sq`` is the norm of every space of the
 family), the coefficient containers, the index set I_nu, the
 Gamma moment of a monomial that every closed norm and projection
-coefficient reads (once per process, at most ``_WEIGHTS_KEPT`` keys), and
+coefficient reads (two Pochhammer tables per space, ``_pochhammer_weight``), and
 the three-way split feeding the multiplier T, with its star norm's sharp constants.
 
 Out-of-space inputs produce the +inf sentinel rather than an error: the
@@ -22,7 +22,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .specfun import DomainError, gamma_ratio_signed
+import numpy as np
+
+from .specfun import DomainError
 
 __all__ = [
     "SpaceParam",
@@ -39,7 +41,7 @@ __all__ = [
 
 
 SNAP_TOL = 1e-12
-_WEIGHTS_KEPT = 4096  # Gamma weights memoized per process; one verify pass reads 1,475
+_DEPTH = 1 << 17  # entries of a weight table, 1 MiB of doubles; t-split reads j = 40,000
 _RANGES = {"bergman": "nu > -1", "weighted-dirichlet": "-2 < nu < -1"}
 
 
@@ -113,27 +115,24 @@ class SpaceParam:
     def weight(self, j, k):
         """Coefficient weight of z1^j z2^k in the pairing of the space.
 
-        The Gamma form of ``_gamma_weight`` for nu > -1 and -2 < nu < -1,
-        1 at nu = -1 and (j+1)(j+k+1) at nu = -2; +inf outside I_nu.  Below
-        nu = -4/3 the weights at j + k = -1 are negative and the pairing is
-        indefinite; at nu = -4/3 (within SNAP_TOL) it degenerates and
-        DomainError is raised (``nondegenerate``).  The kernel's Laurent
-        coefficient of (z1 conj(w1))^j (z2 conj(w2))^k is 1 / weight(j, k),
-        signed alike.
+        The Gamma form u(j) R(j+k+1) of ``_pochhammer_weight`` for nu > -2 (1 at
+        nu = -1; DomainError beyond the double range or past depth _DEPTH) and
+        (j+1)(j+k+1) at nu = -2; +inf outside I_nu.  Below nu = -4/3 the weights
+        at j + k = -1 are negative and the pairing is indefinite; at nu = -4/3
+        (within SNAP_TOL) it degenerates and DomainError is raised
+        (``nondegenerate``).  The kernel's Laurent coefficient of
+        (z1 conj(w1))^j (z2 conj(w2))^k is 1 / weight(j, k), signed alike.
 
         nu = -2 is not a continuity point: Gamma(nu+2) Gamma(3nu/2+3) has a
         double pole there, and (3/2) eps^2 weight(j, k) at nu = -2 + eps
         tends to j(j+k), not to (j+1)(j+k+1) (to 0 when j = 0 or j+k = 0,
         and to -3j at j+k = -1).
         """
-        if not self.member(j, k):
-            return math.inf
-        kind = self.kind
-        if kind == "hardy":
-            return 1.0
-        if kind == "dirichlet":
-            return (j + 1.0) * (j + k + 1.0)
-        return _gamma_weight(self.nondegenerate().nu, j, k)
+        if self.kind == "dirichlet":
+            return (j + 1.0) * (j + k + 1.0) if self.member(j, k) else math.inf
+        if "_weight" not in self.__dict__:  # the space's table read, looked up once per instance
+            self.__dict__["_weight"] = _pochhammer_weight(self.nondegenerate().nu + 2.0, self.ceil, self.b1)
+        return self.__dict__["_weight"](j, k)
 
     def norm_sq(self, f):
         """The squared norm sum weight(j, k) |a_jk|^2 of a Laurent polynomial
@@ -142,19 +141,23 @@ class SpaceParam:
         signed D_nu pairing, which is negative on some supports below
         nu = -4/3.  +inf if the support leaks outside I_nu; DomainError at
         nu = -4/3, where the pairing degenerates, or if an |a|^2 or the sum overflows."""
-        self.nondegenerate()
-        total = 0.0
-        try:
-            for (j, k), a in f.items():
-                w = self.weight(j, k)
-                if math.isinf(w):
-                    return math.inf
-                total += w * abs(a) ** 2
-        except OverflowError as exc:
-            raise DomainError("a squared coefficient |a|^2 leaves the double range") from exc
-        if not math.isfinite(total):  # +inf is the sentinel of a support outside I_nu
-            raise DomainError("a weighted sum of |a|^2 leaves the double range")
-        return total
+        return _weighted_sum(self.nondegenerate().weight, f)
+
+
+def _weighted_sum(weight, f):
+    """sum weight(j, k) |a_jk|^2 of ``norm_sq``: +inf at the first +inf weight."""
+    total = 0.0
+    try:
+        for (j, k), a in f.items():
+            w = weight(j, k)
+            if math.isinf(w):
+                return math.inf
+            total += w * abs(a) ** 2
+    except OverflowError as exc:
+        raise DomainError("a squared coefficient |a|^2 leaves the double range") from exc
+    if not math.isfinite(total):  # +inf is the sentinel of a support outside I_nu
+        raise DomainError("a weighted sum of |a|^2 leaves the double range")
+    return total
 
 
 def _space(nu):
@@ -284,28 +287,40 @@ def conj_product(f, g):
     return MixedPoly(terms)
 
 
-@functools.lru_cache(maxsize=_WEIGHTS_KEPT)
-def _gamma_weight(nu, j, k, lift=0):
-    """The Gamma-form monomial weight of the space nu + 2 lift, shared by the
-    nu > -1 and the weighted-Dirichlet regimes (at lift = 0):
+@functools.lru_cache(maxsize=64)
+def _pochhammer_weight(d, ceil, b1):
+    """The Gamma-form weight (j, k) -> u(j) R(n), n = j+k+1, of the space d = nu + 2, ceil = ceil(nu/2), b1 =
+    ``SpaceParam.b1``; +inf outside I_nu.  u(j) = j! / (d)_j, R(1) = 1, R(n+1) / R(n) = ((n + ceil) + b1) / ((n-1) + 1.5 d):
+    read-only running-product tables, each continued when a read goes deeper, so no value depends on earlier reads.
+    R runs up from n = 1 and down to n = -ceil, where (n + ceil) + b1 = b1 keeps the digits d drops next to Gamma's
+    pole.  DomainError if j or 1 - n reaches _DEPTH, or if u(j) or the weight is not a normal double."""
+    c, t, tables = float(ceil), 1.5 * d, [memoryview(np.ones(1))] * 3  # the tables of u(i), R(1 + i), R(1 - i)
+    ratios = (lambda i: i / ((i - 1.0) + d), lambda i: ((i + c) + b1) / ((i - 1.0) + t), lambda i: (t - i) / (((1.0 + c) - i) + b1))
 
-        Gamma(nu+2) Gamma(3nu/2+3) / Gamma(nu/2+2)
-        * Gamma(j+1) Gamma(j+k+nu/2+2) / (Gamma(j+nu+2) Gamma(j+k+3nu/2+3)).
+    def entry(which, i):
+        table = tables[which]
+        if i >= len(table):
+            if i >= _DEPTH:
+                raise DomainError(f"a monomial weight needs a table of depth {i} >= {_DEPTH}")
+            grown = np.empty(min(max(i + 1, 2 * len(table), 64), _DEPTH))
+            grown[: len(table)] = table
+            with np.errstate(all="ignore"):  # R(1 - i) past i = 1 + ceil is never read
+                grown[len(table) :] = ratios[which](np.arange(len(table), grown.size, dtype=float))
+                np.multiply.accumulate(grown[len(table) - 1 :], out=grown[len(table) - 1 :])
+            table = tables[which] = memoryview(grown).toreadonly()
+        return table[i]
 
-    For -2 < nu < -1 the last denominator Gamma can be negative (its
-    argument dips below zero when j + k = -1 and nu < -4/3), so the ratio
-    is evaluated with sign tracking.  For nu > -1 it is the moment
-    2^(nu/2) C_nu pi^2 B(j+1, nu+1) B(j+k+nu/2+2, nu+1) = ||z1^j z2^k||^2.
-    Each argument is summed from d = nu + 2 (+ 2 lift), exact for -2 <= nu <= -1, but
-    j+k+nu/2+2 (+ lift), next to a pole as nu comes down to an even integer, reads
-    ``SpaceParam(nu).b1``, keeping the digits that d drops (8.3e-8 of the weight of z2^-2
-    at nu = 1e-9): so ``t_norm_sq`` lifts nu.
-    """
-    d, sp = (nu + 2.0) + 2.0 * lift, SpaceParam(nu)
-    return gamma_ratio_signed(
-        [d, 1.5 * d, j + 1.0, (j + k + 1.0 + sp.ceil + lift) + sp.b1],
-        [0.5 * d + 1.0, j + d, (j + k) + 1.5 * d],
-    )
+    def weight(j, k):
+        n = j + k + 1
+        if j < 0 or n < -ceil:
+            return math.inf
+        u = entry(0, j)
+        w = u * (entry(1, n - 1) if n > 0 else entry(2, 1 - n))
+        if not (2.0**-1022 <= min(u, abs(w)) and abs(w) < math.inf):  # u and w normal doubles
+            raise DomainError(f"the weight of z1^{j} z2^{k} leaves the double range")
+        return w
+
+    return weight
 
 
 def monomial_norm_sq(nu, j, k):
@@ -341,22 +356,6 @@ def split_f123(f):
     return LaurentCoeffs(t1), LaurentCoeffs(t2), LaurentCoeffs(t3), a00
 
 
-@dataclass(frozen=True)
-class _SpaceAbove(SpaceParam):
-    """SpaceParam(base + 2), a Bergman space, whose weights are read from base at lift 1."""
-
-    base: float = 0.0
-
-    def weight(self, j, k):
-        return _gamma_weight(self.base, j, k, 1) if self.member(j, k) else math.inf
-
-
-@functools.lru_cache(maxsize=64)
-def _space_above(nu):
-    """SpaceParam(nu + 2), the space whose norm ``t_norm_sq`` reads, built once per nu."""
-    return _SpaceAbove(nu + 2.0, nu)
-
-
 def t_norm_sq(nu, f_i):
     """Exact squared L^2_nu norm of T f_i, any of the three split parts.
 
@@ -371,8 +370,8 @@ def t_norm_sq(nu, f_i):
     ``nu`` is a float or its SpaceParam; nu < -2, nu > 1e102 on a nonempty
     part, or a |c|^2 or a sum outside the double range, raises DomainError.
     """
-    nu = _space(nu).nu
-    total = _space_above(nu).norm_sq(f_i)
+    sp = _space(nu)
+    nu, total = sp.nu, _weighted_sum(_pochhammer_weight((sp.nu + 2.0) + 2.0, sp.ceil + 1, sp.b1), f_i)
     if total in (0.0, math.inf):  # an empty part or the sentinel, read before r_nu
         return total
     if nu > 1e102:  # the denominator of r_nu overflows from nu = 4.3e102

@@ -19,7 +19,8 @@ statements are machine-checkable exactly.
     weight of a_jk is C u(j) v(j+k+1), C = Gamma(nu+2) Gamma(3nu/2+3) /
     Gamma(nu/2+2), u(j) = Gamma(j+1) / Gamma(j+nu+2) and v(n) =
     Gamma(n+nu/2+1) / Gamma(n+3nu/2+2): a tensor product of a weight in w1
-    and one in w2, indefinite below nu = -4/3, where v(0) < 0.
+    and one in w2, indefinite below nu = -4/3, where v(0) < 0; ``SpaceParam.weight``
+    is this product for nu > -1 too (``coeffspace._pochhammer_weight``).
   * s = 0 at nu = -2.  The Dirichlet weight (j+1)(j+k+1) of a_jk becomes
     the bidisc Dirichlet weight (j+1)(k+1) under (j, k) -> (j, j+k) with no
     Jacobian factor.

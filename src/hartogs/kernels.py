@@ -225,9 +225,9 @@ def kernel_coeff_closed(nu, j, k):
     """Laurent coefficient of the kernel read off the closed form.
 
     Expands (1 - x)^(-(nu+2)) binomially and the hypergeometric factor
-    through its Pochhammer recurrence, so the value travels a different
-    numerical route than the Gamma-ratio reciprocal 1 / ``SpaceParam.weight``;
-    the two agree to rounding and the reproducing identity tests pair them
+    through its Pochhammer recurrence, a coding of the factors separate from
+    the tables of 1 / ``SpaceParam.weight`` (it enters neither); the two agree
+    to rounding and the reproducing identity tests pair them
     deliberately.  ``nu`` is a float or its SpaceParam.
     """
     sp = _space(nu)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, TorusSeries, _gamma_weight
+from .coeffspace import LaurentCoeffs, MixedPoly, SpaceParam, TorusSeries
 from .specfun import DomainError, VerificationFailure
 
 __all__ = [
@@ -55,8 +55,8 @@ def project_bergman(nu, f):
                  / || z1^(a-b) z2^(c-d) ||^2_{A^2_nu}
 
     when a >= b and (a-b, c-d) lies in I_nu, and to zero otherwise.  The
-    numerator is ``_gamma_weight(nu, a, c)``, so on a basis monomial the
-    two weights are one computation and lambda is exactly 1.0.
+    numerator is ``sp.weight(a, c)``, the weight of z1^a z2^c, so on a basis
+    monomial the two weights are one table read and lambda is exactly 1.0.
     Raises IntegrabilityError, naming the term, when a term is not in
     L^1(dmu_nu) or its surviving Beta moment diverges.
     """
@@ -71,11 +71,11 @@ def project_bergman(nu, f):
         j, k = a - b, c - d
         if not sp.member(j, k):
             continue
-        if not a + c + 0.5 * nu + 2.0 > 0.0:
+        if not sp.member(a, c):  # a + c + nu/2 + 2 > 0
             raise IntegrabilityError(
                 f"term (a={a}, b={b}, c={c}, d={d}) has a divergent moment against z1^{j} z2^{k}"
             )
-        lam = _gamma_weight(nu, a, c) / sp.weight(j, k)
+        lam = sp.weight(a, c) / sp.weight(j, k)
         out[(j, k)] = out.get((j, k), 0.0j) + coef * lam
     return LaurentCoeffs(out)
 

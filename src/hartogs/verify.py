@@ -170,9 +170,9 @@ def suite_reproducing(seed=0, nus=_REGIMES):
     """<f, K(., w)> = f(w) through the coefficient pairing, all regimes.
 
     The kernel side is expanded from the closed form (binomial times
-    hypergeometric recurrences), the weights come from the Gamma-ratio
-    norms; the identity holds exactly when weight * coefficient = 1, so
-    the pairing cross-checks the two routes.
+    hypergeometric recurrences), the weights from ``SpaceParam.weight``'s
+    tables, two codings of the same Pochhammer factors: the identity
+    weight * coefficient = 1 checks the codings, not the factors.
     """
     res = SuiteResult("reproducing", True)
     for salt, nu in enumerate(nus):
@@ -547,7 +547,7 @@ def suite_tsplit(seed=0, nus=(-0.5, 0.0, 1.0)):
     """Gamma closed form of the T-split norms against quadrature (1e-7), and the sharp
     constants c^2 <= R(f) = star(f)^2 / ||f||^2 <= C^2 of ``_star_constants``
     against the library's R: at z1 (1e-12); for nu <= 20 the closed R of a
-    near-extremal f at depth 1e4 (1e-9, the digits log-Gamma keeps near 1e5),
+    near-extremal f at depth 1e4 (1e-12),
     below C^2, and C^2 against (8 R(4e4) - 6 R(2e4) + R(1e4)) / 3 (1e-6; the
     remainder is below 6e-8); and the excess of 20 random sqrt(R) beyond
     [c, C], negative inside (1e-12)."""
@@ -576,7 +576,7 @@ def suite_tsplit(seed=0, nus=(-0.5, 0.0, 1.0)):
                 rho = [coeffspace._star_ratio(nu, j, j + k) for j, k in keys]
                 f = {(0, 0): 1.0, **{key: math.sqrt(r / space.weight(*key)) for key, r in zip(keys, rho)}}
                 far.append((1.0 + sum(rho), ratio(LaurentCoeffs(f))))
-            res.row(f"nu={nu} near-extremal ratio at 1e4", *far[0], 1e-9)
+            res.row(f"nu={nu} near-extremal ratio at 1e4", *far[0], 1e-12)
             res.check(far[0][0] < big, f"near-extremal ratio above C^2 at nu={nu}")
             extrapolated = (8.0 * far[2][1] - 6.0 * far[1][1] + far[0][1]) / 3.0
             res.row(f"nu={nu} C^2 extrapolated from 1e4 2e4 4e4", big, extrapolated, 1e-6)

@@ -242,12 +242,19 @@ class TestNormCommand:
         code, out, err = run_cli(capsys, "norm", "--space", space, "--nu", "0", "--in", str(path))
         assert (code, out, err) == (2, "", "error: a weighted sum of |a|^2 leaves the double range\n")
 
-    def test_a_log_gamma_beyond_the_double_range_exits_2(self, capsys, tmp_path):
-        # math.lgamma overflows past 2.55e305; the OverflowError was blamed on |a|^2
+    def test_the_constant_at_a_huge_nu_has_norm_one(self, capsys, tmp_path):
+        # ||1||^2 = u(0) R(1) = 1 exactly; the log-Gamma route refused it, its lgamma overflowing past 2.55e305
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"terms": [{"j": 0, "k": 0, "re": 1.0}]}))
         code, out, err = run_cli(capsys, "norm", "--space", "bergman", "--nu", "1e306", "--in", str(path))
-        assert (code, out) == (2, "") and err.startswith("error: the Gamma ratio leaves the double range")
+        assert (code, out, err) == (0, "bergman_norm_sq 1\n", "")
+
+    def test_a_weight_beyond_the_double_range_exits_2(self, capsys, tmp_path):
+        # ||z1^2||^2 = 2 / ((nu + 2)(nu + 3)) is about 2e-612 at nu = 1e306
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"j": 2, "k": 0, "re": 1.0}]}))
+        code, out, err = run_cli(capsys, "norm", "--space", "bergman", "--nu", "1e306", "--in", str(path))
+        assert (code, out) == (2, "") and "double range" in err
 
     def test_star_norm_of_the_constant_at_a_huge_nu(self, capsys, tmp_path):
         # every split part is empty, so no r_nu is formed; (nu + 1)^2 raised OverflowError

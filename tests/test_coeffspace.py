@@ -16,7 +16,7 @@ from hartogs.coeffspace import (
     MixedPoly,
     SpaceParam,
     TorusSeries,
-    _gamma_weight,
+    _pochhammer_weight,
     _star_constants,
     _star_ratio,
     as_mixed,
@@ -73,14 +73,14 @@ class TestSpaceParam:
         for j in range(4):
             for k in range(-1 - j, 5):
                 assert sp.member(j, k)
-                renormalized = 1.5 * eps * eps * _gamma_weight(-2.0 + eps, j, k)
+                renormalized = 1.5 * eps * eps * sp.weight(j, k)
                 limit = -3.0 * j if j + k == -1 else float(j * (j + k))
                 assert abs(renormalized - limit) <= 1e-5 * max(abs(limit), 1.0)
 
     def test_gamma_weight_against_mpmath_next_to_minus_two(self):
-        """Every Gamma argument is summed from d = nu + 2, which is exact
-        for nu in [-2, -1], so none is rounded twice next to a pole.  The
-        bound 5e-14 relative was fixed before the run."""
+        """Every Pochhammer ratio of ``_pochhammer_weight`` is formed from d = nu + 2,
+        which is exact for nu in [-2, -1], so none is rounded twice next to a pole.
+        The bound 5e-14 relative was fixed before the run."""
         with mpmath.workdps(50):
             for nu in (-2.0 + 2e-12, -2.0 + 1e-9, -2.0 + 1e-6, -2.0 + 1e-4, -1.9, -1.5, -1.2, -0.5, 0.7, 3.5):
                 x = mpmath.mpf(nu)
@@ -89,12 +89,12 @@ class TestSpaceParam:
                     for k in range(-1 - j, 7):
                         ref = front * mpmath.gamma(j + 1) * mpmath.gamma(j + k + 0.5 * x + 2)
                         ref /= mpmath.gamma(j + x + 2) * mpmath.gamma(j + k + 1.5 * x + 3)
-                        assert abs(_gamma_weight(nu, j, k) - ref) <= 5e-14 * abs(ref), (nu, j, k)
+                        assert abs(SpaceParam(nu).weight(j, k) - ref) <= 5e-14 * abs(ref), (nu, j, k)
 
     def test_gamma_weight_against_mpmath_just_above_an_even_nu(self):
-        """At nu = 2m + 10^-p the argument j+k+nu/2+2 of the lowest members sits 10^-p / 2
-        above a pole and reads b1, which keeps the digits that nu + 2 drops: 5e-14 relative
-        over every member with j, k <= 3, m = 0..4 and p = 3..11."""
+        """At nu = 2m + 10^-p the Gamma argument j+k+nu/2+2 of the lowest members sits 10^-p / 2
+        above a pole; R's lowest ratio reads b1, which keeps the digits that nu + 2 drops:
+        5e-14 relative over every member with j, k <= 3, m = 0..4 and p = 3..11."""
         with mpmath.workdps(50):
             for nu in (2.0 * m + 10.0**-p for m in range(5) for p in range(3, 12)):
                 x = mpmath.mpf(nu)
@@ -103,7 +103,26 @@ class TestSpaceParam:
                     for k in range(-1 - math.ceil(nu / 2) - j, 4):
                         ref = front * mpmath.gamma(j + 1) * mpmath.gamma(j + k + 0.5 * x + 2)
                         ref /= mpmath.gamma(j + x + 2) * mpmath.gamma(j + k + 1.5 * x + 3)
-                        assert abs(_gamma_weight(nu, j, k) - ref) <= 5e-14 * abs(ref), (nu, j, k)
+                        assert abs(SpaceParam(nu).weight(j, k) - ref) <= 5e-14 * abs(ref), (nu, j, k)
+
+    def test_weight_against_mpmath_up_to_nu_1e15(self):
+        """The weight of every member with j <= 6 and n = j + k + 1 from max(1 - N, -6)
+        to 7, N = 1 + ceil(nu/2), against 60-digit mpmath, from nu = -2 + 2e-12 to 1e15
+        and at the 2m + 10^-p points above: 1e-14 relative, fixed before the run.  The
+        log-Gamma route read 3.44e-14 for 3.33e-14 at nu = 1e13, j = 1, and was a factor
+        of 900 off at nu = 1e15."""
+        nus = [-2.0 + 2e-12, -2.0 + 1e-9, -2.0 + 1e-6, -1.9, -1.5, -1.2, -1.0 + 1e-9, -0.5, 1e-11, 1e-6, 0.7]
+        nus += [2.0 + 1e-9, 3.5, 8.0001, 20.7, 100.0, 1e4, 1e6, 1e10, 1e13, 1e15]
+        nus += [2.0 * m + 10.0**-p for m in range(5) for p in range(3, 12)]
+        with mpmath.workdps(60):
+            for nu in nus:
+                sp, x = SpaceParam(nu), mpmath.mpf(nu)
+                front = mpmath.gamma(x + 2) * mpmath.gamma(1.5 * x + 3) / mpmath.gamma(0.5 * x + 2)
+                for j in range(7):
+                    for n in range(max(-sp.ceil, -6), 8):
+                        ref = front * mpmath.gamma(j + 1) * mpmath.gamma(n + 0.5 * x + 1)
+                        ref /= mpmath.gamma(j + x + 2) * mpmath.gamma(n + 1.5 * x + 2)
+                        assert abs(sp.weight(j, n - j - 1) - ref) <= 1e-14 * abs(ref), (nu, j, n)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.floats(-2.0, 1e300), st.sampled_from([1e-9, 1e-6, 0.3, 2.0**54 + 4.0, 1e300])))
@@ -137,27 +156,37 @@ class TestSpaceParam:
 
 
 class TestWeightMemo:
-    """Each Gamma weight is computed once per process; the memo returns what
-    the function computes, for every spelling of one key."""
+    """Each space's two Pochhammer tables are built once per process and
+    continued when a read goes deeper; a memoized read equals a read of
+    fresh tables, whatever was read before and for every spelling of a key."""
 
     def test_memo_equals_the_function_bit_for_bit(self):
-        _gamma_weight.cache_clear()
+        _pochhammer_weight.cache_clear()
         bits = lambda x: struct.pack("<d", x)
         for nu in (0.0, -0.0, -1.5, -2.0 + 2e-12, 0.7, 3.5):
-            for j in range(4):
-                for k in range(-1 - j, 4):
-                    for key in ((j, k), (np.int64(j), np.int64(k))):
-                        for _ in range(2):
-                            assert bits(_gamma_weight(nu, *key)) == bits(_gamma_weight.__wrapped__(nu, *key))
-        assert _gamma_weight.cache_info().hits > _gamma_weight.cache_info().misses
+            sp = SpaceParam(nu)
+            fresh = _pochhammer_weight.__wrapped__(sp.nu + 2.0, sp.ceil, sp.b1)
+            for deep in ((0, 0), (200, 0), (0, 200), (1000, 0)):  # the tables grow between passes
+                fresh(*deep), sp.weight(*deep)
+                for j in range(4):
+                    for k in range(-1 - sp.ceil - j, 4):
+                        for key in ((j, k), (np.int64(j), np.int64(k))):
+                            assert bits(sp.weight(*key)) == bits(_pochhammer_weight.__wrapped__(sp.nu + 2.0, sp.ceil, sp.b1)(*key))
+                            assert bits(sp.weight(*key)) == bits(fresh(*key))
+        assert _pochhammer_weight.cache_info().misses == 5  # one table set per space: 0.0 and -0.0 are one
 
     def test_an_out_of_range_weight_is_refused_every_time(self):
-        misses = _gamma_weight.cache_info().misses
+        sp = SpaceParam(1000.0)
         for _ in range(2):
             with pytest.raises(DomainError, match="double range"):
-                _gamma_weight(1000.0, 0, -501)
-        assert _gamma_weight.cache_info().misses == misses + 2
+                sp.weight(0, -501)
+        assert sp.weight(0, 0) == 1.0 and math.isfinite(sp.weight(0, -60))
 
+    def test_a_table_deeper_than_its_cap_is_refused(self):
+        sp = SpaceParam(0.7)
+        with pytest.raises(DomainError, match="depth"):
+            sp.weight(coeffspace._DEPTH, 0)
+        assert math.isfinite(sp.weight(coeffspace._DEPTH - 1, 0))
 
     def test_a_weight_that_underflows_is_refused(self):
         # the weight of z1^10000 at nu = 100 is about exp(-1031); it read 0.0, so the norm of z1^10000 was 0

@@ -29,7 +29,7 @@ at_import = scipy_modules()
 from hartogs import cli, coeffspace, kernels, projections, quadrature, verify
 from hartogs.geometry import HartogsPoint
 
-memos = [memo.cache_info().currsize for memo in (quadrature._jacobi01, coeffspace._gamma_weight, coeffspace._space_above)]
+memos = [memo.cache_info().currsize for memo in (quadrature._jacobi01, coeffspace._pochhammer_weight)]
 z, w = HartogsPoint(0.1, 0.5), HartogsPoint(0.2j, 0.4)
 for nu in (-2.0, -1.5, -1.0, 0.7, 2.0, 20.7):
     kernels.kernel(nu, z, w)
@@ -64,9 +64,9 @@ def test_import_set_and_first_calls_load_no_heavy_scipy():
 
 
 def test_import_builds_no_rule_and_no_weight():
-    """The Gauss rules and Gamma weights are built on first use, so the
+    """The Gauss rules and the weight tables are built on first use, so the
     set-up of every command stays free of them."""
-    assert _probe()["memos"] == [0, 0, 0]
+    assert _probe()["memos"] == [0, 0]
 
 
 def test_no_module_imports_scipy():

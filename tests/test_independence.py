@@ -25,15 +25,24 @@ Z = HartogsPoint(np.array([0.1 + 0.2j, -0.3j]), np.array([0.5, 0.6 + 0.1j]))
 W = HartogsPoint(np.array([0.2j, 0.1]), np.array([0.4 - 0.2j, -0.5j]))
 G = MixedPoly({(1, 1, 0, 0): 1.0, (0, 0, 1, 1): 0.5})
 
+# the monomial weight: its table routine, a read of its tables and the method that reads them
+WEIGHT = {"coeffspace._pochhammer_weight", "coeffspace._pochhammer_weight.<locals>.weight", "coeffspace.SpaceParam.weight"}
+
 # oracle -> (one call of it, the closed-form routines it must not enter)
 ORACLES = {
     "kernel_series": (
         lambda: kernels.kernel_series(0.7, Z, W),
-        {"kernels.prefactor_a", "specfun.gauss_2f1", "kernels._kernel_2f1", "coeffspace._gamma_weight"},
+        {"kernels.prefactor_a", "specfun.gauss_2f1", "kernels._kernel_2f1", *WEIGHT},
     ),
     "integrate_mu": (
         lambda: quadrature.integrate_mu(0.7, G),
-        {"coeffspace._gamma_weight", "kernels.kernel", "kernels.prefactor_a"},
+        {*WEIGHT, "kernels.kernel", "kernels.prefactor_a"},
+    ),
+    # the kernel's Laurent coefficient, which reproducing pairs with the weight: were it
+    # 1 / weight, the pairing would read weight * (1 / weight) and check nothing
+    "kernel_coeff_closed": (
+        lambda: [kernels.kernel_coeff_closed(nu, j, k) for nu in (-1.5, 0.7) for j in range(3) for k in range(-2, 3)],
+        WEIGHT,
     ),
     "mc_integrate_mu": (
         lambda: quadrature.mc_integrate_mu(0.7, G, quadrature._MAX_BLOCK, 0),
@@ -44,7 +53,7 @@ ORACLES = {
 
 def entered(call):
     """The hartogs functions, as module.qualname without the package, that call() enters."""
-    coeffspace._gamma_weight.cache_clear()
+    coeffspace._pochhammer_weight.cache_clear()
     quadrature._jacobi01.cache_clear()
     names = set()
 

@@ -340,8 +340,8 @@ class TestIsometryRows:
     def test_rank_one_row_catches_a_weight_that_does_not_factor(self, monkeypatch):
         # the norm row pairs the table with norm_sq, which reads the same weight,
         # so only the rank-one row sees a weight that is no product in (j, n)
-        exact = coeffspace._gamma_weight
-        monkeypatch.setattr(coeffspace, "_gamma_weight", lambda nu, j, k: exact(nu, j, k) * (1.0 + 1e-11 * j * (j + k + 1)))
+        exact = coeffspace.SpaceParam.weight
+        monkeypatch.setattr(coeffspace.SpaceParam, "weight", lambda sp, j, k: exact(sp, j, k) * (1.0 + 1e-11 * j * (j + k + 1)))
         res = verify.run_suite("isometries", seed=0)
         assert not res.passed and "nu=-1.5 bidisc weight rank one" in res.message
         assert "norm from values" not in res.message
